@@ -17,14 +17,6 @@
 #      chooser's probe overhead on models where both engines are cheap.
 #   3. auto must retain the afs2-2 peak-live-node win over monolithic.
 #      Node counts are deterministic, so this gate is exact.
-#   4. Racing must track the best fixed engine on every ring model:
-#      race <= best(bes, partitioned) * RACE_TOL + RACE_ABS_SLACK.  The
-#      ring jobs finish in well under a millisecond, where the race's
-#      fixed per-obligation cost (one extra thread spawn + loser join)
-#      dwarfs the solving itself, so a pure ratio gate would flag noise;
-#      the absolute slack absorbs that floor while the ratio term still
-#      catches a race that fails to cancel the loser or serializes the
-#      lanes on models where solving dominates.
 #
 # A one-line summary is appended to bench/results/trend.csv so local runs
 # accumulate a history of the headline ratios over time.
@@ -34,8 +26,6 @@ BUILD=${1:-build}
 BENCH_DIR=$BUILD/bench
 SERVICE_TOL=${SERVICE_TOL:-1.10}
 RING_TOL=${RING_TOL:-1.25}
-RACE_TOL=${RACE_TOL:-1.10}
-RACE_ABS_SLACK=${RACE_ABS_SLACK:-0.005}
 TREND=bench/results/trend.csv
 
 fail() { echo "bench_smoke: FAIL: $*" >&2; exit 1; }
@@ -43,7 +33,6 @@ note() { echo "bench_smoke: $*"; }
 
 [ -x "$BENCH_DIR/bench_service" ] || fail "no bench_service in $BENCH_DIR"
 [ -x "$BENCH_DIR/bench_partition" ] || fail "no bench_partition in $BENCH_DIR"
-[ -x "$BENCH_DIR/bench_bes" ] || fail "no bench_bes in $BENCH_DIR"
 
 # The binaries write BENCH_<name>.json to the CWD; run them where the
 # JSONs should land so a later `cp` into bench/results/ is deliberate.
@@ -51,19 +40,14 @@ note() { echo "bench_smoke: $*"; }
   || fail "bench_service exited $?"
 ( cd "$BENCH_DIR" && ./bench_partition --benchmark_filter=NONE ) \
   || fail "bench_partition exited $?"
-( cd "$BENCH_DIR" && ./bench_bes --benchmark_filter=NONE ) \
-  || fail "bench_bes exited $?"
 [ -s "$BENCH_DIR/BENCH_service.json" ] || fail "no BENCH_service.json written"
 [ -s "$BENCH_DIR/BENCH_partition.json" ] || fail "no BENCH_partition.json written"
-[ -s "$BENCH_DIR/BENCH_bes.json" ] || fail "no BENCH_bes.json written"
 
-python3 - "$BENCH_DIR" "$SERVICE_TOL" "$RING_TOL" "$TREND" \
-          "$RACE_TOL" "$RACE_ABS_SLACK" <<'EOF'
+python3 - "$BENCH_DIR" "$SERVICE_TOL" "$RING_TOL" "$TREND" <<'EOF'
 import json, sys, time
 
 bench_dir, service_tol, ring_tol, trend = (
     sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), sys.argv[4])
-race_tol, race_slack = float(sys.argv[5]), float(sys.argv[6])
 failures = []
 
 # --- gate 1: service-pool vs serial at batch >= 8 -------------------------
@@ -117,36 +101,6 @@ if "auto" in afs2 and "monolithic" in afs2:
                         f"monolithic peak {mono_peak}")
 else:
     failures.append("afs2-2: missing auto/monolithic rows")
-
-# --- gate 4: racing vs best fixed engine on rings -------------------------
-with open(f"{bench_dir}/BENCH_bes.json") as f:
-    bes = json.load(f)["results"]
-by_model = {}
-for r in bes:
-    if r["spec"] == "ALL":
-        by_model.setdefault(r["model"], {})[r["mode"]] = r
-saw_ring_race = False
-for model, modes in sorted(by_model.items()):
-    if not model.startswith("ring"):
-        continue
-    if not all(m in modes for m in ("bes", "partitioned", "race")):
-        failures.append(f"{model}: missing bes/partitioned/race rows")
-        continue
-    for mode, row in modes.items():
-        if not row["holds"]:
-            failures.append(f"{model}: {mode} verdict flipped to NO")
-    saw_ring_race = True
-    best = min(modes["bes"]["seconds"], modes["partitioned"]["seconds"])
-    race = modes["race"]["seconds"]
-    bound = best * race_tol + race_slack
-    verdict = "ok" if race <= bound else "FAIL"
-    print(f"bench_smoke: {model}: race {race*1e3:.2f}ms vs best fixed "
-          f"{best*1e3:.2f}ms (bound {bound*1e3:.2f}ms) {verdict}")
-    if race > bound:
-        failures.append(f"{model}: race {race:.4f}s > best {best:.4f}s "
-                        f"* {race_tol:.2f} + {race_slack:.3f}s")
-if not saw_ring_race:
-    failures.append("BENCH_bes.json has no ring-* rows to gate")
 
 # --- trend line -----------------------------------------------------------
 stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())

@@ -5,8 +5,8 @@
 // result to the ordinary VerificationService as a factory job.  A query is
 // therefore a first-class obligation: it is elaborated into a snapshot,
 // fingerprinted (with the assumption digest folded in), served from the
-// obligation cache on a warm rerun, budgeted, cancellable, and eligible
-// for engine racing — the learner gets the whole service stack for free.
+// obligation cache on a warm rerun, budgeted, and cancellable — the
+// learner gets the whole service stack for free.
 //
 // Query kinds:
 //  - pairSafe(a, b): does P survive one environment step a→b from any

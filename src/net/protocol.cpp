@@ -134,8 +134,8 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
         service::jsonExtractString(line, "engine", &engine);
         if (!symbolic::engineModeFromString(engine, &req.options.engine)) {
           *error =
-              "field 'engine' must be 'auto', 'partitioned', "
-              "'monolithic', 'bes', or 'race'";
+              "field 'engine' must be 'auto', 'partitioned', or "
+              "'monolithic'";
           return false;
         }
       }

@@ -9,8 +9,7 @@
 //           or {"cmd": "CHECK", "model": "models/afs1_composed.smv", ...}
 //           Options (all optional, defaulting to the server's):
 //             "compose" (bool), "deadline_ms" (uint), "node_budget" (uint),
-//             "engine" ("auto" | "partitioned" | "monolithic" | "bes" |
-//                       "race"),
+//             "engine" ("auto" | "partitioned" | "monolithic"),
 //             "no_retry" (bool), "trace_force" (bool),
 //             "cluster" (uint), "reorder" (bool), "name" (job name)
 //   STATUS  {"cmd": "STATUS"}

@@ -69,11 +69,9 @@ struct JobOptions {
   /// First-attempt verification engine.  Auto resolves per obligation
   /// through symbolic::chooseEngine (capped materialization probe, run once
   /// during the job's elaboration snapshot); Partitioned/Monolithic force
-  /// CheckerOptions::usePartitionedTrans directly; Bes runs the explicit
-  /// BES solver (falling back to partitioned where it declines); Race runs
-  /// BES and the symbolic engine concurrently per obligation — first sound
-  /// verdict wins, the loser is cancelled.  The library default stays
-  /// Partitioned for reproducible behavior; the cmc CLI defaults to Auto.
+  /// CheckerOptions::usePartitionedTrans directly.  The library default
+  /// stays Partitioned for reproducible behavior; the cmc CLI defaults to
+  /// Auto.
   symbolic::EngineMode engine = symbolic::EngineMode::Partitioned;
   /// Degradation policy: an obligation that exhausts its budget under one
   /// engine is retried once under the other before being reported
@@ -132,7 +130,7 @@ struct VerificationJob {
 
 /// One engine attempt of one obligation.
 struct AttemptRecord {
-  std::string engine;  ///< "partitioned", "monolithic", or "bes"
+  std::string engine;  ///< "partitioned" or "monolithic"
   Verdict verdict = Verdict::Error;
   double seconds = 0.0;
   std::uint64_t peakLiveNodes = 0;

@@ -79,10 +79,7 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     }
 
     snap->moduleChoice.resize(snap->modules.size());
-    // Race needs the same probed choices as Auto: its symbolic lane is
-    // whatever Auto would have picked for the obligation.
-    if (job.options.engine == symbolic::EngineMode::Auto ||
-        job.options.engine == symbolic::EngineMode::Race) {
+    if (job.options.engine == symbolic::EngineMode::Auto) {
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
         snap->moduleChoice[i] = symbolic::chooseEngine(snap->modules[i].sys);
       }

@@ -96,23 +96,50 @@ ExplicitImage explicitFromSymbolic(const SymbolicSystem& s) {
     if (isValid(p)) validStates.push_back(static_cast<kripke::State>(p));
   }
 
-  // Transitions: evaluate T under each (current, next) assignment.
-  const std::size_t numBddVars = 2 * ctx.bitCount();
-  std::vector<bool> assignment(numBddVars, false);
+  // Transitions: enumerate each valid source's successors from
+  // T ∧ source-cube, one pickCube at a time (expand the cube's don't-care
+  // next bits, keep the valid targets, subtract the cube), so the cost
+  // follows the edges rather than the square of the state count.  T
+  // mentions only the system's own bits (makeSystem checks its alphabet),
+  // so the source cube fixes every current bit it reads.
+  std::vector<kripke::State> targets;
+  std::vector<std::size_t> freeBits;
   for (kripke::State from : validStates) {
+    bdd::Bdd succ = s.transBdd();
     for (std::size_t i = 0; i < bits.size(); ++i) {
-      assignment[Context::bddVarOf(bits[i].modelBit, false)] =
-          ((from >> i) & 1u) != 0;
+      const std::uint32_t v = Context::bddVarOf(bits[i].modelBit, false);
+      succ &= ((from >> i) & 1u) != 0 ? mgr.bddVar(v) : mgr.bddNVar(v);
     }
-    for (kripke::State to : validStates) {
+    targets.clear();
+    while (!succ.isFalse()) {
+      const std::vector<std::int8_t> cube = mgr.pickCube(succ);
+      kripke::State base = 0;
+      freeBits.clear();
       for (std::size_t i = 0; i < bits.size(); ++i) {
-        assignment[Context::bddVarOf(bits[i].modelBit, true)] =
-            ((to >> i) & 1u) != 0;
+        const std::int8_t value =
+            cube[Context::bddVarOf(bits[i].modelBit, true)];
+        if (value == 1) base |= kripke::State{1} << i;
+        if (value < 0) freeBits.push_back(i);
       }
-      if (mgr.eval(s.transBdd(), assignment)) {
-        es.addTransition(from, to);
+      for (std::uint64_t m = 0; m < (std::uint64_t{1} << freeBits.size());
+           ++m) {
+        kripke::State to = base;
+        for (std::size_t k = 0; k < freeBits.size(); ++k) {
+          if (((m >> k) & 1u) != 0) to |= kripke::State{1} << freeBits[k];
+        }
+        if (isValid(to)) targets.push_back(to);
       }
+      bdd::Bdd picked = mgr.bddTrue();
+      for (std::uint32_t v = 0; v < cube.size(); ++v) {
+        if (cube[v] < 0) continue;
+        picked &= cube[v] != 0 ? mgr.bddVar(v) : mgr.bddNVar(v);
+      }
+      succ &= !picked;
     }
+    // Ascending insertion keeps the image, adjacency order included,
+    // independent of which cubes pickCube happens to return.
+    std::sort(targets.begin(), targets.end());
+    for (kripke::State to : targets) es.addTransition(from, to);
   }
 
   // Atom semantics: decode "var=value" and bare booleans against the bit

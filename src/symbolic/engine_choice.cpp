@@ -13,10 +13,6 @@ const char* toString(EngineMode m) noexcept {
       return "partitioned";
     case EngineMode::Monolithic:
       return "monolithic";
-    case EngineMode::Bes:
-      return "bes";
-    case EngineMode::Race:
-      return "race";
   }
   return "auto";
 }
@@ -32,14 +28,6 @@ bool engineModeFromString(std::string_view text, EngineMode* out) noexcept {
   }
   if (text == "monolithic") {
     *out = EngineMode::Monolithic;
-    return true;
-  }
-  if (text == "bes") {
-    *out = EngineMode::Bes;
-    return true;
-  }
-  if (text == "race") {
-    *out = EngineMode::Race;
     return true;
   }
   return false;

@@ -30,9 +30,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"trace.write", "run-trace JSONL sink write (per event)"},
     {"scheduler.dispatch", "worker pickup of an obligation, before attempts"},
     {"scheduler.retry", "engine-degradation retry decision"},
-    {"race.bes_delay", "start of the BES lane of an --engine race attempt"},
-    {"race.symbolic_delay",
-     "start of the symbolic lane of an --engine race attempt"},
     {"journal.append", "run-journal append of a decided obligation"},
     {"journal.load", "run-journal load on --resume (per line)"},
     {"net.accept", "server accept of a new connection (before the handler)"},

@@ -1,6 +1,7 @@
 // Tests for cross-manager BDD import (bdd::Importer), snapshot-backed
-// system transfer (symbolic::importSystem), the adaptive engine chooser,
-// and the service-level snapshot sharing they enable.
+// system transfer (symbolic::importSystem), the adaptive engine chooser
+// and its probe's GC hygiene, and the service-level snapshot sharing they
+// enable.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bdd/io.hpp"
+#include "service/budget.hpp"
 #include "service/metrics.hpp"
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
@@ -200,6 +202,9 @@ TEST(EngineChoice, ModeStringsRoundTrip) {
   EXPECT_TRUE(symbolic::engineModeFromString("auto", &m));
   EXPECT_EQ(m, EngineMode::Auto);
   EXPECT_FALSE(symbolic::engineModeFromString("quantum", &m));
+  // Engine names that no longer exist are ordinary unknowns.
+  EXPECT_FALSE(symbolic::engineModeFromString("bes", &m));
+  EXPECT_FALSE(symbolic::engineModeFromString("race", &m));
   EXPECT_STREQ(symbolic::toString(EngineMode::Auto), "auto");
 }
 
@@ -267,6 +272,71 @@ TEST(EngineChoice, AutoMatchesForcedEnginesOnAllModels) {
         << entry.path();
   }
   EXPECT_GT(models, 0u);
+}
+
+// chooseEngine's materialization probe must not leak its allocation burst
+// into the caller's GC policy or live-node count: a tight BudgetToken
+// checked right after a probe used to see the probe's dead intermediates
+// and report a spurious MemoryOut.
+
+TEST(EngineProbe, RestoresGcThresholdAndSweepsAbortedProbes) {
+  // The composed AFS-2 system is the documented blow-up case: the probe
+  // aborts at the cap, so every allocation it made is garbage.
+  std::ifstream in(fs::path(CMC_MODELS_DIR) / "afs2_composed.smv");
+  std::stringstream text;
+  text << in.rdbuf();
+  symbolic::Context ctx(1 << 16);
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, text.str());
+  std::vector<symbolic::SymbolicSystem> parts;
+  for (const smv::ElaboratedModule& mod : modules) {
+    symbolic::SymbolicSystem sys = mod.sys;
+    symbolic::addReflexive(sys);
+    parts.push_back(std::move(sys));
+  }
+  const symbolic::SymbolicSystem composed = symbolic::composeAll(parts);
+
+  ctx.mgr().setGcThreshold(256);
+  ctx.mgr().collectGarbage();
+  const std::uint64_t liveBefore = ctx.mgr().liveNodeCount();
+
+  const symbolic::EngineChoice choice = symbolic::chooseEngine(composed);
+  EXPECT_TRUE(choice.probed);
+  EXPECT_TRUE(choice.probeAborted);
+  EXPECT_TRUE(choice.usePartitioned);
+
+  // The probe's auto-GC doubling is rolled back...
+  EXPECT_EQ(ctx.mgr().gcThreshold(), 256u);
+  // ...and its dead intermediates are swept before returning, so a
+  // live-node budget recheck sees the pre-probe footprint.
+  EXPECT_LE(ctx.mgr().liveNodeCount(), liveBefore);
+
+  // A BudgetToken sized to the model (plus slack) stays usable: the probe
+  // must not have consumed the budget.
+  service::ObligationLimits limits;
+  limits.nodeBudget = liveBefore + 4096;
+  service::BudgetToken token(ctx.mgr(), limits);
+  EXPECT_NO_THROW(token.check());
+}
+
+TEST(EngineProbe, CompletingProbeCachesTheProductAndRestoresThreshold) {
+  symbolic::Context ctx(1 << 16);
+  const smv::ElaboratedModule mod = smv::elaborateText(ctx, R"(
+MODULE chain
+VAR s : {a, b, c};
+ASSIGN next(s) := case s = a : b; s = b : c; 1 : s; esac;
+SPEC AG (s = a | s = b | s = c)
+)");
+  ctx.mgr().setGcThreshold(256);
+  const symbolic::EngineChoice choice = symbolic::chooseEngine(mod.sys);
+  EXPECT_TRUE(choice.probed);
+  EXPECT_FALSE(choice.usePartitioned);
+  EXPECT_EQ(ctx.mgr().gcThreshold(), 256u);
+  // The probe's product is cached, so deciding again is probe-free.
+  EXPECT_TRUE(mod.sys.transMaterialized());
+  const symbolic::EngineChoice again = symbolic::chooseEngine(mod.sys);
+  EXPECT_FALSE(again.probed);
+  EXPECT_FALSE(again.usePartitioned);
 }
 
 TEST(Snapshot, BuildOnceImportPerWorker) {

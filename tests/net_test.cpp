@@ -171,6 +171,17 @@ TEST(NetProtocol, ParseRejectsMalformedRequests) {
   EXPECT_FALSE(parseRequest("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
                             "\"engine\": \"quantum\"}",
                             defaults, &req, &err));
+  // Engine names that no longer exist (old clients may still send them)
+  // get the ordinary unknown-value refusal.
+  for (const char* engine : {"bes", "race"}) {
+    err.clear();
+    EXPECT_FALSE(parseRequest(std::string("{\"cmd\": \"CHECK\", \"model\": "
+                                          "\"m.smv\", \"engine\": \"") +
+                                  engine + "\"}",
+                              defaults, &req, &err))
+        << engine;
+    EXPECT_NE(err.find("engine"), std::string::npos) << err;
+  }
 }
 
 TEST(NetProtocol, ParseOverlaysDefaults) {

@@ -3,7 +3,8 @@
 // MUST be part of the key), LRU/tier mechanics, corruption-tolerant disk
 // loading, and the service-level plumbing (hits served without checker
 // attempts, only decided verdicts inserted, disk round-trips across
-// service instances, shared cache under a concurrent batch).
+// service instances, shared cache under a concurrent batch, replayed Fails
+// without a counterexample announced or re-checked under --trace-force).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,6 +20,7 @@
 
 #include "service/obligation_cache.hpp"
 #include "service/scheduler.hpp"
+#include "service/snapshot.hpp"
 #include "smv/fingerprint.hpp"
 #include "util/failpoint.hpp"
 
@@ -487,6 +489,95 @@ TEST(ObligationCacheService, TwoProcessesShareOneStoreWithoutTornLines) {
     if (line.find("cmc-obligation-cache-v2") != std::string::npos) ++headers;
   }
   EXPECT_EQ(headers, 1u);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Replayed Fails without a stored counterexample: the trace must say so
+// instead of silently presenting a Fails that looks uninvestigable, and
+// --trace-force re-checks to regenerate the trace.
+// ---------------------------------------------------------------------------
+
+const char* kFailingSmv = R"(
+MODULE stuck
+VAR s : {a, b};
+ASSIGN next(s) := b;
+SPEC AG (s = a)
+)";
+
+/// Seed `dir` with a decided Fails for kFailingSmv's one obligation whose
+/// counterexample was not stored (an old-format or trimmed cache entry).
+std::string seedCounterexampleFreeFails(const fs::path& dir,
+                                        const JobOptions& options) {
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  job.options = options;
+  const SnapshotResult snap = buildSnapshot(job, /*wantCanon=*/true);
+  EXPECT_TRUE(snap.snapshot) << snap.error;
+  const std::vector<ObligationRef> refs =
+      enumerateObligations(*snap.snapshot, job.options);
+  EXPECT_EQ(refs.size(), 1u);
+  EXPECT_FALSE(refs.front().fingerprint.empty());
+
+  ObligationCache::Options copts;
+  copts.dir = dir.string();
+  ObligationCache cache(copts);
+  CachedVerdict v;
+  v.verdict = Verdict::Fails;
+  v.rule = "direct";
+  v.engine = "partitioned";
+  EXPECT_TRUE(cache.insert(refs.front().fingerprint, v));
+  return refs.front().fingerprint;
+}
+
+TEST(ObligationCacheService, CacheServedFailsWithoutCounterexampleIsAnnounced) {
+  const fs::path dir = scratchDir("cmc_trace_unavailable");
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  seedCounterexampleFreeFails(dir, job.options);
+
+  ServiceOptions so = withThreads(1);
+  so.cacheDir = dir.string();
+  VerificationService svc(so);
+  RunTrace trace;
+  const JobReport report = svc.run(job, &trace);
+  ASSERT_EQ(report.obligations.size(), 1u);
+  const ObligationOutcome& o = report.obligations.front();
+  // The verdict is served as stored — but the trace says the
+  // counterexample is not reconstructible from the replay.
+  EXPECT_EQ(o.verdict, Verdict::Fails);
+  EXPECT_EQ(o.verdictSource, "cache");
+  EXPECT_TRUE(o.counterexample.empty());
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_unavailable\""), 1u);
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_forced_recheck\""), 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ObligationCacheService, TraceForceRechecksACounterexampleFreeReplay) {
+  const fs::path dir = scratchDir("cmc_trace_force");
+  VerificationJob job;
+  job.name = "stuck";
+  job.smvText = kFailingSmv;
+  // traceForce must not change the fingerprint — the seeded entry is
+  // written without it and must still be the one the forced run hits.
+  seedCounterexampleFreeFails(dir, job.options);
+  job.options.traceForce = true;
+
+  ServiceOptions so = withThreads(1);
+  so.cacheDir = dir.string();
+  VerificationService svc(so);
+  RunTrace trace;
+  const JobReport report = svc.run(job, &trace);
+  ASSERT_EQ(report.obligations.size(), 1u);
+  const ObligationOutcome& o = report.obligations.front();
+  // Re-checked on demand: same verdict, fresh counterexample.
+  EXPECT_EQ(o.verdict, Verdict::Fails);
+  EXPECT_EQ(o.verdictSource, "checked");
+  EXPECT_FALSE(o.counterexample.empty());
+  EXPECT_FALSE(o.attempts.empty());
+  EXPECT_EQ(trace.countContaining("\"event\": \"trace_forced_recheck\""), 1u);
   fs::remove_all(dir);
 }
 

@@ -96,14 +96,6 @@ cmc check options:
                                     engine (default)
                        partitioned  symbolic fixpoints, partitioned relation
                        monolithic   symbolic fixpoints, materialized product
-                       bes          explicit-state Boolean Equation System
-                                    solver (falls back to partitioned where
-                                    it declines, e.g. composed obligations)
-                       race         run bes and the symbolic engine
-                                    concurrently per obligation; first sound
-                                    verdict wins, the loser is cancelled
-                                    (costs up to 2x CPU per obligation)
-  --monolithic       deprecated alias for --engine monolithic
   --no-retry         disable the budget-exhaustion retry on the other engine
   --trace-force      re-check a cache/journal-replayed Fails that stored no
                      counterexample, so the report carries a trace
@@ -301,15 +293,8 @@ bool parseUint(const char* text, std::uint64_t* out) {
 /// Parse an --engine value; prints the usage error itself.
 bool parseEngineMode(const char* v, symbolic::EngineMode* out) {
   if (v != nullptr && symbolic::engineModeFromString(v, out)) return true;
-  std::cerr
-      << "cmc: --engine must be auto, partitioned, monolithic, bes, or "
-         "race\n";
+  std::cerr << "cmc: --engine must be auto, partitioned, or monolithic\n";
   return false;
-}
-
-void warnMonolithicDeprecated(const char* cmd) {
-  std::cerr << cmd
-            << ": --monolithic is deprecated; use --engine monolithic\n";
 }
 
 int parseArgs(int argc, char** argv, CliOptions* cli) {
@@ -334,9 +319,6 @@ int parseArgs(int argc, char** argv, CliOptions* cli) {
       cli->job.compose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &cli->job.engine)) return 2;
-    } else if (arg == "--monolithic") {
-      warnMonolithicDeprecated("cmc");
-      cli->job.engine = symbolic::EngineMode::Monolithic;
     } else if (arg == "--no-retry") {
       cli->job.retryOtherEngine = false;
     } else if (arg == "--trace-force") {
@@ -723,9 +705,6 @@ int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
       job.compose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &job.engine)) return 2;
-    } else if (arg == "--monolithic") {
-      warnMonolithicDeprecated("cmc serve");
-      job.engine = symbolic::EngineMode::Monolithic;
     } else if (arg == "--no-retry") {
       job.retryOtherEngine = false;
     } else if (arg == "--trace-force") {
@@ -918,9 +897,6 @@ int parseCoordinatorArgs(int argc, char** argv, CoordinatorCliOptions* opts) {
       job.compose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &job.engine)) return 2;
-    } else if (arg == "--monolithic") {
-      warnMonolithicDeprecated("cmc coordinator");
-      job.engine = symbolic::EngineMode::Monolithic;
     } else if (arg == "--no-retry") {
       job.retryOtherEngine = false;
     } else if (arg == "--trace-force") {
@@ -1184,10 +1160,6 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
       opts->setCompose = true;
     } else if (arg == "--engine") {
       if (!parseEngineMode(next(), &opts->job.engine)) return 2;
-      opts->setEngine = true;
-    } else if (arg == "--monolithic") {
-      warnMonolithicDeprecated("cmc submit");
-      opts->job.engine = symbolic::EngineMode::Monolithic;
       opts->setEngine = true;
     } else if (arg == "--no-retry") {
       opts->job.retryOtherEngine = false;
