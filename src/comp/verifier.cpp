@@ -38,6 +38,18 @@ const symbolic::SymbolicSystem& CompositionalVerifier::composed() {
   return *composed_;
 }
 
+void CompositionalVerifier::adoptComposed(symbolic::SymbolicSystem sys) {
+  if (sys.ctx != &ctx_) {
+    throw ModelError("adoptComposed: '" + sys.name +
+                     "' lives in another symbolic context");
+  }
+  if (components_.empty() || sys.vars != unionVars()) {
+    throw ModelError("adoptComposed: the alphabet of '" + sys.name +
+                     "' is not the union of the components' alphabets");
+  }
+  composed_ = std::move(sys);
+}
+
 const symbolic::SymbolicSystem& CompositionalVerifier::expansion(
     std::size_t i) {
   CMC_ASSERT(i < components_.size());

@@ -54,6 +54,13 @@ class CompositionalVerifier {
   /// The full composition M₁ ∘ … ∘ Mₙ (built lazily, cached).
   const symbolic::SymbolicSystem& composed();
 
+  /// Use `sys`, a composition built elsewhere (the service imports the
+  /// job snapshot's), instead of composing the registered components.
+  /// Throws ModelError unless `sys` lives in this verifier's context and
+  /// its alphabet is the union of the components'.  Adding a component
+  /// afterwards drops it, like the lazily built one.
+  void adoptComposed(symbolic::SymbolicSystem sys);
+
   /// Verify `spec` on the composition compositionally where the classifier
   /// allows; returns the verdict and records every step in `proof`.
   bool verify(const ctl::Spec& spec, ProofTree& proof,

@@ -1,10 +1,11 @@
 // The resource governor (service layer): a cooperative cancellation token
 // that turns an ObligationLimits into a CheckerOptions::cancelCheck hook.
 //
-// The checker polls the token before every preimage and on every fixpoint
-// iteration; the token throws symbolic::CancelledError with the exhausted
-// dimension (Deadline or NodeBudget), which the scheduler maps to the
-// Timeout / MemoryOut verdicts.  This is the only mechanism by which a
+// The checker polls the token on entry to every check, before every
+// preimage and on every fixpoint iteration; the token throws
+// symbolic::CancelledError with the exhausted dimension (Deadline or
+// NodeBudget), which the scheduler maps to the Timeout / MemoryOut
+// verdicts.  This is the only mechanism by which a
 // blown-up BDD stops an obligation — there is no thread killing, so a
 // manager is never left in a broken state.
 #pragma once

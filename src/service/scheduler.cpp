@@ -184,11 +184,12 @@ struct AttemptOutput {
 /// One engine attempt.  With a snapshot (and `useSnapshot`), the worker
 /// adopts the snapshot's variable layout into a context pre-sized from its
 /// node counts and imports the BDDs it needs — a linear DAG copy in DFS
-/// order, no rehashing mid-import.  Otherwise (factory jobs, quarantine
-/// retries) it rebuilds from scratch as before.  `forcePartitioned` fixes
-/// the engine (retries, non-Auto modes, snapshot-resolved Auto); when
-/// absent the mode is Auto without a snapshot and the worker resolves it
-/// here.
+/// order, no rehashing mid-import; a composed obligation also imports the
+/// snapshot's composition instead of composing.  Otherwise (factory jobs,
+/// quarantine retries) it rebuilds and composes from scratch.
+/// `forcePartitioned` fixes the engine (retries, non-Auto modes,
+/// snapshot-resolved Auto); when absent the mode is Auto without a snapshot
+/// and the worker resolves it here.
 AttemptOutput runAttempt(const ObligationDesc& d,
                          std::optional<bool> forcePartitioned,
                          bool useSnapshot, const CancelFlags& cancel) {
@@ -211,6 +212,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     bdd::Manager& mgr = ctx.mgr();
 
     std::vector<smv::ElaboratedModule> modules;
+    std::optional<symbolic::SymbolicSystem> composed;
     std::size_t localIndex = d.moduleIndex;
     if (snap != nullptr) {
       // Snapshot path: Auto was resolved by the caller (runAttempts reads
@@ -228,11 +230,16 @@ AttemptOutput runAttempt(const ObligationDesc& d,
       } else {
         modules.reserve(snap->modules.size());
         for (const smv::ElaboratedModule& mod : snap->modules) {
-          // Composition operates on the partitions; component monolithics
-          // are never needed.
+          // The expansions operate on the partitions; component
+          // monolithics are never needed.
           modules.push_back(importModule(ctx, imp, mod,
                                          /*wantMonolithic=*/false));
         }
+        // The job's composition, built once in the snapshot; its conjuncts
+        // share the modules' imported nodes through `imp`.
+        CMC_ASSERT(snap->composed.has_value());
+        composed = symbolic::importSystem(ctx, imp, *snap->composed,
+                                          /*wantMonolithic=*/!partitioned);
       }
       out.record.importMs = importTimer.seconds() * 1000.0;
     } else {
@@ -297,6 +304,8 @@ AttemptOutput runAttempt(const ObligationDesc& d,
           symbolic::addReflexive(sys);
           verifier.addComponent(std::move(sys));
         }
+        // Without a snapshot the verifier composes on first use.
+        if (composed.has_value()) verifier.adoptComposed(std::move(*composed));
         comp::ProofTree proof;
         bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
         if (!ok && cls != comp::PropertyClass::Unknown) {
@@ -894,6 +903,9 @@ std::vector<JobReport> VerificationService::runBatch(
                     .put("job", job.name)
                     .putBool("shared", shared != nullptr)
                     .putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
+                    .putDouble("canon_ms", snap.canonSeconds * 1000.0)
+                    .putDouble("probe_ms", snap.probeSeconds * 1000.0)
+                    .putDouble("compose_ms", snap.composeSeconds * 1000.0)
                     .putUint("live_nodes", snap.liveNodes)
                     .putUint("modules",
                              static_cast<std::uint64_t>(snap.modules.size())));

@@ -68,6 +68,7 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     // Canonical serializations are best-effort: a failure leaves the job
     // uncached (replay then falls back to the identity key).
     if (wantCanon) {
+      WallTimer canonTimer;
       try {
         snap->canon.reserve(snap->modules.size());
         for (const smv::ElaboratedModule& mod : snap->modules) {
@@ -76,33 +77,42 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
       } catch (const std::exception&) {
         snap->canon.clear();
       }
+      snap->canonSeconds = canonTimer.seconds();
+    }
+
+    // The composition exactly as composed obligations check it:
+    // reflexive-closed components folded with ∘.  Built before the module
+    // probes cache their products, which addReflexive would then widen.
+    if (job.options.compose && snap->modules.size() > 1) {
+      WallTimer composeTimer;
+      std::vector<symbolic::SymbolicSystem> parts;
+      parts.reserve(snap->modules.size());
+      for (const smv::ElaboratedModule& mod : snap->modules) {
+        symbolic::SymbolicSystem sys = mod.sys;
+        symbolic::addReflexive(sys);
+        parts.push_back(std::move(sys));
+      }
+      snap->composed = symbolic::composeAll(parts);
+      snap->composeSeconds = composeTimer.seconds();
     }
 
     snap->moduleChoice.resize(snap->modules.size());
     if (job.options.engine == symbolic::EngineMode::Auto) {
+      WallTimer probeTimer;
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
         snap->moduleChoice[i] = symbolic::chooseEngine(snap->modules[i].sys);
       }
-      if (job.options.compose && snap->modules.size() > 1) {
-        // Probe the composition the way composed obligations build it:
-        // reflexive-closed components folded with ∘.  The temporary's
-        // nodes die in the collection below; only the decision survives.
-        std::vector<symbolic::SymbolicSystem> parts;
-        parts.reserve(snap->modules.size());
-        for (const smv::ElaboratedModule& mod : snap->modules) {
-          symbolic::SymbolicSystem sys = mod.sys;
-          symbolic::addReflexive(sys);
-          parts.push_back(std::move(sys));
-        }
-        const symbolic::SymbolicSystem composed =
-            symbolic::composeAll(parts);
-        snap->composedChoice = symbolic::chooseEngine(composed);
-        snap->hasComposedChoice = true;
+      if (snap->composed.has_value()) {
+        // A completed probe caches its product in the composition, which
+        // composed attempts on the monolithic engine then import.
+        snap->composedChoice = symbolic::chooseEngine(*snap->composed);
       }
+      snap->probeSeconds = probeTimer.seconds();
     }
 
-    // Final sweep: drop probe intermediates, then freeze.  From here on the
-    // manager is immutable — importers rely on stable node indices.
+    // Final sweep: drop probe and composition intermediates, then freeze.
+    // From here on the manager is immutable — importers rely on stable
+    // node indices.
     ctx.mgr().collectGarbage();
     snap->liveNodes = ctx.mgr().liveNodeCount();
 

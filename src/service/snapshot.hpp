@@ -8,11 +8,15 @@
 //
 //  - buildSnapshot elaborates a job ONCE into a dedicated Context and
 //    freezes the result (modules, canonical serializations for the cache,
+//    for a compose job the composition of the reflexive-closed modules,
 //    and — under EngineMode::Auto — the per-module and composed engine
 //    choices, probed here where mutation is still allowed).
 //  - Workers adopt the snapshot's variable layout into their own pre-sized
 //    Context and copy the BDDs they need through bdd::Importer — a linear
-//    walk of the reachable DAG instead of a parse + elaboration.
+//    walk of the reachable DAG instead of a parse + elaboration.  A
+//    composed attempt imports the composition too, so the product is
+//    composed (and, under Auto, materialized) once per job, not once per
+//    attempt.
 //
 // Ownership and immutability: the snapshot is held by shared_ptr<const>;
 // the last obligation (or the service's snapshot cache) drops it.  After
@@ -20,17 +24,21 @@
 // on the snapshot's manager — workers only read the node arena through
 // Importer (concurrently safe, see bdd/io.hpp).  In particular workers must
 // not call dagSize()/support() on snapshot BDDs: those touch the manager's
-// mutable mark bits.  All sizes a worker needs are precomputed below.
+// mutable mark bits.  All sizes a worker needs are precomputed below.  The
+// same holds for the systems: nothing may call transBdd() (it materializes
+// into the frozen manager) or transNodeCount() on `modules` or `composed`.
 //
 // GC interaction: the snapshot context is garbage-collected once, at the
 // end of buildSnapshot, sweeping probe intermediates; the surviving nodes
 // are exactly the obligations' reachable DAGs (every handle in `modules`
-// keeps its nodes referenced).  The snapshot manager never collects again,
-// so node indices stay stable for every importer's lifetime.
+// and `composed` keeps its nodes referenced).  The snapshot manager never
+// collects again, so node indices stay stable for every importer's
+// lifetime.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,14 +60,25 @@ struct ElaborationSnapshot {
   /// Per-module engine decision (EngineMode::Auto only; defaulted
   /// otherwise).
   std::vector<symbolic::EngineChoice> moduleChoice;
-  /// Engine decision for the composed system (compose jobs under Auto).
+  /// The reflexive-closed modules folded with ∘ in module order — set for
+  /// every compose job with more than one module, whatever the engine
+  /// mode.  Under Auto it carries the probe's product when the probe
+  /// completed within its cap; otherwise the product stays unbuilt, so a
+  /// monolithic attempt materializes it under its own budget.
+  std::optional<symbolic::SymbolicSystem> composed;
+  /// Engine decision for `composed` (compose jobs under Auto).
   symbolic::EngineChoice composedChoice;
-  bool hasComposedChoice = false;
   /// Live nodes after the final collection — what workers size their
   /// arenas from.
   std::uint64_t liveNodes = 0;
   /// Wall time of parse + elaboration (the cost the snapshot amortizes).
   double elaborateSeconds = 0.0;
+  /// Wall time of the canonical serializations (0 when not requested).
+  double canonSeconds = 0.0;
+  /// Wall time of the engine probes, modules and composition (Auto only).
+  double probeSeconds = 0.0;
+  /// Wall time of building `composed`.
+  double composeSeconds = 0.0;
 };
 
 struct SnapshotResult {

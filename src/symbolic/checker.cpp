@@ -26,7 +26,8 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
       opts_(opts),
       domain_(sys.stateDomain()),
       nextVars_(sys.ctx->nextCube(sys.vars)),
-      swapPerm_(sys.ctx->swapPermutation()) {
+      swapPerm_(sys.ctx->swapPermutation()),
+      stutters_(sys.stuttersByConstruction()) {
   CMC_ASSERT(sys.ctx != nullptr);
   if (!opts_.usePartitionedTrans || sys.partition.empty()) return;
   partitioned_ = true;
@@ -132,25 +133,34 @@ bdd::Bdd Checker::fairEG(const bdd::Bdd& region,
   }
 }
 
-bdd::Bdd Checker::fairStates(const std::vector<ctl::FormulaPtr>& fairness) {
-  std::vector<bdd::Bdd> fairSets;
+std::vector<bdd::Bdd> Checker::fairSets(
+    const std::vector<ctl::FormulaPtr>& fairness) {
+  std::vector<bdd::Bdd> sets;
   const bdd::Bdd all = sys_.ctx->mgr().bddTrue();
-  for (const FormulaPtr& f : fairness) {
-    fairSets.push_back(satRec(f, {}, all));
-  }
-  if (fairSets.empty()) return all;
-  return fairEG(all, fairSets);
+  for (const FormulaPtr& fc : fairness) sets.push_back(satRec(fc, {}, all));
+  return sets;
+}
+
+bdd::Bdd Checker::fairRegion(const std::vector<bdd::Bdd>& fairSets) {
+  if (fairSets.empty()) return sys_.ctx->mgr().bddTrue();
+  // EG true on a system that stutters by construction: every valid state
+  // has its self-loop, so it lies on an infinite path, and both engines
+  // confine preimages to the domain — the fixpoint is exactly domain_.
+  const bool trivial =
+      std::all_of(fairSets.begin(), fairSets.end(),
+                  [](const bdd::Bdd& fc) { return fc.isTrue(); });
+  if (trivial && stutters_) return domain_;
+  return fairEG(sys_.ctx->mgr().bddTrue(), fairSets);
+}
+
+bdd::Bdd Checker::fairStates(const std::vector<ctl::FormulaPtr>& fairness) {
+  return fairRegion(fairSets(fairness));
 }
 
 bdd::Bdd Checker::sat(const ctl::FormulaPtr& f,
                       const std::vector<ctl::FormulaPtr>& fairness) {
-  std::vector<bdd::Bdd> fairSets;
-  const bdd::Bdd all = sys_.ctx->mgr().bddTrue();
-  for (const FormulaPtr& fc : fairness) {
-    fairSets.push_back(satRec(fc, {}, all));
-  }
-  const bdd::Bdd fair = fairSets.empty() ? all : fairEG(all, fairSets);
-  return satRec(f, fairSets, fair);
+  const std::vector<bdd::Bdd> sets = fairSets(fairness);
+  return satRec(f, sets, fairRegion(sets));
 }
 
 bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
@@ -211,9 +221,14 @@ bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
 
 bdd::Bdd Checker::violations(const ctl::Restriction& r,
                              const ctl::FormulaPtr& f) {
+  // A check that runs no fixpoint (propositional spec, free fair region)
+  // must still honor an exhausted budget.
+  pollCancel();
   const FormulaPtr init = r.init != nullptr ? r.init : ctl::mkTrue();
-  const bdd::Bdd satInit = sat(init, r.fairness);
-  const bdd::Bdd satF = sat(f, r.fairness);
+  const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
+  const bdd::Bdd fair = fairRegion(sets);
+  const bdd::Bdd satInit = satRec(init, sets, fair);
+  const bdd::Bdd satF = satRec(f, sets, fair);
   return domain_ & satInit & !satF;
 }
 
@@ -252,10 +267,12 @@ bool Checker::holdsReachable(const ctl::Restriction& r,
                              const ctl::FormulaPtr& f) {
   const FormulaPtr init = r.init != nullptr ? r.init : ctl::mkTrue();
   TraceBuilder builder(sys_);
-  const bdd::Bdd reach =
-      builder.reachable(sat(init, r.fairness) & domain_);
-  const bdd::Bdd satF = sat(f, r.fairness);
-  return (reach & sat(init, r.fairness) & !satF).isFalse();
+  const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
+  const bdd::Bdd fair = fairRegion(sets);
+  const bdd::Bdd satInit = satRec(init, sets, fair);
+  const bdd::Bdd reach = builder.reachable(satInit & domain_);
+  const bdd::Bdd satF = satRec(f, sets, fair);
+  return (reach & satInit & !satF).isFalse();
 }
 
 std::optional<std::string> Checker::counterexampleTrace(
@@ -265,8 +282,10 @@ std::optional<std::string> Checker::counterexampleTrace(
   }
   const FormulaPtr init = r.init != nullptr ? r.init : ctl::mkTrue();
   TraceBuilder builder(sys_);
-  const bdd::Bdd good = sat(f->lhs(), r.fairness);
-  const bdd::Bdd initSet = sat(init, r.fairness) & domain_;
+  const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
+  const bdd::Bdd region = fairRegion(sets);
+  const bdd::Bdd good = satRec(f->lhs(), sets, region);
+  const bdd::Bdd initSet = satRec(init, sets, region) & domain_;
 
   bool trivialFairness = true;
   for (const FormulaPtr& fc : r.fairness) {
@@ -282,18 +301,13 @@ std::optional<std::string> Checker::counterexampleTrace(
   // *fair* path reaching ¬good, so the bad state must admit a fair
   // continuation (lie in the Emerson-Lei fixpoint) and the trace is a
   // lasso whose cycle visits every fairness constraint.
-  std::vector<bdd::Bdd> fairSets;
-  const bdd::Bdd all = sys_.ctx->mgr().bddTrue();
-  for (const FormulaPtr& fc : r.fairness) {
-    fairSets.push_back(satRec(fc, {}, all));
-  }
-  const bdd::Bdd fair = fairEG(domain_, fairSets);
+  const bdd::Bdd fair = fairEG(domain_, sets);
   const bdd::Bdd bad = (!good) & fair;
-  const std::optional<Trace> prefix = builder.path(initSet, bad, all);
+  const std::optional<Trace> prefix =
+      builder.path(initSet, bad, sys_.ctx->mgr().bddTrue());
   if (!prefix.has_value()) return std::nullopt;
   const std::optional<Trace> lasso =
-      builder.fairLasso(builder.stateBdd(prefix->states.back()), fair,
-                        fairSets);
+      builder.fairLasso(builder.stateBdd(prefix->states.back()), fair, sets);
   if (!lasso.has_value()) return std::nullopt;
   Trace full = *prefix;
   // lasso->states[0] re-picks the prefix endpoint (a singleton set).

@@ -34,8 +34,9 @@ const char* toString(CancelReason reason) noexcept;
 /// Thrown out of the checker's fixpoint loops by
 /// CheckerOptions::cancelCheck when an obligation exhausts its resource
 /// budget.  The checker itself never constructs one; it only guarantees the
-/// hook is polled often enough (every preimage and every fixpoint
-/// iteration) that a blown-up check aborts promptly instead of hanging.
+/// hook is polled often enough (on entry to every check, before every
+/// preimage and on every fixpoint iteration) that a blown-up check aborts
+/// promptly instead of hanging.
 class CancelledError : public Error {
  public:
   CancelledError(CancelReason reason, const std::string& what)
@@ -55,8 +56,10 @@ struct CheckerOptions {
   /// Greedy clustering threshold in BDD nodes; conjuncts are merged while
   /// the cluster stays within it.  0 collapses each track to one cluster.
   std::uint64_t clusterThreshold = 1024;
-  /// Cooperative cancellation hook.  When set, it is polled before every
-  /// preimage and on every untilE/fairEG fixpoint iteration; throwing
+  /// Cooperative cancellation hook.  When set, it is polled on entry to
+  /// every holds()/violations() — so an exhausted budget binds even on a
+  /// check that runs no fixpoint — before every preimage and on every
+  /// untilE/fairEG fixpoint iteration; throwing
   /// (conventionally CancelledError) aborts the check.  The hook runs on
   /// the checking thread, so it may inspect the system's BDD manager
   /// (e.g. liveNodeCount() against a budget) without synchronization.
@@ -92,7 +95,10 @@ class Checker {
   bdd::Bdd sat(const ctl::FormulaPtr& f,
                const std::vector<ctl::FormulaPtr>& fairness);
 
-  /// States from which a fair path exists (EG_fair true).
+  /// States from which a fair path exists (EG_fair true); everything when
+  /// `fairness` is empty.  When every constraint is TRUE and the system
+  /// stutters by construction (SymbolicSystem::stuttersByConstruction)
+  /// this is exactly the state domain, returned without a preimage.
   bdd::Bdd fairStates(const std::vector<ctl::FormulaPtr>& fairness);
 
   /// The paper's M ⊨_r f.
@@ -141,6 +147,11 @@ class Checker {
 
   bdd::Bdd untilE(const bdd::Bdd& f, const bdd::Bdd& g);
   bdd::Bdd fairEG(const bdd::Bdd& region, const std::vector<bdd::Bdd>& fair);
+  /// The fairness constraints evaluated as state sets.
+  std::vector<bdd::Bdd> fairSets(const std::vector<ctl::FormulaPtr>& fairness);
+  /// The fair region for evaluated constraints — the one place sat,
+  /// fairStates and violations get it from (see fairStates()).
+  bdd::Bdd fairRegion(const std::vector<bdd::Bdd>& fairSets);
   bdd::Bdd satRec(const ctl::FormulaPtr& f,
                   const std::vector<bdd::Bdd>& fairSets,
                   const bdd::Bdd& fair);
@@ -151,6 +162,7 @@ class Checker {
   bdd::Bdd domain_;     ///< valid current-state encodings
   bdd::Bdd nextVars_;   ///< quantification cube for preimages
   std::uint32_t swapPerm_;
+  bool stutters_;       ///< sys.stuttersByConstruction()
 
   /// One preimage operator per partition track.  When the track's frame
   /// conjuncts are tagged with their variables and the system covers the

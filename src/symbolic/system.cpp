@@ -33,6 +33,20 @@ bool SymbolicSystem::isReflexive() const {
   return stutter.subsetOf(transBdd());
 }
 
+bool SymbolicSystem::stuttersByConstruction() const {
+  return std::any_of(
+      partition.tracks.begin(), partition.tracks.end(),
+      [this](const PartitionedRelation& t) {
+        if (!t.frameOnly() || !t.framesTagged()) return false;
+        const bool allFrames =
+            std::all_of(t.conjuncts().begin(), t.conjuncts().end(),
+                        [](const Conjunct& c) { return c.isFrame; });
+        std::vector<VarId> framed = t.frameVars();
+        std::sort(framed.begin(), framed.end());
+        return allFrames && framed == vars;
+      });
+}
+
 bool SymbolicSystem::isTotal() const {
   CMC_ASSERT(ctx != nullptr);
   bdd::Bdd hasSucc =

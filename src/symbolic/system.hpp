@@ -54,6 +54,12 @@ struct SymbolicSystem {
   bdd::Bdd nextDomain() const;
   /// True iff every valid state can stutter (frame ⊆ T).
   bool isReflexive() const;
+  /// True iff the system is reflexive *by construction*: its partition
+  /// holds a frame-only track whose tagged frame conjuncts cover exactly
+  /// `vars` (every result of compose, expand, addReflexive and
+  /// identitySystem; importSystem keeps the tags).  Structural, so it does
+  /// no BDD work — safe on a frozen snapshot system.
+  bool stuttersByConstruction() const;
   /// True iff every valid state has at least one successor.
   bool isTotal() const;
   /// "BDD nodes representing transition relation" (paper Figs. 7/10/15/17):

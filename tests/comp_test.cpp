@@ -279,6 +279,27 @@ TEST(Verifier, UnknownFallsBackToGlobalCheckOnlyIfAllowed) {
   EXPECT_FALSE(proof2.valid());
 }
 
+TEST(Verifier, AdoptedCompositionMustSpanTheComponents) {
+  TwoComponents tc;
+  CompositionalVerifier verifier(tc.ctx);
+  verifier.addComponent(tc.left);
+  verifier.addComponent(tc.right);
+  // Only a composition over the union alphabet is accepted.
+  EXPECT_THROW(verifier.adoptComposed(tc.left), ModelError);
+  symbolic::Context other;
+  EXPECT_THROW(verifier.adoptComposed(symbolic::identitySystem(
+                   other, {other.addBoolVar("a"), other.addBoolVar("b")})),
+               ModelError);
+
+  const symbolic::SymbolicSystem both = symbolic::compose(tc.left, tc.right);
+  verifier.adoptComposed(both);
+  EXPECT_EQ(verifier.composed().name, both.name);
+  ProofTree proof;
+  EXPECT_TRUE(verifier.verify(
+      ctl::Spec{"eventually", trivial(), parse("EF (a & b)")}, proof));
+  EXPECT_TRUE(proof.valid());
+}
+
 TEST(Verifier, FailingUniversalSpecIsReported) {
   TwoComponents tc;
   CompositionalVerifier verifier(tc.ctx);

@@ -415,6 +415,14 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
   EXPECT_NE(json.find("\"engine_choice\""), std::string::npos);
   EXPECT_GE(trace.countContaining("\"event\": \"snapshot\""), 1u);
   EXPECT_GE(trace.countContaining("\"event\": \"engine_choice\""), 1u);
+  // The snapshot event splits the snapshot's own wall time by phase.
+  for (const std::string& line : trace.lines()) {
+    if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
+    for (const char* field : {"\"elaborate_ms\"", "\"canon_ms\"",
+                              "\"probe_ms\"", "\"compose_ms\""}) {
+      EXPECT_NE(line.find(field), std::string::npos) << field;
+    }
+  }
 }
 
 }  // namespace

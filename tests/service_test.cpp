@@ -6,12 +6,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 
 #include "afs/smv_sources.hpp"
 #include "service/budget.hpp"
 #include "service/scheduler.hpp"
+#include "service/snapshot.hpp"
+#include "smv/elaborate.hpp"
 
 namespace cmc::service {
 namespace {
@@ -116,6 +120,54 @@ TEST(Service, DeadlineExpiryYieldsTimeoutThenInconclusive) {
   EXPECT_EQ(trace.countContaining("\"reason\": \"Timeout\""), 1u);
 }
 
+/// Two modules whose specs are propositional: on the composition they are
+/// Rule 1 obligations, and the expansions stutter by construction, so
+/// their checks run no preimage at all.
+const char* kPropositionalPairSmv = R"(
+MODULE mA
+VAR x : {on, off};
+ASSIGN next(x) := x;
+SPEC x = on | x = off
+MODULE mB
+VAR y : {p, q};
+ASSIGN next(y) := case y = p : q; 1 : p; esac;
+SPEC y = p | y = q
+)";
+
+TEST(Service, DeadlineBindsOnACheckThatRunsNoFixpoint) {
+  VerificationJob job;
+  job.name = "pair";
+  job.smvText = kPropositionalPairSmv;
+  job.options.compose = true;
+  job.options.limits.deadlineSeconds = 1e-9;
+
+  VerificationService svc(withThreads(1));
+  const JobReport report = svc.run(job);
+
+  // The checker polls the budget on entry to every check, so a free fair
+  // region never turns an expired deadline into a verdict.
+  ASSERT_EQ(report.obligations.size(), 4u);
+  std::size_t composed = 0;
+  for (const ObligationOutcome& o : report.obligations) {
+    EXPECT_EQ(o.verdict, Verdict::Inconclusive) << o.id;
+    ASSERT_EQ(o.attempts.size(), 2u) << o.id;
+    EXPECT_EQ(o.attempts[0].verdict, Verdict::Timeout) << o.id;
+    EXPECT_EQ(o.attempts[1].verdict, Verdict::Timeout) << o.id;
+    if (o.target == "composed") ++composed;
+  }
+  EXPECT_EQ(composed, 2u);
+
+  // Without the deadline the composed obligations are Rule 1 lifts.
+  job.options.limits.deadlineSeconds = 0;
+  const JobReport decided = svc.run(job);
+  EXPECT_TRUE(decided.allHold());
+  for (const ObligationOutcome& o : decided.obligations) {
+    if (o.target == "composed") {
+      EXPECT_EQ(o.rule, "existential (Rules 1/3)") << o.id;
+    }
+  }
+}
+
 TEST(Service, TinyNodeBudgetOnAfs2YieldsMemoryOutNotAHang) {
   // The ISSUE's acceptance scenario: a deliberately impossible node budget
   // on an AFS-2 model must surface as MemoryOut attempts plus a retry
@@ -212,6 +264,90 @@ TEST(Service, ComposedObligationsCarryRuleAndCertificate) {
   }
   EXPECT_EQ(composed, 2u);
   EXPECT_NE(report.toJson().find("\"proof\": ["), std::string::npos);
+}
+
+std::string readModel(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(ServiceSnapshot, SharedCompositionDecidesLikeAPerAttemptComposition) {
+  // A text job's composed attempts import the snapshot's composition; a
+  // factory job's compose their own.  Four workers import the shared
+  // composition concurrently (the TSan job covers the sharing).
+  namespace fs = std::filesystem;
+  const fs::path models(CMC_MODELS_DIR);
+  std::vector<fs::path> paths{models / "gen" / "afs2_3.smv",
+                              models / "gen" / "ring_3.smv"};
+  for (const auto& entry : fs::directory_iterator(models)) {
+    if (entry.path().extension() == ".smv") paths.push_back(entry.path());
+  }
+  std::size_t composedChecked = 0;
+  VerificationService svc(withThreads(4));
+  for (const fs::path& path : paths) {
+    const std::string text = readModel(path);
+    for (symbolic::EngineMode engine :
+         {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
+          symbolic::EngineMode::Monolithic}) {
+      SCOPED_TRACE(path.filename().string() + " " + symbolic::toString(engine));
+      VerificationJob shared;
+      shared.name = path.stem().string();
+      shared.smvText = text;
+      shared.options.compose = true;
+      shared.options.engine = engine;
+      VerificationJob rebuilt = shared;
+      rebuilt.smvText.clear();
+      rebuilt.factory = [text](symbolic::Context& ctx) {
+        return smv::elaborateProgram(ctx, text);
+      };
+
+      const std::vector<JobReport> reports = svc.runBatch({shared, rebuilt});
+      ASSERT_EQ(reports.size(), 2u);
+      const std::vector<ObligationOutcome>& a = reports[0].obligations;
+      const std::vector<ObligationOutcome>& b = reports[1].obligations;
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id);
+        EXPECT_EQ(a[i].verdict, b[i].verdict) << a[i].id;
+        EXPECT_EQ(a[i].rule, b[i].rule) << a[i].id;
+        EXPECT_TRUE(a[i].verdict == Verdict::Holds ||
+                    a[i].verdict == Verdict::Fails)
+            << a[i].id;
+        if (a[i].target == "composed") ++composedChecked;
+      }
+    }
+  }
+  // afs1_composed (3), afs2_composed (6), afs2_3 (9), ring_3 (3) — per
+  // engine.
+  EXPECT_EQ(composedChecked, 3u * 21u);
+}
+
+TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
+  VerificationJob job;
+  job.name = "twomod";
+  job.smvText = kTwoModuleSmv;
+
+  const SnapshotResult plain = buildSnapshot(job, /*wantCanon=*/false);
+  ASSERT_NE(plain.snapshot, nullptr) << plain.error;
+  EXPECT_FALSE(plain.snapshot->composed.has_value());
+  EXPECT_EQ(plain.snapshot->composeSeconds, 0.0);
+
+  job.options.compose = true;
+  const SnapshotResult composed = buildSnapshot(job, /*wantCanon=*/true);
+  ASSERT_NE(composed.snapshot, nullptr) << composed.error;
+  const ElaborationSnapshot& snap = *composed.snapshot;
+  ASSERT_TRUE(snap.composed.has_value());
+  EXPECT_EQ(snap.composed->vars.size(), snap.ctx->varCount());
+  EXPECT_TRUE(snap.composed->stuttersByConstruction());
+  EXPECT_GT(snap.canonSeconds, 0.0);
+
+  // A single-module compose job has no composed obligation to serve.
+  job.smvText = kChainSmv;
+  const SnapshotResult single = buildSnapshot(job, /*wantCanon=*/false);
+  ASSERT_NE(single.snapshot, nullptr) << single.error;
+  EXPECT_FALSE(single.snapshot->composed.has_value());
 }
 
 TEST(Service, ElaborationFailureIsAnErrorOutcomeNotACrash) {

@@ -3,8 +3,10 @@
 // between the symbolic and explicit checkers on random models and formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "abp/abp.hpp"
@@ -536,6 +538,116 @@ TEST(PartitionCrossValidation, CheckResultAccounting) {
   EXPECT_GT(result.transNodes, 0u);
   // The partitioned check never materialized the monolithic relation.
   EXPECT_FALSE(whole.transMaterialized());
+}
+
+// ---- EG true from the stutter track -----------------------------------------
+
+/// νZ. EX Z through the public preimage: EG true computed the long way.
+bdd::Bdd egTrueByFixpoint(Checker& checker) {
+  bdd::Bdd z = checker.system().ctx->mgr().bddTrue();
+  for (;;) {
+    bdd::Bdd next = checker.preE(z);
+    if (next == z) return z;
+    z = std::move(next);
+  }
+}
+
+/// On both engines fairStates({TRUE}) must equal the fixpoint; `stutters`
+/// says whether `sys` takes the shortcut (and so gets exactly its domain).
+void expectFairStatesExact(const SymbolicSystem& sys, bool stutters) {
+  EXPECT_EQ(sys.stuttersByConstruction(), stutters) << sys.name;
+  for (bool partitioned : {true, false}) {
+    CheckerOptions opts;
+    opts.usePartitionedTrans = partitioned;
+    Checker checker(sys, opts);
+    const bdd::Bdd fair = checker.fairStates({ctl::mkTrue()});
+    EXPECT_EQ(fair, egTrueByFixpoint(checker))
+        << sys.name << " partitioned=" << partitioned;
+    if (stutters) {
+      EXPECT_EQ(fair, sys.stateDomain()) << sys.name;
+    }
+  }
+}
+
+/// The reflexive closures of `modules`' systems — what composed
+/// obligations compose.
+std::vector<SymbolicSystem> reflexiveParts(
+    const std::vector<smv::ElaboratedModule>& modules) {
+  std::vector<SymbolicSystem> parts;
+  for (const smv::ElaboratedModule& mod : modules) {
+    SymbolicSystem sys = mod.sys;
+    addReflexive(sys);
+    parts.push_back(std::move(sys));
+  }
+  return parts;
+}
+
+TEST(StutterShortcut, FairRegionIsExactOnEveryCompositionAndExpansion) {
+  namespace fs = std::filesystem;
+  const fs::path models(CMC_MODELS_DIR);
+  std::vector<fs::path> paths{models / "gen" / "afs2_3.smv",
+                              models / "gen" / "ring_3.smv"};
+  for (const auto& entry : fs::directory_iterator(models)) {
+    if (entry.path().extension() == ".smv") paths.push_back(entry.path());
+  }
+  std::size_t programs = 0;
+  for (const fs::path& path : paths) {
+    SCOPED_TRACE(path.filename().string());
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    Context ctx(1 << 16);
+    const std::vector<smv::ElaboratedModule> modules =
+        smv::elaborateProgram(ctx, buffer.str());
+    if (modules.size() < 2) continue;
+    ++programs;
+    const std::vector<SymbolicSystem> parts = reflexiveParts(modules);
+    const SymbolicSystem whole = composeAll(parts);
+    expectFairStatesExact(whole, /*stutters=*/true);
+    for (const SymbolicSystem& part : parts) {
+      std::vector<VarId> extra;
+      std::set_difference(whole.vars.begin(), whole.vars.end(),
+                          part.vars.begin(), part.vars.end(),
+                          std::back_inserter(extra));
+      expectFairStatesExact(expand(part, extra), /*stutters=*/true);
+    }
+  }
+  EXPECT_EQ(programs, 6u);
+}
+
+/// `dead` deadlocks in x = c, so EG true is a strict subset of its domain.
+const char* kDeadlockSmv = R"(
+MODULE dead
+VAR x : {a, b, c};
+TRANS (x = a & next(x) = b) | (x = b & next(x) = b)
+MODULE toggle
+VAR y : boolean;
+ASSIGN next(y) := !y;
+)";
+
+TEST(StutterShortcut, SystemsWithoutAFullStutterTrackTakeTheFixpoint) {
+  Context ctx;
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, kDeadlockSmv);
+  ASSERT_EQ(modules.size(), 2u);
+
+  // A raw elaborated module carries no stutter track.
+  const SymbolicSystem& dead = modules.front().sys;
+  expectFairStatesExact(dead, /*stutters=*/false);
+  Checker deadChecker(dead);
+  EXPECT_NE(deadChecker.fairStates({ctl::mkTrue()}), dead.stateDomain());
+
+  // A composition whose frame-only track misses one variable.
+  SymbolicSystem whole = composeAll(reflexiveParts(modules));
+  ASSERT_TRUE(whole.stuttersByConstruction());
+  for (PartitionedRelation& t : whole.partition.tracks) {
+    if (!t.frameOnly()) continue;
+    const std::vector<VarId> fewer(whole.vars.begin(), whole.vars.end() - 1);
+    t = stutterTrack(ctx, fewer);
+  }
+  whole.name = "composition with a short stutter track";
+  expectFairStatesExact(whole, /*stutters=*/false);
 }
 
 // ---- The oracle test: symbolic vs explicit on random models ----------------
