@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "symbolic/checker.hpp"
+#include "util/json.hpp"
 
 namespace cmc::bench {
 
@@ -65,21 +66,6 @@ inline void recordCheck(const std::string& model,
   recordResult(std::move(e));
 }
 
-inline std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Write BENCH_<name>.json into the current directory.
 inline void writeJsonReport(const std::string& name) {
   const std::string path = "BENCH_" + name + ".json";
@@ -89,7 +75,7 @@ inline void writeJsonReport(const std::string& name) {
     return;
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [\n",
-               jsonEscape(name).c_str());
+               util::jsonEscape(name).c_str());
   const std::vector<JsonEntry>& entries = jsonEntries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const JsonEntry& e = entries[i];
@@ -100,12 +86,12 @@ inline void writeJsonReport(const std::string& name) {
         "%llu, \"peak_live_nodes\": %llu, \"cache_hit_rate\": %.4f, "
         "\"mode\": \"%s\", \"cluster_threshold\": %llu, "
         "\"reorder\": %s}%s\n",
-        jsonEscape(e.model).c_str(), jsonEscape(e.spec).c_str(),
+        util::jsonEscape(e.model).c_str(), util::jsonEscape(e.spec).c_str(),
         e.holds ? "true" : "false", e.seconds,
         static_cast<unsigned long long>(e.nodesAllocated),
         static_cast<unsigned long long>(e.transNodes),
         static_cast<unsigned long long>(e.peakLiveNodes), e.cacheHitRate,
-        jsonEscape(e.mode).c_str(),
+        util::jsonEscape(e.mode).c_str(),
         static_cast<unsigned long long>(e.clusterThreshold),
         e.reorder ? "true" : "false", i + 1 < entries.size() ? "," : "");
   }

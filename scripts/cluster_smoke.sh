@@ -76,11 +76,12 @@ for i in 1 2 3; do
 done
 for i in 1 2 3; do wait_ready "$WORK/s$i.sock" "$WORK/s$i.log"; done
 
+# Any JSON layout loads: s3's line is written compact.
 cat > "$WORK/topology.jsonl" <<EOF
 # the smoke fleet: three local shards
 {"name": "s1", "socket": "$WORK/s1.sock"}
 {"name": "s2", "socket": "$WORK/s2.sock"}
-{"name": "s3", "socket": "$WORK/s3.sock"}
+{"name":"s3","socket":"$WORK/s3.sock"}
 EOF
 
 "$CMC" coordinator --socket "$WORK/coord.sock" \

@@ -15,7 +15,11 @@
 #   4. STATS must be self-consistent: checks_admitted == checks_completed,
 #      request_seconds_count matches, the cumulative +Inf latency bucket
 #      equals the count, and nothing is left in flight.
-#   5. SIGTERM must drain: the daemon exits 0, reports the drain on
+#   5. Any JSON layout is a request: over a raw socket, python3 sends
+#      {"cmd":"STATUS"}, { "cmd" : "STATUS" } and a compact json.dumps
+#      CHECK; the CHECK's deadline and node budget must reach its report,
+#      and its \u-escaped id must come back as UTF-8.
+#   6. SIGTERM must drain: the daemon exits 0, reports the drain on
 #      stdout, and unlinks its socket.
 set -u
 
@@ -109,7 +113,46 @@ completed=$(metric checks_completed)
 note "STATS consistent: $admitted admitted == $completed completed"
 
 # ---------------------------------------------------------------------------
-# 5. SIGTERM drains and exits 0
+# 5. Raw-socket JSON in any layout
+# ---------------------------------------------------------------------------
+python3 - "$SOCK" models/afs1_composed.smv > "$WORK/raw.log" 2>&1 <<'EOF' \
+  || fail "raw-socket JSON requests: $(cat "$WORK/raw.log")"
+import json, socket, sys
+
+sock_path, model = sys.argv[1], sys.argv[2]
+
+
+def ask(line):
+    s = socket.socket(socket.AF_UNIX)
+    s.connect(sock_path)
+    s.sendall(line.encode() + b"\n")
+    buf = b""
+    while not buf.endswith(b"\n"):
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    s.close()
+    return json.loads(buf)
+
+
+for line in ('{"cmd":"STATUS"}', '{ "cmd" : "STATUS" }'):
+    r = ask(line)
+    assert r.get("ok") is True and r.get("cmd") == "STATUS", (line, r)
+check = json.dumps({"cmd": "CHECK", "id": "compact-caf\u00e9\u20ac",
+                    "smv": open(model).read(), "deadline_ms": 1500,
+                    "node_budget": 5000000}, separators=(",", ":"))
+r = ask(check)
+assert r.get("ok") is True, r
+assert r["id"] == "compact-caf\u00e9\u20ac", r["id"]
+options = json.loads(r["report"])["options"]
+assert options["deadline_seconds"] == 1.5, options
+assert options["node_budget"] == 5000000, options
+EOF
+note "raw-socket JSON: compact and spaced STATUS, compact CHECK keeps its budgets"
+
+# ---------------------------------------------------------------------------
+# 6. SIGTERM drains and exits 0
 # ---------------------------------------------------------------------------
 kill -TERM "$SRV"
 rc=0

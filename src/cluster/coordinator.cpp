@@ -17,8 +17,10 @@
 #include <random>
 #include <sstream>
 
+#include "service/job_options.hpp"
 #include "service/journal.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
 #include "util/version.hpp"
 
 namespace cmc::cluster {
@@ -54,10 +56,10 @@ void setRecvTimeout(net::Client& client, double seconds) {
   ::setsockopt(client.socket()->fd(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
-/// The single-obligation CHECK line forwarded to a shard.  Every
-/// verdict-relevant option is explicit so the shard's enumeration hashes
-/// the exact fingerprint the coordinator routed by, regardless of the
-/// shard's own defaults; smv goes last per the flat-line convention.
+/// The single-obligation CHECK line forwarded to a shard.  Every job
+/// option is explicit so the shard's enumeration hashes the exact
+/// fingerprint the coordinator routed by, regardless of the shard's own
+/// defaults.
 std::string forwardRequestLine(const std::string& requestId,
                                const std::string& jobName,
                                const std::string& smvText,
@@ -67,57 +69,10 @@ std::string forwardRequestLine(const std::string& requestId,
   req.put("cmd", "CHECK")
       .put("id", requestId)
       .put("name", jobName)
-      .put("only", ref.id)
-      .putBool("compose", options.compose)
-      .putBool("reorder", options.reorderBeforeCheck)
-      .putBool("no_retry", !options.retryOtherEngine)
-      .put("engine", symbolic::toString(options.engine))
-      .putUint("deadline_ms",
-               static_cast<std::uint64_t>(
-                   std::llround(options.limits.deadlineSeconds * 1e3)))
-      .putUint("node_budget", options.limits.nodeBudget)
-      .putUint("cluster", options.clusterThreshold)
-      .put("smv", smvText);
+      .put("only", ref.id);
+  service::writeJobOptions(options, service::JobOptionSet().set(), &req);
+  req.put("smv", smvText);
   return req.str();
-}
-
-/// Rebuild an ObligationOutcome from a shard's flat single-obligation
-/// response fields (never from the nested report).  Missing fields keep
-/// the ref-derived defaults, so a malformed response degrades to an Error
-/// outcome instead of a parse failure.
-service::ObligationOutcome outcomeFromResponse(
-    const std::string& response, const service::ObligationRef& ref) {
-  service::ObligationOutcome out;
-  out.id = ref.id;
-  out.target = ref.target;
-  out.spec = ref.specName;
-  out.specText = ref.specText;
-  out.fingerprint = ref.fingerprint;
-  std::string verdictText;
-  if (service::jsonExtractString(response, "verdict", &verdictText)) {
-    service::verdictFromString(verdictText, &out.verdict);
-  } else {
-    out.error = "shard response carried no verdict";
-  }
-  service::jsonExtractString(response, "verdict_source", &out.verdictSource);
-  service::jsonExtractString(response, "rule", &out.rule);
-  service::jsonExtractDouble(response, "obligation_seconds", &out.seconds);
-  service::jsonExtractString(response, "obligation_error", &out.error);
-  service::jsonExtractString(response, "counterexample", &out.counterexample);
-  service::jsonExtractString(response, "engine_choice", &out.engineChoiceJson);
-  service::jsonExtractString(response, "proof", &out.proofJson);
-  // A freshly checked verdict ran real attempts on the shard; reflect the
-  // deciding engine so the merged report explains itself like a local one.
-  std::string engine;
-  if (out.verdictSource == "checked" &&
-      service::jsonExtractString(response, "engine", &engine)) {
-    service::AttemptRecord attempt;
-    attempt.engine = engine;
-    attempt.verdict = out.verdict;
-    attempt.seconds = out.seconds;
-    out.attempts.push_back(std::move(attempt));
-  }
-  return out;
 }
 
 /// An error outcome attributed to nothing in particular (ring exhausted)
@@ -137,6 +92,43 @@ service::ObligationOutcome errorOutcome(const service::ObligationRef& ref,
 
 }  // namespace
 
+service::ObligationOutcome outcomeFromResponse(
+    const std::string& response, const service::ObligationRef& ref) {
+  util::JsonValue doc;
+  std::string why;
+  if (!util::parseJson(response, &doc, &why) || !doc.isObject()) {
+    return errorOutcome(ref, "shard response is not a JSON object" +
+                                 (why.empty() ? "" : ": " + why));
+  }
+  std::string verdictText;
+  if (!doc.req("verdict", &verdictText)) {
+    return errorOutcome(ref, "shard response carried no verdict");
+  }
+  // Start from the ref-derived fields; the response fills in the rest.
+  service::ObligationOutcome out = errorOutcome(ref, "");
+  std::string engine;
+  if (!service::verdictFromString(verdictText, &out.verdict) ||
+      !doc.opt("verdict_source", &out.verdictSource) ||
+      !doc.opt("rule", &out.rule) ||
+      !doc.opt("obligation_seconds", &out.seconds) ||
+      !doc.opt("obligation_error", &out.error) ||
+      !doc.opt("counterexample", &out.counterexample) ||
+      !doc.opt("engine_choice", &out.engineChoiceJson) ||
+      !doc.opt("proof", &out.proofJson) || !doc.opt("engine", &engine)) {
+    return errorOutcome(ref, "malformed shard response");
+  }
+  // A freshly checked verdict ran real attempts on the shard; reflect the
+  // deciding engine so the merged report explains itself like a local one.
+  if (out.verdictSource == "checked" && !engine.empty()) {
+    service::AttemptRecord attempt;
+    attempt.engine = engine;
+    attempt.verdict = out.verdict;
+    attempt.seconds = out.seconds;
+    out.attempts.push_back(std::move(attempt));
+  }
+  return out;
+}
+
 const char* toString(ShardState s) noexcept {
   switch (s) {
     case ShardState::Up: return "up";
@@ -148,10 +140,24 @@ const char* toString(ShardState s) noexcept {
 }
 
 bool shardCompatible(const std::string& statusResponse, std::string* why) {
+  util::JsonValue status;
+  std::string parseError;
+  if (!util::parseJson(statusResponse, &status, &parseError) ||
+      !status.isObject()) {
+    *why = "shard STATUS response is not a JSON object" +
+           (parseError.empty() ? "" : ": " + parseError);
+    return false;
+  }
   std::string version;
-  service::jsonExtractString(statusResponse, "cmc_version", &version);
   std::uint64_t rev = 0;
-  if (!service::jsonExtractUint(statusResponse, "protocol_rev", &rev)) {
+  const util::JsonField revField = status.get("protocol_rev", &rev);
+  if (!status.opt("cmc_version", &version) ||
+      revField == util::JsonField::WrongType) {
+    *why = "shard STATUS response has a malformed cmc_version or "
+           "protocol_rev";
+    return false;
+  }
+  if (revField == util::JsonField::Absent) {
     *why = "shard runs cmc " + (version.empty() ? "<unknown>" : version) +
            " which does not stamp protocol_rev (pre-cluster build); this "
            "coordinator is cmc " +
@@ -225,7 +231,9 @@ bool Coordinator::handshakeShard(const ShardSpec& spec, std::string* version,
     *error = why;
     return false;
   }
-  service::jsonExtractString(statusLine, "cmc_version", version);
+  util::JsonValue status;
+  util::parseJson(statusLine, &status, nullptr);
+  status.opt("cmc_version", version);
   return true;
 }
 
@@ -337,12 +345,14 @@ void Coordinator::probeOne(Shard& shard) {
 
   std::string why;
   const bool compatible = shardCompatible(statusLine, &why);
+  util::JsonValue status;
+  util::parseJson(statusLine, &status, nullptr);
   {
     std::lock_guard<std::mutex> lock(stateMutex_);
     shard.consecutiveFailures = 0;
-    service::jsonExtractString(statusLine, "cmc_version", &shard.version);
-    service::jsonExtractUint(statusLine, "in_flight", &shard.inFlight);
-    service::jsonExtractUint(statusLine, "queued", &shard.queued);
+    status.opt("cmc_version", &shard.version);
+    status.opt("in_flight", &shard.inFlight);
+    status.opt("queued", &shard.queued);
   }
   if (!compatible) {
     // A responding-but-incompatible shard stays out of the ring: an old
@@ -453,8 +463,10 @@ bool Coordinator::start(std::string* error) {
       *error = "shard '" + shard.spec.name + "': " + why;
       return false;
     }
+    util::JsonValue status;
+    util::parseJson(statusLine, &status, nullptr);
     std::lock_guard<std::mutex> lock(stateMutex_);
-    service::jsonExtractString(statusLine, "cmc_version", &shard.version);
+    status.opt("cmc_version", &shard.version);
   }
   if (responding == 0) {
     *error = "none of the " + std::to_string(roster.shards.size()) +
@@ -848,19 +860,21 @@ service::ObligationOutcome Coordinator::forwardObligation(
           lane.alive = false;
           continue;
         }
+        util::JsonValue doc;
         bool ok = false;
-        service::jsonExtractBool(resp, "ok", &ok);
+        util::parseJson(resp, &doc, nullptr);
+        doc.opt("ok", &ok);
         if (!ok) {
           std::string code;
-          service::jsonExtractString(resp, "code", &code);
+          doc.opt("code", &code);
           if (code == net::kBusy || code == net::kDraining) {
             sawBusy = true;
             lastError = lane.shard->spec.name + ": " + code;
             lane.alive = false;
             continue;
           }
-          std::string message;
-          service::jsonExtractString(resp, "error", &message);
+          std::string message = "malformed response";
+          doc.opt("error", &message);
           winner = lane.shard;
           refused = true;
           refusal = code + ": " + message;
@@ -951,8 +965,11 @@ void Coordinator::maybeReplicate(const Roster& roster,
     bool ok = false;
     if (connectShard(target.spec, &client, &error)) {
       setRecvTimeout(client, opts_.controlTimeoutSeconds);
-      if (client.request(line, &response, &error))
-        service::jsonExtractBool(response, "ok", &ok);
+      util::JsonValue doc;
+      if (client.request(line, &response, &error) &&
+          util::parseJson(response, &doc, nullptr)) {
+        doc.opt("ok", &ok);
+      }
     }
     if (ok) {
       target.replicaPuts.fetch_add(1, std::memory_order_relaxed);
@@ -1260,25 +1277,23 @@ std::string Coordinator::statsResponse() {
         if (!client.request(kStatsLine, &response, &error)) {
           stats.scatterError = "stats: " + error;
         } else {
-          stats.responded = true;
-          service::jsonExtractUint(response, "checks_admitted",
-                                   &stats.admitted);
-          service::jsonExtractUint(response, "checks_completed",
-                                   &stats.completed);
-          service::jsonExtractUint(response, "checks_rejected_busy",
-                                   &stats.rejectedBusy);
-          service::jsonExtractUint(response, "cache_entries",
-                                   &stats.cacheEntries);
-          service::jsonExtractUint(response, "cache_hits", &stats.cacheHits);
-          service::jsonExtractUint(response, "cache_misses",
-                                   &stats.cacheMisses);
-          service::jsonExtractUint(response, "in_flight", &stats.inFlight);
-          service::jsonExtractUint(response, "queued", &stats.queued);
-          service::jsonExtractUint(response, "pool_queue", &stats.poolQueue);
-          service::jsonExtractDouble(response, "request_p50_seconds",
-                                     &stats.p50);
-          service::jsonExtractDouble(response, "request_p99_seconds",
-                                     &stats.p99);
+          util::JsonValue doc;
+          util::parseJson(response, &doc, nullptr);
+          stats.responded =
+              doc.isObject() && doc.opt("checks_admitted", &stats.admitted) &&
+              doc.opt("checks_completed", &stats.completed) &&
+              doc.opt("checks_rejected_busy", &stats.rejectedBusy) &&
+              doc.opt("cache_entries", &stats.cacheEntries) &&
+              doc.opt("cache_hits", &stats.cacheHits) &&
+              doc.opt("cache_misses", &stats.cacheMisses) &&
+              doc.opt("in_flight", &stats.inFlight) &&
+              doc.opt("queued", &stats.queued) &&
+              doc.opt("pool_queue", &stats.poolQueue) &&
+              doc.opt("request_p50_seconds", &stats.p50) &&
+              doc.opt("request_p99_seconds", &stats.p99);
+          if (!stats.responded) {
+            stats.scatterError = "stats: malformed response";
+          }
         }
       }
     }

@@ -91,6 +91,13 @@ namespace cmc::cluster {
 /// pre-cluster build and is refused too.
 bool shardCompatible(const std::string& statusResponse, std::string* why);
 
+/// Rebuild an obligation's outcome from a shard's single-obligation CHECK
+/// response (its flat fields, never the nested report).  A response that
+/// is not a JSON object, lacks a verdict, or has a field of the wrong type
+/// yields an Error outcome that says so.
+service::ObligationOutcome outcomeFromResponse(
+    const std::string& response, const service::ObligationRef& ref);
+
 /// Shard lifecycle.  Up and Suspect are dispatchable; Down and Probation
 /// are not.  Probation is the re-entry gate: a recovered shard serves
 /// probes only, until enough consecutive successes prove it stable.

@@ -5,8 +5,8 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "service/journal.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace cmc::cluster {
 
@@ -25,28 +25,32 @@ bool parseTopology(const std::string& text, Topology* out,
       *error = "topology line " + std::to_string(lineNo) + ": " + why;
       return false;
     };
-    if (line[first] != '{') return fail("not a JSON object");
+    util::JsonValue doc;
+    std::string why;
+    if (!util::parseJson(line, &doc, &why)) return fail("not JSON: " + why);
+    if (!doc.isObject()) return fail("not a JSON object");
     ShardSpec shard;
-    if (!service::jsonExtractString(line, "name", &shard.name) ||
-        shard.name.empty()) {
-      return fail("missing shard 'name'");
+    if (!doc.opt("name", &shard.name) ||
+        !doc.opt("socket", &shard.socketPath)) {
+      return fail("'name' and 'socket' must be strings");
     }
+    if (shard.name.empty()) return fail("missing shard 'name'");
     if (!names.insert(shard.name).second) {
       return fail("duplicate shard name '" + shard.name + "'");
     }
-    const bool hasSocket =
-        service::jsonExtractString(line, "socket", &shard.socketPath) &&
-        !shard.socketPath.empty();
     std::uint64_t port = 0;
-    const bool hasTcp = service::jsonExtractUint(line, "tcp", &port);
+    const util::JsonField tcp = doc.get("tcp", &port);
+    if (tcp == util::JsonField::WrongType ||
+        (tcp == util::JsonField::Ok && (port == 0 || port > 65535))) {
+      return fail("'tcp' must be in 1..65535");
+    }
+    const bool hasSocket = !shard.socketPath.empty();
+    const bool hasTcp = tcp == util::JsonField::Ok;
     if (hasSocket == hasTcp) {
       return fail("shard '" + shard.name +
                   "' needs exactly one of 'socket' or 'tcp'");
     }
-    if (hasTcp) {
-      if (port == 0 || port > 65535) return fail("'tcp' must be in 1..65535");
-      shard.tcpPort = static_cast<int>(port);
-    }
+    if (hasTcp) shard.tcpPort = static_cast<int>(port);
     topo.shards.push_back(std::move(shard));
   }
   if (topo.shards.empty()) {

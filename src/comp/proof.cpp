@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/common.hpp"
+#include "util/json.hpp"
 
 namespace cmc::comp {
 
@@ -71,14 +72,16 @@ std::string ProofTree::render() const {
 
 namespace {
 
-std::string escape(const std::string& text, bool forJson) {
+/// A DOT label: quotes and backslashes escaped, newlines as left-justified
+/// line breaks.
+std::string dotEscape(const std::string& text) {
   std::string out;
   for (char c : text) {
     if (c == '"' || c == '\\') {
       out.push_back('\\');
       out.push_back(c);
     } else if (c == '\n') {
-      out += forJson ? "\\n" : "\\l";
+      out += "\\l";
     } else {
       out.push_back(c);
     }
@@ -108,7 +111,7 @@ std::string ProofTree::toDot() const {
     std::string label = n.description;
     if (label.size() > 70) label = label.substr(0, 67) + "...";
     out << "  n" << id << " [label=\"" << kindName(n.kind) << ": "
-        << escape(label, /*forJson=*/false) << "\""
+        << dotEscape(label) << "\""
         << (n.ok ? "" : ", color=red, fontcolor=red") << "];\n";
     for (std::size_t child : n.children) {
       out << "  n" << child << " -> n" << id << ";\n";
@@ -125,7 +128,7 @@ std::string ProofTree::toJson() const {
     const ProofNode& n = nodes_[id];
     out << "  {\"id\": " << id << ", \"kind\": \"" << kindName(n.kind)
         << "\", \"ok\": " << (n.ok ? "true" : "false")
-        << ", \"description\": \"" << escape(n.description, true)
+        << ", \"description\": \"" << util::jsonEscape(n.description)
         << "\", \"children\": [";
     for (std::size_t i = 0; i < n.children.size(); ++i) {
       if (i != 0) out << ", ";

@@ -12,7 +12,7 @@
 #include <random>
 #include <thread>
 
-#include "service/journal.hpp"
+#include "util/json.hpp"
 
 namespace cmc::net {
 
@@ -137,10 +137,14 @@ bool Client::requestWithRetry(const std::string& line, int maxRetries,
     const bool transportOk = request(line, &resp, &why);
     bool retryable = !transportOk;
     if (transportOk) {
+      // Only a well-formed refusal is retried; anything else, malformed
+      // responses included, goes back to the caller to judge.
+      util::JsonValue doc;
       bool ok = true;
-      service::jsonExtractBool(resp, "ok", &ok);
       std::string code;
-      if (!ok) service::jsonExtractString(resp, "code", &code);
+      if (util::parseJson(resp, &doc, nullptr) && doc.opt("ok", &ok) && !ok) {
+        doc.opt("code", &code);
+      }
       if (!ok && (code == kBusy || code == kDraining)) {
         retryable = true;
         why = "server answered " + code;

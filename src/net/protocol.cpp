@@ -5,8 +5,9 @@
 
 #include <cerrno>
 
-#include "service/journal.hpp"
+#include "service/job_options.hpp"
 #include "service/trace_log.hpp"
+#include "util/json.hpp"
 
 namespace cmc::net {
 
@@ -41,47 +42,27 @@ bool commandFromString(std::string_view text, Command* out) noexcept {
 
 namespace {
 
-/// True when `key` appears as a JSON key in the line ("key": ...).  The
-/// extractors return false both for "absent" and "wrong type"; admission
-/// of a typed option must distinguish the two so a request carrying
-/// `"deadline_ms": "soon"` is rejected instead of silently defaulted.
-bool hasKey(const std::string& line, const std::string& key) {
-  return line.find("\"" + key + "\": ") != std::string::npos;
-}
-
-bool overlayUint(const std::string& line, const std::string& key,
-                 std::uint64_t* out, std::string* error) {
-  if (!hasKey(line, key)) return true;
-  if (!service::jsonExtractUint(line, key, out)) {
-    *error = "field '" + key + "' must be a non-negative integer";
-    return false;
-  }
-  return true;
-}
-
-bool overlayBool(const std::string& line, const std::string& key, bool* out,
-                 std::string* error) {
-  if (!hasKey(line, key)) return true;
-  if (!service::jsonExtractBool(line, key, out)) {
-    *error = "field '" + key + "' must be true or false";
-    return false;
-  }
-  return true;
+/// An optional string field: absent leaves *out alone; another type is an
+/// error.
+bool optString(const util::JsonValue& doc, const char* key, std::string* out,
+               std::string* error) {
+  if (doc.opt(key, out)) return true;
+  *error = std::string("field '") + key + "' must be a string";
+  return false;
 }
 
 }  // namespace
 
 bool parseRequest(const std::string& line, const service::JobOptions& defaults,
                   Request* out, std::string* error) {
-  // Cheap well-formedness gate; the field extractors do the real parsing.
-  std::size_t first = line.find_first_not_of(" \t\r");
-  std::size_t last = line.find_last_not_of(" \t\r");
-  if (first == std::string::npos || line[first] != '{' || line[last] != '}') {
-    *error = "request is not a JSON object";
+  util::JsonValue doc;
+  std::string why;
+  if (!util::parseJson(line, &doc, &why) || !doc.isObject()) {
+    *error = "request is not a JSON object" + (why.empty() ? "" : ": " + why);
     return false;
   }
   std::string cmdText;
-  if (!service::jsonExtractString(line, "cmd", &cmdText)) {
+  if (!doc.req("cmd", &cmdText)) {
     *error = "missing or malformed 'cmd'";
     return false;
   }
@@ -93,54 +74,26 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
     return false;
   }
   req.options = defaults;
-  service::jsonExtractString(line, "id", &req.id);
-  service::jsonExtractString(line, "name", &req.name);
-  service::jsonExtractString(line, "model", &req.model);
-  service::jsonExtractString(line, "smv", &req.smv);
+  if (!optString(doc, "id", &req.id, error) ||
+      !optString(doc, "name", &req.name, error) ||
+      !optString(doc, "model", &req.model, error) ||
+      !optString(doc, "smv", &req.smv, error)) {
+    return false;
+  }
 
   switch (req.cmd) {
-    case Command::Check: {
+    case Command::Check:
       if (req.model.empty() == req.smv.empty()) {
         *error = req.model.empty()
                      ? "CHECK needs a 'model' path or inline 'smv' text"
                      : "CHECK takes either 'model' or 'smv', not both";
         return false;
       }
-      std::uint64_t deadlineMs = 0;
-      const bool hadDeadline = hasKey(line, "deadline_ms");
-      if (!overlayUint(line, "deadline_ms", &deadlineMs, error) ||
-          !overlayUint(line, "node_budget", &req.options.limits.nodeBudget,
-                       error) ||
-          !overlayUint(line, "cluster", &req.options.clusterThreshold,
-                       error) ||
-          !overlayBool(line, "compose", &req.options.compose, error) ||
-          !overlayBool(line, "reorder", &req.options.reorderBeforeCheck,
-                       error) ||
-          !overlayBool(line, "trace_force", &req.options.traceForce,
-                       error) ||
-          !overlayBool(line, "learn", &req.options.learn, error)) {
+      if (!optString(doc, "only", &req.only, error) ||
+          !service::readJobOptions(doc, &req.options, error)) {
         return false;
       }
-      if (hadDeadline) {
-        req.options.limits.deadlineSeconds =
-            static_cast<double>(deadlineMs) / 1e3;
-      }
-      service::jsonExtractString(line, "only", &req.only);
-      bool noRetry = !req.options.retryOtherEngine;
-      if (!overlayBool(line, "no_retry", &noRetry, error)) return false;
-      req.options.retryOtherEngine = !noRetry;
-      if (hasKey(line, "engine")) {
-        std::string engine;
-        service::jsonExtractString(line, "engine", &engine);
-        if (!symbolic::engineModeFromString(engine, &req.options.engine)) {
-          *error =
-              "field 'engine' must be 'auto', 'partitioned', or "
-              "'monolithic'";
-          return false;
-        }
-      }
       break;
-    }
     case Command::Cancel:
       if (req.id.empty()) {
         *error = "CANCEL needs the 'id' of the request to cancel";
@@ -148,21 +101,22 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
       }
       break;
     case Command::Join: {
-      service::jsonExtractString(line, "shard", &req.shard);
+      if (!optString(doc, "shard", &req.shard, error) ||
+          !optString(doc, "socket", &req.shardSocket, error)) {
+        return false;
+      }
       if (req.shard.empty()) {
         *error = "JOIN needs the roster 'shard' name to add";
         return false;
       }
-      service::jsonExtractString(line, "socket", &req.shardSocket);
       std::uint64_t tcp = 0;
-      if (hasKey(line, "tcp")) {
-        if (!service::jsonExtractUint(line, "tcp", &tcp) || tcp < 1 ||
-            tcp > 65535) {
-          *error = "field 'tcp' must be a port in 1..65535";
-          return false;
-        }
-        req.shardTcp = static_cast<int>(tcp);
+      const util::JsonField tcpField = doc.get("tcp", &tcp);
+      if (tcpField == util::JsonField::WrongType ||
+          (tcpField == util::JsonField::Ok && (tcp < 1 || tcp > 65535))) {
+        *error = "field 'tcp' must be a port in 1..65535";
+        return false;
       }
+      if (tcpField == util::JsonField::Ok) req.shardTcp = static_cast<int>(tcp);
       if (req.shardSocket.empty() == (req.shardTcp < 0)) {
         *error = req.shardSocket.empty()
                      ? "JOIN needs a 'socket' path or a 'tcp' port"
@@ -172,24 +126,39 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
       break;
     }
     case Command::Leave:
-      service::jsonExtractString(line, "shard", &req.shard);
+      if (!optString(doc, "shard", &req.shard, error)) return false;
       if (req.shard.empty()) {
         *error = "LEAVE needs the roster 'shard' name to remove";
         return false;
       }
       break;
     case Command::CachePut: {
-      service::jsonExtractString(line, "fingerprint", &req.fingerprint);
+      if (!optString(doc, "fingerprint", &req.fingerprint, error)) {
+        return false;
+      }
       if (req.fingerprint.empty()) {
         *error = "CACHE_PUT needs the obligation 'fingerprint'";
         return false;
       }
       std::string verdict;
-      service::jsonExtractString(line, "verdict", &verdict);
-      if (verdict != "Holds" && verdict != "Fails") {
+      if (!doc.opt("verdict", &verdict) ||
+          (verdict != "Holds" && verdict != "Fails")) {
         // Only decided verdicts belong in the cache tier; replicating an
         // Error would pin a transient failure fleet-wide.
         *error = "CACHE_PUT 'verdict' must be 'Holds' or 'Fails'";
+        return false;
+      }
+      service::CachedVerdict& v = req.cacheVerdict;
+      v.verdict = verdict == "Fails" ? service::Verdict::Fails
+                                     : service::Verdict::Holds;
+      if (!optString(doc, "rule", &v.rule, error) ||
+          !optString(doc, "engine", &v.engine, error) ||
+          !optString(doc, "counterexample", &v.counterexample, error) ||
+          !optString(doc, "proof", &v.proofJson, error)) {
+        return false;
+      }
+      if (!doc.opt("seconds", &v.seconds)) {
+        *error = "field 'seconds' must be a number";
         return false;
       }
       break;

@@ -4,14 +4,18 @@
 // order (a CHECK blocks its connection until the verdict), and concurrency
 // comes from opening several connections.
 //
-// Requests are flat JSON objects with a required "cmd":
+// A request is any JSON object with a required "cmd", read by the strict
+// reader in util/json.hpp: whitespace is free, key order does not matter,
+// unknown keys are ignored, and duplicate keys are rejected.  A known
+// field of the wrong type is a BAD_REQUEST, never a silent default.
 //   CHECK   {"cmd": "CHECK", "id": "r1", "smv": "<inline SMV text>", ...}
 //           or {"cmd": "CHECK", "model": "models/afs1_composed.smv", ...}
-//           Options (all optional, defaulting to the server's):
-//             "compose" (bool), "deadline_ms" (uint), "node_budget" (uint),
-//             "engine" ("auto" | "partitioned" | "monolithic"),
-//             "no_retry" (bool), "trace_force" (bool),
-//             "cluster" (uint), "reorder" (bool), "name" (job name)
+//           "name" (job name) is optional.  Job options (all optional,
+//           defaulting to the server's; the table in
+//           service/job_options.hpp):
+//             "compose", "learn", "no_retry", "trace_force", "reorder"
+//             (bool); "deadline_ms", "node_budget", "cluster" (integer);
+//             "engine" ("auto" | "partitioned" | "monolithic")
 //   STATUS  {"cmd": "STATUS"}
 //   STATS   {"cmd": "STATS"}
 //   CANCEL  {"cmd": "CANCEL", "id": "r1"}
@@ -47,6 +51,7 @@
 #include <string>
 
 #include "service/job.hpp"
+#include "service/obligation_cache.hpp"
 
 namespace cmc::net {
 
@@ -103,18 +108,17 @@ struct Request {
   std::string shard;        ///< roster name of the shard to add/remove
   std::string shardSocket;  ///< JOIN: Unix-domain endpoint (or shardTcp)
   int shardTcp = -1;        ///< JOIN: loopback TCP port (or shardSocket)
-  /// CACHE_PUT: the content fingerprint being written through.  The
-  /// remaining verdict fields (verdict/rule/engine/seconds/
-  /// counterexample/proof) stay in the raw line; the shard extracts them
-  /// with the same parsers the disk store uses.
+  /// CACHE_PUT: the content fingerprint being written through, and the
+  /// decided verdict to insert under it.
   std::string fingerprint;
+  service::CachedVerdict cacheVerdict;
 };
 
 /// Parse one request line.  `defaults` seeds Request::options; fields
 /// present in the request overlay them.  Returns false with a message on
-/// anything malformed: not a JSON object, unknown/missing cmd, a CHECK
-/// with neither or both of model/smv, a CANCEL without id, or an option
-/// field of the wrong type.
+/// anything malformed: not a JSON object, unknown/missing cmd, a known
+/// field of the wrong type, a CHECK with neither or both of model/smv, or
+/// a CANCEL without id.
 bool parseRequest(const std::string& line, const service::JobOptions& defaults,
                   Request* out, std::string* error);
 

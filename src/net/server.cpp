@@ -308,7 +308,7 @@ void Server::handleConnection(int fd) {
                                          .str());
         break;
       case Command::CachePut:
-        closeAfter = !sock.writeLine(cachePutResponse(req, line));
+        closeAfter = !sock.writeLine(cachePutResponse(req));
         break;
       case Command::Topology:
       case Command::Join:
@@ -474,8 +474,7 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   if (report.obligations.size() == 1) {
     // Single-obligation responses (the coordinator's "only" forwards)
     // additionally carry the outcome as flat fields, so the coordinator
-    // merges verdicts without parsing the nested report.  Free-text and
-    // nested-document fields stay last, per the flat-line convention.
+    // merges verdicts without parsing the nested report.
     const service::ObligationOutcome& o = report.obligations.front();
     resp.put("obligation_id", o.id)
         .put("verdict_source", o.verdictSource)
@@ -489,8 +488,7 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
     if (!o.counterexample.empty()) resp.put("counterexample", o.counterexample);
     if (!o.proofJson.empty()) resp.put("proof", o.proofJson);
   }
-  // Full report as an escaped string, last so flat extraction of the
-  // summary fields above never reads into the nested document.
+  // The full report, as an escaped string.
   resp.put("report", report.toJson());
 
   // Account for the request and free its slot BEFORE writing the response:
@@ -580,8 +578,7 @@ std::string Server::statsResponse() {
   }
   if (journal_ != nullptr && journal_->isOpen())
     resp.putUint("journal_recorded", journal_->recorded());
-  // Both renderings as escaped strings (the flat-line convention), so the
-  // response stays one line and the summary fields above extract safely.
+  // Both renderings as escaped strings, so the response stays one line.
   resp.put("metrics", metrics_.toJson());
   resp.put("metrics_text", metrics_.toText());
   return resp.str();
@@ -617,23 +614,13 @@ std::string Server::cancelResponse(const Request& req) {
       .str();
 }
 
-std::string Server::cachePutResponse(const Request& req,
-                                     const std::string& line) {
+std::string Server::cachePutResponse(const Request& req) {
   service::ObligationCache* cache = svc_.cache();
   if (cache == nullptr) {
     return errorResponse("CACHE_PUT", kBadRequest,
                          "the obligation cache is disabled on this shard");
   }
-  service::CachedVerdict v;
-  std::string verdict;
-  service::jsonExtractString(line, "verdict", &verdict);
-  v.verdict = verdict == "Fails" ? service::Verdict::Fails
-                                 : service::Verdict::Holds;
-  service::jsonExtractString(line, "rule", &v.rule);
-  service::jsonExtractString(line, "engine", &v.engine);
-  service::jsonExtractDouble(line, "seconds", &v.seconds);
-  service::jsonExtractString(line, "counterexample", &v.counterexample);
-  service::jsonExtractString(line, "proof", &v.proofJson);
+  const service::CachedVerdict& v = req.cacheVerdict;
   // insert() returns false both for a genuinely uncacheable verdict and
   // for a fingerprint it already held (it updates in place); only the
   // former is an error.  Duplicate puts are routine — every warm run
@@ -648,7 +635,7 @@ std::string Server::cachePutResponse(const Request& req,
                   .put("event", "cache_replica_put")
                   .putDouble("t", trace_.elapsedSeconds())
                   .put("fingerprint", req.fingerprint)
-                  .put("verdict", verdict)
+                  .put("verdict", service::toString(v.verdict))
                   .putBool("fresh", !hadIt));
   return service::JsonObject()
       .putBool("ok", true)

@@ -136,9 +136,8 @@ class Server {
   std::string statsResponse();
   std::string cancelResponse(const Request& req);
   /// CACHE_PUT: insert one decided verdict into the obligation cache (the
-  /// cluster coordinator's replica write-through).  Needs the raw request
-  /// line — the verdict payload fields ride it, not the Request struct.
-  std::string cachePutResponse(const Request& req, const std::string& line);
+  /// cluster coordinator's replica write-through).
+  std::string cachePutResponse(const Request& req);
   void emitMetricsEvent(const char* reason);
 
   /// Admission verdict for one CHECK.  CancelledQueued: the request was

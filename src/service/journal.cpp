@@ -5,6 +5,7 @@
 
 #include "service/trace_log.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
 #include "util/version.hpp"
 
 namespace cmc::service {
@@ -23,69 +24,6 @@ std::array<std::uint32_t, 256> makeCrcTable() {
     table[i] = c;
   }
   return table;
-}
-
-/// Parse the JSON string literal starting at s[i] (which must be '"').
-/// Returns false on malformed or truncated input.  Shared by the journal
-/// loader and the obligation cache's store loader.
-bool parseJsonString(const std::string& s, std::size_t* i, std::string* out) {
-  if (*i >= s.size() || s[*i] != '"') return false;
-  ++*i;
-  out->clear();
-  while (*i < s.size()) {
-    const char c = s[*i];
-    if (c == '"') {
-      ++*i;
-      return true;
-    }
-    if (c == '\\') {
-      if (*i + 1 >= s.size()) return false;
-      const char esc = s[*i + 1];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          // jsonEscape only emits \u00XX for control characters.
-          if (*i + 5 >= s.size()) return false;
-          unsigned code = 0;
-          for (int k = 2; k <= 5; ++k) {
-            const char h = s[*i + k];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          out->push_back(static_cast<char>(code & 0xff));
-          *i += 4;
-          break;
-        }
-        default: return false;
-      }
-      *i += 2;
-      continue;
-    }
-    out->push_back(c);
-    ++*i;
-  }
-  return false;  // unterminated literal (truncated line)
-}
-
-/// Find `"key": ` in the flat object and return the start index of its
-/// value, or npos.  All our keys are written by JsonObject in a fixed
-/// order before any free-text value, so a key name inside a string value
-/// cannot precede the real key.
-std::size_t findValue(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
 }
 
 std::string crcHex(std::uint32_t crc) {
@@ -138,53 +76,6 @@ std::optional<std::string> unframeLine(std::string_view line) {
   return payload;
 }
 
-bool jsonExtractString(const std::string& line, const std::string& key,
-                       std::string* out) {
-  std::size_t i = findValue(line, key);
-  if (i == std::string::npos) return false;
-  return parseJsonString(line, &i, out);
-}
-
-bool jsonExtractDouble(const std::string& line, const std::string& key,
-                       double* out) {
-  const std::size_t i = findValue(line, key);
-  if (i == std::string::npos) return false;
-  try {
-    *out = std::stod(line.substr(i));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool jsonExtractUint(const std::string& line, const std::string& key,
-                     std::uint64_t* out) {
-  const std::size_t i = findValue(line, key);
-  if (i == std::string::npos || i >= line.size()) return false;
-  if (line[i] < '0' || line[i] > '9') return false;  // no sign, no quotes
-  try {
-    *out = std::stoull(line.substr(i));
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool jsonExtractBool(const std::string& line, const std::string& key,
-                     bool* out) {
-  const std::size_t i = findValue(line, key);
-  if (i == std::string::npos) return false;
-  if (line.compare(i, 4, "true") == 0) {
-    *out = true;
-    return true;
-  }
-  if (line.compare(i, 5, "false") == 0) {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 bool verdictFromString(std::string_view text, Verdict* out) noexcept {
   static constexpr Verdict kAll[] = {
       Verdict::Holds,     Verdict::Fails, Verdict::Timeout,
@@ -223,8 +114,8 @@ std::string entryLine(const JournalEntry& e) {
       .putDouble("seconds", e.seconds);
   if (!e.error.empty()) obj.put("error", e.error);
   if (!e.counterexample.empty()) obj.put("counterexample", e.counterexample);
-  // The proof certificate is stored as an escaped JSON *string*, so the
-  // tolerant loader never balances braces (same convention as the cache).
+  // The proof certificate is stored as an escaped JSON *string*, the same
+  // convention as the cache store.
   if (!e.proofJson.empty()) obj.put("proof", e.proofJson);
   return frameLine(obj.str());
 }
@@ -232,25 +123,17 @@ std::string entryLine(const JournalEntry& e) {
 /// Strict inverse of entryLine's payload; any deviation marks the line
 /// corrupt.  The payload has already passed the checksum, so failures here
 /// mean a foreign or future-format line, not a torn write.
-bool parseEntryLine(const std::string& payload, JournalEntry* e) {
+bool parseEntry(const util::JsonValue& doc, JournalEntry* e) {
   std::string verdict;
-  if (!jsonExtractString(payload, "id", &e->id) ||
-      !jsonExtractString(payload, "verdict", &verdict) ||
-      !verdictFromString(verdict, &e->verdict)) {
-    return false;
-  }
-  jsonExtractString(payload, "fp", &e->fingerprint);
-  jsonExtractString(payload, "job", &e->job);
-  jsonExtractString(payload, "target", &e->target);
-  jsonExtractString(payload, "spec", &e->spec);
-  jsonExtractString(payload, "spec_text", &e->specText);
-  jsonExtractString(payload, "rule", &e->rule);
-  jsonExtractString(payload, "engine", &e->engine);
-  jsonExtractDouble(payload, "seconds", &e->seconds);
-  jsonExtractString(payload, "error", &e->error);
-  jsonExtractString(payload, "counterexample", &e->counterexample);
-  jsonExtractString(payload, "proof", &e->proofJson);
-  return true;
+  return doc.req("id", &e->id) && doc.req("verdict", &verdict) &&
+         verdictFromString(verdict, &e->verdict) &&
+         doc.opt("fp", &e->fingerprint) && doc.opt("job", &e->job) &&
+         doc.opt("target", &e->target) && doc.opt("spec", &e->spec) &&
+         doc.opt("spec_text", &e->specText) && doc.opt("rule", &e->rule) &&
+         doc.opt("engine", &e->engine) && doc.opt("seconds", &e->seconds) &&
+         doc.opt("error", &e->error) &&
+         doc.opt("counterexample", &e->counterexample) &&
+         doc.opt("proof", &e->proofJson);
 }
 
 }  // namespace
@@ -266,18 +149,20 @@ JournalReplay loadJournal(const std::string& path) {
     try {
       CMC_FAILPOINT("journal.load");
       const std::optional<std::string> payload = unframeLine(line);
-      if (!payload.has_value()) {
+      util::JsonValue doc;
+      if (!payload.has_value() || !util::parseJson(*payload, &doc, nullptr) ||
+          !doc.isObject()) {
         ++replay.corrupt;
         continue;
       }
       std::string format;
-      if (jsonExtractString(*payload, "format", &format)) {
+      if (doc.req("format", &format)) {
         // Header line; a future-format journal is not replayable.
         if (format != kJournalFormat) ++replay.corrupt;
         continue;
       }
       JournalEntry e;
-      if (!parseEntryLine(*payload, &e)) {
+      if (!parseEntry(doc, &e)) {
         ++replay.corrupt;
         continue;
       }

@@ -14,8 +14,12 @@
 //   the ", \"crc\": ...\"" suffix removed and the brace restored), so a
 //   torn tail, a flipped byte, or an interleaved partial write is detected
 //   and the line dropped on load — corruption is counted, never parsed.
-//   The obligation cache's disk store reuses this framing (frameLine /
-//   unframeLine), giving both durability files one inspection story.
+//   The framing is byte-exact and part of the disk format; the payload it
+//   guards is read with the strict JSON reader (util/json.hpp), where a
+//   missing required field or a field of the wrong type also counts the
+//   line corrupt.  The obligation cache's disk store reuses this framing
+//   (frameLine / unframeLine), giving both durability files one
+//   inspection story.
 //
 // Replay semantics
 //   Only decided verdicts (Holds / Fails) are served on resume; budget
@@ -51,18 +55,6 @@ std::string frameLine(const std::string& payloadJson);
 /// Verify and strip the framing checksum.  Returns the payload object, or
 /// nullopt for torn, truncated, or corrupted lines.
 std::optional<std::string> unframeLine(std::string_view line);
-
-/// Field extraction from the flat single-line JSON formats written by
-/// JsonObject (journal entries, cache store lines).  Returns false when
-/// the key is missing or its value is malformed/truncated.
-bool jsonExtractString(const std::string& line, const std::string& key,
-                       std::string* out);
-bool jsonExtractDouble(const std::string& line, const std::string& key,
-                       double* out);
-bool jsonExtractUint(const std::string& line, const std::string& key,
-                     std::uint64_t* out);
-bool jsonExtractBool(const std::string& line, const std::string& key,
-                     bool* out);
 
 /// Parse a verdict name as written by toString(Verdict).
 bool verdictFromString(std::string_view text, Verdict* out) noexcept;

@@ -14,6 +14,8 @@
 #include "service/trace_log.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
+#include "util/string_util.hpp"
 #include "util/version.hpp"
 
 namespace cmc::service {
@@ -55,8 +57,7 @@ bool writeAll(int fd, const std::string& data) {
 /// One store line: the entry object wrapped in the journal's CRC framing
 /// (frameLine), so a crash mid-append can never yield a silently
 /// half-parsed entry.  The proof certificate is stored as a JSON *string*
-/// (escaped), not a nested object, so the tolerant loader never needs to
-/// balance braces.
+/// (escaped), not a nested object.
 std::string storeLine(const std::string& fingerprint, const CachedVerdict& v) {
   JsonObject obj;
   obj.put("fp", fingerprint)
@@ -69,39 +70,46 @@ std::string storeLine(const std::string& fingerprint, const CachedVerdict& v) {
   return frameLine(obj.str());
 }
 
-/// Strict inverse of a storeLine payload; any deviation marks the line
-/// corrupt.
-bool parseStorePayload(const std::string& line, std::string* fingerprint,
-                       CachedVerdict* v) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
-  std::string verdict;
-  if (!jsonExtractString(line, "fp", fingerprint) ||
-      !jsonExtractString(line, "verdict", &verdict)) {
+/// Read one store line into its object.  Framed lines are checksummed;
+/// bare lines (stores written before the framing existed) get the strict
+/// parse alone, and a bare line that carries a "crc" member is a framed
+/// line whose checksum failed.  False for a corrupt line.
+bool readStoreLine(const std::string& line, util::JsonValue* doc,
+                   bool* framed) {
+  const std::optional<std::string> payload = unframeLine(line);
+  *framed = payload.has_value();
+  if (!util::parseJson(*framed ? *payload : line, doc, nullptr) ||
+      !doc->isObject()) {
     return false;
   }
-  if (fingerprint->empty()) return false;
+  return *framed || doc->find("crc") == nullptr;
+}
+
+/// The store's format when `doc` is its header line (framed, with a
+/// string "format"), else nullopt.
+std::optional<std::string> headerFormat(const util::JsonValue& doc,
+                                        bool framed) {
+  std::string format;
+  if (!framed || !doc.req("format", &format)) return std::nullopt;
+  return format;
+}
+
+/// Strict inverse of a storeLine payload; any deviation marks the line
+/// corrupt.
+bool parseStoreEntry(const util::JsonValue& doc, std::string* fingerprint,
+                     CachedVerdict* v) {
+  std::string verdict;
+  if (!doc.req("fp", fingerprint) || fingerprint->empty() ||
+      !doc.req("verdict", &verdict)) {
+    return false;
+  }
   if (verdict == "Holds") v->verdict = Verdict::Holds;
   else if (verdict == "Fails") v->verdict = Verdict::Fails;
   else return false;  // only decided verdicts belong in the store
-  if (!jsonExtractString(line, "rule", &v->rule) ||
-      !jsonExtractString(line, "engine", &v->engine) ||
-      !jsonExtractDouble(line, "seconds", &v->seconds)) {
-    return false;
-  }
-  jsonExtractString(line, "counterexample", &v->counterexample);
-  jsonExtractString(line, "proof", &v->proofJson);
-  return true;
-}
-
-/// Framed lines are checksummed; bare lines (stores written before the
-/// framing existed) fall back to the strict parse alone.
-bool parseStoreLine(const std::string& line, std::string* fingerprint,
-                    CachedVerdict* v) {
-  if (const std::optional<std::string> payload = unframeLine(line)) {
-    return parseStorePayload(*payload, fingerprint, v);
-  }
-  if (line.find("\"crc\": ") != std::string::npos) return false;  // torn
-  return parseStorePayload(line, fingerprint, v);
+  return doc.req("rule", &v->rule) && doc.req("engine", &v->engine) &&
+         doc.req("seconds", &v->seconds) &&
+         doc.opt("counterexample", &v->counterexample) &&
+         doc.opt("proof", &v->proofJson);
 }
 
 }  // namespace
@@ -203,22 +211,25 @@ void ObligationCache::loadDisk() {
     CachedVerdict v;
     try {
       CMC_FAILPOINT("cache.disk_load");
-      if (const std::optional<std::string> payload = unframeLine(line)) {
-        std::string format;
-        if (jsonExtractString(*payload, "format", &format)) {
-          // Header line.  A future-format store must not serve verdicts
-          // computed under different semantics: stop loading entirely.
-          if (format != kCacheVersion) {
-            std::fprintf(stderr,
-                         "obligation cache: %s has format '%s' (this build "
-                         "writes '%s'); ignoring the store\n",
-                         diskPath_.c_str(), format.c_str(), kCacheVersion);
-            return;
-          }
-          continue;
-        }
+      util::JsonValue doc;
+      bool framed = false;
+      if (!readStoreLine(line, &doc, &framed)) {
+        ++corrupt;
+        continue;
       }
-      if (parseStoreLine(line, &fingerprint, &v)) {
+      if (const std::optional<std::string> format = headerFormat(doc, framed)) {
+        // Header line.  A future-format store must not serve verdicts
+        // computed under different semantics: stop loading entirely.
+        if (*format != kCacheVersion) {
+          std::fprintf(stderr,
+                       "obligation cache: %s has format '%s' (this build "
+                       "writes '%s'); ignoring the store\n",
+                       diskPath_.c_str(), format->c_str(), kCacheVersion);
+          return;
+        }
+        continue;
+      }
+      if (parseStoreEntry(doc, &fingerprint, &v)) {
         insertMemory(fingerprint, v);
         ++loaded;
       } else {
@@ -355,21 +366,22 @@ bool compactObligationStore(const std::string& dir, CompactionResult* result,
     at = end + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (const std::optional<std::string> payload = unframeLine(line)) {
-      std::string format;
-      if (jsonExtractString(*payload, "format", &format)) {
-        if (format != kCacheVersion) {
-          *error = path + " has format '" + format + "' (this build writes '" +
-                   kCacheVersion + "'); refusing to compact";
-          unlockAndClose();
-          return false;
-        }
-        continue;  // a fresh header is stamped below
+    util::JsonValue doc;
+    bool wasFramed = false;
+    const bool readable = readStoreLine(line, &doc, &wasFramed);
+    if (const std::optional<std::string> format =
+            readable ? headerFormat(doc, wasFramed) : std::nullopt) {
+      if (*format != kCacheVersion) {
+        *error = path + " has format '" + *format + "' (this build writes '" +
+                 kCacheVersion + "'); refusing to compact";
+        unlockAndClose();
+        return false;
       }
+      continue;  // a fresh header is stamped below
     }
     std::string fingerprint;
     CachedVerdict v;
-    if (!parseStoreLine(line, &fingerprint, &v)) {
+    if (!readable || !parseStoreEntry(doc, &fingerprint, &v)) {
       ++result->corrupt;
       continue;
     }
@@ -377,7 +389,7 @@ bool compactObligationStore(const std::string& dir, CompactionResult* result,
     // Keep the surviving line byte-identical when it was already framed;
     // legacy bare lines gain framing here.
     const std::string framed =
-        unframeLine(line).has_value() ? line : frameLine(line);
+        wasFramed ? line : frameLine(std::string(trim(line)));
     const auto it = slotByFp.find(fingerprint);
     if (it != slotByFp.end()) {
       ++result->duplicates;

@@ -1,6 +1,7 @@
 #include <sstream>
 
 #include "service/job.hpp"
+#include "service/job_options.hpp"
 #include "service/trace_log.hpp"
 #include "util/version.hpp"
 
@@ -96,22 +97,13 @@ std::string JobReport::toJson() const {
     else if (o.verdict == Verdict::Fails) ++fails;
     else ++undecided;
   }
-  JsonObject opts;
-  opts.putDouble("deadline_seconds", options.limits.deadlineSeconds)
-      .putUint("node_budget", options.limits.nodeBudget)
-      .put("engine", symbolic::toString(options.engine))
-      .putBool("retry_other_engine", options.retryOtherEngine)
-      .putBool("compose", options.compose)
-      .putUint("cluster_threshold", options.clusterThreshold)
-      .putBool("learn", options.learn);
-
   JsonObject root;
   root.put("job", job)
       .put("cmc_version", util::versionString())
       .put("source", source)
       .put("verdict", toString(verdict))
       .putDouble("wall_seconds", wallSeconds)
-      .putRaw("options", opts.str())
+      .putRaw("options", jobOptionsEcho(options))
       .putUint("obligation_count",
                static_cast<std::uint64_t>(obligations.size()))
       .putUint("holds", holds)

@@ -1,74 +1,10 @@
 #include "service/trace_log.hpp"
 
-#include <cmath>
 #include <cstdio>
 
 #include "util/failpoint.hpp"
 
 namespace cmc::service {
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string jsonNumber(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
-
-JsonObject& JsonObject::putSerialized(const std::string& key,
-                                      std::string value) {
-  if (!body_.empty()) body_ += ", ";
-  body_ += '"';
-  body_ += jsonEscape(key);
-  body_ += "\": ";
-  body_ += value;
-  return *this;
-}
-
-JsonObject& JsonObject::put(const std::string& key, std::string_view value) {
-  return putSerialized(key, '"' + jsonEscape(value) + '"');
-}
-
-JsonObject& JsonObject::putBool(const std::string& key, bool value) {
-  return putSerialized(key, value ? "true" : "false");
-}
-
-JsonObject& JsonObject::putUint(const std::string& key, std::uint64_t value) {
-  return putSerialized(key, std::to_string(value));
-}
-
-JsonObject& JsonObject::putDouble(const std::string& key, double value) {
-  return putSerialized(key, jsonNumber(value));
-}
-
-JsonObject& JsonObject::putRaw(const std::string& key,
-                               std::string_view json) {
-  return putSerialized(key, std::string(json));
-}
-
-std::string JsonObject::str() const { return "{" + body_ + "}"; }
 
 void RunTrace::emit(const JsonObject& event) {
   if (!enabled_) return;

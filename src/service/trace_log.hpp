@@ -7,10 +7,9 @@
 // ostream sink as it happens, which is how `cmc` streams
 // <model>.trace.jsonl while the batch is still running.
 //
-// JsonObject is the deliberately tiny JSON builder used for both events and
-// the summary report: insertion-ordered keys, no nesting except through
-// putRaw(), everything serialized eagerly.  The repo has no JSON
-// dependency, and the service's output is flat enough not to want one.
+// Events are built with the JSON writer in util/json.hpp; its names stay
+// reachable as service::JsonObject, service::jsonEscape and
+// service::jsonNumber.
 #pragma once
 
 #include <cstdint>
@@ -20,36 +19,14 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace cmc::service {
 
-/// Escape a string for inclusion in a JSON string literal.
-std::string jsonEscape(std::string_view s);
-
-/// Serialize a double the way JSON wants it (no inf/nan, %g precision).
-std::string jsonNumber(double value);
-
-class JsonObject {
- public:
-  JsonObject& put(const std::string& key, std::string_view value);
-  JsonObject& put(const std::string& key, const char* value) {
-    return put(key, std::string_view(value));
-  }
-  JsonObject& putBool(const std::string& key, bool value);
-  JsonObject& putUint(const std::string& key, std::uint64_t value);
-  JsonObject& putDouble(const std::string& key, double value);
-  /// Insert a pre-serialized JSON value (object, array, ...) verbatim.
-  JsonObject& putRaw(const std::string& key, std::string_view json);
-
-  /// The serialized object, e.g. {"event": "job_start", "t": 0.01}.
-  std::string str() const;
-
- private:
-  JsonObject& putSerialized(const std::string& key, std::string value);
-
-  std::string body_;  ///< comma-joined "key": value pairs
-};
+using util::JsonObject;
+using util::jsonEscape;
+using util::jsonNumber;
 
 class RunTrace {
  public:

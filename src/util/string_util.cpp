@@ -1,6 +1,7 @@
 #include "util/string_util.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 #include "util/common.hpp"
@@ -43,6 +44,15 @@ std::string_view trim(std::string_view text) {
 
 bool startsWith(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
+}
+
+bool parseUint(std::string_view text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end) return false;
+  *out = value;
+  return true;
 }
 
 std::string withCommas(std::uint64_t n) {

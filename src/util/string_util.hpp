@@ -1,6 +1,7 @@
 // Small string helpers shared by the parsers and pretty printers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,10 @@ std::string_view trim(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool startsWith(std::string_view text, std::string_view prefix);
+
+/// Parse an unsigned decimal integer: digits only (no sign, no space),
+/// no larger than UINT64_MAX.  *out is written only on success.
+bool parseUint(std::string_view text, std::uint64_t* out);
 
 /// Render `n` with thousands separators ("1234567" -> "1,234,567").
 std::string withCommas(std::uint64_t n);

@@ -24,6 +24,7 @@
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
 #include "service/trace_log.hpp"
+#include "test_util.hpp"
 #include "util/failpoint.hpp"
 #include "util/version.hpp"
 
@@ -349,14 +350,14 @@ TEST(ClusterOnly, ServerChecksExactlyTheNamedObligation) {
       << err;
   // One obligation checked, and the flat fields describe it.
   std::uint64_t obligations = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  EXPECT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 1u);
   std::string id, source, fingerprint;
-  EXPECT_TRUE(service::jsonExtractString(resp, "obligation_id", &id));
+  EXPECT_TRUE(test::parsedJson(resp).req("obligation_id", &id));
   EXPECT_EQ(id, refs[1].id);
-  EXPECT_TRUE(service::jsonExtractString(resp, "verdict_source", &source));
+  EXPECT_TRUE(test::parsedJson(resp).req("verdict_source", &source));
   EXPECT_EQ(source, "checked");
-  EXPECT_TRUE(service::jsonExtractString(resp, "fingerprint", &fingerprint));
+  EXPECT_TRUE(test::parsedJson(resp).req("fingerprint", &fingerprint));
   EXPECT_EQ(fingerprint, refs[1].fingerprint);
 
   // A second CHECK of the same obligation is a shard-local cache hit.
@@ -365,7 +366,7 @@ TEST(ClusterOnly, ServerChecksExactlyTheNamedObligation) {
                    "\"compose\": true, \"only\": \"" + refs[1].id + "\""),
       &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractString(resp, "verdict_source", &source));
+  EXPECT_TRUE(test::parsedJson(resp).req("verdict_source", &source));
   EXPECT_EQ(source, "cache");
 
   // Naming a nonexistent obligation is an elaboration-level Error, not a
@@ -376,7 +377,7 @@ TEST(ClusterOnly, ServerChecksExactlyTheNamedObligation) {
       &resp, &err))
       << err;
   std::string verdict;
-  EXPECT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  EXPECT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Error");
 }
 
@@ -393,12 +394,12 @@ TEST(ClusterCoordinator, ScattersGathersAndServesWarmResubmitAllCache) {
   ASSERT_TRUE(client.request(checkRequest("cold", kPairSmv), &resp, &err))
       << err;
   std::string verdict, report;
-  ASSERT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  ASSERT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Holds");
   std::uint64_t obligations = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  ASSERT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   // Every outcome is attributed to a shard, and the fleet as a whole did
   // the work (the routing itself is pinned by the rendezvous tests).
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"s"), 6u);
@@ -408,12 +409,12 @@ TEST(ClusterCoordinator, ScattersGathersAndServesWarmResubmitAllCache) {
   // decided it, so the whole job is served from shard caches.
   ASSERT_TRUE(client.request(checkRequest("warm", kPairSmv), &resp, &err))
       << err;
-  ASSERT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  ASSERT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Holds");
   std::uint64_t cacheHits = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "cache_hits", &cacheHits));
+  ASSERT_TRUE(test::parsedJson(resp).req("cache_hits", &cacheHits));
   EXPECT_EQ(cacheHits, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(countOccurrences(report, "\"verdict_source\": \"cache\""), 6u);
   EXPECT_EQ(countOccurrences(report, "\"verdict_source\": \"checked\""), 0u);
 }
@@ -425,21 +426,21 @@ TEST(ClusterCoordinator, StatusAggregatesTheFleet) {
   std::string err, resp;
   ASSERT_TRUE(client.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
   std::string role, version;
-  EXPECT_TRUE(service::jsonExtractString(resp, "role", &role));
+  EXPECT_TRUE(test::parsedJson(resp).req("role", &role));
   EXPECT_EQ(role, "coordinator");
-  EXPECT_TRUE(service::jsonExtractString(resp, "cmc_version", &version));
+  EXPECT_TRUE(test::parsedJson(resp).req("cmc_version", &version));
   EXPECT_EQ(version, util::versionString());
   std::uint64_t rev = 0, total = 0, up = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev));
+  EXPECT_TRUE(test::parsedJson(resp).req("protocol_rev", &rev));
   EXPECT_EQ(rev, net::kProtocolRevision);
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_up", &up));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_up", &up));
   EXPECT_EQ(total, 2u);
   EXPECT_EQ(up, 2u);
 
   ASSERT_TRUE(client.request("{\"cmd\": \"STATS\"}", &resp, &err)) << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok);
   EXPECT_NE(resp.find("\"shards_stats\""), std::string::npos);
 }
@@ -461,19 +462,19 @@ TEST(ClusterCoordinator, MarksDeadShardDownAndRedispatchesItsWork) {
                              &err))
       << err;
   std::string verdict, report;
-  ASSERT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  ASSERT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Holds");
   std::uint64_t obligations = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  ASSERT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"s1\""), 0u);
   EXPECT_EQ(countOccurrences(report, "\"verdict\": \"Error\""), 0u);
   EXPECT_EQ(countOccurrences(report, "\"verdict\": \"Fails\""), 0u);
 
   std::uint64_t up = 0;
   ASSERT_TRUE(client.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_up", &up));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_up", &up));
   EXPECT_EQ(up, 2u);
   EXPECT_NE(resp.find("\"state\": \"down\""), std::string::npos);
 }
@@ -494,8 +495,8 @@ TEST(ClusterCoordinator, StatusAndStatsStayConsistentWithADownShard) {
   std::string err, resp;
   ASSERT_TRUE(client.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
   std::uint64_t up = 0, total = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_up", &up));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_up", &up));
   EXPECT_EQ(total, 3u);
   EXPECT_EQ(up, 2u);
   // The derived count and the per-shard array come from the same snapshot,
@@ -509,13 +510,13 @@ TEST(ClusterCoordinator, StatusAndStatsStayConsistentWithADownShard) {
   // responding shards.
   ASSERT_TRUE(client.request("{\"cmd\": \"STATS\"}", &resp, &err)) << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok);
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_up", &up));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_up", &up));
   std::uint64_t responding = 0;
   EXPECT_TRUE(
-      service::jsonExtractUint(resp, "shards_responding", &responding));
+      test::parsedJson(resp).req("shards_responding", &responding));
   EXPECT_EQ(total, 3u);
   EXPECT_EQ(up, 2u);
   EXPECT_EQ(responding, 2u);
@@ -598,13 +599,13 @@ TEST(ClusterAdmin, TopologyListsLifecycleStateAndRefusesMisroutedCommands) {
   std::string err, resp;
   ASSERT_TRUE(client.request("{\"cmd\": \"TOPOLOGY\"}", &resp, &err)) << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok);
   std::uint64_t total = 0, up = 0, rev = 0, replication = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_up", &up));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "protocol_rev", &rev));
-  EXPECT_TRUE(service::jsonExtractUint(resp, "replication", &replication));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_up", &up));
+  EXPECT_TRUE(test::parsedJson(resp).req("protocol_rev", &rev));
+  EXPECT_TRUE(test::parsedJson(resp).req("replication", &replication));
   EXPECT_EQ(total, 2u);
   EXPECT_EQ(up, 2u);
   EXPECT_EQ(rev, net::kProtocolRevision);
@@ -619,7 +620,7 @@ TEST(ClusterAdmin, TopologyListsLifecycleStateAndRefusesMisroutedCommands) {
                              &resp, &err))
       << err;
   std::string code;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
 
   // And the admin commands are coordinator-side only; a shard refuses.
@@ -628,7 +629,7 @@ TEST(ClusterAdmin, TopologyListsLifecycleStateAndRefusesMisroutedCommands) {
       << err;
   ASSERT_TRUE(shardClient.request("{\"cmd\": \"TOPOLOGY\"}", &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
   EXPECT_NE(resp.find("coordinator"), std::string::npos);
 }
@@ -645,13 +646,13 @@ TEST(ClusterAdmin, JoinAddsShardAndRoutesByRendezvous) {
       client.request(joinRequest("s2", extra->sockPath), &resp, &err))
       << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok) << resp;
   std::string state;
-  EXPECT_TRUE(service::jsonExtractString(resp, "state", &state));
+  EXPECT_TRUE(test::parsedJson(resp).req("state", &state));
   EXPECT_EQ(state, "up");  // the join handshake doubles as the first probe
   std::uint64_t total = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
   EXPECT_EQ(total, 3u);
 
   // Joining a name that is already serving is refused...
@@ -659,7 +660,7 @@ TEST(ClusterAdmin, JoinAddsShardAndRoutesByRendezvous) {
       client.request(joinRequest("s2", extra->sockPath), &resp, &err))
       << err;
   std::string code;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
   EXPECT_NE(resp.find("already"), std::string::npos);
 
@@ -668,11 +669,11 @@ TEST(ClusterAdmin, JoinAddsShardAndRoutesByRendezvous) {
   ASSERT_TRUE(client.request(
       joinRequest("ghost", freshSocketPath("ghost-join")), &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
   EXPECT_NE(resp.find("handshake"), std::string::npos);
   ASSERT_TRUE(client.request("{\"cmd\": \"TOPOLOGY\"}", &resp, &err)) << err;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
   EXPECT_EQ(total, 3u);
 
   // Work now routes over the three-shard ring exactly as rendezvous
@@ -680,7 +681,7 @@ TEST(ClusterAdmin, JoinAddsShardAndRoutesByRendezvous) {
   ASSERT_TRUE(client.request(checkRequest("joined", kPairSmv), &resp, &err))
       << err;
   std::string report;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(shardById(report), expectedOwners({"s0", "s1", "s2"}));
 }
 
@@ -692,12 +693,12 @@ TEST(ClusterAdmin, LeaveRefusesTheLastShardAndUnknownNames) {
   ASSERT_TRUE(client.request("{\"cmd\": \"LEAVE\", \"shard\": \"nobody\"}",
                              &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kNotFound);
   ASSERT_TRUE(client.request("{\"cmd\": \"LEAVE\", \"shard\": \"s0\"}",
                              &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
   EXPECT_NE(resp.find("last shard"), std::string::npos);
 }
@@ -710,7 +711,7 @@ TEST(ClusterAdmin, LeaveAndRejoinRestoreTheExactRouting) {
 
   ASSERT_TRUE(client.request(checkRequest("cold", kPairSmv), &resp, &err))
       << err;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   const std::map<std::string, std::string> before = shardById(report);
   ASSERT_EQ(before.size(), 6u);
   // Replication ran: every decided obligation was written through to its
@@ -721,10 +722,10 @@ TEST(ClusterAdmin, LeaveAndRejoinRestoreTheExactRouting) {
                              &resp, &err))
       << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok) << resp;
   std::uint64_t total = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "shards_total", &total));
+  EXPECT_TRUE(test::parsedJson(resp).req("shards_total", &total));
   EXPECT_EQ(total, 2u);
 
   // Minimal re-keying: only s1's keys move, and — thanks to the replica
@@ -733,9 +734,9 @@ TEST(ClusterAdmin, LeaveAndRejoinRestoreTheExactRouting) {
   ASSERT_TRUE(client.request(checkRequest("warm", kPairSmv), &resp, &err))
       << err;
   std::uint64_t cacheHits = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "cache_hits", &cacheHits));
+  ASSERT_TRUE(test::parsedJson(resp).req("cache_hits", &cacheHits));
   EXPECT_EQ(cacheHits, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   const std::map<std::string, std::string> during = shardById(report);
   for (const auto& [id, shard] : before) {
     if (shard == "s1") {
@@ -750,12 +751,12 @@ TEST(ClusterAdmin, LeaveAndRejoinRestoreTheExactRouting) {
   ASSERT_TRUE(client.request(
       joinRequest("s1", cluster.shards[1]->sockPath), &resp, &err))
       << err;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok) << resp;
   ASSERT_TRUE(client.request(checkRequest("rejoined", kPairSmv), &resp,
                              &err))
       << err;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(shardById(report), before);
 }
 
@@ -785,9 +786,9 @@ TEST(ClusterLifecycle, FlappingShardServesProbationWithExponentialHoldDown) {
   ASSERT_TRUE(client.request(checkRequest("held", kPairSmv), &resp, &err))
       << err;
   std::uint64_t obligations = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  ASSERT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"s0\""), 6u);
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"s1\""), 0u);
   EXPECT_EQ(countOccurrences(report, "\"id\": \""), 6u);
@@ -819,7 +820,7 @@ TEST(ClusterReplication, ReplicaServesADeadShardsVerdictsFromCache) {
 
   ASSERT_TRUE(client.request(checkRequest("cold", kPairSmv), &resp, &err))
       << err;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   const std::map<std::string, std::string> owners = shardById(report);
   ASSERT_EQ(owners.size(), 6u);
   // RF=2 with everyone up: exactly one replica write per decided
@@ -841,12 +842,12 @@ TEST(ClusterReplication, ReplicaServesADeadShardsVerdictsFromCache) {
   ASSERT_TRUE(client.request(checkRequest("warm", kPairSmv), &resp, &err))
       << err;
   std::string verdict;
-  ASSERT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  ASSERT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Holds");
   std::uint64_t cacheHits = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "cache_hits", &cacheHits));
+  ASSERT_TRUE(test::parsedJson(resp).req("cache_hits", &cacheHits));
   EXPECT_EQ(cacheHits, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(countOccurrences(report, "\"verdict_source\": \"checked\""), 0u);
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"" + victim + "\""), 0u);
 }
@@ -875,14 +876,14 @@ TEST(ClusterCachePut, ShardStoresReplicasAndServesThemAsCacheHits) {
       .put("engine", "partitioned");
   ASSERT_TRUE(client.request(put.str(), &resp, &err)) << err;
   bool ok = false, inserted = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok) << resp;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "inserted", &inserted));
+  EXPECT_TRUE(test::parsedJson(resp).req("inserted", &inserted));
   EXPECT_TRUE(inserted);
 
   // Idempotent: a duplicate put is acknowledged, not double-stored.
   ASSERT_TRUE(client.request(put.str(), &resp, &err)) << err;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "inserted", &inserted));
+  EXPECT_TRUE(test::parsedJson(resp).req("inserted", &inserted));
   EXPECT_FALSE(inserted);
 
   // The replicated verdict serves a later CHECK without re-checking.
@@ -892,7 +893,7 @@ TEST(ClusterCachePut, ShardStoresReplicasAndServesThemAsCacheHits) {
       &resp, &err))
       << err;
   std::string source;
-  EXPECT_TRUE(service::jsonExtractString(resp, "verdict_source", &source));
+  EXPECT_TRUE(test::parsedJson(resp).req("verdict_source", &source));
   EXPECT_EQ(source, "cache");
 
   // Only terminal verdicts replicate; Error is refused at the parse layer.
@@ -901,7 +902,7 @@ TEST(ClusterCachePut, ShardStoresReplicasAndServesThemAsCacheHits) {
                              &resp, &err))
       << err;
   std::string code;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kBadRequest);
 }
 
@@ -925,12 +926,12 @@ TEST(ClusterHedge, HedgesAStragglerAndFirstSoundVerdictWins) {
   ASSERT_TRUE(sent) << err;
 
   std::string verdict, report;
-  ASSERT_TRUE(service::jsonExtractString(resp, "verdict", &verdict));
+  ASSERT_TRUE(test::parsedJson(resp).req("verdict", &verdict));
   EXPECT_EQ(verdict, "Holds");
   std::uint64_t obligations = 0;
-  ASSERT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  ASSERT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 6u);
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   // Exactly one outcome per obligation even with two lanes racing, and the
   // report says which ones were hedged.
   EXPECT_EQ(countOccurrences(report, "\"id\": \""), 6u);
@@ -965,7 +966,7 @@ TEST(ClusterAdmin, JoinMidBatchOnlyAffectsLaterJobs) {
       admin.request(joinRequest("late", late->sockPath), &resp, &err))
       << err;
   bool ok = false;
-  EXPECT_TRUE(service::jsonExtractBool(resp, "ok", &ok));
+  EXPECT_TRUE(test::parsedJson(resp).req("ok", &ok));
   EXPECT_TRUE(ok) << resp;
 
   checker.join();
@@ -976,7 +977,7 @@ TEST(ClusterAdmin, JoinMidBatchOnlyAffectsLaterJobs) {
   // of its obligations reached the new shard.
   std::string report;
   ASSERT_TRUE(
-      service::jsonExtractString(inflightResp, "report", &report));
+      test::parsedJson(inflightResp).req("report", &report));
   EXPECT_EQ(countOccurrences(report, "\"id\": \""), 6u);
   EXPECT_EQ(countOccurrences(report, "\"shard\": \"late\""), 0u);
 
@@ -984,7 +985,7 @@ TEST(ClusterAdmin, JoinMidBatchOnlyAffectsLaterJobs) {
   ASSERT_TRUE(
       admin.request(checkRequest("after", kPairSmv), &resp, &err))
       << err;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   EXPECT_EQ(shardById(report), expectedOwners({"s0", "s1", "late"}));
 }
 
@@ -997,7 +998,7 @@ TEST(ClusterCoordinator, DrainRefusesNewChecks) {
   ASSERT_TRUE(client.request(checkRequest("late", kPairSmv), &resp, &err))
       << err;
   std::string code;
-  EXPECT_TRUE(service::jsonExtractString(resp, "code", &code));
+  EXPECT_TRUE(test::parsedJson(resp).req("code", &code));
   EXPECT_EQ(code, net::kDraining);
 }
 

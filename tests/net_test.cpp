@@ -28,6 +28,7 @@
 #include "service/journal.hpp"
 #include "service/scheduler.hpp"
 #include "service/trace_log.hpp"
+#include "test_util.hpp"
 #include "util/timer.hpp"
 #include "util/version.hpp"
 
@@ -75,15 +76,12 @@ std::string slowSmv(int ms) {
 std::string checkRequest(const std::string& id, const std::string& smv,
                          const std::string& extraRawFields = "") {
   service::JsonObject req;
-  req.put("cmd", "CHECK").put("id", id);
+  req.put("cmd", "CHECK").put("id", id).put("smv", smv);
   std::string line = req.str();
   if (!extraRawFields.empty()) {
     line.pop_back();
     line += ", " + extraRawFields + "}";
   }
-  // Free text last, per the client convention.
-  line.pop_back();
-  line += ", \"smv\": \"" + service::jsonEscape(smv) + "\"}";
   return line;
 }
 
@@ -171,6 +169,33 @@ TEST(NetProtocol, ParseRejectsMalformedRequests) {
   EXPECT_FALSE(parseRequest("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
                             "\"engine\": \"quantum\"}",
                             defaults, &req, &err));
+  // Not one JSON object: trailing data, syntax errors, duplicate keys.
+  for (const char* bad :
+       {"{\"cmd\": \"STATUS\", garbage}", "{\"cmd\": \"STATUS\"} {\"x\": 1}",
+        "{\"cmd\": \"STATUS\", \"cmd\": \"DRAIN\"}", "[\"STATUS\"]",
+        "{\"cmd\": \"STATUS\", \"id\": \"\\ud83d\"}"}) {
+    err.clear();
+    EXPECT_FALSE(parseRequest(bad, defaults, &req, &err)) << bad;
+    EXPECT_NE(err.find("not a JSON object"), std::string::npos) << err;
+  }
+  // A known field of the wrong type is refused, whatever the command.
+  EXPECT_FALSE(parseRequest("{\"cmd\": \"STATUS\", \"id\": 5}", defaults,
+                            &req, &err));
+  EXPECT_NE(err.find("'id'"), std::string::npos) << err;
+  for (const char* bad : {"-1", "1e3", "1.5", "18446744073709551616",
+                          "true", "null"}) {
+    err.clear();
+    EXPECT_FALSE(parseRequest(std::string("{\"cmd\": \"CHECK\", \"model\": "
+                                          "\"m.smv\", \"deadline_ms\": ") +
+                                  bad + "}",
+                              defaults, &req, &err))
+        << bad;
+    EXPECT_NE(err.find("deadline_ms"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(parseRequest("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
+                            "\"compose\": \"yes\"}",
+                            defaults, &req, &err));
+  EXPECT_NE(err.find("compose"), std::string::npos) << err;
   // Engine names that no longer exist (old clients may still send them)
   // get the ordinary unknown-value refusal.
   for (const char* engine : {"bes", "race"}) {
@@ -212,6 +237,35 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
       << err;
   EXPECT_EQ(req.cmd, Command::Check);
   EXPECT_DOUBLE_EQ(req.options.limits.deadlineSeconds, 0.0);
+
+  // Whitespace is free and key order does not matter: a compact request
+  // keeps its budgets.
+  ASSERT_TRUE(parseRequest(
+      "{\"node_budget\":777,\"deadline_ms\":1500,\"model\":\"m.smv\","
+      "\"cmd\":\"CHECK\",\"learn\":true,\"reorder\":true,"
+      "\"trace_force\":true,\"cluster\":64}",
+      defaults, &req, &err))
+      << err;
+  EXPECT_DOUBLE_EQ(req.options.limits.deadlineSeconds, 1.5);
+  EXPECT_EQ(req.options.limits.nodeBudget, 777u);
+  EXPECT_TRUE(req.options.learn);
+  EXPECT_FALSE(req.options.compose);  // learn implies compose on the CLI only
+  EXPECT_TRUE(req.options.reorderBeforeCheck);
+  EXPECT_TRUE(req.options.traceForce);
+  EXPECT_EQ(req.options.clusterThreshold, 64u);
+  for (const char* status : {"{\"cmd\":\"STATUS\"}", "{ \"cmd\" : \"STATUS\" }",
+                             "\t{\"cmd\": \"STATUS\"}\r",
+                             "{\"extra\": {\"a\": [1, {\"b\": null}]}, "
+                             "\"cmd\": \"STATUS\"}"}) {
+    ASSERT_TRUE(parseRequest(status, defaults, &req, &err)) << status << err;
+    EXPECT_EQ(req.cmd, Command::Status);
+  }
+  // \uXXXX escapes decode to UTF-8, as Python's json.dumps writes them.
+  ASSERT_TRUE(parseRequest(
+      "{\"cmd\": \"CANCEL\", \"id\": \"caf\\u00e9\\u20ac\\ud83d\\ude00\"}",
+      defaults, &req, &err))
+      << err;
+  EXPECT_EQ(req.id, "caf\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
 }
 
 TEST(NetProtocol, ParsesRev3ClusterAdminCommands) {
@@ -267,6 +321,27 @@ TEST(NetProtocol, ParsesRev3ClusterAdminCommands) {
       << err;
   EXPECT_EQ(req.cmd, Command::CachePut);
   EXPECT_EQ(req.fingerprint, "ab12");
+  EXPECT_EQ(req.cacheVerdict.verdict, service::Verdict::Fails);
+  // The verdict payload is decoded with the request.
+  ASSERT_TRUE(parseRequest(
+      "{\"cmd\": \"CACHE_PUT\", \"fingerprint\": \"ab12\", \"verdict\": "
+      "\"Holds\", \"rule\": \"direct\", \"engine\": \"monolithic\", "
+      "\"seconds\": 0.25, \"counterexample\": \"s=1\\n\", \"proof\": \"[]\"}",
+      defaults, &req, &err))
+      << err;
+  EXPECT_EQ(req.cacheVerdict.verdict, service::Verdict::Holds);
+  EXPECT_EQ(req.cacheVerdict.rule, "direct");
+  EXPECT_EQ(req.cacheVerdict.engine, "monolithic");
+  EXPECT_EQ(req.cacheVerdict.seconds, 0.25);
+  EXPECT_EQ(req.cacheVerdict.counterexample, "s=1\n");
+  EXPECT_EQ(req.cacheVerdict.proofJson, "[]");
+  EXPECT_FALSE(parseRequest("{\"cmd\": \"CACHE_PUT\", \"fingerprint\": "
+                            "\"ab12\", \"verdict\": \"Holds\", \"seconds\": "
+                            "\"soon\"}",
+                            defaults, &req, &err));
+  EXPECT_FALSE(parseRequest("{\"cmd\": \"JOIN\", \"shard\": \"s4\", "
+                            "\"tcp\": \"7402\"}",
+                            defaults, &req, &err));
   // The write-through carries decided verdicts only: no fingerprint, or a
   // non-terminal verdict, is refused at the parse layer.
   EXPECT_FALSE(parseRequest("{\"cmd\": \"CACHE_PUT\", \"verdict\": "
@@ -330,6 +405,21 @@ TEST(NetServer, MalformedRequestsGetBadRequestAndConnectionSurvives) {
   EXPECT_NE(resp.find("\"state\": \"serving\""), std::string::npos);
   EXPECT_NE(resp.find(util::versionString()), std::string::npos);
   EXPECT_EQ(h.metrics.counterValue("protocol_errors"), 2u);
+  // The malformed-line corpus, each case in a field that takes an integer,
+  // gets BAD_REQUEST on the same connection; the depth bomb still fits one
+  // line.
+  const std::vector<std::string> corpus =
+      test::malformedValues(kMaxLineBytes - 128);
+  for (const std::string& v : corpus) {
+    ASSERT_TRUE(c.request("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
+                          "\"node_budget\": " + v + "}",
+                          &resp, &err))
+        << err;
+    EXPECT_NE(resp.find(kBadRequest), std::string::npos) << v.substr(0, 40);
+  }
+  ASSERT_TRUE(c.request("{ \"cmd\" : \"STATUS\" }", &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
+  EXPECT_EQ(h.metrics.counterValue("protocol_errors"), 2u + corpus.size());
 }
 
 TEST(NetServer, OversizedLineIsRejectedAndConnectionClosed) {
@@ -380,10 +470,10 @@ TEST(NetServer, ChecksInlineModelAndEmbedsReport) {
   EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
   EXPECT_NE(resp.find("\"verdict\": \"Holds\""), std::string::npos);
   std::uint64_t obligations = 0;
-  EXPECT_TRUE(service::jsonExtractUint(resp, "obligations", &obligations));
+  EXPECT_TRUE(test::parsedJson(resp).req("obligations", &obligations));
   EXPECT_EQ(obligations, 1u);
   std::string report;
-  ASSERT_TRUE(service::jsonExtractString(resp, "report", &report));
+  ASSERT_TRUE(test::parsedJson(resp).req("report", &report));
   // The embedded report is the full (unescaped) JobReport document,
   // version-stamped.
   EXPECT_NE(report.find("\"cmc_version\": \""), std::string::npos);
@@ -408,13 +498,13 @@ TEST(NetServer, SecondIdenticalSubmissionIsAllCache) {
                         &warm, &err))
       << err;
   std::uint64_t obligations = 0, coldHits = 0, warmHits = 0;
-  ASSERT_TRUE(service::jsonExtractUint(warm, "obligations", &obligations));
-  service::jsonExtractUint(cold, "cache_hits", &coldHits);
-  service::jsonExtractUint(warm, "cache_hits", &warmHits);
+  ASSERT_TRUE(test::parsedJson(warm).req("obligations", &obligations));
+  test::parsedJson(cold).req("cache_hits", &coldHits);
+  test::parsedJson(warm).req("cache_hits", &warmHits);
   EXPECT_EQ(coldHits, 0u);
   EXPECT_EQ(warmHits, obligations);  // every obligation served from cache
   std::string report;
-  ASSERT_TRUE(service::jsonExtractString(warm, "report", &report));
+  ASSERT_TRUE(test::parsedJson(warm).req("report", &report));
   EXPECT_NE(report.find("\"verdict_source\": \"cache\""), std::string::npos);
   EXPECT_EQ(report.find("\"verdict_source\": \"checked\""),
             std::string::npos);
@@ -459,7 +549,7 @@ TEST(NetServer, QueuedRequestWaitsForSlotAndCompletes) {
   ASSERT_TRUE(queued.readResponse(&resp, &err)) << err;
   EXPECT_NE(resp.find("\"verdict\": \"Holds\""), std::string::npos);
   double waited = 0.0;
-  ASSERT_TRUE(service::jsonExtractDouble(resp, "queue_wait_seconds", &waited));
+  ASSERT_TRUE(test::parsedJson(resp).req("queue_wait_seconds", &waited));
   EXPECT_GT(waited, 0.0);  // it really did wait for the slot
   EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 2u);
   EXPECT_EQ(h.metrics.counterValue("checks_completed"), 2u);
@@ -626,12 +716,12 @@ TEST(NetServer, StatsAreConsistentAfterABurst) {
   // And through the wire: the STATS response carries both renderings.
   ASSERT_TRUE(c.request("{\"cmd\": \"STATS\"}", &resp, &err)) << err;
   std::string text;
-  ASSERT_TRUE(service::jsonExtractString(resp, "metrics_text", &text));
+  ASSERT_TRUE(test::parsedJson(resp).req("metrics_text", &text));
   EXPECT_NE(text.find("checks_completed 4\n"), std::string::npos);
   EXPECT_NE(text.find("request_seconds_bucket{le=\"+Inf\"} 4\n"),
             std::string::npos);
   std::string json;
-  ASSERT_TRUE(service::jsonExtractString(resp, "metrics", &json));
+  ASSERT_TRUE(test::parsedJson(resp).req("metrics", &json));
   EXPECT_NE(json.find("\"checks_completed\": 4"), std::string::npos);
 }
 

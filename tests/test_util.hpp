@@ -1,6 +1,9 @@
 // Shared helpers for the test suite: seeded random systems and formulas,
-// and conversion glue for cross-validating the two checkers.
+// conversion glue for cross-validating the two checkers, and reading
+// protocol responses.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <random>
 #include <string>
@@ -12,8 +15,51 @@
 #include "kripke/explicit_system.hpp"
 #include "symbolic/checker.hpp"
 #include "symbolic/encode.hpp"
+#include "util/json.hpp"
 
 namespace cmc::test {
+
+/// `line` read by the strict JSON reader; a line it rejects fails the test.
+inline util::JsonValue parsedJson(const std::string& line) {
+  util::JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(util::parseJson(line, &doc, &error)) << error << "\n" << line;
+  return doc;
+}
+
+/// Malformed values for the malformed-line corpus.  Each is dropped into a
+/// line as the value of a field that takes a string or an unsigned
+/// integer, so every one must make that line's reader fail: syntax errors,
+/// bad escapes, raw control characters, lone surrogates, a duplicate key,
+/// trailing data, numbers an integer field cannot hold, NUL bytes, and a
+/// `bombBytes`-long run of '[' (nesting far past the depth limit).
+inline std::vector<std::string> malformedValues(std::size_t bombBytes) {
+  using namespace std::string_literals;
+  return {
+      std::string(bombBytes, '['),
+      "\"\\u12\"",                        // truncated \u escape
+      "\"\\",                             // truncated escape
+      "\"\\x\"",                          // unknown escape
+      "\"a\x01" "b\"",                    // raw control characters
+      "\"\x1f\"",
+      "\"\\ud83d\"",                      // lone high surrogate
+      "\"\\ude00\"",                      // lone low surrogate
+      "\"\\ud83d\\u0041\"",               // high surrogate, no low one
+      "\"x\", \"dup\": 1, \"dup\": 2",    // duplicate key
+      "\"x\"} {\"x\": 1",                 // data after the object
+      "12abc",
+      "trueish",
+      "1e3",
+      "-1",
+      "1.5",
+      "18446744073709551616",
+      "NaN",
+      "\"unterminated",
+      "\"a\0b\""s,                        // NUL byte in a string
+      "1\0"s,                             // NUL byte after a value
+      "",
+  };
+}
 
 /// Atom names a, b, c, ... (up to 26).
 inline std::vector<std::string> atomNames(std::size_t n) {

@@ -41,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -51,9 +52,12 @@
 #include "cluster/topology.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "service/job_options.hpp"
 #include "service/obligation_cache.hpp"
 #include "service/scheduler.hpp"
 #include "util/failpoint.hpp"
+#include "util/json.hpp"
+#include "util/string_util.hpp"
 #include "util/version.hpp"
 
 using namespace cmc;
@@ -282,20 +286,39 @@ std::string siblingPath(const std::string& modelPath, const char* suffix) {
   return base + suffix;
 }
 
-bool parseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-/// Parse an --engine value; prints the usage error itself.
-bool parseEngineMode(const char* v, symbolic::EngineMode* out) {
-  if (v != nullptr && symbolic::engineModeFromString(v, out)) return true;
-  std::cerr << "cmc: --engine must be auto, partitioned, or monolithic\n";
+/// A numeric flag's value: digits only, in [min, max].  Prints the usage
+/// error itself, naming the flag; a null `text` (no value) was already
+/// reported.
+bool uintArg(const std::string& flag, const char* text, std::uint64_t min,
+             std::uint64_t max, std::uint64_t* out) {
+  if (text == nullptr) return false;
+  std::uint64_t n = 0;
+  if (parseUint(text, &n) && n >= min && n <= max) {
+    *out = n;
+    return true;
+  }
+  std::cerr << "cmc: " << flag << " needs an integer in " << min << ".."
+            << max << ", got '" << text << "'\n";
   return false;
 }
+
+/// The job-option flags of every subcommand, through the table in
+/// service/job_options.hpp.  Prints the usage error itself.
+service::FlagParse jobOptionArg(int argc, char** argv, int* i,
+                                service::JobOptions* job,
+                                service::JobOptionSet* given = nullptr) {
+  std::string error;
+  const service::FlagParse parsed =
+      service::parseJobOptionFlag(argc, argv, i, job, given, &error);
+  if (parsed == service::FlagParse::Invalid) {
+    std::cerr << "cmc: " << error << "\n";
+  }
+  return parsed;
+}
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
 
 int parseArgs(int argc, char** argv, CliOptions* cli) {
   // The CLI resolves the engine adaptively by default; library embedders
@@ -310,40 +333,16 @@ int parseArgs(int argc, char** argv, CliOptions* cli) {
       }
       return argv[++i];
     };
-    if (arg == "--compose") {
-      cli->job.compose = true;
-    } else if (arg == "--learn") {
-      // Learning only applies to composed obligations; asking for it is
-      // asking for the composition.
-      cli->job.learn = true;
-      cli->job.compose = true;
-    } else if (arg == "--engine") {
-      if (!parseEngineMode(next(), &cli->job.engine)) return 2;
-    } else if (arg == "--no-retry") {
-      cli->job.retryOtherEngine = false;
-    } else if (arg == "--trace-force") {
-      cli->job.traceForce = true;
-    } else if (arg == "--reorder") {
-      cli->job.reorderBeforeCheck = true;
-    } else if (arg == "--strict") {
+    const service::FlagParse r = jobOptionArg(argc, argv, &i, &cli->job);
+    if (r == service::FlagParse::Invalid) return 2;
+    if (r == service::FlagParse::Applied) continue;
+    std::uint64_t n = 0;
+    if (arg == "--strict") {
       cli->strict = true;
     } else if (arg == "--quiet") {
       cli->quiet = true;
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      std::uint64_t ms = 0;
-      if (v == nullptr || !parseUint(v, &ms)) return 2;
-      cli->job.limits.deadlineSeconds = static_cast<double>(ms) / 1e3;
-    } else if (arg == "--node-budget") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &cli->job.limits.nodeBudget)) return 2;
-    } else if (arg == "--cluster") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &cli->job.clusterThreshold)) return 2;
     } else if (arg == "--threads") {
-      const char* v = next();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parseUint(v, &n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
       cli->threads = static_cast<unsigned>(n);
     } else if (arg == "--report") {
       const char* v = next();
@@ -653,33 +652,32 @@ int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
       }
       return argv[++i];
     };
-    const auto nextUint = [&](std::uint64_t* out) {
-      const char* v = next();
-      return v != nullptr && parseUint(v, out);
-    };
+    const service::FlagParse r = jobOptionArg(argc, argv, &i, &job);
+    if (r == service::FlagParse::Invalid) return 2;
+    if (r == service::FlagParse::Applied) continue;
     std::uint64_t n = 0;
     if (arg == "--socket") {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->server.socketPath = v;
     } else if (arg == "--tcp") {
-      if (!nextUint(&n) || n > 65535) return 2;
+      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
       opts->server.tcpPort = static_cast<int>(n);
     } else if (arg == "--max-inflight") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
       opts->server.maxInFlight = static_cast<unsigned>(n);
     } else if (arg == "--queue-depth") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
       opts->server.queueDepth = static_cast<std::size_t>(n);
     } else if (arg == "--model-root") {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->server.modelRoot = v;
     } else if (arg == "--metrics-interval-ms") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
       opts->server.metricsIntervalSeconds = static_cast<double>(n) / 1e3;
     } else if (arg == "--threads") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
       opts->threads = static_cast<unsigned>(n);
     } else if (arg == "--cache-dir") {
       const char* v = next();
@@ -701,25 +699,6 @@ int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->failpoints.push_back(v);
-    } else if (arg == "--compose") {
-      job.compose = true;
-    } else if (arg == "--engine") {
-      if (!parseEngineMode(next(), &job.engine)) return 2;
-    } else if (arg == "--no-retry") {
-      job.retryOtherEngine = false;
-    } else if (arg == "--trace-force") {
-      job.traceForce = true;
-    } else if (arg == "--reorder") {
-      job.reorderBeforeCheck = true;
-    } else if (arg == "--deadline-ms") {
-      if (!nextUint(&n)) return 2;
-      job.limits.deadlineSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--node-budget") {
-      if (!nextUint(&n)) return 2;
-      job.limits.nodeBudget = n;
-    } else if (arg == "--cluster") {
-      if (!nextUint(&n)) return 2;
-      job.clusterThreshold = n;
     } else {
       std::cerr << "cmc serve: unknown option " << arg << "\n";
       return 2;
@@ -844,42 +823,41 @@ int parseCoordinatorArgs(int argc, char** argv, CoordinatorCliOptions* opts) {
       }
       return argv[++i];
     };
-    const auto nextUint = [&](std::uint64_t* out) {
-      const char* v = next();
-      return v != nullptr && parseUint(v, out);
-    };
+    const service::FlagParse r = jobOptionArg(argc, argv, &i, &job);
+    if (r == service::FlagParse::Invalid) return 2;
+    if (r == service::FlagParse::Applied) continue;
     std::uint64_t n = 0;
     if (arg == "--socket") {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->coord.socketPath = v;
     } else if (arg == "--tcp") {
-      if (!nextUint(&n) || n > 65535) return 2;
+      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
       opts->coord.tcpPort = static_cast<int>(n);
     } else if (arg == "--topology") {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->topologyPath = v;
     } else if (arg == "--max-inflight") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
       opts->coord.maxInFlight = static_cast<unsigned>(n);
     } else if (arg == "--forward-threads") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
       opts->coord.forwardThreads = static_cast<unsigned>(n);
     } else if (arg == "--probe-interval-ms") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
       opts->coord.probeIntervalSeconds = static_cast<double>(n) / 1e3;
     } else if (arg == "--fail-threshold") {
-      if (!nextUint(&n) || n == 0) return 2;
+      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
       opts->coord.failThreshold = static_cast<int>(n);
     } else if (arg == "--probation-probes") {
-      if (!nextUint(&n) || n == 0) return 2;
+      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
       opts->coord.probationProbes = static_cast<int>(n);
     } else if (arg == "--replication") {
-      if (!nextUint(&n) || n == 0) return 2;
+      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
       opts->coord.replicationFactor = static_cast<int>(n);
     } else if (arg == "--hedge-ms") {
-      if (!nextUint(&n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
       opts->coord.hedgeDelaySeconds = static_cast<double>(n) / 1e3;
     } else if (arg == "--model-root") {
       const char* v = next();
@@ -893,25 +871,6 @@ int parseCoordinatorArgs(int argc, char** argv, CoordinatorCliOptions* opts) {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->failpoints.push_back(v);
-    } else if (arg == "--compose") {
-      job.compose = true;
-    } else if (arg == "--engine") {
-      if (!parseEngineMode(next(), &job.engine)) return 2;
-    } else if (arg == "--no-retry") {
-      job.retryOtherEngine = false;
-    } else if (arg == "--trace-force") {
-      job.traceForce = true;
-    } else if (arg == "--reorder") {
-      job.reorderBeforeCheck = true;
-    } else if (arg == "--deadline-ms") {
-      if (!nextUint(&n)) return 2;
-      job.limits.deadlineSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--node-budget") {
-      if (!nextUint(&n)) return 2;
-      job.limits.nodeBudget = n;
-    } else if (arg == "--cluster") {
-      if (!nextUint(&n)) return 2;
-      job.clusterThreshold = n;
     } else {
       std::cerr << "cmc coordinator: unknown option " << arg << "\n";
       return 2;
@@ -1071,11 +1030,9 @@ struct SubmitOptions {
   int maxRetries = 0;
   int retryMs = 200;
   service::JobOptions job;
-  // Only explicitly given options are sent; the server's defaults cover
-  // the rest.
-  bool setCompose = false, setEngine = false, setNoRetry = false;
-  bool setDeadline = false, setNodeBudget = false, setCluster = false;
-  bool setReorder = false, setTraceForce = false, setLearn = false;
+  /// Only the job options given on the command line are sent; the
+  /// server's defaults cover the rest.
+  service::JobOptionSet given;
   std::vector<std::string> models;
 };
 
@@ -1089,14 +1046,17 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
       }
       return argv[++i];
     };
+    const service::FlagParse r =
+        jobOptionArg(argc, argv, &i, &opts->job, &opts->given);
+    if (r == service::FlagParse::Invalid) return 2;
+    if (r == service::FlagParse::Applied) continue;
     std::uint64_t n = 0;
     if (arg == "--socket") {
       const char* v = next();
       if (v == nullptr) return 2;
       opts->socketPath = v;
     } else if (arg == "--tcp") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n) || n > 65535) return 2;
+      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
       opts->tcpPort = static_cast<int>(n);
     } else if (arg == "--status") {
       opts->status = true;
@@ -1119,8 +1079,7 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
       if (v == nullptr) return 2;
       opts->shardSocket = v;
     } else if (arg == "--shard-tcp") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n) || n == 0 || n > 65535) return 2;
+      if (!uintArg(arg, next(), 1, 65535, &n)) return 2;
       opts->shardTcp = static_cast<int>(n);
     } else if (arg == "--cancel") {
       const char* v = next();
@@ -1143,48 +1102,11 @@ int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
     } else if (arg == "--quiet") {
       opts->quiet = true;
     } else if (arg == "--max-retries") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n)) return 2;
+      if (!uintArg(arg, next(), 0, kMaxInt, &n)) return 2;
       opts->maxRetries = static_cast<int>(n);
     } else if (arg == "--retry-ms") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n) || n == 0) return 2;
+      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
       opts->retryMs = static_cast<int>(n);
-    } else if (arg == "--compose") {
-      opts->job.compose = true;
-      opts->setCompose = true;
-    } else if (arg == "--learn") {
-      opts->job.learn = true;
-      opts->job.compose = true;
-      opts->setLearn = true;
-      opts->setCompose = true;
-    } else if (arg == "--engine") {
-      if (!parseEngineMode(next(), &opts->job.engine)) return 2;
-      opts->setEngine = true;
-    } else if (arg == "--no-retry") {
-      opts->job.retryOtherEngine = false;
-      opts->setNoRetry = true;
-    } else if (arg == "--trace-force") {
-      opts->job.traceForce = true;
-      opts->setTraceForce = true;
-    } else if (arg == "--reorder") {
-      opts->job.reorderBeforeCheck = true;
-      opts->setReorder = true;
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &n)) return 2;
-      opts->job.limits.deadlineSeconds = static_cast<double>(n) / 1e3;
-      opts->setDeadline = true;
-    } else if (arg == "--node-budget") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &opts->job.limits.nodeBudget))
-        return 2;
-      opts->setNodeBudget = true;
-    } else if (arg == "--cluster") {
-      const char* v = next();
-      if (v == nullptr || !parseUint(v, &opts->job.clusterThreshold))
-        return 2;
-      opts->setCluster = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "cmc submit: unknown option " << arg << "\n";
       return 2;
@@ -1228,22 +1150,7 @@ std::string buildCheckRequest(const SubmitOptions& opts, const std::string& id,
   service::JsonObject req;
   req.put("cmd", "CHECK").put("id", id);
   if (!name.empty()) req.put("name", name);
-  if (opts.setCompose) req.putBool("compose", opts.job.compose);
-  if (opts.setLearn) req.putBool("learn", opts.job.learn);
-  if (opts.setReorder) req.putBool("reorder", opts.job.reorderBeforeCheck);
-  if (opts.setNoRetry) req.putBool("no_retry", !opts.job.retryOtherEngine);
-  if (opts.setTraceForce) req.putBool("trace_force", opts.job.traceForce);
-  if (opts.setEngine) {
-    req.put("engine", symbolic::toString(opts.job.engine));
-  }
-  if (opts.setDeadline) {
-    req.putUint("deadline_ms", static_cast<std::uint64_t>(
-                                   opts.job.limits.deadlineSeconds * 1e3));
-  }
-  if (opts.setNodeBudget) req.putUint("node_budget", opts.job.limits.nodeBudget);
-  if (opts.setCluster) req.putUint("cluster", opts.job.clusterThreshold);
-  // Free text goes last: flat extraction of the typed fields above then
-  // never scans across the (escaped) model text.
+  service::writeJobOptions(opts.job, opts.given, &req);
   req.put("smv", smv);
   return req.str();
 }
@@ -1252,45 +1159,41 @@ std::string buildCheckRequest(const SubmitOptions& opts, const std::string& id,
 /// (0 ok, 2 bad request, 6 refused) and folds the verdict into *worst.
 int renderCheckResponse(const std::string& resp, bool quiet,
                         service::Verdict* worst, std::string* reportOut) {
-  bool ok = false;
-  service::jsonExtractBool(resp, "ok", &ok);
-  std::string id;
-  service::jsonExtractString(resp, "id", &id);
+  util::JsonValue doc;
+  bool ok = false, queueCancelled = false;
+  std::string id, code, message, job, verdictText, report;
+  std::uint64_t obligations = 0, holds = 0, fails = 0, cacheHits = 0;
+  double wall = 0.0, wait = 0.0;
+  service::Verdict verdict = service::Verdict::Error;
+  // A refusal carries a code and an error; a verdict, the summary fields.
+  if (!util::parseJson(resp, &doc, nullptr) || !doc.req("ok", &ok) ||
+      !doc.opt("id", &id) || !doc.opt("code", &code) ||
+      !doc.opt("error", &message) ||
+      (ok && !(doc.req("verdict", &verdictText) &&
+               service::verdictFromString(verdictText, &verdict) &&
+               doc.opt("job", &job) && doc.opt("obligations", &obligations) &&
+               doc.opt("holds", &holds) && doc.opt("fails", &fails) &&
+               doc.opt("cache_hits", &cacheHits) &&
+               doc.opt("wall_seconds", &wall) &&
+               doc.opt("queue_wait_seconds", &wait) &&
+               doc.opt("cancelled_in_queue", &queueCancelled) &&
+               doc.opt("report", &report)))) {
+    std::cerr << "cmc submit: malformed response: " << resp.substr(0, 200)
+              << "\n";
+    return 2;
+  }
   if (!ok) {
-    std::string code, message;
-    service::jsonExtractString(resp, "code", &code);
-    service::jsonExtractString(resp, "error", &message);
     std::cerr << "cmc submit: " << (id.empty() ? "request" : id) << ": "
               << code << ": " << message << "\n";
     return code == net::kBusy || code == net::kDraining ? 6 : 2;
   }
-  std::string job, verdictText;
-  service::jsonExtractString(resp, "job", &job);
-  service::jsonExtractString(resp, "verdict", &verdictText);
-  std::uint64_t obligations = 0, holds = 0, fails = 0, cacheHits = 0;
-  service::jsonExtractUint(resp, "obligations", &obligations);
-  service::jsonExtractUint(resp, "holds", &holds);
-  service::jsonExtractUint(resp, "fails", &fails);
-  service::jsonExtractUint(resp, "cache_hits", &cacheHits);
-  double wall = 0.0, wait = 0.0;
-  service::jsonExtractDouble(resp, "wall_seconds", &wall);
-  service::jsonExtractDouble(resp, "queue_wait_seconds", &wait);
   std::cout << "== job " << job << ": " << verdictText << " (" << obligations
             << " obligations, " << holds << " hold, " << fails << " fail, "
             << cacheHits << " cache hits, " << service::jsonNumber(wall)
             << " s wall, " << service::jsonNumber(wait) << " s queued) ==\n";
-  if (!quiet) {
-    bool queueCancelled = false;
-    service::jsonExtractBool(resp, "cancelled_in_queue", &queueCancelled);
-    if (queueCancelled) std::cout << "-- cancelled while queued --\n";
-  }
-  service::Verdict verdict = service::Verdict::Error;
-  if (service::verdictFromString(verdictText, &verdict)) {
-    *worst = service::worseVerdict(*worst, verdict);
-  }
-  if (reportOut != nullptr) {
-    service::jsonExtractString(resp, "report", reportOut);
-  }
+  if (!quiet && queueCancelled) std::cout << "-- cancelled while queued --\n";
+  *worst = service::worseVerdict(*worst, verdict);
+  if (reportOut != nullptr) *reportOut = std::move(report);
   return 0;
 }
 
@@ -1352,18 +1255,18 @@ int runSubmit(const SubmitOptions& opts) {
       std::cerr << "cmc submit: " << err << "\n";
       return 2;
     }
+    util::JsonValue doc;
     bool ok = false;
-    service::jsonExtractBool(resp, "ok", &ok);
+    if (util::parseJson(resp, &doc, nullptr)) doc.opt("ok", &ok);
     if (opts.stats && ok) {
       // The greppable rendering: one metric per line.
       std::string text;
-      if (service::jsonExtractString(resp, "metrics_text", &text)) {
-        std::cout << text;
-      }
       double uptime = 0.0;
       std::uint64_t entries = 0;
-      service::jsonExtractDouble(resp, "uptime_seconds", &uptime);
-      if (service::jsonExtractUint(resp, "cache_entries", &entries)) {
+      doc.opt("metrics_text", &text);
+      doc.opt("uptime_seconds", &uptime);
+      std::cout << text;
+      if (doc.req("cache_entries", &entries)) {
         std::cout << "cache_entries " << entries << "\n";
       }
       std::cout << "uptime_seconds " << service::jsonNumber(uptime) << "\n";
