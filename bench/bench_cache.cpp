@@ -8,6 +8,7 @@
 // the composed AFS-2 workload; BENCH_cache.json records the ratio.
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #include "afs/smv_sources.hpp"
 #include "bench_common.hpp"
@@ -44,7 +45,7 @@ std::filesystem::path scratchDir(const std::string& tag) {
 struct RunStats {
   bool allHold = true;
   double seconds = 0.0;
-  double hitRate = 0.0;
+  std::optional<double> hitRate;  ///< unset when no cache was consulted
 };
 
 RunStats runOnce(service::VerificationService& svc,

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,16 +20,17 @@
 namespace cmc::bench {
 
 /// One machine-readable result row of a bench binary's reproduction
-/// report; serialized into BENCH_<name>.json.
+/// report; serialized into BENCH_<name>.json.  The BDD counters are
+/// written only when the row measured them.
 struct JsonEntry {
   std::string model;
   std::string spec;
   bool holds = false;
   double seconds = 0.0;
-  std::uint64_t nodesAllocated = 0;
-  std::uint64_t transNodes = 0;
-  std::uint64_t peakLiveNodes = 0;
-  double cacheHitRate = 0.0;
+  std::optional<std::uint64_t> nodesAllocated;
+  std::optional<std::uint64_t> transNodes;
+  std::optional<std::uint64_t> peakLiveNodes;
+  std::optional<double> cacheHitRate;
   std::string mode;  ///< e.g. "monolithic" / "partitioned"; may be empty
   /// Engine configuration the row ran under, so results are comparable
   /// across PRs without guessing the defaults of the day.
@@ -66,6 +68,14 @@ inline void recordCheck(const std::string& model,
   recordResult(std::move(e));
 }
 
+/// `v` with `digits` decimals, as the committed results have always
+/// printed seconds (6) and hit rates (4).
+inline std::string jsonFixed(double v, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+  return buf;
+}
+
 /// Write BENCH_<name>.json into the current directory.
 inline void writeJsonReport(const std::string& name) {
   const std::string path = "BENCH_" + name + ".json";
@@ -79,21 +89,22 @@ inline void writeJsonReport(const std::string& name) {
   const std::vector<JsonEntry>& entries = jsonEntries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const JsonEntry& e = entries[i];
-    std::fprintf(
-        f,
-        "    {\"model\": \"%s\", \"spec\": \"%s\", \"holds\": %s, "
-        "\"seconds\": %.6f, \"nodes_allocated\": %llu, \"trans_nodes\": "
-        "%llu, \"peak_live_nodes\": %llu, \"cache_hit_rate\": %.4f, "
-        "\"mode\": \"%s\", \"cluster_threshold\": %llu, "
-        "\"reorder\": %s}%s\n",
-        util::jsonEscape(e.model).c_str(), util::jsonEscape(e.spec).c_str(),
-        e.holds ? "true" : "false", e.seconds,
-        static_cast<unsigned long long>(e.nodesAllocated),
-        static_cast<unsigned long long>(e.transNodes),
-        static_cast<unsigned long long>(e.peakLiveNodes), e.cacheHitRate,
-        util::jsonEscape(e.mode).c_str(),
-        static_cast<unsigned long long>(e.clusterThreshold),
-        e.reorder ? "true" : "false", i + 1 < entries.size() ? "," : "");
+    util::JsonObject row;
+    row.put("model", e.model)
+        .put("spec", e.spec)
+        .putBool("holds", e.holds)
+        .putRaw("seconds", jsonFixed(e.seconds, 6));
+    if (e.nodesAllocated) row.putUint("nodes_allocated", *e.nodesAllocated);
+    if (e.transNodes) row.putUint("trans_nodes", *e.transNodes);
+    if (e.peakLiveNodes) row.putUint("peak_live_nodes", *e.peakLiveNodes);
+    if (e.cacheHitRate) {
+      row.putRaw("cache_hit_rate", jsonFixed(*e.cacheHitRate, 4));
+    }
+    row.put("mode", e.mode)
+        .putUint("cluster_threshold", e.clusterThreshold)
+        .putBool("reorder", e.reorder);
+    std::fprintf(f, "    %s%s\n", row.str().c_str(),
+                 i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -79,29 +79,27 @@ void benchModel(const std::string& name, const std::string& text) {
               agree ? "" : "  (VERDICT MISMATCH)");
 
   const auto record = [&](const char* mode, double seconds,
-                          std::uint64_t cacheHits, double hitRate) {
+                          const service::JobReport* learned) {
     bench::JsonEntry e;
     e.model = name;
     e.spec = "all composed specs";
     e.holds = holds && agree;
     e.seconds = seconds;
     e.mode = mode;
-    e.cacheHitRate = hitRate;
-    e.nodesAllocated = cacheHits;  // query-cache hits for the learn rows
+    // A learned run's hit rate is its obligation cache's (the teacher's
+    // queries); the direct check measures none.
+    const std::uint64_t lookups =
+        learned == nullptr ? 0 : learned->cacheHits + learned->cacheMisses;
+    if (lookups > 0) {
+      e.cacheHitRate = static_cast<double>(learned->cacheHits) /
+                       static_cast<double>(lookups);
+    }
     e.clusterThreshold = service::JobOptions{}.clusterThreshold;
     bench::recordResult(std::move(e));
   };
-  record("direct-composed", directSeconds, 0, 0.0);
-  const double coldTotal =
-      static_cast<double>(cold.cacheHits + cold.cacheMisses);
-  record("learn-cold", coldSeconds, cold.cacheHits,
-         coldTotal > 0 ? static_cast<double>(cold.cacheHits) / coldTotal
-                       : 0.0);
-  const double warmTotal =
-      static_cast<double>(warm.cacheHits + warm.cacheMisses);
-  record("learn-warm", warmSeconds, warm.cacheHits,
-         warmTotal > 0 ? static_cast<double>(warm.cacheHits) / warmTotal
-                       : 0.0);
+  record("direct-composed", directSeconds, nullptr);
+  record("learn-cold", coldSeconds, &cold);
+  record("learn-warm", warmSeconds, &warm);
 }
 
 void report() {

@@ -5,9 +5,11 @@
 // or an in-memory ModelFactory.  The service expands a job into independent
 // *obligations* — one per (module, spec), plus one per spec on the composed
 // system when `compose` is set — and fans them onto a thread pool.  Every
-// obligation rebuilds its models in a fresh symbolic::Context because BDD
+// attempt runs in a symbolic::Context of its own worker thread, because BDD
 // managers are single-threaded (the same discipline as
-// comp::runObligations).
+// comp::runObligations): imported from the job's elaboration snapshot,
+// rebuilt from scratch, or kept from the worker's previous decided
+// obligation of the same target and engine.
 //
 // Verdicts extend the paper's two-valued M ⊨_r f with the resource-governed
 // outcomes a production service needs (docs/THEORY.md maps them back to
@@ -51,7 +53,10 @@ Verdict worseVerdict(Verdict a, Verdict b) noexcept;
 
 /// Per-obligation resource budget, enforced cooperatively by BudgetToken
 /// through CheckerOptions::cancelCheck.  Both limits apply *per attempt*:
-/// an engine retry starts with a fresh deadline and a fresh BDD manager.
+/// every attempt starts a fresh deadline, and an engine retry also a fresh
+/// BDD manager.  A warm attempt's manager (see AttemptRecord::warm) holds
+/// exactly what a fresh import would once the node budget's collection has
+/// run, so the budget binds the same.
 struct ObligationLimits {
   /// Wall-clock deadline in seconds; 0 = unlimited.
   double deadlineSeconds = 0.0;
@@ -131,6 +136,11 @@ struct VerificationJob {
 /// One engine attempt of one obligation.
 struct AttemptRecord {
   std::string engine;  ///< "partitioned" or "monolithic"
+  /// Ran on a context kept from the same worker's previous decided
+  /// obligation of this target and engine ("context": "warm"), instead of
+  /// one built and imported for it ("fresh").  A warm attempt has no
+  /// import or elaboration time.
+  bool warm = false;
   Verdict verdict = Verdict::Error;
   double seconds = 0.0;
   std::uint64_t peakLiveNodes = 0;

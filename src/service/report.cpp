@@ -43,6 +43,7 @@ namespace {
 std::string attemptJson(const AttemptRecord& a) {
   return JsonObject()
       .put("engine", a.engine)
+      .put("context", a.warm ? "warm" : "fresh")
       .put("verdict", toString(a.verdict))
       .putDouble("seconds", a.seconds)
       .putUint("peak_live_nodes", a.peakLiveNodes)

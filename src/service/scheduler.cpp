@@ -5,6 +5,7 @@
 #include <future>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "comp/classify.hpp"
@@ -92,6 +93,114 @@ struct ObligationInstruments {
   LatencyHistogram& obligationSeconds;
 };
 
+/// A worker's BDD context for one obligation target, with the modules
+/// (and, for a composed obligation, the composition) imported or rebuilt
+/// into it.  `ctx` is declared first, so every handle below it dies before
+/// the manager that owns it.
+struct WorkerContext {
+  WorkerContext(std::size_t arenaCapacity, std::size_t cacheCapacity)
+      : ctx(arenaCapacity, cacheCapacity) {}
+
+  symbolic::Context ctx;
+  std::vector<smv::ElaboratedModule> modules;
+  std::optional<symbolic::SymbolicSystem> composed;
+};
+
+/// The worker contexts one job keeps between its obligations.  A worker
+/// that decided an obligation keeps its context and runs its next
+/// obligation of the same (target, engine) on it — warm — instead of
+/// sizing, zeroing and importing a fresh manager.  Slots are thread-affine:
+/// a worker only takes back a context it built itself, and holds at most
+/// one at a time, whatever its job.  A kept context is destroyed when its
+/// worker's next attempt cannot use it, when its target has nothing left
+/// to dispatch, and at job end (clear).
+class WarmContexts : public std::enable_shared_from_this<WarmContexts> {
+ public:
+  struct Key {
+    std::size_t target = 0;  ///< ObligationDesc::warmTarget()
+    bool partitioned = true;
+    bool operator==(const Key&) const = default;
+  };
+
+  explicit WarmContexts(std::vector<std::size_t> obligationsPerTarget)
+      : undispatched_(std::move(obligationsPerTarget)) {}
+
+  /// A worker picked up an obligation of `target`.
+  void dispatched(std::size_t target) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    --undispatched_.at(target);
+  }
+
+  /// The calling thread's kept context if `job` kept it under `key`, else
+  /// null.  Any other context the thread kept — under another key, for
+  /// another job, or any when `job` is null — is destroyed, so a worker
+  /// never holds one context while it builds another.
+  static std::unique_ptr<WorkerContext> take(WarmContexts* job,
+                                             const Key& key) {
+    const std::shared_ptr<WarmContexts> holder = keeper().lock();
+    keeper().reset();
+    if (holder == nullptr) return nullptr;
+    Slot slot = holder->release();
+    if (holder.get() != job || !(slot.key == key)) return nullptr;
+    return std::move(slot.context);
+  }
+
+  /// Keep `context` for the calling thread's next obligation, unless its
+  /// target has nothing left to dispatch; then it is destroyed.  The
+  /// thread's take() before the attempt left it holding nothing.
+  void keep(const Key& key, std::unique_ptr<WorkerContext> context) {
+    std::unique_ptr<WorkerContext> drained;  // outlives the lock
+    std::lock_guard<std::mutex> lock(mutex_);
+    CMC_ASSERT(slotOfThisThread() == slots_.end());
+    if (undispatched_.at(key.target) == 0) {
+      drained = std::move(context);
+      return;
+    }
+    slots_.push_back(Slot{std::this_thread::get_id(), key, std::move(context)});
+    keeper() = weak_from_this();
+  }
+
+  /// Destroy every kept context (job end).
+  void clear() {
+    std::vector<Slot> slots;  // outlives the lock
+    std::lock_guard<std::mutex> lock(mutex_);
+    slots.swap(slots_);
+  }
+
+ private:
+  struct Slot {
+    std::thread::id thread;
+    Key key;
+    std::unique_ptr<WorkerContext> context;
+  };
+
+  /// The job holding the calling thread's kept context, if any.
+  static std::weak_ptr<WarmContexts>& keeper() {
+    thread_local std::weak_ptr<WarmContexts> holder;
+    return holder;
+  }
+
+  /// Remove the calling thread's slot (empty when clear() already ran).
+  Slot release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = slotOfThisThread();
+    if (it == slots_.end()) return Slot{};
+    Slot slot = std::move(*it);
+    slots_.erase(it);
+    return slot;
+  }
+
+  std::vector<Slot>::iterator slotOfThisThread() {
+    return std::find_if(slots_.begin(), slots_.end(), [](const Slot& s) {
+      return s.thread == std::this_thread::get_id();
+    });
+  }
+
+  std::mutex mutex_;
+  std::vector<std::size_t> undispatched_;  ///< per target
+  std::vector<Slot> slots_;
+};
+
 /// Everything a worker needs to run one obligation: the enumerated
 /// identity (ObligationRef, shared with the cluster coordinator's scout)
 /// plus the owning job.  Descriptors are copied into the pool task, so
@@ -103,6 +212,13 @@ struct ObligationDesc : ObligationRef {
   /// The job's shared elaboration snapshot; null for factory jobs (their
   /// builder runs per attempt) — workers then rebuild from scratch.
   std::shared_ptr<const ElaborationSnapshot> snapshot;
+  /// The job's kept worker contexts; null when no attempt of the job may
+  /// run warm (factory jobs, reorder jobs).
+  std::shared_ptr<WarmContexts> warm;
+
+  /// This obligation's WarmContexts target: 0 for the composition,
+  /// 1 + the module index for a component.
+  std::size_t warmTarget() const { return composed ? 0 : moduleIndex + 1; }
 };
 
 std::vector<smv::ElaboratedModule> materialize(const VerificationJob& job,
@@ -182,9 +298,11 @@ struct AttemptOutput {
 };
 
 /// One engine attempt.  With a snapshot (and `useSnapshot`), the worker
-/// adopts the snapshot's variable layout into a context pre-sized from its
-/// node counts and imports the BDDs it needs — a linear DAG copy in DFS
-/// order, no rehashing mid-import; a composed obligation also imports the
+/// runs warm on the context it kept from its previous decided obligation
+/// of the same target and engine (WarmContexts), or else adopts the
+/// snapshot's variable layout into a context pre-sized from its node
+/// counts and imports the BDDs it needs — a linear DAG copy in DFS order,
+/// no rehashing mid-import; a composed obligation also imports the
 /// snapshot's composition instead of composing.  Otherwise (factory jobs,
 /// quarantine retries) it rebuilds and composes from scratch.
 /// `forcePartitioned` fixes the engine (retries, non-Auto modes,
@@ -201,52 +319,67 @@ AttemptOutput runAttempt(const ObligationDesc& d,
   const bool engineKnown = forcePartitioned.has_value();
   bool partitioned = forcePartitioned.value_or(true);
   out.record.engine = engineKnown ? engineName(partitioned) : "auto";
+  // Only snapshot-backed attempts hand contexts on; their engine is known.
+  WarmContexts* warm = snap != nullptr ? d.warm.get() : nullptr;
+  const WarmContexts::Key key{d.warmTarget(), partitioned};
 
   WallTimer timer;
+  std::unique_ptr<WorkerContext> wc;
   try {
-    symbolic::Context ctx(
-        snap != nullptr ? workerArenaCapacity(snap->liveNodes)
-                        : std::size_t{1} << 14,
-        snap != nullptr ? workerCacheCapacity(snap->liveNodes)
-                        : std::size_t{1} << 14);
-    bdd::Manager& mgr = ctx.mgr();
-
-    std::vector<smv::ElaboratedModule> modules;
-    std::optional<symbolic::SymbolicSystem> composed;
-    std::size_t localIndex = d.moduleIndex;
-    if (snap != nullptr) {
+    wc = WarmContexts::take(warm, key);
+    out.record.warm = wc != nullptr;
+    if (wc != nullptr) {
+      // A warm arena never grows past the capacity a fresh attempt gets:
+      // collect once the live count (earlier attempts' garbage included)
+      // is within an eighth of it.
+      bdd::Manager& mgr = wc->ctx.mgr();
+      const std::size_t capacity = workerArenaCapacity(snap->liveNodes);
+      if (mgr.liveNodeCount() >= capacity - capacity / 8) {
+        mgr.collectGarbage();
+      }
+    } else if (snap != nullptr) {
       // Snapshot path: Auto was resolved by the caller (runAttempts reads
       // the snapshot's probed choice), so `partitioned` is known and the
       // import copies exactly what the chosen engine needs.
       CMC_ASSERT(engineKnown);
       WallTimer importTimer;
-      ctx.adoptVariablesFrom(*snap->ctx);
-      bdd::Importer imp(mgr, snap->ctx->mgr());
+      wc = std::make_unique<WorkerContext>(
+          workerArenaCapacity(snap->liveNodes),
+          workerCacheCapacity(snap->liveNodes));
+      wc->ctx.adoptVariablesFrom(*snap->ctx);
+      bdd::Importer imp(wc->ctx.mgr(), snap->ctx->mgr());
       if (!d.composed) {
-        modules.push_back(importModule(
-            ctx, imp, snap->modules.at(d.moduleIndex),
+        wc->modules.push_back(importModule(
+            wc->ctx, imp, snap->modules.at(d.moduleIndex),
             /*wantMonolithic=*/!partitioned));
-        localIndex = 0;
       } else {
-        modules.reserve(snap->modules.size());
+        wc->modules.reserve(snap->modules.size());
         for (const smv::ElaboratedModule& mod : snap->modules) {
           // The expansions operate on the partitions; component
           // monolithics are never needed.
-          modules.push_back(importModule(ctx, imp, mod,
-                                         /*wantMonolithic=*/false));
+          wc->modules.push_back(importModule(wc->ctx, imp, mod,
+                                             /*wantMonolithic=*/false));
         }
         // The job's composition, built once in the snapshot; its conjuncts
         // share the modules' imported nodes through `imp`.
         CMC_ASSERT(snap->composed.has_value());
-        composed = symbolic::importSystem(ctx, imp, *snap->composed,
-                                          /*wantMonolithic=*/!partitioned);
+        wc->composed = symbolic::importSystem(
+            wc->ctx, imp, *snap->composed, /*wantMonolithic=*/!partitioned);
       }
       out.record.importMs = importTimer.seconds() * 1000.0;
     } else {
+      wc = std::make_unique<WorkerContext>(std::size_t{1} << 14,
+                                           std::size_t{1} << 14);
       WallTimer elaborateTimer;
-      modules = materialize(*d.job, ctx);
+      wc->modules = materialize(*d.job, wc->ctx);
       out.record.elaborateMs = elaborateTimer.seconds() * 1000.0;
     }
+    symbolic::Context& ctx = wc->ctx;
+    bdd::Manager& mgr = ctx.mgr();
+    const std::vector<smv::ElaboratedModule>& modules = wc->modules;
+    // A snapshot import of a component obligation holds just its module.
+    const std::size_t localIndex =
+        snap != nullptr && !d.composed ? 0 : d.moduleIndex;
 
     if (!engineKnown) {
       // Auto without a snapshot: probe on the freshly built system.  For
@@ -290,7 +423,11 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     try {
       if (!d.composed) {
         out.rule = "direct";
-        symbolic::Checker checker(modules.at(localIndex).sys, copts);
+        // Checked on a copy: what the check materializes (a trace's
+        // monolithic relation) dies with the attempt, so a kept context
+        // holds exactly what a fresh import would.
+        const symbolic::SymbolicSystem sys = modules.at(localIndex).sys;
+        symbolic::Checker checker(sys, copts);
         const bool holds = checker.holds(spec);
         out.record.verdict = holds ? Verdict::Holds : Verdict::Fails;
         out.decided = true;
@@ -304,8 +441,9 @@ AttemptOutput runAttempt(const ObligationDesc& d,
           symbolic::addReflexive(sys);
           verifier.addComponent(std::move(sys));
         }
-        // Without a snapshot the verifier composes on first use.
-        if (composed.has_value()) verifier.adoptComposed(std::move(*composed));
+        // Without a snapshot the verifier composes on first use.  It gets a
+        // copy, so the context stays reusable.
+        if (wc->composed.has_value()) verifier.adoptComposed(*wc->composed);
         comp::ProofTree proof;
         bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
         if (!ok && cls != comp::PropertyClass::Unknown) {
@@ -342,9 +480,13 @@ AttemptOutput runAttempt(const ObligationDesc& d,
                   static_cast<double>(lookups);
   } catch (const std::exception& e) {
     out.record.verdict = Verdict::Error;
+    out.decided = false;
     out.error = e.what();
     out.record.seconds = timer.seconds();
   }
+  // Only a decided attempt hands its context on; any other outcome
+  // destroys it here, so degradation retries and quarantine start fresh.
+  if (warm != nullptr && out.decided) warm->keep(key, std::move(wc));
   return out;
 }
 
@@ -484,6 +626,7 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
                    .put("obligation", d.id)
                    .putUint("attempt", static_cast<std::uint64_t>(attemptNo))
                    .put("engine", a.record.engine)
+                   .put("context", a.record.warm ? "warm" : "fresh")
                    .put("verdict", toString(a.record.verdict))
                    .putDouble("seconds", a.record.seconds)
                    .putDouble("elaborate_ms", a.record.elaborateMs)
@@ -622,6 +765,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
   out.fingerprint = d.fingerprint;
   WallTimer dispatchTimer;
   if (ins != nullptr) ins->dispatched.inc();
+  if (d.warm != nullptr) d.warm->dispatched(d.warmTarget());
 
   if (trace.enabled()) {
     trace.emit(JsonObject()
@@ -817,6 +961,7 @@ std::vector<JobReport> VerificationService::runBatch(
     std::shared_ptr<const ElaborationSnapshot> snapshot;
     std::string scoutError;
     std::vector<ObligationDesc> descs;
+    std::shared_ptr<WarmContexts> warm;  ///< null when nothing runs warm
     std::vector<std::future<ObligationOutcome>> futures;
     /// Countdown latch: the caller sleeps on `done` once per job instead
     /// of once per obligation future.  Harvesting futures in submission
@@ -891,10 +1036,18 @@ std::vector<JobReport> VerificationService::runBatch(
               "job '" + job.name + "' has no obligation '" + job.only + "'";
         }
       }
+      // Text jobs run obligations warm on kept contexts; a reorder job
+      // sifts each manager, so its contexts are never handed on.
+      if (shared != nullptr && !job.options.reorderBeforeCheck) {
+        std::vector<std::size_t> perTarget(snap.modules.size() + 1, 0);
+        for (const ObligationDesc& d : state.descs) ++perTarget[d.warmTarget()];
+        state.warm = std::make_shared<WarmContexts>(std::move(perTarget));
+      }
       for (ObligationDesc& d : state.descs) {
         d.job = &job;
         d.jobName = job.name;
         d.snapshot = shared;
+        d.warm = state.warm;
       }
       if (tr.enabled()) {
         tr.emit(JsonObject()
@@ -981,6 +1134,7 @@ std::vector<JobReport> VerificationService::runBatch(
     // settled (the last one may still be mid-set_value; its get() then
     // blocks only for that sliver).
     if (state.done.valid()) state.done.wait();
+    if (state.warm != nullptr) state.warm->clear();
     for (std::future<ObligationOutcome>& f : state.futures) {
       report.obligations.push_back(f.get());
       const ObligationOutcome& o = report.obligations.back();

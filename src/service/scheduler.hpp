@@ -12,14 +12,19 @@
 //    JobOptions::compose also one per spec on the composition, discharged
 //    through the compositional rules with a ProofTree certificate — and,
 //    under EngineMode::Auto, resolves the engine choice per target.
-//  - Obligations are independent: each attempt runs in a fresh
-//    symbolic::Context on the worker thread (BDD managers are
-//    single-threaded).  Text jobs *import* their BDDs from the snapshot
-//    through bdd::Importer — a linear copy of the reachable DAG into a
-//    pre-sized arena — instead of re-parsing and re-elaborating; factory
-//    jobs and quarantine retries rebuild from scratch.  An engine retry is
-//    still meaningful after MemoryOut — the retry starts with an empty
-//    manager either way.
+//  - Obligations are independent: each attempt runs in a symbolic::Context
+//    owned by its worker thread (BDD managers are single-threaded).  Text
+//    jobs *import* their BDDs from the snapshot through bdd::Importer — a
+//    linear copy of the reachable DAG into a pre-sized arena — instead of
+//    re-parsing and re-elaborating; factory jobs and quarantine retries
+//    rebuild from scratch.
+//  - Warm contexts: a worker that decided an obligation (Holds/Fails)
+//    keeps its imported context and runs its next obligation of the same
+//    target and engine on it (trace and report: "context": "warm"), so a
+//    module's import is paid per worker, not per spec.  Reuse never
+//    crosses a job or a thread, and reorder jobs never reuse.  Any other
+//    outcome destroys the context, so an engine retry after MemoryOut
+//    starts with a fresh manager, as does every quarantine retry.
 //  - Budgets are enforced cooperatively: BudgetToken is installed as the
 //    checker's CheckerOptions::cancelCheck hook, so a blown-up fixpoint
 //    aborts with Timeout/MemoryOut instead of hanging the worker.

@@ -99,13 +99,25 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     snap->moduleChoice.resize(snap->modules.size());
     if (job.options.engine == symbolic::EngineMode::Auto) {
       WallTimer probeTimer;
+      // chooseEngine restores the GC threshold it finds.  Once a cached
+      // product holds the live count above that threshold, every later
+      // probe would open with a full collection that frees nothing; keep
+      // the trigger above the live count instead.  The sweep at freeze
+      // collects whatever the probes leave behind.
+      bdd::Manager& mgr = ctx.mgr();
+      const auto probe = [&mgr](const symbolic::SymbolicSystem& sys) {
+        if (mgr.gcThreshold() < 2 * mgr.liveNodeCount()) {
+          mgr.setGcThreshold(2 * mgr.liveNodeCount());
+        }
+        return symbolic::chooseEngine(sys);
+      };
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
-        snap->moduleChoice[i] = symbolic::chooseEngine(snap->modules[i].sys);
+        snap->moduleChoice[i] = probe(snap->modules[i].sys);
       }
       if (snap->composed.has_value()) {
         // A completed probe caches its product in the composition, which
         // composed attempts on the monolithic engine then import.
-        snap->composedChoice = symbolic::chooseEngine(*snap->composed);
+        snap->composedChoice = probe(*snap->composed);
       }
       snap->probeSeconds = probeTimer.seconds();
     }

@@ -16,7 +16,9 @@
 //    walk of the reachable DAG instead of a parse + elaboration.  A
 //    composed attempt imports the composition too, so the product is
 //    composed (and, under Auto, materialized) once per job, not once per
-//    attempt.
+//    attempt.  A worker keeps what it imported for its next obligation of
+//    the same target and engine (the scheduler's warm contexts), so most
+//    attempts import nothing at all.
 //
 // Ownership and immutability: the snapshot is held by shared_ptr<const>;
 // the last obligation (or the service's snapshot cache) drops it.  After

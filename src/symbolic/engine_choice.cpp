@@ -53,16 +53,17 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
     return c;
   }
 
-  // Capped incremental probe: fold the product conjunct by conjunct and
-  // bail out when an intermediate crosses the cap.  dagSize() is a full
-  // DAG walk (mark + unmark), so walking after *every* conjunct costs as
-  // much as the materialization itself on models whose product stays
-  // small — exactly the models where auto must match forced-monolithic
-  // wall clock.  The manager's O(1) allocation counter is the trigger
-  // instead: walk only once the probe has allocated another cap's worth
-  // of nodes since the last walk, and once at the end.  A completing
-  // probe therefore does O(allocations / cap) walks, and an aborting one
-  // still stops within O(cap) allocations of the crossing.
+  // Capped incremental probe: conjoin each track as a balanced tree
+  // (conjoinBalanced), disjoin the tracks left to right, and bail out when
+  // an intermediate crosses the cap.  dagSize() is a full DAG walk (mark +
+  // unmark), so walking after *every* step costs as much as the
+  // materialization itself on models whose product stays small — exactly
+  // the models where auto must match forced-monolithic wall clock.  The
+  // manager's O(1) allocation counter is the trigger instead: walk only
+  // once the probe has allocated another cap's worth of nodes since the
+  // last walk, and once at the end.  A completing probe therefore does
+  // O(allocations / cap) walks, and an aborting one still stops within
+  // O(cap) allocations of the crossing.
   c.probed = true;
   // The probe is an allocation burst on the caller's manager.  Mid-probe
   // auto-GC is unproductive (the accumulators are externally referenced),
@@ -79,27 +80,18 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
       return false;
     }
     lastWalkAlloc = mgr.stats().nodesAllocatedTotal;
-    return mgr.dagSize(f) > c.capNodes;
+    const std::uint64_t size = mgr.dagSize(f);
+    if (size <= c.capNodes) return false;
+    c.monolithicNodes = size;  // the partial product that crossed the cap
+    return true;
   };
   bool aborted = false;
   bdd::Bdd acc = mgr.bddFalse();
   for (const PartitionedRelation& track : sys.partition.tracks) {
-    bdd::Bdd prod = mgr.bddTrue();
-    for (const Conjunct& cj : track.conjuncts()) {
-      prod &= cj.rel;
-      if (abortsProbe(prod)) {
-        c.monolithicNodes = mgr.dagSize(prod);  // lower bound at abort
-        aborted = true;
-        break;
-      }
-    }
+    const bdd::Bdd prod =
+        conjoinBalanced(mgr, track.relations(), abortsProbe);
+    aborted = prod.isNull() || abortsProbe(acc |= prod);
     if (aborted) break;
-    acc |= prod;
-    if (abortsProbe(acc)) {
-      c.monolithicNodes = mgr.dagSize(acc);
-      aborted = true;
-      break;
-    }
   }
   if (aborted) {
     c.probeAborted = true;

@@ -11,13 +11,14 @@
 //
 //   cap = max(kProbeFloorNodes, kProbeFactor * partition-node-count)
 //
-// The monolithic product is folded conjunct-by-conjunct, checking the DAG
-// size after every step; if it ever exceeds the cap the probe aborts (the
-// blow-up the partitioned engine exists to avoid has been demonstrated at
-// bounded cost) and the partitioned engine is chosen.  If the product
-// completes within the cap, the monolithic engine is chosen — and the
-// probe's product is cached into the system's lazy monolithic slot, so the
-// materialization is paid once, not twice.
+// Each track's product is conjoined as a balanced tree (conjoinBalanced)
+// and the tracks are disjoined left to right, checking the DAG size of the
+// intermediates as they appear; if one ever exceeds the cap the probe
+// aborts (the blow-up the partitioned engine exists to avoid has been
+// demonstrated at bounded cost) and the partitioned engine is chosen.  If
+// the product completes within the cap, the monolithic engine is chosen —
+// and the probe's product is cached into the system's lazy monolithic
+// slot, so the materialization is paid once, not twice.
 //
 // Thread safety: chooseEngine runs dagSize() (mutable scratch marks) and
 // caches into SymbolicSystem::monolithic_, so it must only be called from
@@ -50,12 +51,14 @@ struct EngineChoice {
   bool usePartitioned = true;
   /// True when the capped materialization probe ran (Auto path).
   bool probed = false;
-  /// True when the probe aborted at the cap (monolithic size is then a
-  /// lower bound, not a measurement).
+  /// True when the probe aborted at the cap.
   bool probeAborted = false;
   std::size_t conjuncts = 0;
   std::uint64_t partitionNodes = 0;
-  std::uint64_t monolithicNodes = 0;  ///< valid when the probe completed
+  /// Size of the monolithic product when the probe completed.  At an abort
+  /// it is the size of the partial product that crossed the cap — not a
+  /// lower bound: conjoining more conjuncts can shrink a BDD.
+  std::uint64_t monolithicNodes = 0;
   std::uint64_t capNodes = 0;
   std::string reason;
 };

@@ -85,18 +85,56 @@ void PartitionedRelation::clusterGreedy(std::uint64_t nodeThreshold) {
   frameVars_.clear();
 }
 
+std::vector<bdd::Bdd> PartitionedRelation::relations() const {
+  std::vector<bdd::Bdd> rels;
+  rels.reserve(conjuncts_.size());
+  for (const Conjunct& c : conjuncts_) rels.push_back(c.rel);
+  return rels;
+}
+
 bdd::Bdd PartitionedRelation::product(bdd::Manager& mgr) const {
-  bdd::Bdd acc = mgr.bddTrue();
-  for (const Conjunct& c : conjuncts_) acc &= c.rel;
-  return acc;
+  return conjoinBalanced(mgr, relations());
+}
+
+PartitionedRelation PartitionedRelation::withRelations(
+    std::vector<bdd::Bdd> rels) const {
+  // Never copies a handle of this track: when it lives in a frozen
+  // snapshot, touching its reference counts would race with other readers.
+  CMC_ASSERT(rels.size() == conjuncts_.size());
+  PartitionedRelation out;
+  out.frameVars_ = frameVars_;
+  out.frameOnly_ = frameOnly_;
+  out.conjuncts_.reserve(rels.size());
+  for (std::size_t i = 0; i < rels.size(); ++i) {
+    CMC_ASSERT(!rels[i].isNull());
+    out.conjuncts_.push_back(Conjunct{std::move(rels[i]),
+                                      conjuncts_[i].support,
+                                      conjuncts_[i].isFrame});
+  }
+  return out;
+}
+
+bdd::Bdd conjoinBalanced(bdd::Manager& mgr, std::vector<bdd::Bdd> operands,
+                         const std::function<bool(const bdd::Bdd&)>& stop) {
+  if (operands.empty()) return mgr.bddTrue();
+  // Level by level: pair i of this level lands in slot i, whose own operand
+  // (if any) was consumed by an earlier pair or is the pair's left operand.
+  for (std::size_t n = operands.size(); n > 1; n = (n + 1) / 2) {
+    for (std::size_t i = 0; i < n / 2; ++i) {
+      bdd::Bdd merged = operands[2 * i] & operands[2 * i + 1];
+      operands[2 * i] = bdd::Bdd();
+      operands[2 * i + 1] = bdd::Bdd();
+      if (stop && stop(merged)) return bdd::Bdd();
+      operands[i] = std::move(merged);
+    }
+    if (n % 2 == 1) operands[n / 2] = std::move(operands[n - 1]);
+  }
+  return std::move(operands.front());
 }
 
 std::uint64_t PartitionedRelation::nodeCount() const {
   if (conjuncts_.empty()) return 0;
-  std::vector<bdd::Bdd> rels;
-  rels.reserve(conjuncts_.size());
-  for (const Conjunct& c : conjuncts_) rels.push_back(c.rel);
-  return conjuncts_.front().rel.manager()->dagSize(rels);
+  return conjuncts_.front().rel.manager()->dagSize(relations());
 }
 
 bool TransitionPartition::hasStutterTrack() const noexcept {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bdd/manager.hpp"
@@ -89,8 +90,17 @@ class PartitionedRelation {
   /// collapses the track into a single cluster (the monolithic product).
   void clusterGreedy(std::uint64_t nodeThreshold);
 
-  /// The full conjunction ⋀ conjuncts (true for an empty track).
+  /// The conjuncts' relations, in order.
+  std::vector<bdd::Bdd> relations() const;
+
+  /// The full conjunction ⋀ conjuncts (true for an empty track), built by
+  /// conjoinBalanced.
   bdd::Bdd product(bdd::Manager& mgr) const;
+
+  /// This track with every conjunct's relation replaced by `rels[i]` —
+  /// supports, frame tags and frameVars are copied, not recomputed.  For
+  /// importSystem, whose destination shares the source's bit layout.
+  PartitionedRelation withRelations(std::vector<bdd::Bdd> rels) const;
 
   /// Combined DAG size of the conjuncts, shared nodes counted once.
   std::uint64_t nodeCount() const;
@@ -101,6 +111,19 @@ class PartitionedRelation {
   bool frameOnly_ = false;
 };
 
+/// ⋀ operands as a balanced pairwise tree: neighbours are conjoined level
+/// by level, and each operand is released as soon as it is consumed.  BDDs
+/// are canonical, so the result is the node a left fold returns; but a
+/// fold drags the whole accumulated product through every step, while the
+/// tree mostly conjoins neighbours that share support (one variable's
+/// next-state conjuncts, a component's frames) — afs2(16)'s server
+/// allocates 254,036 nodes folded and under 20,000 as a tree.  `stop`, when
+/// set, sees every intermediate; returning true abandons the tree and the
+/// result is a null Bdd.  An empty list is true.
+bdd::Bdd conjoinBalanced(
+    bdd::Manager& mgr, std::vector<bdd::Bdd> operands,
+    const std::function<bool(const bdd::Bdd&)>& stop = {});
+
 /// The disjunctively partitioned transition relation: T = ⋁ track products.
 struct TransitionPartition {
   std::vector<PartitionedRelation> tracks;
@@ -108,7 +131,8 @@ struct TransitionPartition {
   bool empty() const noexcept { return tracks.empty(); }
   /// True iff some track is the pure stutter Id(Σ).
   bool hasStutterTrack() const noexcept;
-  /// Materialize the monolithic relation ⋁ products.
+  /// Materialize the monolithic relation ⋁ products (each product a
+  /// balanced tree, the disjunction a left fold).
   bdd::Bdd monolithic(bdd::Manager& mgr) const;
   /// Combined DAG size over every conjunct of every track (shared nodes
   /// counted once) — the partitioned counterpart of the paper's "BDD nodes

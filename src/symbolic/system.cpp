@@ -183,26 +183,14 @@ SymbolicSystem importSystem(Context& dst, bdd::Importer& imp,
   out.vars = src.vars;  // ids match by the adoptVariablesFrom precondition
 
   for (const PartitionedRelation& t : src.partition.tracks) {
-    PartitionedRelation track = PartitionedRelation::of({}, t.frameOnly());
-    if (t.framesTagged()) {
-      // Frames were recorded in append order, so replaying the conjunct
-      // sequence consumes frameVars() front to back.
-      std::size_t fi = 0;
-      for (const Conjunct& c : t.conjuncts()) {
-        bdd::Bdd rel = imp.importIndex(c.rel.index());
-        if (c.isFrame) {
-          track.appendFrame(std::move(rel), t.frameVars()[fi++]);
-        } else {
-          track.append(std::move(rel));
-        }
-      }
-      CMC_ASSERT(fi == t.frameVars().size());
-    } else {
-      for (const Conjunct& c : t.conjuncts()) {
-        track.append(imp.importIndex(c.rel.index()), c.isFrame);
-      }
+    // Supports, frame tags and frameVars carry over as they are: the bit
+    // layouts agree, so recomputing each support would only walk the DAG.
+    std::vector<bdd::Bdd> rels;
+    rels.reserve(t.size());
+    for (const Conjunct& c : t.conjuncts()) {
+      rels.push_back(imp.importIndex(c.rel.index()));
     }
-    out.partition.tracks.push_back(std::move(track));
+    out.partition.tracks.push_back(t.withRelations(std::move(rels)));
   }
 
   if (wantMonolithic && src.transMaterialized()) {

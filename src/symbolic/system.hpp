@@ -105,10 +105,11 @@ void addReflexive(SymbolicSystem& sys);
 
 /// Copy `src` (owned by another context) into `dst` through `imp`, a
 /// bdd::Importer whose destination is dst's manager.  Rebuilds the track
-/// structure conjunct by conjunct — frame tags and frameVars survive, so
-/// the substitution-based preimage works on the copy — while the importer's
-/// shared translation map keeps subgraphs shared across conjuncts (and
-/// across several systems imported through the same importer).  The
+/// structure conjunct by conjunct — supports, frame tags and frameVars are
+/// copied, so the substitution-based preimage works on the copy — while the
+/// importer's shared translation map keeps subgraphs shared across
+/// conjuncts (and across several systems imported through the same
+/// importer).  The
 /// materialized monolithic relation is copied only when `wantMonolithic`
 /// (a worker running the partitioned engine never pays for it).
 ///

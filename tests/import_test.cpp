@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -272,6 +273,125 @@ TEST(EngineChoice, AutoMatchesForcedEnginesOnAllModels) {
         << entry.path();
   }
   EXPECT_GT(models, 0u);
+}
+
+/// The engine probe with every product a left fold, conjunct by conjunct
+/// and track by track, but chooseEngine's cap, rate-limited walk,
+/// GC-threshold restore, sweeps and cached product: the reference the
+/// balanced probe's decisions are pinned to.
+symbolic::EngineChoice leftFoldProbe(const symbolic::SymbolicSystem& sys) {
+  bdd::Manager& mgr = sys.ctx->mgr();
+  symbolic::EngineChoice c;
+  c.partitionNodes = sys.partition.nodeCount(mgr);
+  c.capNodes = std::max(symbolic::kProbeFloorNodes,
+                        symbolic::kProbeFactor * c.partitionNodes);
+  if (sys.transMaterialized()) {
+    c.monolithicNodes = mgr.dagSize(sys.transBdd());
+    c.usePartitioned = c.monolithicNodes > c.capNodes;
+    return c;
+  }
+  c.probed = true;
+  const std::uint64_t savedGcThreshold = mgr.gcThreshold();
+  std::uint64_t lastWalk = mgr.stats().nodesAllocatedTotal;
+  const auto crosses = [&](const bdd::Bdd& f) {
+    if (mgr.stats().nodesAllocatedTotal - lastWalk <= c.capNodes) {
+      return false;
+    }
+    lastWalk = mgr.stats().nodesAllocatedTotal;
+    return mgr.dagSize(f) > c.capNodes;
+  };
+  bdd::Bdd acc = mgr.bddFalse();
+  for (const symbolic::PartitionedRelation& track : sys.partition.tracks) {
+    bdd::Bdd prod = mgr.bddTrue();
+    for (const symbolic::Conjunct& cj : track.conjuncts()) {
+      prod &= cj.rel;
+      c.probeAborted = c.probeAborted || crosses(prod);
+      if (c.probeAborted) break;
+    }
+    if (!c.probeAborted) c.probeAborted = crosses(acc |= prod);
+    if (c.probeAborted) break;
+  }
+  if (!c.probeAborted) c.monolithicNodes = mgr.dagSize(acc);
+  c.usePartitioned = c.probeAborted || c.monolithicNodes > c.capNodes;
+  if (c.usePartitioned) {
+    acc = bdd::Bdd();
+    mgr.setGcThreshold(savedGcThreshold);
+    mgr.collectGarbage();
+  } else {
+    sys.monolithic_ = acc;
+    mgr.setGcThreshold(savedGcThreshold);
+  }
+  return c;
+}
+
+TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
+  // Every module and composition of the shipped models, probed as the
+  // snapshot of a compose job probes them, against the left fold run in
+  // the snapshot's order on an identical, separate context.
+  std::vector<fs::path> paths;
+  for (const fs::path& dir : {fs::path(CMC_MODELS_DIR),
+                              fs::path(CMC_MODELS_DIR) / "gen"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".smv") paths.push_back(entry.path());
+    }
+  }
+  std::size_t systems = 0, aborted = 0, completed = 0;
+  for (const fs::path& path : paths) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    service::VerificationJob job;
+    job.name = path.stem().string();
+    job.smvText = text.str();
+    job.options.engine = symbolic::EngineMode::Auto;
+    job.options.compose = true;
+    const service::SnapshotResult sr =
+        service::buildSnapshot(job, /*wantCanon=*/false);
+    ASSERT_NE(sr.snapshot, nullptr) << path << ": " << sr.error;
+    const service::ElaborationSnapshot& snap = *sr.snapshot;
+
+    symbolic::Context ctx(1 << 14);
+    const std::vector<smv::ElaboratedModule> modules =
+        smv::elaborateProgram(ctx, job.smvText);
+    std::optional<symbolic::SymbolicSystem> composed;
+    if (modules.size() > 1) {
+      std::vector<symbolic::SymbolicSystem> parts;
+      for (const smv::ElaboratedModule& mod : modules) {
+        symbolic::SymbolicSystem sys = mod.sys;
+        symbolic::addReflexive(sys);
+        parts.push_back(std::move(sys));
+      }
+      composed = symbolic::composeAll(parts);
+    }
+    std::vector<std::pair<std::string, symbolic::EngineChoice>> reference;
+    for (const smv::ElaboratedModule& mod : modules) {
+      reference.emplace_back(mod.sys.name, leftFoldProbe(mod.sys));
+    }
+    if (composed.has_value()) {
+      reference.emplace_back("composed", leftFoldProbe(*composed));
+    }
+    ASSERT_EQ(reference.size(), snap.modules.size() + (composed ? 1 : 0));
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const symbolic::EngineChoice& want = reference[i].second;
+      const symbolic::EngineChoice& got = i < snap.modules.size()
+                                              ? snap.moduleChoice[i]
+                                              : snap.composedChoice;
+      SCOPED_TRACE(path.filename().string() + " " + reference[i].first);
+      EXPECT_EQ(got.usePartitioned, want.usePartitioned);
+      EXPECT_EQ(got.probed, want.probed);
+      EXPECT_EQ(got.probeAborted, want.probeAborted);
+      EXPECT_EQ(got.capNodes, want.capNodes);
+      if (!want.probeAborted) {
+        EXPECT_EQ(got.monolithicNodes, want.monolithicNodes);
+      }
+      ++systems;
+      aborted += want.probeAborted ? 1 : 0;
+      completed += want.probed && !want.probeAborted ? 1 : 0;
+    }
+  }
+  EXPECT_GE(systems, 40u);
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(completed, 0u);
 }
 
 // chooseEngine's materialization probe must not leak its allocation burst

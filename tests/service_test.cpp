@@ -7,6 +7,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +18,8 @@
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
 #include "smv/elaborate.hpp"
+#include "test_util.hpp"
+#include "util/failpoint.hpp"
 
 namespace cmc::service {
 namespace {
@@ -636,6 +640,300 @@ TEST(ServiceBudget, GenuineExhaustionStillThrowsAfterGc) {
   }
   // The throw came from the post-collection recheck, not the raw count.
   EXPECT_GT(mgr.stats().gcRuns, gcBefore);
+}
+
+// ---------------------------------------------------------------------------
+// Warm worker contexts
+// ---------------------------------------------------------------------------
+
+/// Nine relay specs, three of which fail with multi-step counterexamples,
+/// plus a watcher sharing `ack`: enough obligations per target that most
+/// run warm, composed ones included.
+const char* kRelaySmv = R"(
+MODULE relay
+VAR
+  s : {idle, req, busy, done};
+  ack : boolean;
+INIT s = idle & !ack
+ASSIGN
+  next(s) := case s = idle : req; s = req : busy; s = busy : done; 1 : idle; esac;
+  next(ack) := case s = done : 1; s = req : 0; 1 : ack; esac;
+SPEC AG (s = idle | s = req | s = busy | s = done)
+SPEC AG (s = busy -> AX (s = done))
+SPEC AG (s = req -> EX (s = busy))
+SPEC AG EF (s = idle)
+SPEC EF (s = done)
+SPEC AG (s = busy -> !ack)
+SPEC AG (s != done)
+SPEC AG (ack -> s = done)
+SPEC AG (s = idle -> !ack)
+MODULE watch
+VAR
+  ack : boolean;
+  seen : boolean;
+INIT !seen
+ASSIGN
+  next(ack) := ack;
+  next(seen) := case ack : 1; 1 : seen; esac;
+SPEC AG (ack -> AX seen)
+SPEC AG (seen -> AX seen)
+)";
+
+VerificationJob relayJob() {
+  VerificationJob job;
+  job.name = "relay";
+  job.smvText = kRelaySmv;
+  return job;
+}
+
+ServiceOptions uncachedThreads(unsigned n) {
+  ServiceOptions opts = withThreads(n);
+  opts.cacheEnabled = false;  // every obligation must run its attempts
+  return opts;
+}
+
+/// The "context" field of every attempt event, per obligation, in order.
+std::map<std::string, std::vector<std::string>> attemptContexts(
+    const RunTrace& trace) {
+  std::map<std::string, std::vector<std::string>> out;
+  for (const std::string& line : trace.lines()) {
+    const util::JsonValue event = test::parsedJson(line);
+    std::string kind, id, context;
+    if (!event.req("event", &kind) || kind != "attempt") continue;
+    EXPECT_TRUE(event.req("obligation", &id)) << line;
+    EXPECT_TRUE(event.req("context", &context)) << line;
+    out[id].push_back(context);
+  }
+  return out;
+}
+
+using Contexts = std::vector<std::string>;
+
+TEST(Service, WarmAttemptsDecideLikeFreshOnes) {
+  // The text job imports from its snapshot and runs most obligations warm;
+  // the factory job rebuilds for every attempt.  Both must say the same
+  // thing about every obligation.
+  for (const unsigned threads : {1u, 4u}) {
+    for (const symbolic::EngineMode engine :
+         {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
+          symbolic::EngineMode::Monolithic}) {
+      for (const bool compose : {false, true}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                     symbolic::toString(engine) +
+                     (compose ? ", compose" : ""));
+        VerificationJob warm = relayJob();
+        warm.options.engine = engine;
+        warm.options.compose = compose;
+        VerificationJob fresh = warm;
+        fresh.name = "relay-rebuilt";
+        fresh.smvText.clear();
+        fresh.factory = [](symbolic::Context& ctx) {
+          return smv::elaborateProgram(ctx, kRelaySmv);
+        };
+
+        VerificationService svc(uncachedThreads(threads));
+        RunTrace trace;
+        const std::vector<JobReport> reports =
+            svc.runBatch({warm, fresh}, &trace);
+        ASSERT_EQ(reports.size(), 2u);
+        const std::vector<ObligationOutcome>& a = reports[0].obligations;
+        const std::vector<ObligationOutcome>& b = reports[1].obligations;
+        ASSERT_EQ(a.size(), compose ? 22u : 11u);
+        ASSERT_EQ(a.size(), b.size());
+        std::size_t warmAttempts = 0;
+        std::size_t fails = 0;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].id, b[i].id);
+          EXPECT_EQ(a[i].verdict, b[i].verdict) << a[i].id;
+          EXPECT_EQ(a[i].rule, b[i].rule) << a[i].id;
+          EXPECT_EQ(a[i].counterexample, b[i].counterexample) << a[i].id;
+          EXPECT_EQ(a[i].proofJson, b[i].proofJson) << a[i].id;
+          if (a[i].verdict == Verdict::Fails) {
+            ++fails;
+            EXPECT_FALSE(a[i].counterexample.empty()) << a[i].id;
+          }
+          for (const AttemptRecord& r : a[i].attempts) {
+            if (r.warm) {
+              ++warmAttempts;
+              EXPECT_EQ(r.importMs, 0.0) << a[i].id;
+            }
+          }
+          for (const AttemptRecord& r : b[i].attempts) {
+            EXPECT_FALSE(r.warm) << b[i].id;
+          }
+        }
+        EXPECT_GE(fails, compose ? 5u : 3u);
+        // One fresh attempt per target and worker at most; the rest warm.
+        EXPECT_GE(warmAttempts, a.size() - (compose ? 3 : 2) * threads);
+        EXPECT_EQ(trace.countContaining("\"context\": \"warm\""),
+                  warmAttempts);
+      }
+    }
+  }
+}
+
+/// A model whose second spec needs far more live nodes than the others:
+/// its antecedent ⋀ (a_i <-> b_i) is exponential in this variable order
+/// (every a before every b).
+std::string wideSmv() {
+  std::string avars, bvars, next, eq;
+  for (int i = 1; i <= 12; ++i) {
+    const std::string a = "a" + std::to_string(i);
+    const std::string b = "b" + std::to_string(i);
+    avars += a + " : boolean; ";
+    bvars += b + " : boolean; ";
+    next += "next(" + b + ") := " + b + "; ";
+    next += i == 1 ? "next(a1) := !a1; " : "next(" + a + ") := " + a + "; ";
+    eq += (i == 1 ? "(" : " & (") + a + " <-> " + b + ")";
+  }
+  return "MODULE wide\nVAR " + avars + bvars + "\nASSIGN " + next +
+         "\nSPEC AG (a2 -> AX a2)\nSPEC AG (" + eq +
+         " -> AX (a2 <-> b2))\nSPEC AG (b1 -> AX b1)\nSPEC AG a3\n";
+}
+
+/// A trace sink that hands each event line to `onLine` as a worker emits
+/// it: the tests' hook into the middle of a run.
+class LineHook : public std::streambuf {
+ public:
+  explicit LineHook(std::function<void(const std::string&)> onLine)
+      : onLine_(std::move(onLine)) {}
+
+ protected:
+  int overflow(int c) override {
+    if (c == '\n') {
+      onLine_(line_);
+      line_.clear();
+    } else if (c != traits_type::eof()) {
+      line_.push_back(static_cast<char>(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::function<void(const std::string&)> onLine_;
+  std::string line_;
+};
+
+bool isEvent(const std::string& line, const std::string& event,
+             const std::string& obligation) {
+  return line.find("\"event\": \"" + event + "\"") != std::string::npos &&
+         line.find("\"obligation\": \"" + obligation + "\"") !=
+             std::string::npos;
+}
+
+TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
+  // MemoryOut: the wide spec exhausts a budget the others fit in easily,
+  // on both engines.  Its warm context dies with it, so the next
+  // obligation imports afresh — and the one after runs warm again.
+  {
+    VerificationJob job;
+    job.name = "wide";
+    job.smvText = wideSmv();
+    job.options.limits.nodeBudget = 4000;
+    VerificationService svc(uncachedThreads(1));
+    RunTrace trace;
+    const JobReport report = svc.run(job, &trace);
+    ASSERT_EQ(report.obligations.size(), 4u);
+    EXPECT_EQ(report.obligations[1].verdict, Verdict::Inconclusive);
+    EXPECT_EQ(report.obligations[1].attempts[0].verdict, Verdict::MemoryOut);
+    EXPECT_EQ(report.obligations[3].verdict, Verdict::Fails);
+    const auto contexts = attemptContexts(trace);
+    EXPECT_EQ(contexts.at("wide/wide.SPEC1"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("wide/wide.SPEC2"), (Contexts{"warm", "fresh"}));
+    EXPECT_EQ(contexts.at("wide/wide.SPEC3"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("wide/wide.SPEC4"), Contexts{"warm"});
+  }
+  // CANCEL: the request is cancelled while relay.SPEC2's attempt runs and
+  // withdrawn again once it is Cancelled.
+  {
+    VerificationJob job = relayJob();
+    job.options.engine = symbolic::EngineMode::Auto;
+    std::atomic<bool> cancel{false};
+    LineHook hook([&cancel](const std::string& line) {
+      if (isEvent(line, "engine_choice", "relay/relay.SPEC2")) cancel = true;
+      if (isEvent(line, "attempt", "relay/relay.SPEC2")) cancel = false;
+    });
+    std::ostream sink(&hook);
+    VerificationService svc(uncachedThreads(1));
+    RunTrace trace(&sink);
+    const JobReport report = svc.run(job, &trace, nullptr, nullptr, &cancel);
+    ASSERT_EQ(report.obligations.size(), 11u);
+    EXPECT_EQ(report.obligations[1].verdict, Verdict::Cancelled);
+    EXPECT_EQ(report.obligations[2].verdict, Verdict::Holds);
+    const auto contexts = attemptContexts(trace);
+    EXPECT_EQ(contexts.at("relay/relay.SPEC1"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("relay/relay.SPEC2"), Contexts{"warm"});
+    EXPECT_EQ(contexts.at("relay/relay.SPEC3"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("relay/relay.SPEC4"), Contexts{"warm"});
+  }
+  // Timeout: nothing decides under an expired deadline, so nothing is
+  // handed on.  Reorder: each attempt sifts its own manager, so none runs
+  // warm, though every one decides.
+  for (const bool reorder : {false, true}) {
+    VerificationJob job = relayJob();
+    job.options.compose = true;
+    if (reorder) {
+      job.options.reorderBeforeCheck = true;
+    } else {
+      job.options.limits.deadlineSeconds = 1e-9;
+    }
+    VerificationService svc(uncachedThreads(2));
+    RunTrace trace;
+    const JobReport report = svc.run(job, &trace);
+    ASSERT_EQ(report.obligations.size(), 22u);
+    for (const ObligationOutcome& o : report.obligations) {
+      EXPECT_EQ(o.verdict == Verdict::Holds || o.verdict == Verdict::Fails,
+                reorder)
+          << o.id;
+    }
+    EXPECT_EQ(trace.countContaining("\"context\": \"warm\""), 0u);
+    EXPECT_EQ(trace.countContaining("\"context\": \"fresh\""),
+              reorder ? 22u : 44u);
+  }
+}
+
+TEST(Service, InjectedTimeoutAndErrorStartTheNextObligationFresh) {
+  if (!util::Failpoint::compiledIn()) {
+    GTEST_SKIP() << "needs -DCMC_FAILPOINTS=ON";
+  }
+  // relay.SPEC2's warm attempt is sabotaged through the allocator — first
+  // stalled past the deadline, then thrown out of — and the site is
+  // disarmed as soon as that attempt is recorded.
+  for (const char* action : {"delay(60)", "throw"}) {
+    SCOPED_TRACE(action);
+    const bool timeout = std::string(action) != "throw";
+    VerificationJob job = relayJob();
+    if (timeout) {
+      job.options.limits.deadlineSeconds = 0.05;
+      job.options.retryOtherEngine = false;
+    }
+    LineHook hook([action](const std::string& line) {
+      if (isEvent(line, "obligation_start", "relay/relay.SPEC2")) {
+        util::Failpoint::configure(std::string("bdd.alloc_node=") + action);
+      }
+      if (isEvent(line, "attempt", "relay/relay.SPEC2")) {
+        util::Failpoint::disarmAll();
+      }
+    });
+    std::ostream sink(&hook);
+    VerificationService svc(uncachedThreads(1));
+    RunTrace trace(&sink);
+    const JobReport report = svc.run(job, &trace);
+    util::Failpoint::disarmAll();
+    ASSERT_EQ(report.obligations.size(), 11u);
+    const ObligationOutcome& sabotaged = report.obligations[1];
+    ASSERT_FALSE(sabotaged.attempts.empty());
+    EXPECT_EQ(sabotaged.attempts[0].verdict,
+              timeout ? Verdict::Timeout : Verdict::Error);
+    // The quarantine retry rebuilds from the program text and decides.
+    EXPECT_EQ(sabotaged.verdict, timeout ? Verdict::Timeout : Verdict::Holds);
+    const auto contexts = attemptContexts(trace);
+    EXPECT_EQ(contexts.at("relay/relay.SPEC1"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("relay/relay.SPEC2"),
+              timeout ? Contexts{"warm"} : (Contexts{"warm", "fresh"}));
+    EXPECT_EQ(contexts.at("relay/relay.SPEC3"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("relay/relay.SPEC4"), Contexts{"warm"});
+  }
 }
 
 }  // namespace

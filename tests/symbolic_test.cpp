@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <sstream>
 
 #include "abp/abp.hpp"
@@ -278,6 +279,87 @@ TEST(Partition, ClusterGreedyPreservesProductAndRespectsThreshold) {
   roomy.clusterGreedy(/*nodeThreshold=*/1 << 20);
   EXPECT_EQ(roomy.size(), 1u);  // everything fits in one cluster
   EXPECT_EQ(roomy.product(ctx.mgr()), product);
+}
+
+TEST(Partition, BalancedProductIsTheLeftFoldsNode) {
+  // Random conjunct lists over 10 variables — empty, single, odd and even
+  // lengths, repeats, and operands built from one another so the lists
+  // share subgraphs.  Canonicity makes "same function" mean "same node".
+  std::mt19937 rng(23);
+  bdd::Manager mgr;
+  const auto literal = [&] {
+    const bdd::Bdd v = mgr.bddVar(static_cast<std::uint32_t>(rng() % 10));
+    return rng() % 2 == 0 ? v : !v;
+  };
+  std::vector<bdd::Bdd> pool;
+  for (int i = 0; i < 12; ++i) {
+    bdd::Bdd f = mgr.bddFalse();
+    for (int cube = 0; cube < 3; ++cube) f |= literal() & literal() & literal();
+    pool.push_back(f);
+  }
+  for (int i = 0; i < 12; ++i) {
+    pool.push_back(pool[rng() % pool.size()] ^ pool[rng() % pool.size()]);
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(trial % 12);
+    std::vector<bdd::Bdd> conjuncts;
+    for (std::size_t k = 0; k < n; ++k) {
+      conjuncts.push_back(pool[rng() % pool.size()]);
+    }
+    bdd::Bdd fold = mgr.bddTrue();
+    for (const bdd::Bdd& c : conjuncts) fold &= c;
+    std::size_t intermediates = 0;
+    const bdd::Bdd tree =
+        conjoinBalanced(mgr, conjuncts, [&](const bdd::Bdd& f) {
+          EXPECT_FALSE(f.isNull());
+          ++intermediates;
+          return false;
+        });
+    EXPECT_EQ(tree, fold) << n << " conjuncts";
+    EXPECT_EQ(intermediates, n == 0 ? 0 : n - 1);  // one per conjunction
+  }
+  // Stopping abandons the tree.
+  EXPECT_TRUE(conjoinBalanced(mgr, {pool[0], pool[1], pool[2]},
+                              [](const bdd::Bdd&) { return true; })
+                  .isNull());
+}
+
+TEST(Partition, BalancedServerProductAllocatesAFractionOfTheFold) {
+  // afs2(16)'s server track: 96 conjuncts.  The fold drags the growing
+  // product through every step; the tree conjoins neighbours that share
+  // support.  Allocation counts are deterministic.
+  std::ifstream in(std::filesystem::path(CMC_MODELS_DIR) / "gen" /
+                   "afs2_16.smv");
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto serverProduct = [&](bool balanced, std::uint64_t* allocated,
+                                 std::uint64_t* nodes) {
+    Context ctx(1 << 14);
+    const std::vector<smv::ElaboratedModule> modules =
+        smv::elaborateProgram(ctx, text.str());
+    const SymbolicSystem& server = modules.front().sys;
+    ASSERT_NE(server.name.find("server"), std::string::npos);
+    ASSERT_EQ(server.partition.tracks.size(), 1u);
+    ASSERT_FALSE(server.transMaterialized());
+    const std::uint64_t before = ctx.mgr().stats().nodesAllocatedTotal;
+    bdd::Bdd product = ctx.mgr().bddTrue();
+    if (balanced) {
+      product = server.transBdd();
+    } else {
+      for (const Conjunct& c : server.partition.tracks.front().conjuncts()) {
+        product &= c.rel;
+      }
+    }
+    *allocated = ctx.mgr().stats().nodesAllocatedTotal - before;
+    *nodes = ctx.mgr().dagSize(product);
+  };
+  std::uint64_t treeAllocated = 0, treeNodes = 0;
+  std::uint64_t foldAllocated = 0, foldNodes = 0;
+  serverProduct(true, &treeAllocated, &treeNodes);
+  serverProduct(false, &foldAllocated, &foldNodes);
+  EXPECT_EQ(treeNodes, foldNodes);
+  EXPECT_LE(treeAllocated, 25000u);
+  EXPECT_GE(foldAllocated, 10 * treeAllocated);
 }
 
 TEST(Partition, ScheduleMatchesAndExists) {
