@@ -4,8 +4,9 @@
 //
 // Workload: AFS-2 with n clients, safety property (Afs1').
 //  - compositional: n+1 per-component obligations (invariance rule);
-//  - compositional-parallel: the same obligations fanned out on a thread
-//    pool (one BDD manager per obligation);
+//  - compositional-parallel: the same obligations as factory jobs of one
+//    VerificationService batch (each job builds AFS-2 in its worker's own
+//    BDD manager; the obligation cache is off, so every run checks);
 //  - monolithic: compose all components and model check AG(Inv) on the
 //    product directly (state space grows as ~168^n · 2).
 //
@@ -13,10 +14,13 @@
 // grows superlinearly (exponential state space, BDD sizes compound), with
 // the crossover at small n.  The report prints a per-n table; the
 // google-benchmark section gives the precise timings.
+#include <algorithm>
+
 #include "afs/afs2.hpp"
 #include "afs/verify_afs2.hpp"
 #include "bench_common.hpp"
 #include "comp/verifier.hpp"
+#include "service/scheduler.hpp"
 #include "util/timer.hpp"
 
 using namespace cmc;
@@ -38,36 +42,49 @@ bool monolithicCheck(int n, std::uint64_t* transNodes) {
   return checker.holds(spec);
 }
 
-std::vector<comp::Obligation> compositionalObligations(int n) {
-  std::vector<comp::Obligation> obligations;
+/// The invariant step Inv ⇒ AX Inv on the expansion of each component
+/// over the union alphabet, one factory job per component.
+std::vector<service::VerificationJob> compositionalJobs(int n) {
+  std::vector<service::VerificationJob> jobs;
   for (int component = 0; component <= n; ++component) {
-    obligations.push_back(comp::Obligation{
-        "component " + std::to_string(component), [n, component] {
-          symbolic::Context ctx(1 << 14);
-          afs::Afs2Components comps =
-              afs::buildAfs2(ctx, n, /*reflexive=*/true);
-          std::vector<symbolic::SymbolicSystem> all;
-          all.push_back(comps.server.sys);
-          for (const smv::ElaboratedModule& c : comps.clients) {
-            all.push_back(c.sys);
-          }
-          std::vector<symbolic::VarId> everything;
-          for (const symbolic::SymbolicSystem& sys : all) {
-            everything.insert(everything.end(), sys.vars.begin(),
-                              sys.vars.end());
-          }
-          const symbolic::SymbolicSystem expanded =
-              symbolic::expand(all[component], everything);
-          symbolic::Checker checker(expanded);
-          const ctl::FormulaPtr inv = afs::afs2Invariant(n);
-          return checker.holds(ctl::Restriction::trivial(),
-                               ctl::mkImplies(inv, ctl::AX(inv)));
-        }});
+    service::VerificationJob job;
+    job.name = "component " + std::to_string(component);
+    job.factory = [n, component](symbolic::Context& ctx) {
+      const afs::Afs2Components comps =
+          afs::buildAfs2(ctx, n, /*reflexive=*/true);
+      std::vector<symbolic::VarId> everything = comps.server.sys.vars;
+      for (const smv::ElaboratedModule& c : comps.clients) {
+        everything.insert(everything.end(), c.sys.vars.begin(),
+                          c.sys.vars.end());
+      }
+      const ctl::FormulaPtr inv = afs::afs2Invariant(n);
+      smv::ElaboratedModule step;
+      step.sys = symbolic::expand(
+          component == 0 ? comps.server.sys : comps.clients[component - 1].sys,
+          everything);
+      step.initFormula = ctl::mkTrue();
+      step.specs = {ctl::Spec{"step", ctl::Restriction::trivial(),
+                              ctl::mkImplies(inv, ctl::AX(inv))}};
+      return std::vector<smv::ElaboratedModule>{std::move(step)};
+    };
+    jobs.push_back(std::move(job));
   }
-  return obligations;
+  return jobs;
+}
+
+service::ServiceOptions uncached() {
+  service::ServiceOptions opts;
+  opts.cacheEnabled = false;
+  return opts;
+}
+
+bool allHold(const std::vector<service::JobReport>& reports) {
+  return std::all_of(reports.begin(), reports.end(),
+                     [](const service::JobReport& r) { return r.allHold(); });
 }
 
 void report() {
+  service::VerificationService svc(uncached());
   std::printf(
       "== section 5: compositional (linear) vs monolithic (exponential) ==\n");
   std::printf(
@@ -82,8 +99,7 @@ void report() {
     const double seqSeconds = seq.seconds();
 
     WallTimer par;
-    const comp::ParallelReport parRep =
-        comp::runObligations(compositionalObligations(n));
+    const bool parOk = allHold(svc.runBatch(compositionalJobs(n)));
     const double parSeconds = par.seconds();
 
     double monoSeconds = -1.0;
@@ -94,7 +110,7 @@ void report() {
       monoSeconds = mono.seconds();
       if (!ok) std::printf("  !! monolithic check FAILED at n=%d\n", n);
     }
-    if (!rep.safety || !parRep.allOk) {
+    if (!rep.safety || !parOk) {
       std::printf("  !! compositional check FAILED at n=%d\n", n);
     }
     std::printf("%3d  %12.3g  %10.4f  %14.4f  %12.4f  %16llu\n", n, states,
@@ -117,10 +133,10 @@ BENCHMARK(BM_Compositional)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
 
 void BM_CompositionalParallel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const std::vector<service::VerificationJob> jobs = compositionalJobs(n);
+  service::VerificationService svc(uncached());
   for (auto _ : state) {
-    const comp::ParallelReport rep =
-        comp::runObligations(compositionalObligations(n));
-    benchmark::DoNotOptimize(rep.allOk);
+    benchmark::DoNotOptimize(allHold(svc.runBatch(jobs)));
   }
   state.counters["clients"] = n;
 }

@@ -1,66 +1,35 @@
 // The paper's §4.3 case study: AFS-2 with callbacks, updates, failures and
-// transmission delay, verified compositionally for n clients.  Also
-// demonstrates the parallel obligation runner: the per-component checks are
-// independent, so they fan out across cores.
+// transmission delay, verified compositionally for n clients.  The model
+// is gen::afs2Model(n), the text `genmodel afs2 <n>` writes.
 //
 //   $ ./afs2_verification [numClients] [--cross-check]
+#include <climits>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
 
-#include "afs/afs2.hpp"
-#include "afs/smv_sources.hpp"
 #include "afs/verify_afs2.hpp"
-#include "comp/verifier.hpp"
-#include "symbolic/checker.hpp"
+#include "gen/modelgen.hpp"
+#include "util/string_util.hpp"
 
 using namespace cmc;
 
 namespace {
 
-/// Build the per-component invariant-step obligations as self-contained
-/// parallel tasks (each builds its own BDD manager).
-std::vector<comp::Obligation> parallelObligations(int numClients) {
-  std::vector<comp::Obligation> obligations;
-  const ctl::FormulaPtr inv = afs::afs2Invariant(numClients);
-  const ctl::FormulaPtr step = ctl::mkImplies(inv, ctl::AX(inv));
+int usage() {
+  std::fprintf(stderr,
+               "usage: afs2_verification [numClients >= 1] [--cross-check]\n");
+  return 2;
+}
 
-  auto makeCheck = [numClients, step](std::string name, int component) {
-    return comp::Obligation{
-        std::move(name), [numClients, step, component] {
-          symbolic::Context ctx(1 << 14);
-          afs::Afs2Components comps =
-              afs::buildAfs2(ctx, numClients, /*reflexive=*/true);
-          comp::CompositionalVerifier verifier(ctx);
-          verifier.addComponent(comps.server.sys);
-          for (const smv::ElaboratedModule& client : comps.clients) {
-            verifier.addComponent(client.sys);
-          }
-          // Check the universal step obligation on this one component's
-          // expansion by registering only it plus the alphabet carriers.
-          comp::ProofTree proof;
-          const ctl::Spec spec{"step", ctl::Restriction::trivial(), step};
-          // verify() checks every component; emulate the single-component
-          // obligation by checking the chosen expansion directly.
-          symbolic::SymbolicSystem exp = verifier.component(component);
-          std::vector<symbolic::VarId> extra;
-          for (std::size_t i = 0; i < verifier.componentCount(); ++i) {
-            for (symbolic::VarId v : verifier.component(i).vars) {
-              extra.push_back(v);
-            }
-          }
-          symbolic::SymbolicSystem expanded = symbolic::expand(exp, extra);
-          symbolic::Checker checker(expanded);
-          return checker.holds(spec.r, spec.f);
-        }};
-  };
-
-  obligations.push_back(makeCheck("server: Inv => AX Inv", 0));
-  for (int i = 1; i <= numClients; ++i) {
-    obligations.push_back(
-        makeCheck("client " + std::to_string(i) + ": Inv => AX Inv", i));
-  }
-  return obligations;
+/// The server module of gen::afs2Model(n): the text before client 1.
+std::string serverModule(int numClients) {
+  const std::string text =
+      gen::afs2Model(static_cast<std::size_t>(numClients));
+  const std::size_t begin = text.find("MODULE ");
+  return text.substr(begin, text.find("\nMODULE ", begin) - begin);
 }
 
 }  // namespace
@@ -69,16 +38,18 @@ int main(int argc, char** argv) {
   int numClients = 2;
   bool crossCheck = false;
   for (int i = 1; i < argc; ++i) {
+    std::uint64_t n = 0;
     if (std::strcmp(argv[i], "--cross-check") == 0) {
       crossCheck = true;
+    } else if (parseUint(argv[i], &n) && n >= 1 && n <= INT_MAX) {
+      numClients = static_cast<int>(n);
     } else {
-      numClients = std::stoi(argv[i]);
+      return usage();
     }
   }
 
   std::cout << "== AFS-2 with " << numClients << " client(s) ==\n\n";
-  std::cout << "generated server model:\n"
-            << afs::afs2ServerSmv(std::min(numClients, 1)) << "\n";
+  std::cout << "generated server model:\n" << serverModule(numClients) << "\n";
 
   const afs::Afs2Report report = afs::verifyAfs2(numClients, crossCheck);
   std::cout << report.proof.render() << "\n";
@@ -89,11 +60,6 @@ int main(int argc, char** argv) {
               << (report.safetyCrossCheck ? "confirmed" : "FAILED") << "\n";
   }
   std::cout << "  per-component model checks:    " << report.componentChecks
-            << " (linear in the number of clients)\n\n";
-
-  std::cout << "== parallel discharge of the same obligations ==\n";
-  const comp::ParallelReport parallel =
-      comp::runObligations(parallelObligations(numClients));
-  std::cout << parallel.summary();
-  return report.allOk() && parallel.allOk ? 0 : 1;
+            << " (linear in the number of clients)\n";
+  return report.allOk() ? 0 : 1;
 }

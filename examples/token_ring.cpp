@@ -7,6 +7,9 @@
 // Liveness: want0 ⇒ AF cs0 via 3 Rule-4 guarantees per ring hop chained
 // with the leads-to ledger — 3(n−1)+1 guarantees, every obligation a
 // per-component model check.
+#include <climits>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -16,17 +19,31 @@
 #include "symbolic/composition.hpp"
 #include "symbolic/prop.hpp"
 #include "symbolic/trace.hpp"
+#include "util/string_util.hpp"
 
 using namespace cmc;
+
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: token_ring [numStations >= 2] [--proof]\n");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   int n = 3;
   bool showProof = false;
   for (int i = 1; i < argc; ++i) {
+    std::uint64_t count = 0;
     if (std::strcmp(argv[i], "--proof") == 0) {
       showProof = true;
+    } else if (parseUint(argv[i], &count) && count >= 2 &&
+               count <= INT_MAX) {
+      n = static_cast<int>(count);
     } else {
-      n = std::stoi(argv[i]);
+      return usage();
     }
   }
 

@@ -15,9 +15,11 @@
 #   3. Rerun `cmc learn` against the warm cache dir: zero cache misses —
 #      every membership/premise query is a pure cache hit — and the same
 #      verdicts.
-#   4. `genmodel` regenerates the committed goldens byte-identically, and
-#      learn-vs-direct agreement holds on the generated ring_3 too
-#      (where station 0 needs a genuinely refined 3-state assumption).
+#   4. `genmodel` regenerates the committed goldens byte-identically,
+#      exits 1 on a failed write and 2 (usage) on a count that is not
+#      plain digits or overflows, and learn-vs-direct agreement holds on
+#      the generated ring_3 too (where station 0 needs a genuinely refined
+#      3-state assumption).
 set -u
 
 CMC=${1:-build/tools/cmc}
@@ -91,6 +93,20 @@ for spec in ring_3 afs2_3; do
     || fail "models/gen/$spec.smv is not what genmodel $family $n produces"
 done
 note "goldens regenerate byte-identically"
+
+"$GENMODEL" afs2 5 -o /dev/full 2>"$WORK/genmodel.err"
+rc=$?
+[ "$rc" -eq 1 ] || fail "genmodel writing to /dev/full exited $rc, not 1"
+grep -q '^genmodel: cannot write /dev/full$' "$WORK/genmodel.err" \
+  || fail "genmodel did not report the failed write: $(cat "$WORK/genmodel.err")"
+for count in " 3" "+4" 99999999999999999999; do
+  "$GENMODEL" afs2 "$count" >/dev/null 2>"$WORK/genmodel.err"
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "genmodel afs2 '$count' exited $rc, not 2"
+  grep -q '^usage: genmodel' "$WORK/genmodel.err" \
+    || fail "genmodel afs2 '$count' printed no usage"
+done
+note "genmodel reports a failed write and refuses malformed counts"
 
 "$CMC" learn "$WORK/ring_3.smv" --no-cache --no-journal \
   --report "$WORK/ring-learn.json" --quiet >/dev/null 2>&1 \

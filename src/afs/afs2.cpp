@@ -1,6 +1,8 @@
 #include "afs/afs2.hpp"
 
-#include "afs/smv_sources.hpp"
+#include <iterator>
+
+#include "gen/modelgen.hpp"
 
 namespace cmc::afs {
 
@@ -17,14 +19,16 @@ Afs2Components buildAfs2(symbolic::Context& ctx, int numClients,
   if (numClients < 1) {
     throw ModelError("AFS-2 needs at least one client");
   }
+  std::vector<smv::ElaboratedModule> modules = smv::elaborateProgram(
+      ctx, gen::afs2Model(static_cast<std::size_t>(numClients)));
+  if (reflexive) {
+    for (smv::ElaboratedModule& mod : modules) symbolic::addReflexive(mod.sys);
+  }
   Afs2Components out;
   out.numClients = numClients;
-  out.server = smv::elaborateText(ctx, afs2ServerSmv(numClients));
-  if (reflexive) symbolic::addReflexive(out.server.sys);
-  for (int i = 1; i <= numClients; ++i) {
-    out.clients.push_back(smv::elaborateText(ctx, afs2ClientSmv(i)));
-    if (reflexive) symbolic::addReflexive(out.clients.back().sys);
-  }
+  out.server = std::move(modules.front());
+  out.clients.assign(std::make_move_iterator(modules.begin() + 1),
+                     std::make_move_iterator(modules.end()));
   return out;
 }
 

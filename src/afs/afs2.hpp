@@ -13,7 +13,10 @@ struct Afs2Components {
   int numClients = 0;
 };
 
-/// Elaborate the AFS-2 server and n clients into `ctx`.
+/// Elaborate gen::afs2Model(numClients) — the server, then clients 1..n —
+/// into `ctx`.  The modules' specs carry the generator's INIT in their
+/// restriction; the figures' all-states checks use
+/// ctl::Restriction::trivial() instead.
 Afs2Components buildAfs2(symbolic::Context& ctx, int numClients,
                          bool reflexive = true);
 

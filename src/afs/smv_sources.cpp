@@ -1,7 +1,5 @@
 #include "afs/smv_sources.hpp"
 
-#include <sstream>
-
 namespace cmc::afs {
 
 // ---- AFS-1 server (Figures 5 and 6) -----------------------------------------
@@ -171,151 +169,6 @@ ASSIGN
 INIT (Client.belief = nofile | Client.belief = suspect) & r = null
 )";
   return text;
-}
-
-// ---- AFS-2 (Figures 12-17), generalized to n clients -------------------------
-
-namespace {
-
-/// OR of `request<j> = update` over all clients j != i; empty for n = 1.
-std::string updateFromOthers(int i, int n) {
-  std::ostringstream out;
-  bool first = true;
-  for (int j = 1; j <= n; ++j) {
-    if (j == i) continue;
-    if (!first) out << " | ";
-    first = false;
-    out << "(request" << j << " = update)";
-  }
-  return out.str();
-}
-
-}  // namespace
-
-std::string afs2ServerSmv(int numClients) {
-  std::ostringstream out;
-  out << "-- AFS-2 server (Figure 12 generalized to " << numClients
-      << " clients)\n";
-  out << "MODULE afs2server\n";
-  out << "VAR\n";
-  out << "  failure : boolean;\n";
-  for (int i = 1; i <= numClients; ++i) {
-    out << "  Server.belief" << i << " : {nocall, valid};\n";
-    out << "  response" << i << " : {null, val, inval};\n";
-    out << "  time" << i << " : boolean;\n";
-    out << "  validFile" << i << " : boolean;\n";
-    out << "  request" << i << " : {null, fetch, validate, update};\n";
-  }
-  out << "ASSIGN\n";
-  for (int i = 1; i <= numClients; ++i) {
-    const std::string update = updateFromOthers(i, numClients);
-    out << "  next(validFile" << i << ") := validFile" << i << ";\n";
-    // The server only reads requests; pin them (see header note).
-    out << "  next(request" << i << ") := request" << i << ";\n";
-    out << "  next(Server.belief" << i << ") :=\n    case\n";
-    out << "      failure : nocall;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = fetch) : valid;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = validate) & validFile" << i << " : valid;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = validate) & !validFile" << i << " : nocall;\n";
-    if (!update.empty()) {
-      out << "      (Server.belief" << i << " = valid) & (" << update
-          << ") : nocall;\n";
-    }
-    out << "      1 : Server.belief" << i << ";\n    esac;\n";
-    out << "  next(response" << i << ") :=\n    case\n";
-    out << "      failure : null;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = fetch) : val;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = validate) & validFile" << i << " : val;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = validate) & !validFile" << i << " : inval;\n";
-    if (!update.empty()) {
-      out << "      (Server.belief" << i << " = valid) & (" << update
-          << ") : inval;\n";
-    }
-    out << "      1 : response" << i << ";\n    esac;\n";
-    out << "  next(time" << i << ") :=\n    case\n";
-    out << "      failure : 0;\n";
-    out << "      (Server.belief" << i << " = nocall) & (request" << i
-        << " = validate) & !validFile" << i << " : 0;\n";
-    if (!update.empty()) {
-      out << "      (Server.belief" << i << " = valid) & (" << update
-          << ") : 0;\n";
-    }
-    out << "      1 : time" << i << ";\n    esac;\n";
-  }
-  out << "\n-- Specification of the server (Figure 14)\n";
-  for (int i = 1; i <= numClients; ++i) {
-    out << "-- Srv1 for client " << i << "\n";
-    out << "SPEC ((Server.belief" << i << " = valid) | !time" << i
-        << ") -> AX ((Server.belief" << i << " = valid) | !time" << i
-        << ")\n";
-    out << "-- Srv2 for client " << i << "\n";
-    out << "SPEC (response" << i << " = val -> Server.belief" << i
-        << " = valid) -> AX (response" << i << " = val -> Server.belief" << i
-        << " = valid)\n";
-  }
-  return out.str();
-}
-
-std::string afs2ClientSmv(int clientIndex) {
-  const std::string i = std::to_string(clientIndex);
-  std::ostringstream out;
-  out << "-- AFS-2 client " << i << " (Figure 13)\n";
-  out << "MODULE afs2client" << i << "\n";
-  out << "VAR\n";
-  out << "  time" << i << " : boolean;\n";
-  out << "  request" << i << " : {null, fetch, validate, update};\n";
-  out << "  Client" << i << ".belief : {valid, suspect, nofile};\n";
-  out << "  response" << i << " : {null, val, inval};\n";
-  out << "  failure : boolean;\n";
-  out << "ASSIGN\n";
-  out << "  next(Client" << i << ".belief) :=\n    case\n";
-  out << "      (Client" << i << ".belief = nofile) & (response" << i
-      << " = val) : valid;\n";
-  out << "      (Client" << i << ".belief = suspect) & (response" << i
-      << " = val) : valid;\n";
-  out << "      (Client" << i << ".belief = suspect) & (response" << i
-      << " = inval) : nofile;\n";
-  out << "      (Client" << i << ".belief = valid) & failure : suspect;\n";
-  out << "      (Client" << i << ".belief = valid) & (response" << i
-      << " = inval) : nofile;\n";
-  out << "      1 : Client" << i << ".belief;\n    esac;\n";
-  out << "  next(request" << i << ") :=\n    case\n";
-  out << "      (Client" << i << ".belief = nofile) & (response" << i
-      << " = null) : {fetch, null};\n";
-  out << "      (Client" << i << ".belief = suspect) & (response" << i
-      << " = null) : {validate, null};\n";
-  out << "      (Client" << i << ".belief = valid) & failure : null;\n";
-  out << "      (Client" << i << ".belief = valid) & (response" << i
-      << " = inval) : null;\n";
-  out << "      (Client" << i << ".belief = valid) & (response" << i
-      << " != inval) : update;\n";
-  out << "      1 : request" << i << ";\n    esac;\n";
-  out << "  next(time" << i << ") :=\n    case\n";
-  out << "      (Client" << i << ".belief = nofile) & (response" << i
-      << " = val) : 1;\n";
-  out << "      (Client" << i << ".belief = suspect) & (response" << i
-      << " = val) : 1;\n";
-  out << "      (Client" << i << ".belief = suspect) & (response" << i
-      << " = inval) : 1;\n";
-  out << "      (Client" << i << ".belief = valid) & failure : 1;\n";
-  out << "      (Client" << i << ".belief = valid) & (response" << i
-      << " = inval) : 1;\n";
-  out << "      1 : time" << i << ";\n    esac;\n";
-  // The client only reads the server's response; pin it (header note).
-  out << "  next(response" << i << ") := response" << i << ";\n";
-  out << "\n-- Specification of the client (Figure 16)\n";
-  out << "-- Cli1 for client " << i << "\n";
-  out << "SPEC ((Client" << i << ".belief = valid -> !time" << i
-      << ") & response" << i << " != val) ->\n"
-      << "     AX ((Client" << i << ".belief = valid -> !time" << i
-      << ") & response" << i << " != val)\n";
-  return out.str();
 }
 
 }  // namespace cmc::afs

@@ -1,23 +1,18 @@
-// The paper's SMV listings (Figures 5, 6, 8, 9, 12, 13, 14, 16), cleaned
-// from the OCR'd technical report, plus composition-ready variants with
-// qualified variable names (the §4.2 discussion uses Server.belief and
+// The paper's AFS-1 SMV listings (Figures 5, 6, 8, 9), cleaned from the
+// OCR'd technical report, plus composition-ready variants with qualified
+// variable names (the §4.2 discussion uses Server.belief and
 // Client.belief; the figures reuse `belief` because each component is
-// checked in isolation).
+// checked in isolation).  The AFS-2 listings (Figures 12, 13, 14, 16),
+// generalized to n clients, come from gen::afs2Model.
 //
-// Deliberate corrections to the figures, each justified by the paper's
-// prose (the formal development in §4 is the source of truth; the listings
-// are OCR-damaged):
-//  - conjunctions of implications are parenthesized (SMV's precedence would
-//    otherwise parse `a -> AX a & b -> AX b` as a nested implication);
-//  - AFS-2: the client's shared variable `response` is pinned with
-//    `next(response) := response` — the client only reads it.  Cli1
-//    ("the client does not change its belief to valid if the server's
-//    response is not val", §4.2.2/§4.3.3) is false for a client that can
-//    scramble the response.  The same holds for the server and `request_i`.
+// Deliberate correction to the figures, justified by the paper's prose
+// (the formal development in §4 is the source of truth; the listings are
+// OCR-damaged): conjunctions of implications are parenthesized (SMV's
+// precedence would otherwise parse `a -> AX a & b -> AX b` as a nested
+// implication).
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace cmc::afs {
 
@@ -33,17 +28,5 @@ const std::string& afs1ClientSmv();
 const std::string& afs1ServerQualifiedSmv();
 /// Composition-ready AFS-1 client: `belief` renamed Client.belief.
 const std::string& afs1ClientQualifiedSmv();
-
-// ---- AFS-2 (Figures 12-17) --------------------------------------------------
-
-/// Figure 12 + Figure 14 generalized to n clients: per-client variables
-/// Server.belief<i>, response<i>, time<i>, validFile<i>; shared request<i>;
-/// free input `failure`.  n = 1 reproduces the figure (modulo the explicit
-/// second client the figure references).
-std::string afs2ServerSmv(int numClients);
-
-/// Figure 13 + Figure 16 for client `i` of `n`: variables Client<i>.belief,
-/// request<i>, time<i>; reads response<i> and failure.
-std::string afs2ClientSmv(int clientIndex);
 
 }  // namespace cmc::afs

@@ -12,8 +12,9 @@
 //    collection is mark-and-sweep from externally referenced nodes and is
 //    triggered by allocation pressure.
 //  - One Manager is single-threaded by design.  Parallel verification gives
-//    each worker its own Manager (see comp::ParallelVerifier); this is the
-//    standard approach for BDD-based checkers since managers share nothing.
+//    each worker its own Manager (see service::VerificationService); this
+//    is the standard approach for BDD-based checkers since managers share
+//    nothing.
 #pragma once
 
 #include <cstdint>

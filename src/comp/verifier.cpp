@@ -1,12 +1,8 @@
 #include "comp/verifier.hpp"
 
 #include <algorithm>
-#include <future>
-#include <sstream>
 
 #include "symbolic/prop.hpp"
-#include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace cmc::comp {
 
@@ -196,54 +192,6 @@ bool CompositionalVerifier::verifyInvariance(const ctl::FormulaPtr& init,
                 "  [" + name + ", invariance]",
             ok, {baseNode, stepNode, implNode});
   return ok;
-}
-
-// ---- Parallel obligation runner --------------------------------------------
-
-std::string ParallelReport::summary() const {
-  std::ostringstream out;
-  out << (allOk ? "ALL OK" : "FAILURES") << " (" << results.size()
-      << " obligations, " << wallSeconds << " s wall)\n";
-  for (const ObligationResult& r : results) {
-    out << "  " << (r.ok ? "ok  " : "FAIL") << ' ' << r.name << " ("
-        << r.seconds << " s)";
-    if (!r.error.empty()) out << "  error: " << r.error;
-    out << '\n';
-  }
-  return out.str();
-}
-
-ParallelReport runObligations(std::vector<Obligation> obligations,
-                              unsigned threads) {
-  ThreadPool pool(threads);
-  WallTimer wall;
-
-  std::vector<std::future<ObligationResult>> futures;
-  futures.reserve(obligations.size());
-  for (Obligation& ob : obligations) {
-    futures.push_back(pool.submit([ob = std::move(ob)]() {
-      ObligationResult result;
-      result.name = ob.name;
-      WallTimer timer;
-      try {
-        result.ok = ob.run();
-      } catch (const std::exception& e) {
-        result.ok = false;
-        result.error = e.what();
-      }
-      result.seconds = timer.seconds();
-      return result;
-    }));
-  }
-
-  ParallelReport report;
-  report.allOk = true;
-  for (std::future<ObligationResult>& f : futures) {
-    report.results.push_back(f.get());
-    report.allOk = report.allOk && report.results.back().ok;
-  }
-  report.wallSeconds = wall.seconds();
-  return report;
 }
 
 }  // namespace cmc::comp

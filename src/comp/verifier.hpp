@@ -12,13 +12,15 @@
 //    the composed system.  The proof tree labels this honestly so the
 //    certificate shows which steps were compositional.
 //
-// ParallelVerifier runs independent obligations on a thread pool; each
-// obligation builds its own BDD manager (managers are single-threaded), so
-// obligations scale with cores — this is the engine behind the §5 claim of
-// linear cost in the number of components.
+// The verifier discharges its obligations one after another in the
+// caller's Context.  Independent obligations fan out across cores as jobs
+// of service::VerificationService, whose workers each own a BDD manager
+// (managers are single-threaded); bench_scaling runs the per-component
+// checks of §4.3.4 that way for the §5 claim of linear cost in the number
+// of components.
 #pragma once
 
-#include <functional>
+#include <optional>
 
 #include "comp/classify.hpp"
 #include "comp/proof.hpp"
@@ -97,34 +99,5 @@ class CompositionalVerifier {
   std::vector<bool> expansionBuilt_;
   std::optional<symbolic::SymbolicSystem> composed_;
 };
-
-// ---- Parallel obligation runner --------------------------------------------
-
-/// One independent proof obligation.  `run` must be self-contained: it
-/// builds its own Context/Manager (BDD managers are not shared across
-/// threads) and returns the verdict.  Exceptions are captured as failures.
-struct Obligation {
-  std::string name;
-  std::function<bool()> run;
-};
-
-struct ObligationResult {
-  std::string name;
-  bool ok = false;
-  double seconds = 0.0;
-  std::string error;  ///< non-empty if run() threw
-};
-
-struct ParallelReport {
-  bool allOk = false;
-  double wallSeconds = 0.0;
-  std::vector<ObligationResult> results;
-
-  std::string summary() const;
-};
-
-/// Run all obligations on `threads` workers (0 = hardware concurrency).
-ParallelReport runObligations(std::vector<Obligation> obligations,
-                              unsigned threads = 0);
 
 }  // namespace cmc::comp

@@ -10,7 +10,13 @@
 //    tok<i>".
 //  - afs2Model(n): the AFS-2 server of Figure 12 generalized to n clients
 //    plus the n clients of Figure 13, mirroring models/afs2_composed.smv
-//    (which is this family at n = 2, modulo formatting).
+//    (which is this family at n = 2, modulo formatting).  afs::buildAfs2
+//    elaborates it for the §4.3 case study.  One deliberate correction to
+//    the figures, justified by the prose: the shared variables a component
+//    only reads are pinned with `next(v) := v` — the client's response<i>
+//    and the server's request<i>.  Cli1 ("the client does not change its
+//    belief to valid if the server's response is not val", §4.2.2/§4.3.3)
+//    is false for a client that can scramble the response.
 //
 // Generated text is deterministic: goldens under models/gen/ are
 // byte-compared against regeneration in tests.

@@ -6,10 +6,9 @@
 // *obligations* — one per (module, spec), plus one per spec on the composed
 // system when `compose` is set — and fans them onto a thread pool.  Every
 // attempt runs in a symbolic::Context of its own worker thread, because BDD
-// managers are single-threaded (the same discipline as
-// comp::runObligations): imported from the job's elaboration snapshot,
-// rebuilt from scratch, or kept from the worker's previous decided
-// obligation of the same target and engine.
+// managers are single-threaded: imported from the job's elaboration
+// snapshot, rebuilt from scratch, or kept from the worker's previous
+// decided obligation of the same target and engine.
 //
 // Verdicts extend the paper's two-valued M ⊨_r f with the resource-governed
 // outcomes a production service needs (docs/THEORY.md maps them back to

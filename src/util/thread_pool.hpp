@@ -1,7 +1,8 @@
-// Fixed-size thread pool used by comp::ParallelVerifier to discharge
-// independent per-component proof obligations concurrently.  This is the
-// mechanism behind the paper's "linear behavior in terms of the number of
-// components" (§5): obligations never share state, so they scale with cores.
+// Fixed-size thread pool.  service::VerificationService discharges
+// independent proof obligations concurrently on one; this is the mechanism
+// behind the paper's "linear behavior in terms of the number of
+// components" (§5): obligations never share state, so they scale with
+// cores.  The cluster coordinator dispatches its forwards on another.
 #pragma once
 
 #include <condition_variable>

@@ -12,6 +12,8 @@
 #include "comp/rules.hpp"
 #include "comp/verifier.hpp"
 #include "ctl/parser.hpp"
+#include "gen/modelgen.hpp"
+#include "smv/parser.hpp"
 #include "symbolic/checker.hpp"
 #include "symbolic/composition.hpp"
 #include "symbolic/encode.hpp"
@@ -96,25 +98,33 @@ TEST(Afs1Figures, ServerGraphMatchesFigure4) {
 
 // ---- AFS-2 component checks (Figures 15 and 17) ------------------------------
 
+/// Module `index` of gen::afs2Model(2) elaborated alone: 0 is the server,
+/// i is client i.
+smv::ElaboratedModule afs2Module(symbolic::Context& ctx, std::size_t index) {
+  return smv::elaborate(ctx, smv::parseProgram(gen::afs2Model(2)).at(index));
+}
+
+// The figures check every state; ctl::Restriction::trivial() keeps the
+// generator's INIT from narrowing them.
+
 TEST(Afs2Figures, ServerSpecsAllTrue) {
   symbolic::Context ctx;
-  const smv::ElaboratedModule server =
-      smv::elaborateText(ctx, afs2ServerSmv(2));
+  const smv::ElaboratedModule server = afs2Module(ctx, 0);
   EXPECT_EQ(server.specs.size(), 4u);  // Srv1, Srv2 per client
   symbolic::Checker checker(server.sys);
   for (const ctl::Spec& spec : server.specs) {
-    EXPECT_TRUE(checker.holds(spec)) << spec.name << ": "
-                                     << ctl::toString(spec.f);
+    EXPECT_TRUE(checker.holds(ctl::Restriction::trivial(), spec.f))
+        << spec.name << ": " << ctl::toString(spec.f);
   }
 }
 
 TEST(Afs2Figures, ClientSpecsAllTrue) {
   symbolic::Context ctx;
-  const smv::ElaboratedModule client =
-      smv::elaborateText(ctx, afs2ClientSmv(1));
+  const smv::ElaboratedModule client = afs2Module(ctx, 1);
   EXPECT_EQ(client.specs.size(), 1u);  // Cli1
   symbolic::Checker checker(client.sys);
-  EXPECT_TRUE(checker.holds(client.specs[0]));
+  EXPECT_TRUE(
+      checker.holds(ctl::Restriction::trivial(), client.specs.at(0).f));
 }
 
 TEST(Afs2Figures, BddSizeOrderingMatchesPaper) {
@@ -125,8 +135,7 @@ TEST(Afs2Figures, BddSizeOrderingMatchesPaper) {
   const smv::ElaboratedModule afs1Server =
       smv::elaborateText(ctx1, afs1ServerSmv());
   symbolic::Context ctx2;
-  const smv::ElaboratedModule afs2Server =
-      smv::elaborateText(ctx2, afs2ServerSmv(2));
+  const smv::ElaboratedModule afs2Server = afs2Module(ctx2, 0);
   EXPECT_GT(afs2Server.sys.transNodeCount(),
             afs1Server.sys.transNodeCount());
 }
@@ -144,20 +153,17 @@ TEST(Afs1Verification, FullDeductionSucceeds) {
 }
 
 TEST(Afs2Verification, SafetyScalesLinearly) {
-  std::size_t previousChecks = 0;
-  for (int n = 1; n <= 3; ++n) {
-    const Afs2Report report = verifyAfs2(n, /*crossCheck=*/n == 1);
+  for (int n = 1; n <= 8; ++n) {
+    const Afs2Report report = verifyAfs2(n, /*crossCheck=*/n <= 2);
     EXPECT_TRUE(report.safety) << "n=" << n;
     EXPECT_TRUE(report.proof.valid()) << "n=" << n;
-    if (n == 1) {
-      EXPECT_TRUE(report.safetyCrossCheck);
+    if (n <= 2) {
+      EXPECT_TRUE(report.safetyCrossCheck) << "n=" << n;
     }
-    // Obligations grow by exactly one per added client (n components + 1
-    // server, each checked once for the universal step property).
-    if (previousChecks != 0) {
-      EXPECT_EQ(report.componentChecks, previousChecks + 1) << "n=" << n;
-    }
-    previousChecks = report.componentChecks;
+    // One check of the universal step property per component: the server
+    // and each of the n clients.
+    EXPECT_EQ(report.componentChecks, static_cast<std::size_t>(n) + 1)
+        << "n=" << n;
   }
 }
 
@@ -242,7 +248,7 @@ TEST(Afs2Mutation, ForgettingTheTimeStampBreaksSafety) {
   // catch it.  (This is exactly the transmission-delay subtlety §4.3
   // introduces time_i for.)
   symbolic::Context ctx;
-  std::string broken = afs2ServerSmv(2);
+  std::string broken = gen::afs2Model(2);
   // Remove the update branch from next(time1) only.
   // The ": 0" form of the update guard occurs only in the time1 block
   // (belief1 uses ": nocall", response1 uses ": inval").
@@ -253,20 +259,12 @@ TEST(Afs2Mutation, ForgettingTheTimeStampBreaksSafety) {
   ASSERT_EQ(broken.find(needle, pos + 1), std::string::npos);
   broken.erase(pos, needle.size());
 
-  const smv::ElaboratedModule server = smv::elaborateText(ctx, broken);
-  smv::ElaboratedModule client1 = smv::elaborateText(ctx, afs2ClientSmv(1));
-  smv::ElaboratedModule client2 = smv::elaborateText(ctx, afs2ClientSmv(2));
-  symbolic::SymbolicSystem serverSys = server.sys;
-  symbolic::addReflexive(serverSys);
-  symbolic::SymbolicSystem c1 = client1.sys;
-  symbolic::SymbolicSystem c2 = client2.sys;
-  symbolic::addReflexive(c1);
-  symbolic::addReflexive(c2);
-
   comp::CompositionalVerifier verifier(ctx);
-  verifier.addComponent(serverSys);
-  verifier.addComponent(c1);
-  verifier.addComponent(c2);
+  for (smv::ElaboratedModule& mod : smv::elaborateProgram(ctx, broken)) {
+    symbolic::addReflexive(mod.sys);
+    verifier.addComponent(mod.sys);
+  }
+  ASSERT_EQ(verifier.componentCount(), 3u);  // the server and two clients
   comp::ProofTree proof;
   EXPECT_FALSE(verifier.verifyInvariance(afs2Init(2), afs2Invariant(2),
                                          afs2Target(2), proof, "Afs1'"));

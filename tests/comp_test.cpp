@@ -1,11 +1,9 @@
 // Tests for the compositional theory: classification (Rules 1-3), rule
-// derivation (Rules 4-5), proof trees, the verifier, the leads-to ledger,
-// and the parallel obligation runner.  Includes soundness property tests
-// that validate the rules against brute-force composition, and mutation
-// tests checking that broken premises are refused.
+// derivation (Rules 4-5), proof trees, the verifier and the leads-to
+// ledger.  Includes soundness property tests that validate the rules
+// against brute-force composition, and mutation tests checking that broken
+// premises are refused.
 #include <gtest/gtest.h>
-
-#include <atomic>
 
 #include "comp/classify.hpp"
 #include "comp/leadsto.hpp"
@@ -477,45 +475,6 @@ TEST(LeadsTo, RejectsWrongShape) {
   EXPECT_THROW(
       ledger.fromAU(ctl::Spec{"bad2", trivial(), parse("x -> A[!x U x]")}),
       ModelError);
-}
-
-// ---- Parallel obligation runner ---------------------------------------------
-
-TEST(ParallelVerifier, RunsAllObligations) {
-  std::atomic<int> ran{0};
-  std::vector<Obligation> obligations;
-  for (int i = 0; i < 8; ++i) {
-    obligations.push_back(Obligation{
-        "ob" + std::to_string(i), [&ran, i] {
-          ++ran;
-          // Each obligation owns its manager — the supported pattern.
-          symbolic::Context ctx;
-          const symbolic::VarId x = ctx.addBoolVar("x");
-          symbolic::SymbolicSystem sys = symbolic::identitySystem(ctx, {x});
-          symbolic::Checker checker(sys);
-          return checker.holds(Restriction::trivial(),
-                               parse(i % 2 == 0 ? "x -> AX x" : "x | !x"));
-        }});
-  }
-  const ParallelReport report = runObligations(std::move(obligations), 4);
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_TRUE(report.allOk);
-  EXPECT_EQ(report.results.size(), 8u);
-  EXPECT_NE(report.summary().find("ALL OK"), std::string::npos);
-}
-
-TEST(ParallelVerifier, CapturesFailuresAndExceptions) {
-  std::vector<Obligation> obligations;
-  obligations.push_back(Obligation{"fails", [] { return false; }});
-  obligations.push_back(Obligation{"throws", []() -> bool {
-    throw ModelError("boom");
-  }});
-  obligations.push_back(Obligation{"passes", [] { return true; }});
-  const ParallelReport report = runObligations(std::move(obligations), 2);
-  EXPECT_FALSE(report.allOk);
-  EXPECT_EQ(report.results[1].error, "boom");
-  EXPECT_TRUE(report.results[2].ok);
-  EXPECT_NE(report.summary().find("FAIL"), std::string::npos);
 }
 
 }  // namespace

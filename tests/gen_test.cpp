@@ -1,7 +1,8 @@
 // Tests for the parameterized model generator (gen layer): the committed
 // goldens under models/gen/ must be byte-identical to regeneration (so a
 // generator change cannot silently drift away from what is checked in),
-// and every generated model must elaborate and verify component-wise.
+// and every generated model must elaborate and verify component-wise.  The
+// hand-written copies under models/ are pinned to the texts they copy.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -9,7 +10,9 @@
 #include <sstream>
 #include <string>
 
+#include "afs/smv_sources.hpp"
 #include "gen/modelgen.hpp"
+#include "ring/token_ring.hpp"
 #include "service/scheduler.hpp"
 #include "smv/elaborate.hpp"
 #include "symbolic/encode.hpp"
@@ -34,6 +37,43 @@ TEST(GenGoldens, RegenerationIsByteIdentical) {
               ringModel(n));
     EXPECT_EQ(readFile(dir / ("afs2_" + std::to_string(n) + ".smv")),
               afs2Model(n));
+  }
+}
+
+TEST(ModelCopies, MatchTheTextsTheyCopy) {
+  const fs::path dir(CMC_MODELS_DIR);
+  EXPECT_EQ(readFile(dir / "afs1_server.smv"), afs::afs1ServerSmv());
+  EXPECT_EQ(readFile(dir / "afs1_client.smv"), afs::afs1ClientSmv());
+  std::string ring;  // the stations, each followed by a blank line
+  for (int i = 0; i < 3; ++i) ring += ring::stationSmv(i, 3) + "\n";
+  EXPECT_EQ(readFile(dir / "token_ring_3.smv"), ring);
+}
+
+TEST(ModelCopies, Afs2CopiesDenoteTheGeneratedServerAndClient) {
+  // afs2_server_2clients.smv and afs2_client1.smv are the AFS-2 server and
+  // client 1 for two clients, written before afs2Model.  In one Context
+  // they must have the alphabet, transition BDD and spec formulas of its
+  // modules (which add an INIT the copies lack).
+  const fs::path dir(CMC_MODELS_DIR);
+  symbolic::Context ctx;
+  const smv::ElaboratedModule server =
+      smv::elaborateText(ctx, readFile(dir / "afs2_server_2clients.smv"));
+  const smv::ElaboratedModule client1 =
+      smv::elaborateText(ctx, readFile(dir / "afs2_client1.smv"));
+  const std::vector<smv::ElaboratedModule> generated =
+      smv::elaborateProgram(ctx, afs2Model(2));
+  ASSERT_EQ(generated.size(), 3u);
+  const std::pair<const smv::ElaboratedModule*, const smv::ElaboratedModule*>
+      pairs[] = {{&server, &generated[0]}, {&client1, &generated[1]}};
+  for (const auto& [copy, mod] : pairs) {
+    SCOPED_TRACE(copy->sys.name);
+    EXPECT_EQ(copy->sys.vars, mod->sys.vars);
+    EXPECT_TRUE(copy->sys.transBdd() == mod->sys.transBdd());
+    ASSERT_EQ(copy->specs.size(), mod->specs.size());
+    for (std::size_t i = 0; i < copy->specs.size(); ++i) {
+      EXPECT_EQ(ctl::toString(copy->specs[i].f),
+                ctl::toString(mod->specs[i].f));
+    }
   }
 }
 

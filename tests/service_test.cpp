@@ -13,7 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "afs/smv_sources.hpp"
+#include "gen/modelgen.hpp"
 #include "service/budget.hpp"
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
@@ -180,7 +180,7 @@ TEST(Service, TinyNodeBudgetOnAfs2YieldsMemoryOutNotAHang) {
   job.name = "afs2";
   job.factory = [](symbolic::Context& ctx) {
     return std::vector<smv::ElaboratedModule>{
-        smv::elaborateText(ctx, afs::afs2ServerSmv(2))};
+        smv::elaborateText(ctx, gen::afs2Model(2))};  // the server
   };
   job.options.limits.nodeBudget = 1;
 

@@ -4,14 +4,18 @@
 //
 //   genmodel ring 8                 # token ring, 8 stations, to stdout
 //   genmodel afs2 3 -o afs2_3.smv   # AFS-2 server + 3 clients, to a file
+//
+// Exit status: 0 written, 1 generator error or failed write, 2 usage (the
+// count must be plain decimal digits).
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "gen/modelgen.hpp"
+#include "util/string_util.hpp"
 
 namespace {
 
@@ -29,7 +33,7 @@ int usage() {
 int main(int argc, char** argv) {
   std::string family;
   std::string out;
-  long n = -1;
+  const char* count = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-o") {
@@ -37,22 +41,24 @@ int main(int argc, char** argv) {
       out = argv[++i];
     } else if (family.empty()) {
       family = arg;
-    } else if (n < 0) {
-      char* end = nullptr;
-      n = std::strtol(arg.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) return usage();
+    } else if (count == nullptr) {
+      count = argv[i];
     } else {
       return usage();
     }
   }
-  if (family.empty() || n < 0) return usage();
+  // Digits only: no sign, no space, no overflow.
+  std::uint64_t n = 0;
+  if (family.empty() || count == nullptr || !cmc::parseUint(count, &n)) {
+    return usage();
+  }
 
   std::string text;
   try {
     if (family == "ring") {
-      text = cmc::gen::ringModel(static_cast<std::size_t>(n));
+      text = cmc::gen::ringModel(n);
     } else if (family == "afs2") {
-      text = cmc::gen::afs2Model(static_cast<std::size_t>(n));
+      text = cmc::gen::afs2Model(n);
     } else {
       return usage();
     }
@@ -61,15 +67,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (out.empty()) {
-    std::cout << text;
-    return 0;
-  }
-  std::ofstream f(out, std::ios::binary);
-  if (!f) {
-    std::fprintf(stderr, "genmodel: cannot write %s\n", out.c_str());
+  std::ofstream file;
+  if (!out.empty()) file.open(out, std::ios::binary);
+  std::ostream& sink = out.empty() ? std::cout : file;
+  sink << text << std::flush;
+  if (file.is_open()) file.close();
+  if (!sink) {
+    std::fprintf(stderr, "genmodel: cannot write %s\n",
+                 out.empty() ? "stdout" : out.c_str());
     return 1;
   }
-  f << text;
   return 0;
 }
