@@ -54,6 +54,11 @@ trap cleanup EXIT
 
 fail() { echo "cluster-smoke: FAIL: $*" >&2; exit 1; }
 note() { echo "cluster-smoke: $*"; }
+# The job's own verdict: a grep for one obligation's "Holds" would also
+# match a job that Fails.
+job_verdict() { # report.json
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["verdict"])' "$1"
+}
 
 [ -x "$CMC" ] || fail "no cmc binary at $CMC"
 
@@ -104,7 +109,7 @@ note "coordinator up, fronting 3/3 shards"
 "$CMC" submit --socket "$WORK/coord.sock" --id cold --compose \
   --report "$WORK/cold.json" "$MODEL" > "$WORK/cold.log" 2>&1 \
   || fail "cold submission failed: $(cat "$WORK/cold.log")"
-grep -q '"verdict": "Holds"' "$WORK/cold.json" || fail "cold run does not hold"
+[ "$(job_verdict "$WORK/cold.json")" = Holds ] || fail "cold run does not hold"
 n=$(grep -c '"verdict_source": "checked"' "$WORK/cold.json")
 [ "$n" -eq 12 ] || fail "expected 12 checked obligations, got $n"
 shards=$(grep -o '"shard": "s[0-9]*"' "$WORK/cold.json" | sort -u | wc -l)
@@ -120,7 +125,7 @@ warm_all_cache() { # id
   "$CMC" submit --socket "$WORK/coord.sock" --id "$1" --compose \
     --report "$WORK/$1.json" "$MODEL" > "$WORK/$1.log" 2>&1 \
     || fail "$1 submission failed: $(cat "$WORK/$1.log")"
-  grep -q '"verdict": "Holds"' "$WORK/$1.json" || fail "$1 run does not hold"
+  [ "$(job_verdict "$WORK/$1.json")" = Holds ] || fail "$1 run does not hold"
   if grep -q '"verdict_source": "checked"' "$WORK/$1.json"; then
     fail "$1 run re-checked an obligation"
   fi
@@ -222,7 +227,7 @@ kill -STOP "$VPID"
   --report "$WORK/hedged.json" "$MODEL" > "$WORK/hedged.log" 2>&1 \
   || { kill -CONT "$VPID"; fail "hedged submission failed: $(cat "$WORK/hedged.log")"; }
 kill -CONT "$VPID"
-grep -q '"verdict": "Holds"' "$WORK/hedged.json" || fail "hedged run does not hold"
+[ "$(job_verdict "$WORK/hedged.json")" = Holds ] || fail "hedged run does not hold"
 grep -q '"hedged": true' "$WORK/hedged.json" \
   || fail "no obligation was hedged around the stalled shard"
 grep -q "\"shard\": \"$victim\"" "$WORK/hedged.json" \

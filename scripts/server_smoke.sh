@@ -36,6 +36,11 @@ trap cleanup EXIT
 
 fail() { echo "server-smoke: FAIL: $*" >&2; exit 1; }
 note() { echo "server-smoke: $*"; }
+# The job's own verdict: a grep for one obligation's "Holds" would also
+# match a job that Fails.
+job_verdict() { # report.json
+  python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["verdict"])' "$1"
+}
 
 [ -x "$CMC" ] || fail "no cmc binary at $CMC"
 
@@ -71,7 +76,7 @@ B=$!
 wait "$A" || fail "AFS-1 submission failed: $(cat "$WORK/afs1.log")"
 wait "$B" || fail "AFS-2 submission failed: $(cat "$WORK/afs2-cold.log")"
 for r in afs1 afs2-cold; do
-  grep -q '"verdict": "Holds"' "$WORK/$r.json" || fail "$r does not hold"
+  [ "$(job_verdict "$WORK/$r.json")" = Holds ] || fail "$r does not hold"
 done
 grep -q '"cmc_version": "' "$WORK/afs1.json" \
   || fail "report is not version-stamped"
@@ -84,7 +89,7 @@ note "concurrent AFS-1 + AFS-2: both hold"
   --report "$WORK/afs2-warm.json" \
   models/afs2_composed.smv > "$WORK/afs2-warm.log" 2>&1 \
   || fail "warm AFS-2 submission failed: $(cat "$WORK/afs2-warm.log")"
-grep -q '"verdict": "Holds"' "$WORK/afs2-warm.json" || fail "warm AFS-2 does not hold"
+[ "$(job_verdict "$WORK/afs2-warm.json")" = Holds ] || fail "warm AFS-2 does not hold"
 grep -q '"verdict_source": "cache"' "$WORK/afs2-warm.json" \
   || fail "warm run served nothing from the cache"
 if grep -q '"verdict_source": "checked"' "$WORK/afs2-warm.json"; then

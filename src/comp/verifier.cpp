@@ -3,14 +3,41 @@
 #include <algorithm>
 
 #include "symbolic/prop.hpp"
+#include "util/timer.hpp"
 
 namespace cmc::comp {
+
+namespace {
+
+/// Adds the wall time of its scope to a verifier's setup total.
+class SetupClock {
+ public:
+  explicit SetupClock(double& total) : total_(total) {}
+  ~SetupClock() { total_ += timer_.seconds(); }
+  SetupClock(const SetupClock&) = delete;
+  SetupClock& operator=(const SetupClock&) = delete;
+
+ private:
+  double& total_;
+  WallTimer timer_;
+};
+
+}  // namespace
+
+void CompositionalVerifier::setCheckerOptions(symbolic::CheckerOptions opts) {
+  if (opts.usePartitionedTrans != checkerOpts_.usePartitionedTrans ||
+      opts.clusterThreshold != checkerOpts_.clusterThreshold) {
+    composedChecker_.reset();
+  }
+  checkerOpts_ = std::move(opts);
+}
 
 void CompositionalVerifier::addComponent(symbolic::SymbolicSystem sys) {
   CMC_ASSERT(sys.ctx == &ctx_);
   components_.push_back(std::move(sys));
   expansions_.emplace_back();
   expansionBuilt_.push_back(false);
+  composedChecker_.reset();
   composed_.reset();
 }
 
@@ -29,9 +56,28 @@ const symbolic::SymbolicSystem& CompositionalVerifier::composed() {
     if (components_.empty()) {
       throw ModelError("no components registered");
     }
+    const SetupClock clock(setupSeconds_);
     composed_ = symbolic::composeAll(components_);
   }
   return *composed_;
+}
+
+symbolic::Checker& CompositionalVerifier::composedChecker() {
+  if (composedChecker_ == nullptr) {
+    const symbolic::SymbolicSystem& sys = composed();
+    const SetupClock clock(setupSeconds_);
+    symbolic::CheckerOptions opts = checkerOpts_;
+    opts.cancelCheck = [this] {
+      if (checkerOpts_.cancelCheck) checkerOpts_.cancelCheck();
+    };
+    composedChecker_ = std::make_unique<symbolic::Checker>(sys, std::move(opts));
+  }
+  return *composedChecker_;
+}
+
+std::string CompositionalVerifier::counterexample(const ctl::Spec& spec) {
+  const symbolic::SymbolicSystem scratch = composed();
+  return checkerFor(scratch).counterexampleText(spec);
 }
 
 void CompositionalVerifier::adoptComposed(symbolic::SymbolicSystem sys) {
@@ -43,6 +89,7 @@ void CompositionalVerifier::adoptComposed(symbolic::SymbolicSystem sys) {
     throw ModelError("adoptComposed: the alphabet of '" + sys.name +
                      "' is not the union of the components' alphabets");
   }
+  composedChecker_.reset();
   composed_ = std::move(sys);
 }
 
@@ -50,6 +97,7 @@ const symbolic::SymbolicSystem& CompositionalVerifier::expansion(
     std::size_t i) {
   CMC_ASSERT(i < components_.size());
   if (!expansionBuilt_[i]) {
+    const SetupClock clock(setupSeconds_);
     std::vector<symbolic::VarId> extra;
     const std::vector<symbolic::VarId> all = unionVars();
     std::set_difference(all.begin(), all.end(), components_[i].vars.begin(),
@@ -59,6 +107,12 @@ const symbolic::SymbolicSystem& CompositionalVerifier::expansion(
     expansionBuilt_[i] = true;
   }
   return expansions_[i];
+}
+
+symbolic::Checker CompositionalVerifier::checkerFor(
+    const symbolic::SymbolicSystem& sys) {
+  const SetupClock clock(setupSeconds_);
+  return symbolic::Checker(sys, checkerOpts_);
 }
 
 bool CompositionalVerifier::verify(const ctl::Spec& spec, ProofTree& proof,
@@ -77,8 +131,7 @@ bool CompositionalVerifier::verify(const ctl::Spec& spec, ProofTree& proof,
       std::vector<std::size_t> checks{clsNode};
       bool all = true;
       for (std::size_t i = 0; i < components_.size(); ++i) {
-        symbolic::Checker checker(expansion(i), checkerOpts_);
-        const bool ok = checker.holds(spec.r, spec.f);
+        const bool ok = checkerFor(expansion(i)).holds(spec.r, spec.f);
         checks.push_back(proof.add(
             ProofNode::Kind::ModelCheck,
             expansion(i).name + " |= " + ctl::toString(spec.f), ok));
@@ -92,8 +145,7 @@ bool CompositionalVerifier::verify(const ctl::Spec& spec, ProofTree& proof,
     case PropertyClass::Existential: {
       // Find one component whose expansion satisfies the spec.
       for (std::size_t i = 0; i < components_.size(); ++i) {
-        symbolic::Checker checker(expansion(i), checkerOpts_);
-        if (checker.holds(spec.r, spec.f)) {
+        if (checkerFor(expansion(i)).holds(spec.r, spec.f)) {
           const std::size_t check = proof.add(
               ProofNode::Kind::ModelCheck,
               expansion(i).name + " |= " + ctl::toString(spec.f), true);
@@ -117,8 +169,7 @@ bool CompositionalVerifier::verify(const ctl::Spec& spec, ProofTree& proof,
                   false, {clsNode});
         return false;
       }
-      symbolic::Checker checker(composed(), checkerOpts_);
-      const bool ok = checker.holds(spec.r, spec.f);
+      const bool ok = composedChecker().holds(spec.r, spec.f);
       const std::size_t check =
           proof.add(ProofNode::Kind::ModelCheck,
                     "composed system |= " + ctl::toString(spec.f) +

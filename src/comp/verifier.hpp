@@ -18,9 +18,16 @@
 // (managers are single-threaded); bench_scaling runs the per-component
 // checks of §4.3.4 that way for the §5 claim of linear cost in the number
 // of components.
+//
+// A verifier is meant to be kept: the service's worker keeps one per
+// composed target and runs every composed obligation of its job on it, so
+// the components, their expansions, the composition and the composed
+// checker are built once per worker, not once per spec.
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "comp/classify.hpp"
 #include "comp/proof.hpp"
@@ -34,13 +41,16 @@ class CompositionalVerifier {
  public:
   explicit CompositionalVerifier(symbolic::Context& ctx,
                                  symbolic::CheckerOptions opts = {})
-      : ctx_(ctx), checkerOpts_(opts) {}
+      : ctx_(ctx), checkerOpts_(std::move(opts)) {}
+  /// The composed checker's cancel hook calls back into this verifier.
+  CompositionalVerifier(const CompositionalVerifier&) = delete;
+  CompositionalVerifier& operator=(const CompositionalVerifier&) = delete;
 
   /// Preimage-engine options used for every obligation this verifier
-  /// discharges (partitioned vs monolithic, clustering threshold).
-  void setCheckerOptions(symbolic::CheckerOptions opts) {
-    checkerOpts_ = opts;
-  }
+  /// discharges (partitioned vs monolithic, clustering threshold, cancel
+  /// hook).  The composed checker survives a change of the hook alone; a
+  /// change of engine or threshold drops it.
+  void setCheckerOptions(symbolic::CheckerOptions opts);
   const symbolic::CheckerOptions& checkerOptions() const noexcept {
     return checkerOpts_;
   }
@@ -62,6 +72,26 @@ class CompositionalVerifier {
   /// its alphabet is the union of the components'.  Adding a component
   /// afterwards drops it, like the lazily built one.
   void adoptComposed(symbolic::SymbolicSystem sys);
+
+  /// The checker over composed() that every global-fallback check runs
+  /// on, built on first use and kept until the composition, the engine or
+  /// the clustering threshold changes.  Its cancel hook forwards to
+  /// checkerOptions().cancelCheck as it is at each poll, so a kept checker
+  /// honors whatever hook the current caller installed.  Under the
+  /// monolithic engine the composition keeps the product its first
+  /// preimage materializes.
+  symbolic::Checker& composedChecker();
+
+  /// Best-effort counterexample to `spec` on the composition (see
+  /// symbolic::Checker::counterexampleText), searched on a throwaway copy
+  /// of the composition: the monolithic relation a trace materializes dies
+  /// with the copy, so the kept composition stays as built or adopted.
+  std::string counterexample(const ctl::Spec& spec);
+
+  /// Wall time this verifier spent building the composition (when it
+  /// composed it itself), expansions and checkers — everything but the
+  /// checks — so a caller can split its own timing into setup and checks.
+  double setupSeconds() const noexcept { return setupSeconds_; }
 
   /// Verify `spec` on the composition compositionally where the classifier
   /// allows; returns the verdict and records every step in `proof`.
@@ -90,6 +120,8 @@ class CompositionalVerifier {
  private:
   /// Expansion of component i over the union alphabet (cached).
   const symbolic::SymbolicSystem& expansion(std::size_t i);
+  /// A checker over `sys` with the current options, for one check.
+  symbolic::Checker checkerFor(const symbolic::SymbolicSystem& sys);
   std::vector<symbolic::VarId> unionVars() const;
 
   symbolic::Context& ctx_;
@@ -98,6 +130,9 @@ class CompositionalVerifier {
   std::vector<symbolic::SymbolicSystem> expansions_;  ///< lazy, parallel to components_
   std::vector<bool> expansionBuilt_;
   std::optional<symbolic::SymbolicSystem> composed_;
+  /// Over *composed_, so declared after it (destroyed first).
+  std::unique_ptr<symbolic::Checker> composedChecker_;
+  double setupSeconds_ = 0.0;
 };
 
 }  // namespace cmc::comp

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,8 @@ Verdict worseVerdict(Verdict a, Verdict b) noexcept;
 /// every attempt starts a fresh deadline, and an engine retry also a fresh
 /// BDD manager.  A warm attempt's manager (see AttemptRecord::warm) holds
 /// exactly what a fresh import would once the node budget's collection has
-/// run, so the budget binds the same.
+/// run, so the budget binds the same; a composed one also holds the kept
+/// verifier, which a fresh attempt builds before its first check.
 struct ObligationLimits {
   /// Wall-clock deadline in seconds; 0 = unlimited.
   double deadlineSeconds = 0.0;
@@ -143,12 +145,19 @@ struct AttemptRecord {
   Verdict verdict = Verdict::Error;
   double seconds = 0.0;
   std::uint64_t peakLiveNodes = 0;
-  double cacheHitRate = 0.0;
+  /// Op-cache hits over lookups during the checks; unset when the attempt
+  /// made no lookup (or failed before measuring), so it is never a zero
+  /// nobody measured.
+  std::optional<double> cacheHitRate;
   // Phase breakdown of `seconds`.  Snapshot-backed attempts pay importMs
   // (cross-manager copy of the elaborated BDDs) instead of elaborateMs
-  // (full parse + elaboration); fixpointMs is the checker proper.
+  // (full parse + elaboration); setupMs builds what the checks run on
+  // (reflexive closures, the composition when not imported, checkers),
+  // about 0 for a warm composed attempt that kept its verifier;
+  // fixpointMs is the checks proper.
   double elaborateMs = 0.0;
   double importMs = 0.0;
+  double setupMs = 0.0;
   double fixpointMs = 0.0;
 };
 

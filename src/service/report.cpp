@@ -41,15 +41,18 @@ Verdict worseVerdict(Verdict a, Verdict b) noexcept {
 namespace {
 
 std::string attemptJson(const AttemptRecord& a) {
-  return JsonObject()
-      .put("engine", a.engine)
+  JsonObject obj;
+  obj.put("engine", a.engine)
       .put("context", a.warm ? "warm" : "fresh")
       .put("verdict", toString(a.verdict))
       .putDouble("seconds", a.seconds)
-      .putUint("peak_live_nodes", a.peakLiveNodes)
-      .putDouble("cache_hit_rate", a.cacheHitRate)
-      .putDouble("elaborate_ms", a.elaborateMs)
+      .putUint("peak_live_nodes", a.peakLiveNodes);
+  if (a.cacheHitRate.has_value()) {
+    obj.putDouble("cache_hit_rate", *a.cacheHitRate);
+  }
+  return obj.putDouble("elaborate_ms", a.elaborateMs)
       .putDouble("import_ms", a.importMs)
+      .putDouble("setup_ms", a.setupMs)
       .putDouble("fixpoint_ms", a.fixpointMs)
       .str();
 }

@@ -54,6 +54,7 @@ struct ObligationInstruments {
         error(m.counter("verdict_error")),
         elaborateSeconds(m.histogram("elaborate_seconds")),
         importSeconds(m.histogram("import_seconds")),
+        setupSeconds(m.histogram("setup_seconds")),
         fixpointSeconds(m.histogram("fixpoint_seconds")),
         obligationSeconds(m.histogram("obligation_seconds")) {}
 
@@ -89,13 +90,16 @@ struct ObligationInstruments {
   Counter& error;
   LatencyHistogram& elaborateSeconds;
   LatencyHistogram& importSeconds;
+  LatencyHistogram& setupSeconds;
   LatencyHistogram& fixpointSeconds;
   LatencyHistogram& obligationSeconds;
 };
 
 /// A worker's BDD context for one obligation target, with the modules
-/// (and, for a composed obligation, the composition) imported or rebuilt
-/// into it.  `ctx` is declared first, so every handle below it dies before
+/// imported or rebuilt into it and, for a composed target, the verifier
+/// built over them: reflexive-closed components, the composition (the
+/// snapshot's, imported, or composed on first use) and the composed
+/// checker.  `ctx` is declared first, so every handle below it dies before
 /// the manager that owns it.
 struct WorkerContext {
   WorkerContext(std::size_t arenaCapacity, std::size_t cacheCapacity)
@@ -103,7 +107,7 @@ struct WorkerContext {
 
   symbolic::Context ctx;
   std::vector<smv::ElaboratedModule> modules;
-  std::optional<symbolic::SymbolicSystem> composed;
+  std::optional<comp::CompositionalVerifier> verifier;
 };
 
 /// The worker contexts one job keeps between its obligations.  A worker
@@ -267,22 +271,6 @@ std::string ruleName(comp::PropertyClass cls) {
   }
 }
 
-/// Best-effort counterexample for a failing spec; the verdict is already
-/// decided, so a budget expiry during trace search just drops the trace.
-std::string extractCounterexample(symbolic::Checker& checker,
-                                  const ctl::Spec& spec) {
-  try {
-    if (const auto trace = checker.counterexampleTrace(spec.r, spec.f)) {
-      return *trace;
-    }
-    if (const auto witness = checker.violationWitness(spec.r, spec.f)) {
-      return "violating state: " + *witness;
-    }
-  } catch (const symbolic::CancelledError&) {
-  }
-  return "";
-}
-
 struct AttemptOutput {
   AttemptRecord record;
   bool decided = false;  ///< verdict is Holds/Fails (not budget/error)
@@ -304,7 +292,9 @@ struct AttemptOutput {
 /// counts and imports the BDDs it needs — a linear DAG copy in DFS order,
 /// no rehashing mid-import; a composed obligation also imports the
 /// snapshot's composition instead of composing.  Otherwise (factory jobs,
-/// quarantine retries) it rebuilds and composes from scratch.
+/// quarantine retries) it rebuilds and composes from scratch.  A warm
+/// composed attempt also keeps the context's verifier, so it builds no
+/// closure, composition or checker; only the cancel hook is its own.
 /// `forcePartitioned` fixes the engine (retries, non-Auto modes,
 /// snapshot-resolved Auto); when absent the mode is Auto without a snapshot
 /// and the worker resolves it here.
@@ -326,6 +316,8 @@ AttemptOutput runAttempt(const ObligationDesc& d,
   WallTimer timer;
   std::unique_ptr<WorkerContext> wc;
   try {
+    // The snapshot's composition, imported for a fresh composed context.
+    std::optional<symbolic::SymbolicSystem> composed;
     wc = WarmContexts::take(warm, key);
     out.record.warm = wc != nullptr;
     if (wc != nullptr) {
@@ -363,7 +355,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
         // The job's composition, built once in the snapshot; its conjuncts
         // share the modules' imported nodes through `imp`.
         CMC_ASSERT(snap->composed.has_value());
-        wc->composed = symbolic::importSystem(
+        composed = symbolic::importSystem(
             wc->ctx, imp, *snap->composed, /*wantMonolithic=*/!partitioned);
       }
       out.record.importMs = importTimer.seconds() * 1000.0;
@@ -419,7 +411,11 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     const std::uint64_t hits0 = mgr.stats().cacheHits;
     mgr.resetPeakNodes();
 
-    WallTimer fixpointTimer;
+    // Setup (closures, composition, checker construction) is timed apart
+    // from the checks; the verifier counts what it builds on demand.
+    WallTimer checkTimer;
+    double setupSeconds = 0.0;
+    double verifierSetup0 = 0.0;
     try {
       if (!d.composed) {
         out.rule = "direct";
@@ -428,30 +424,37 @@ AttemptOutput runAttempt(const ObligationDesc& d,
         // holds exactly what a fresh import would.
         const symbolic::SymbolicSystem sys = modules.at(localIndex).sys;
         symbolic::Checker checker(sys, copts);
+        setupSeconds = checkTimer.seconds();
         const bool holds = checker.holds(spec);
         out.record.verdict = holds ? Verdict::Holds : Verdict::Fails;
         out.decided = true;
-        if (!holds) out.counterexample = extractCounterexample(checker, spec);
+        if (!holds) out.counterexample = checker.counterexampleText(spec);
       } else {
         const comp::PropertyClass cls = comp::classify(spec);
         out.rule = ruleName(cls);
-        comp::CompositionalVerifier verifier(ctx, copts);
-        for (const smv::ElaboratedModule& mod : modules) {
-          symbolic::SymbolicSystem sys = mod.sys;
-          symbolic::addReflexive(sys);
-          verifier.addComponent(std::move(sys));
+        if (!wc->verifier.has_value()) {
+          comp::CompositionalVerifier& fresh = wc->verifier.emplace(ctx);
+          for (const smv::ElaboratedModule& mod : modules) {
+            symbolic::SymbolicSystem sys = mod.sys;
+            symbolic::addReflexive(sys);
+            fresh.addComponent(std::move(sys));
+          }
+          // Without a snapshot the verifier composes on first use.
+          if (composed.has_value()) fresh.adoptComposed(std::move(*composed));
+          setupSeconds = checkTimer.seconds();
         }
-        // Without a snapshot the verifier composes on first use.  It gets a
-        // copy, so the context stays reusable.
-        if (wc->composed.has_value()) verifier.adoptComposed(*wc->composed);
+        comp::CompositionalVerifier& verifier = *wc->verifier;
+        verifierSetup0 = verifier.setupSeconds();
+        // The kept checker polls this attempt's budget and flags, and
+        // nothing else: the hook is cleared below once the checks end.
+        verifier.setCheckerOptions(copts);
         comp::ProofTree proof;
         bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
         if (!ok && cls != comp::PropertyClass::Unknown) {
           // The rules not establishing the spec is not a refutation (a
           // failing component premise says nothing about the composition);
           // decide with a direct check and record it in the certificate.
-          symbolic::Checker direct(verifier.composed(), copts);
-          ok = direct.holds(spec);
+          ok = verifier.composedChecker().holds(spec);
           proof.add(comp::ProofNode::Kind::ModelCheck,
                     "composed system |= " + ctl::toString(spec.f) +
                         "  (direct fallback)",
@@ -461,23 +464,28 @@ AttemptOutput runAttempt(const ObligationDesc& d,
         out.record.verdict = ok ? Verdict::Holds : Verdict::Fails;
         out.decided = true;
         out.proofJson = proof.toJson();
-        if (!ok) {
-          symbolic::Checker direct(verifier.composed(), copts);
-          out.counterexample = extractCounterexample(direct, spec);
-        }
+        if (!ok) out.counterexample = verifier.counterexample(spec);
       }
     } catch (const symbolic::CancelledError& e) {
       out.record.verdict = cancelVerdict(e.reason());
     }
-    out.record.fixpointMs = fixpointTimer.seconds() * 1000.0;
+    if (d.composed) {
+      // Built before the first poll, so present whatever the checks threw.
+      comp::CompositionalVerifier& verifier = *wc->verifier;
+      setupSeconds += verifier.setupSeconds() - verifierSetup0;
+      copts.cancelCheck = nullptr;
+      verifier.setCheckerOptions(copts);
+    }
+    out.record.setupMs = setupSeconds * 1000.0;
+    out.record.fixpointMs = (checkTimer.seconds() - setupSeconds) * 1000.0;
     out.record.seconds = timer.seconds();
     out.record.peakLiveNodes = mgr.stats().peakNodes;
     const std::uint64_t lookups = mgr.stats().cacheLookups - lookups0;
-    out.record.cacheHitRate =
-        lookups == 0
-            ? 0.0
-            : static_cast<double>(mgr.stats().cacheHits - hits0) /
-                  static_cast<double>(lookups);
+    if (lookups > 0) {
+      out.record.cacheHitRate =
+          static_cast<double>(mgr.stats().cacheHits - hits0) /
+          static_cast<double>(lookups);
+    }
   } catch (const std::exception& e) {
     out.record.verdict = Verdict::Error;
     out.decided = false;
@@ -616,24 +624,29 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
     if (a.record.importMs > 0.0) {
       ins->importSeconds.observe(a.record.importMs / 1000.0);
     }
+    ins->setupSeconds.observe(a.record.setupMs / 1000.0);
     ins->fixpointSeconds.observe(a.record.fixpointMs / 1000.0);
   }
   if (trace.enabled()) {
-    trace.emit(JsonObject()
-                   .put("event", "attempt")
-                   .putDouble("t", trace.elapsedSeconds())
-                   .put("job", d.jobName)
-                   .put("obligation", d.id)
-                   .putUint("attempt", static_cast<std::uint64_t>(attemptNo))
-                   .put("engine", a.record.engine)
-                   .put("context", a.record.warm ? "warm" : "fresh")
-                   .put("verdict", toString(a.record.verdict))
-                   .putDouble("seconds", a.record.seconds)
-                   .putDouble("elaborate_ms", a.record.elaborateMs)
-                   .putDouble("import_ms", a.record.importMs)
-                   .putDouble("fixpoint_ms", a.record.fixpointMs)
-                   .putUint("peak_live_nodes", a.record.peakLiveNodes)
-                   .putDouble("cache_hit_rate", a.record.cacheHitRate));
+    JsonObject event;
+    event.put("event", "attempt")
+        .putDouble("t", trace.elapsedSeconds())
+        .put("job", d.jobName)
+        .put("obligation", d.id)
+        .putUint("attempt", static_cast<std::uint64_t>(attemptNo))
+        .put("engine", a.record.engine)
+        .put("context", a.record.warm ? "warm" : "fresh")
+        .put("verdict", toString(a.record.verdict))
+        .putDouble("seconds", a.record.seconds)
+        .putDouble("elaborate_ms", a.record.elaborateMs)
+        .putDouble("import_ms", a.record.importMs)
+        .putDouble("setup_ms", a.record.setupMs)
+        .putDouble("fixpoint_ms", a.record.fixpointMs)
+        .putUint("peak_live_nodes", a.record.peakLiveNodes);
+    if (a.record.cacheHitRate.has_value()) {
+      event.putDouble("cache_hit_rate", *a.record.cacheHitRate);
+    }
+    trace.emit(event);
   }
 }
 
@@ -848,28 +861,30 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
     journal->record(journalEntryFor(d, out));
   }
 
-  std::uint64_t peak = 0;
-  for (const AttemptRecord& a : out.attempts) {
-    peak = std::max(peak, a.peakLiveNodes);
-  }
   if (trace.enabled()) {
-    trace.emit(JsonObject()
-                   .put("event", "obligation_end")
-                   .putDouble("t", trace.elapsedSeconds())
-                   .put("job", d.jobName)
-                   .put("obligation", d.id)
-                   .put("verdict", toString(out.verdict))
-                   .put("verdict_source", out.verdictSource)
-                   .put("rule", out.rule)
-                   .putBool("retried", out.retried)
-                   .putUint("attempts",
-                            static_cast<std::uint64_t>(out.attempts.size()))
-                   .putDouble("seconds", out.seconds)
-                   .putUint("peak_live_nodes", peak)
-                   .putDouble("cache_hit_rate", out.attempts.empty()
-                                                    ? 0.0
-                                                    : out.attempts.back()
-                                                          .cacheHitRate));
+    JsonObject event;
+    event.put("event", "obligation_end")
+        .putDouble("t", trace.elapsedSeconds())
+        .put("job", d.jobName)
+        .put("obligation", d.id)
+        .put("verdict", toString(out.verdict))
+        .put("verdict_source", out.verdictSource)
+        .put("rule", out.rule)
+        .putBool("retried", out.retried)
+        .putUint("attempts", static_cast<std::uint64_t>(out.attempts.size()))
+        .putDouble("seconds", out.seconds);
+    // Served without an attempt (cache, journal, drain): nothing measured.
+    if (!out.attempts.empty()) {
+      std::uint64_t peak = 0;
+      for (const AttemptRecord& a : out.attempts) {
+        peak = std::max(peak, a.peakLiveNodes);
+      }
+      event.putUint("peak_live_nodes", peak);
+      if (out.attempts.back().cacheHitRate.has_value()) {
+        event.putDouble("cache_hit_rate", *out.attempts.back().cacheHitRate);
+      }
+    }
+    trace.emit(event);
   }
   return out;
 }

@@ -318,6 +318,17 @@ std::optional<std::string> Checker::counterexampleTrace(
   return full.toString();
 }
 
+std::string Checker::counterexampleText(const ctl::Spec& spec) {
+  try {
+    if (const auto trace = counterexampleTrace(spec.r, spec.f)) return *trace;
+    if (const auto witness = violationWitness(spec.r, spec.f)) {
+      return "violating state: " + *witness;
+    }
+  } catch (const CancelledError&) {
+  }
+  return "";
+}
+
 std::optional<std::string> Checker::violationWitness(
     const ctl::Restriction& r, const ctl::FormulaPtr& f) {
   const bdd::Bdd bad = violations(r, f);

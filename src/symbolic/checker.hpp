@@ -130,6 +130,12 @@ class Checker {
   std::optional<std::string> counterexampleTrace(const ctl::Restriction& r,
                                                  const ctl::FormulaPtr& f);
 
+  /// Best-effort counterexample for a spec already found to fail: its
+  /// counterexampleTrace(), else one violating state ("violating state:
+  /// …").  Empty when there is neither, or when the cancel hook fires
+  /// during the search — the verdict is decided either way.
+  std::string counterexampleText(const ctl::Spec& spec);
+
   /// States with at least one successor under the partitioned (or
   /// monolithic) relation — exposed for the partition tests.
   bdd::Bdd preE(const bdd::Bdd& target);

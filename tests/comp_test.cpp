@@ -298,6 +298,91 @@ TEST(Verifier, AdoptedCompositionMustSpanTheComponents) {
   EXPECT_TRUE(proof.valid());
 }
 
+TEST(Verifier, KeepsItsComposedCheckerUntilTheCompositionOrEngineChanges) {
+  TwoComponents tc;
+  CompositionalVerifier verifier(tc.ctx);
+  verifier.addComponent(tc.left);
+  verifier.addComponent(tc.right);
+  // A global-fallback spec: it runs on the composed checker.
+  const ctl::Spec meet{"meet", trivial(), parse("EF (a & b)")};
+  ProofTree proof;
+
+  const symbolic::Checker* kept = &verifier.composedChecker();
+  const double built = verifier.setupSeconds();
+  EXPECT_GT(built, 0.0);
+  EXPECT_TRUE(verifier.verify(meet, proof));
+  EXPECT_TRUE(verifier.verify(meet, proof));
+  EXPECT_EQ(&verifier.composedChecker(), kept);
+  EXPECT_EQ(verifier.setupSeconds(), built);  // nothing was rebuilt
+
+  // A new cancel hook alone keeps the checker, which polls that hook.
+  symbolic::CheckerOptions opts = verifier.checkerOptions();
+  int polls = 0;
+  opts.cancelCheck = [&polls] { ++polls; };
+  verifier.setCheckerOptions(opts);
+  EXPECT_EQ(&verifier.composedChecker(), kept);
+  EXPECT_TRUE(verifier.verify(meet, proof));
+  EXPECT_GT(polls, 0);
+  opts.cancelCheck = nullptr;
+  verifier.setCheckerOptions(opts);
+  polls = 0;
+  EXPECT_TRUE(verifier.verify(meet, proof));
+  EXPECT_EQ(polls, 0);
+  EXPECT_EQ(verifier.setupSeconds(), built);
+
+  // Another engine or threshold: a new checker with the new options.
+  opts.usePartitionedTrans = false;
+  verifier.setCheckerOptions(opts);
+  EXPECT_FALSE(verifier.composedChecker().usesPartition());
+  EXPECT_GT(verifier.setupSeconds(), built);
+  opts.usePartitionedTrans = true;
+  opts.clusterThreshold = 7;
+  verifier.setCheckerOptions(opts);
+  EXPECT_TRUE(verifier.composedChecker().usesPartition());
+  EXPECT_EQ(verifier.composedChecker().options().clusterThreshold, 7u);
+  EXPECT_TRUE(verifier.verify(meet, proof));
+
+  // A new composition: only stuttering, so a and b never meet.  A checker
+  // left over the old one would still say they do.
+  verifier.adoptComposed(symbolic::identitySystem(
+      tc.ctx, verifier.composed().vars, "stutter only"));
+  EXPECT_EQ(&verifier.composedChecker().system(), &verifier.composed());
+  EXPECT_FALSE(verifier.verify(meet, proof));
+
+  // A new component drops the adopted composition and its checker: the
+  // verifier composes all three and a and b meet again.
+  const symbolic::VarId c = tc.ctx.addBoolVar("c");
+  symbolic::SymbolicSystem third = symbolic::makeSystem(
+      tc.ctx, "third", {c}, tc.ctx.varEq(c, "0") & tc.ctx.varEq(c, "1", true));
+  symbolic::addReflexive(third);
+  verifier.addComponent(std::move(third));
+  EXPECT_TRUE(verifier.verify(meet, proof));
+  EXPECT_EQ(verifier.composedChecker().system().vars.size(), 3u);
+}
+
+TEST(Verifier, CounterexampleLeavesTheKeptCompositionAsAdopted) {
+  TwoComponents tc;
+  CompositionalVerifier verifier(tc.ctx);  // partitioned engine
+  verifier.addComponent(tc.left);
+  verifier.addComponent(tc.right);
+  verifier.adoptComposed(symbolic::compose(tc.left, tc.right));
+  const ctl::Spec apart{"apart", Restriction{parse("!a & !b"), {}},
+                        parse("AG !(a & b)")};
+  ProofTree proof;
+  EXPECT_FALSE(verifier.verify(apart, proof));
+  EXPECT_FALSE(verifier.composed().transMaterialized());
+
+  // The trace search walks the monolithic relation — of a copy.
+  const std::string trace = verifier.counterexample(apart);
+  EXPECT_NE(trace.find("state 2"), std::string::npos) << trace;
+  EXPECT_FALSE(verifier.composed().transMaterialized());
+  const symbolic::SymbolicSystem reference =
+      symbolic::compose(tc.left, tc.right);
+  symbolic::Checker direct(reference);
+  EXPECT_EQ(trace, direct.counterexampleText(apart));
+  EXPECT_TRUE(reference.transMaterialized());
+}
+
 TEST(Verifier, FailingUniversalSpecIsReported) {
   TwoComponents tc;
   CompositionalVerifier verifier(tc.ctx);

@@ -22,6 +22,7 @@
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
 #include "smv/fingerprint.hpp"
+#include "test_util.hpp"
 #include "util/failpoint.hpp"
 
 namespace cmc::service {
@@ -309,6 +310,33 @@ TEST(ObligationCacheService, IdenticalResubmissionIsServedFromCache) {
   EXPECT_EQ(trace.countContaining("\"verdict_source\": \"cache\""), 1u);
   EXPECT_NE(warm.toJson().find("\"verdict_source\": \"cache\""),
             std::string::npos);
+}
+
+TEST(ObligationCacheService, CacheServedObligationsPrintNoUnmeasuredCounters) {
+  // With zero attempts nothing measured a peak or a hit rate, so the
+  // obligation_end event carries neither; a checked one carries both.
+  VerificationService svc(withThreads(1));
+  for (const char* source : {"checked", "cache"}) {
+    SCOPED_TRACE(source);
+    RunTrace trace;
+    const JobReport report = svc.run(chainJob(), &trace);
+    ASSERT_EQ(report.obligations.size(), 1u);
+    EXPECT_EQ(report.obligations[0].verdictSource, source);
+    const bool checked = std::string(source) == "checked";
+    std::size_t ends = 0;
+    for (const std::string& line : trace.lines()) {
+      const util::JsonValue event = test::parsedJson(line);
+      std::string kind;
+      if (!event.req("event", &kind) || kind != "obligation_end") continue;
+      ++ends;
+      std::uint64_t attempts = 0;
+      EXPECT_TRUE(event.req("attempts", &attempts)) << line;
+      EXPECT_EQ(attempts, checked ? 1u : 0u) << line;
+      EXPECT_EQ(event.find("peak_live_nodes") != nullptr, checked) << line;
+      EXPECT_EQ(event.find("cache_hit_rate") != nullptr, checked) << line;
+    }
+    EXPECT_EQ(ends, 1u);
+  }
 }
 
 TEST(ObligationCacheService, RestrictionIndexIsPartOfTheKey) {

@@ -843,28 +843,40 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
     EXPECT_EQ(contexts.at("wide/wide.SPEC3"), Contexts{"fresh"});
     EXPECT_EQ(contexts.at("wide/wide.SPEC4"), Contexts{"warm"});
   }
-  // CANCEL: the request is cancelled while relay.SPEC2's attempt runs and
-  // withdrawn again once it is Cancelled.
-  {
+  // CANCEL: the request is cancelled while SPEC2's warm attempt runs and
+  // withdrawn again once it is Cancelled — on a module, and on the
+  // composition, whose kept checker must poll that attempt's hook and
+  // none after it.
+  for (const std::string target : {"relay", "composed"}) {
+    SCOPED_TRACE(target);
     VerificationJob job = relayJob();
     job.options.engine = symbolic::EngineMode::Auto;
+    job.options.compose = target == "composed";
+    const std::string spec = target + "/relay.SPEC";
     std::atomic<bool> cancel{false};
-    LineHook hook([&cancel](const std::string& line) {
-      if (isEvent(line, "engine_choice", "relay/relay.SPEC2")) cancel = true;
-      if (isEvent(line, "attempt", "relay/relay.SPEC2")) cancel = false;
+    LineHook hook([&cancel, &spec](const std::string& line) {
+      if (isEvent(line, "engine_choice", spec + "2")) cancel = true;
+      if (isEvent(line, "attempt", spec + "2")) cancel = false;
     });
     std::ostream sink(&hook);
     VerificationService svc(uncachedThreads(1));
     RunTrace trace(&sink);
     const JobReport report = svc.run(job, &trace, nullptr, nullptr, &cancel);
-    ASSERT_EQ(report.obligations.size(), 11u);
-    EXPECT_EQ(report.obligations[1].verdict, Verdict::Cancelled);
-    EXPECT_EQ(report.obligations[2].verdict, Verdict::Holds);
+    const JobReport reference = svc.run(job);
+    ASSERT_EQ(report.obligations.size(), job.options.compose ? 22u : 11u);
+    ASSERT_EQ(reference.obligations.size(), report.obligations.size());
+    for (std::size_t i = 0; i < report.obligations.size(); ++i) {
+      const ObligationOutcome& o = report.obligations[i];
+      EXPECT_EQ(o.verdict, o.id == spec + "2"
+                               ? Verdict::Cancelled
+                               : reference.obligations[i].verdict)
+          << o.id;
+    }
     const auto contexts = attemptContexts(trace);
-    EXPECT_EQ(contexts.at("relay/relay.SPEC1"), Contexts{"fresh"});
-    EXPECT_EQ(contexts.at("relay/relay.SPEC2"), Contexts{"warm"});
-    EXPECT_EQ(contexts.at("relay/relay.SPEC3"), Contexts{"fresh"});
-    EXPECT_EQ(contexts.at("relay/relay.SPEC4"), Contexts{"warm"});
+    EXPECT_EQ(contexts.at(spec + "1"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at(spec + "2"), Contexts{"warm"});
+    EXPECT_EQ(contexts.at(spec + "3"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at(spec + "4"), Contexts{"warm"});
   }
   // Timeout: nothing decides under an expired deadline, so nothing is
   // handed on.  Reorder: each attempt sifts its own manager, so none runs
@@ -896,43 +908,144 @@ TEST(Service, InjectedTimeoutAndErrorStartTheNextObligationFresh) {
   if (!util::Failpoint::compiledIn()) {
     GTEST_SKIP() << "needs -DCMC_FAILPOINTS=ON";
   }
-  // relay.SPEC2's warm attempt is sabotaged through the allocator — first
-  // stalled past the deadline, then thrown out of — and the site is
-  // disarmed as soon as that attempt is recorded.
-  for (const char* action : {"delay(60)", "throw"}) {
-    SCOPED_TRACE(action);
-    const bool timeout = std::string(action) != "throw";
-    VerificationJob job = relayJob();
-    if (timeout) {
-      job.options.limits.deadlineSeconds = 0.05;
-      job.options.retryOtherEngine = false;
+  // SPEC2's warm attempt — on a module, and on the composition's kept
+  // verifier — is sabotaged through the allocator, first stalled past the
+  // deadline, then thrown out of, and the site is disarmed as soon as
+  // that attempt is recorded.  relay.SPEC2 holds on its module and fails
+  // on the composition.
+  for (const std::string target : {"relay", "composed"}) {
+    for (const char* action : {"delay(60)", "throw"}) {
+      SCOPED_TRACE(target + ", " + action);
+      const bool timeout = std::string(action) != "throw";
+      VerificationJob job = relayJob();
+      job.options.compose = target == "composed";
+      if (timeout) {
+        job.options.limits.deadlineSeconds = 0.05;
+        job.options.retryOtherEngine = false;
+      }
+      const std::string spec = target + "/relay.SPEC";
+      LineHook hook([action, &spec](const std::string& line) {
+        if (isEvent(line, "obligation_start", spec + "2")) {
+          util::Failpoint::configure(std::string("bdd.alloc_node=") + action);
+        }
+        if (isEvent(line, "attempt", spec + "2")) {
+          util::Failpoint::disarmAll();
+        }
+      });
+      std::ostream sink(&hook);
+      VerificationService svc(uncachedThreads(1));
+      RunTrace trace(&sink);
+      const JobReport report = svc.run(job, &trace);
+      util::Failpoint::disarmAll();
+      ASSERT_EQ(report.obligations.size(), job.options.compose ? 22u : 11u);
+      const ObligationOutcome& sabotaged =
+          report.obligations[job.options.compose ? 12 : 1];
+      ASSERT_EQ(sabotaged.id, spec + "2");
+      ASSERT_FALSE(sabotaged.attempts.empty());
+      EXPECT_EQ(sabotaged.attempts[0].verdict,
+                timeout ? Verdict::Timeout : Verdict::Error);
+      // The quarantine retry rebuilds from the program text and decides.
+      EXPECT_EQ(sabotaged.verdict,
+                timeout                ? Verdict::Timeout
+                : job.options.compose ? Verdict::Fails
+                                       : Verdict::Holds);
+      for (const ObligationOutcome& o : report.obligations) {
+        if (o.id == sabotaged.id) continue;
+        EXPECT_TRUE(o.verdict == Verdict::Holds || o.verdict == Verdict::Fails)
+            << o.id;
+      }
+      const auto contexts = attemptContexts(trace);
+      EXPECT_EQ(contexts.at(spec + "1"), Contexts{"fresh"});
+      EXPECT_EQ(contexts.at(spec + "2"),
+                timeout ? Contexts{"warm"} : (Contexts{"warm", "fresh"}));
+      EXPECT_EQ(contexts.at(spec + "3"), Contexts{"fresh"});
+      EXPECT_EQ(contexts.at(spec + "4"), Contexts{"warm"});
     }
-    LineHook hook([action](const std::string& line) {
-      if (isEvent(line, "obligation_start", "relay/relay.SPEC2")) {
-        util::Failpoint::configure(std::string("bdd.alloc_node=") + action);
+  }
+}
+
+TEST(Service, AttemptPhasesNeverExceedTheAttempt) {
+  // Text jobs import (fresh) or run warm; the factory job elaborates.
+  for (const bool compose : {false, true}) {
+    SCOPED_TRACE(compose ? "compose" : "components");
+    VerificationJob text = relayJob();
+    text.options.compose = compose;
+    VerificationJob rebuilt = text;
+    rebuilt.name = "relay-rebuilt";
+    rebuilt.smvText.clear();
+    rebuilt.factory = [](symbolic::Context& ctx) {
+      return smv::elaborateProgram(ctx, kRelaySmv);
+    };
+    VerificationService svc(uncachedThreads(2));
+    RunTrace trace;
+    const std::vector<JobReport> reports =
+        svc.runBatch({text, rebuilt}, &trace);
+    std::size_t keptVerifierChecks = 0;
+    for (const JobReport& report : reports) {
+      EXPECT_NE(report.toJson().find("\"setup_ms\""), std::string::npos);
+      for (const ObligationOutcome& o : report.obligations) {
+        for (const AttemptRecord& a : o.attempts) {
+          EXPECT_GE(a.fixpointMs, 0.0) << o.id;
+          EXPECT_LE((a.elaborateMs + a.importMs + a.setupMs + a.fixpointMs) /
+                        1000.0,
+                    a.seconds * (1 + 1e-9))
+              << o.id;
+          if (!a.warm || o.target != "composed") {
+            EXPECT_GT(a.setupMs, 0.0) << o.id;  // a checker at least
+          } else if (o.rule == "global fallback" &&
+                     o.verdict == Verdict::Holds) {
+            // Decided on the kept checker, with no counterexample to
+            // search: nothing was built.
+            EXPECT_EQ(a.setupMs, 0.0) << o.id;
+            ++keptVerifierChecks;
+          }
+        }
       }
-      if (isEvent(line, "attempt", "relay/relay.SPEC2")) {
-        util::Failpoint::disarmAll();
-      }
-    });
-    std::ostream sink(&hook);
-    VerificationService svc(uncachedThreads(1));
-    RunTrace trace(&sink);
-    const JobReport report = svc.run(job, &trace);
-    util::Failpoint::disarmAll();
-    ASSERT_EQ(report.obligations.size(), 11u);
-    const ObligationOutcome& sabotaged = report.obligations[1];
-    ASSERT_FALSE(sabotaged.attempts.empty());
-    EXPECT_EQ(sabotaged.attempts[0].verdict,
-              timeout ? Verdict::Timeout : Verdict::Error);
-    // The quarantine retry rebuilds from the program text and decides.
-    EXPECT_EQ(sabotaged.verdict, timeout ? Verdict::Timeout : Verdict::Holds);
-    const auto contexts = attemptContexts(trace);
-    EXPECT_EQ(contexts.at("relay/relay.SPEC1"), Contexts{"fresh"});
-    EXPECT_EQ(contexts.at("relay/relay.SPEC2"),
-              timeout ? Contexts{"warm"} : (Contexts{"warm", "fresh"}));
-    EXPECT_EQ(contexts.at("relay/relay.SPEC3"), Contexts{"fresh"});
-    EXPECT_EQ(contexts.at("relay/relay.SPEC4"), Contexts{"warm"});
+    }
+    EXPECT_EQ(keptVerifierChecks > 0, compose);
+    EXPECT_EQ(trace.countContaining("\"setup_ms\""),
+              trace.countContaining("\"event\": \"attempt\""));
+  }
+}
+
+TEST(Service, AnAttemptWithoutOpCacheLookupsHasNoHitRate) {
+  // An expired deadline stops the monolithic check at its entry poll,
+  // before any cached operation; the next job's attempt does look up.
+  VerificationJob stopped;
+  stopped.name = "stopped";
+  stopped.smvText =
+      "MODULE m\nVAR x : boolean;\nASSIGN next(x) := !x;\nSPEC AG x\n";
+  stopped.options.engine = symbolic::EngineMode::Monolithic;
+  stopped.options.retryOtherEngine = false;
+  stopped.options.limits.deadlineSeconds = 1e-9;
+  VerificationJob checked = stopped;
+  checked.name = "checked";
+  checked.options.limits.deadlineSeconds = 0.0;
+  VerificationService svc(uncachedThreads(1));
+  RunTrace trace;
+  const std::vector<JobReport> reports =
+      svc.runBatch({stopped, checked}, &trace);
+  ASSERT_EQ(reports.size(), 2u);
+  ASSERT_EQ(reports[0].obligations.at(0).attempts.size(), 1u);
+  const AttemptRecord& none = reports[0].obligations[0].attempts[0];
+  EXPECT_EQ(none.verdict, Verdict::Timeout);
+  EXPECT_FALSE(none.cacheHitRate.has_value());
+  EXPECT_EQ(reports[0].toJson().find("cache_hit_rate"), std::string::npos);
+  const AttemptRecord& some = reports[1].obligations.at(0).attempts.at(0);
+  EXPECT_EQ(some.verdict, Verdict::Fails);
+  ASSERT_TRUE(some.cacheHitRate.has_value());
+  EXPECT_NE(reports[1].toJson().find("cache_hit_rate"), std::string::npos);
+  // In the trace only the checked job's attempt and obligation_end carry
+  // a hit rate; both obligations measured their peak.
+  for (const std::string& line : trace.lines()) {
+    const util::JsonValue event = test::parsedJson(line);
+    std::string kind, job;
+    event.req("event", &kind);
+    if (kind != "attempt" && kind != "obligation_end") continue;
+    ASSERT_TRUE(event.req("job", &job)) << line;
+    EXPECT_EQ(event.find("cache_hit_rate") != nullptr, job == "checked")
+        << line;
+    EXPECT_NE(event.find("peak_live_nodes"), nullptr) << line;
   }
 }
 
