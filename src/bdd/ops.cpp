@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/manager.hpp"
 
@@ -296,20 +295,29 @@ std::uint64_t Manager::dagSize(const std::vector<Bdd>& fs) const {
 }
 
 std::vector<std::uint32_t> Manager::support(const Bdd& f) const {
-  std::unordered_set<NodeIndex> seen;
-  std::vector<NodeIndex> stack;
-  std::unordered_set<std::uint32_t> vars;
-  if (!f.isNull() && f.index() >= 2) stack.push_back(f.index());
+  // The scratch-marks walk of dagSize: a bit per node instead of a hash
+  // set, and a flag per variable.
+  std::vector<std::uint32_t> out;
+  if (f.isNull() || f.index() < 2) return out;
+  marks_.assign(nodes_.size(), false);
+  std::vector<char> seenVar(numVars_, 0);
+  std::vector<NodeIndex> stack{f.index()};
+  marks_[f.index()] = true;
   while (!stack.empty()) {
-    NodeIndex i = stack.back();
+    const NodeIndex i = stack.back();
     stack.pop_back();
-    if (!seen.insert(i).second) continue;
     const Node& n = nodes_[i];
-    vars.insert(n.var);
-    if (n.low >= 2) stack.push_back(n.low);
-    if (n.high >= 2) stack.push_back(n.high);
+    if (!seenVar[n.var]) {
+      seenVar[n.var] = 1;
+      out.push_back(n.var);
+    }
+    for (const NodeIndex child : {n.low, n.high}) {
+      if (child >= 2 && !marks_[child]) {
+        marks_[child] = true;
+        stack.push_back(child);
+      }
+    }
   }
-  std::vector<std::uint32_t> out(vars.begin(), vars.end());
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -25,11 +25,8 @@ class SetupClock {
 }  // namespace
 
 void CompositionalVerifier::setCheckerOptions(symbolic::CheckerOptions opts) {
-  if (opts.usePartitionedTrans != checkerOpts_.usePartitionedTrans ||
-      opts.clusterThreshold != checkerOpts_.clusterThreshold) {
-    composedChecker_.reset();
-  }
   checkerOpts_ = std::move(opts);
+  if (composed_.has_value()) composed_->setOptions(checkerOpts_);
 }
 
 void CompositionalVerifier::addComponent(symbolic::SymbolicSystem sys) {
@@ -37,8 +34,13 @@ void CompositionalVerifier::addComponent(symbolic::SymbolicSystem sys) {
   components_.push_back(std::move(sys));
   expansions_.emplace_back();
   expansionBuilt_.push_back(false);
-  composedChecker_.reset();
   composed_.reset();
+}
+
+void CompositionalVerifier::keepComposed(symbolic::SymbolicSystem sys) {
+  composed_.reset();
+  composed_.emplace(std::move(sys));
+  composed_->setOptions(checkerOpts_);
 }
 
 std::vector<symbolic::VarId> CompositionalVerifier::unionVars() const {
@@ -57,27 +59,23 @@ const symbolic::SymbolicSystem& CompositionalVerifier::composed() {
       throw ModelError("no components registered");
     }
     const SetupClock clock(setupSeconds_);
-    composed_ = symbolic::composeAll(components_);
+    keepComposed(symbolic::composeAll(components_));
   }
-  return *composed_;
+  return composed_->system();
 }
 
 symbolic::Checker& CompositionalVerifier::composedChecker() {
-  if (composedChecker_ == nullptr) {
-    const symbolic::SymbolicSystem& sys = composed();
+  composed();
+  if (!composed_->built()) {
     const SetupClock clock(setupSeconds_);
-    symbolic::CheckerOptions opts = checkerOpts_;
-    opts.cancelCheck = [this] {
-      if (checkerOpts_.cancelCheck) checkerOpts_.cancelCheck();
-    };
-    composedChecker_ = std::make_unique<symbolic::Checker>(sys, std::move(opts));
+    composed_->checker();
   }
-  return *composedChecker_;
+  return composed_->checker();
 }
 
 std::string CompositionalVerifier::counterexample(const ctl::Spec& spec) {
-  const symbolic::SymbolicSystem scratch = composed();
-  return checkerFor(scratch).counterexampleText(spec);
+  composed();
+  return composed_->counterexample(spec);
 }
 
 void CompositionalVerifier::adoptComposed(symbolic::SymbolicSystem sys) {
@@ -89,8 +87,7 @@ void CompositionalVerifier::adoptComposed(symbolic::SymbolicSystem sys) {
     throw ModelError("adoptComposed: the alphabet of '" + sys.name +
                      "' is not the union of the components' alphabets");
   }
-  composedChecker_.reset();
-  composed_ = std::move(sys);
+  keepComposed(std::move(sys));
 }
 
 const symbolic::SymbolicSystem& CompositionalVerifier::expansion(

@@ -83,9 +83,9 @@ class CompositionalVerifier {
   symbolic::Checker& composedChecker();
 
   /// Best-effort counterexample to `spec` on the composition (see
-  /// symbolic::Checker::counterexampleText), searched on a throwaway copy
-  /// of the composition: the monolithic relation a trace materializes dies
-  /// with the copy, so the kept composition stays as built or adopted.
+  /// symbolic::Checker::counterexampleText), searched on the kept checker:
+  /// the monolithic relation a trace materializes is dropped again, so the
+  /// kept composition stays as built or adopted.
   std::string counterexample(const ctl::Spec& spec);
 
   /// Wall time this verifier spent building the composition (when it
@@ -118,6 +118,8 @@ class CompositionalVerifier {
                         const std::string& name);
 
  private:
+  /// Keep `sys` as the composition, with a checker built on first use.
+  void keepComposed(symbolic::SymbolicSystem sys);
   /// Expansion of component i over the union alphabet (cached).
   const symbolic::SymbolicSystem& expansion(std::size_t i);
   /// A checker over `sys` with the current options, for one check.
@@ -129,9 +131,8 @@ class CompositionalVerifier {
   std::vector<symbolic::SymbolicSystem> components_;
   std::vector<symbolic::SymbolicSystem> expansions_;  ///< lazy, parallel to components_
   std::vector<bool> expansionBuilt_;
-  std::optional<symbolic::SymbolicSystem> composed_;
-  /// Over *composed_, so declared after it (destroyed first).
-  std::unique_ptr<symbolic::Checker> composedChecker_;
+  /// The composition and the checker over it.
+  std::optional<symbolic::KeptChecker> composed_;
   double setupSeconds_ = 0.0;
 };
 

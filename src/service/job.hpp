@@ -33,6 +33,10 @@
 #include "smv/elaborate.hpp"
 #include "symbolic/engine_choice.hpp"
 
+namespace cmc::util {
+class JsonObject;
+}
+
 namespace cmc::service {
 
 enum class Verdict {
@@ -144,22 +148,36 @@ struct AttemptRecord {
   bool warm = false;
   Verdict verdict = Verdict::Error;
   double seconds = 0.0;
-  std::uint64_t peakLiveNodes = 0;
-  /// Op-cache hits over lookups during the checks; unset when the attempt
-  /// made no lookup (or failed before measuring), so it is never a zero
-  /// nobody measured.
+  // Every field below is unset when nothing measured it — an attempt that
+  // failed with an error before getting that far, or the coordinator's
+  // record of a shard's attempt — so none is a zero nobody measured.
+  std::optional<std::uint64_t> peakLiveNodes;
+  /// Op-cache hits over lookups during the checks; also unset when the
+  /// attempt made no lookup.
   std::optional<double> cacheHitRate;
   // Phase breakdown of `seconds`.  Snapshot-backed attempts pay importMs
   // (cross-manager copy of the elaborated BDDs) instead of elaborateMs
   // (full parse + elaboration); setupMs builds what the checks run on
   // (reflexive closures, the composition when not imported, checkers),
-  // about 0 for a warm composed attempt that kept its verifier;
-  // fixpointMs is the checks proper.
-  double elaborateMs = 0.0;
-  double importMs = 0.0;
-  double setupMs = 0.0;
-  double fixpointMs = 0.0;
+  // about 0 for a warm attempt that kept its checker or verifier;
+  // fixpointMs is the checks proper.  An attempt that got through its
+  // checks sets all four, 0 for a phase it did not go through.
+  std::optional<double> elaborateMs;
+  std::optional<double> importMs;
+  std::optional<double> setupMs;
+  std::optional<double> fixpointMs;
+  /// Preimages a component attempt's checks computed, and how many of them
+  /// went through the cone of influence (symbolic::Checker's running
+  /// totals, differenced); unset on composed attempts, whose checks run on
+  /// several checkers.
+  std::optional<std::uint64_t> preimages;
+  std::optional<std::uint64_t> conePreimages;
 };
+
+/// Write `a`'s fields into `obj`: the attempt's record in the report and
+/// its "attempt" trace event carry the same ones, and leave out what
+/// nothing measured.
+void putAttemptFields(util::JsonObject& obj, const AttemptRecord& a);
 
 struct ObligationOutcome {
   std::string id;        ///< "<target>/<spec name>"

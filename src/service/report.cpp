@@ -38,23 +38,35 @@ Verdict worseVerdict(Verdict a, Verdict b) noexcept {
   return rank(a) >= rank(b) ? a : b;
 }
 
+void putAttemptFields(JsonObject& obj, const AttemptRecord& a) {
+  obj.put("engine", a.engine)
+      .put("context", a.warm ? "warm" : "fresh")
+      .put("verdict", toString(a.verdict))
+      .putDouble("seconds", a.seconds);
+  const auto putNumber = [&obj](const char* key,
+                                const std::optional<double>& v) {
+    if (v.has_value()) obj.putDouble(key, *v);
+  };
+  const auto putCount = [&obj](const char* key,
+                               const std::optional<std::uint64_t>& v) {
+    if (v.has_value()) obj.putUint(key, *v);
+  };
+  putCount("peak_live_nodes", a.peakLiveNodes);
+  putNumber("cache_hit_rate", a.cacheHitRate);
+  putNumber("elaborate_ms", a.elaborateMs);
+  putNumber("import_ms", a.importMs);
+  putNumber("setup_ms", a.setupMs);
+  putNumber("fixpoint_ms", a.fixpointMs);
+  putCount("preimages", a.preimages);
+  putCount("cone_preimages", a.conePreimages);
+}
+
 namespace {
 
 std::string attemptJson(const AttemptRecord& a) {
   JsonObject obj;
-  obj.put("engine", a.engine)
-      .put("context", a.warm ? "warm" : "fresh")
-      .put("verdict", toString(a.verdict))
-      .putDouble("seconds", a.seconds)
-      .putUint("peak_live_nodes", a.peakLiveNodes);
-  if (a.cacheHitRate.has_value()) {
-    obj.putDouble("cache_hit_rate", *a.cacheHitRate);
-  }
-  return obj.putDouble("elaborate_ms", a.elaborateMs)
-      .putDouble("import_ms", a.importMs)
-      .putDouble("setup_ms", a.setupMs)
-      .putDouble("fixpoint_ms", a.fixpointMs)
-      .str();
+  putAttemptFields(obj, a);
+  return obj.str();
 }
 
 std::string outcomeJson(const ObligationOutcome& o) {

@@ -96,17 +96,19 @@ struct ObligationInstruments {
 };
 
 /// A worker's BDD context for one obligation target, with the modules
-/// imported or rebuilt into it and, for a composed target, the verifier
-/// built over them: reflexive-closed components, the composition (the
-/// snapshot's, imported, or composed on first use) and the composed
-/// checker.  `ctx` is declared first, so every handle below it dies before
-/// the manager that owns it.
+/// imported or rebuilt into it and what the checks were built on: for a
+/// component target the module's checker (schedules, cone projections,
+/// fair region), for a composed target the verifier — reflexive-closed
+/// components, the composition (the snapshot's, imported, or composed on
+/// first use) and the composed checker.  `ctx` is declared first, so every
+/// handle below it dies before the manager that owns it.
 struct WorkerContext {
   WorkerContext(std::size_t arenaCapacity, std::size_t cacheCapacity)
       : ctx(arenaCapacity, cacheCapacity) {}
 
   symbolic::Context ctx;
   std::vector<smv::ElaboratedModule> modules;
+  std::optional<symbolic::KeptChecker> component;
   std::optional<comp::CompositionalVerifier> verifier;
 };
 
@@ -288,13 +290,14 @@ struct AttemptOutput {
 /// One engine attempt.  With a snapshot (and `useSnapshot`), the worker
 /// runs warm on the context it kept from its previous decided obligation
 /// of the same target and engine (WarmContexts), or else adopts the
-/// snapshot's variable layout into a context pre-sized from its node
-/// counts and imports the BDDs it needs — a linear DAG copy in DFS order,
-/// no rehashing mid-import; a composed obligation also imports the
-/// snapshot's composition instead of composing.  Otherwise (factory jobs,
-/// quarantine retries) it rebuilds and composes from scratch.  A warm
-/// composed attempt also keeps the context's verifier, so it builds no
-/// closure, composition or checker; only the cancel hook is its own.
+/// snapshot's variable layout into a context pre-sized from the nodes it
+/// imports (contextNodes) and imports the BDDs it needs — a linear DAG
+/// copy in DFS order, no rehashing mid-import; a composed obligation also
+/// imports the snapshot's composition instead of composing.  Otherwise
+/// (factory jobs, quarantine retries) it rebuilds and composes from
+/// scratch.  A warm attempt also keeps the context's component checker or
+/// composed verifier, so it builds no closure, composition or checker;
+/// only the cancel hook is its own.
 /// `forcePartitioned` fixes the engine (retries, non-Auto modes,
 /// snapshot-resolved Auto); when absent the mode is Auto without a snapshot
 /// and the worker resolves it here.
@@ -325,7 +328,8 @@ AttemptOutput runAttempt(const ObligationDesc& d,
       // collect once the live count (earlier attempts' garbage included)
       // is within an eighth of it.
       bdd::Manager& mgr = wc->ctx.mgr();
-      const std::size_t capacity = workerArenaCapacity(snap->liveNodes);
+      const std::size_t capacity =
+          workerArenaCapacity(contextNodes(*snap, d));
       if (mgr.liveNodeCount() >= capacity - capacity / 8) {
         mgr.collectGarbage();
       }
@@ -335,9 +339,9 @@ AttemptOutput runAttempt(const ObligationDesc& d,
       // import copies exactly what the chosen engine needs.
       CMC_ASSERT(engineKnown);
       WallTimer importTimer;
-      wc = std::make_unique<WorkerContext>(
-          workerArenaCapacity(snap->liveNodes),
-          workerCacheCapacity(snap->liveNodes));
+      const std::uint64_t nodes = contextNodes(*snap, d);
+      wc = std::make_unique<WorkerContext>(workerArenaCapacity(nodes),
+                                           workerCacheCapacity(nodes));
       wc->ctx.adoptVariablesFrom(*snap->ctx);
       bdd::Importer imp(wc->ctx.mgr(), snap->ctx->mgr());
       if (!d.composed) {
@@ -416,19 +420,33 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     WallTimer checkTimer;
     double setupSeconds = 0.0;
     double verifierSetup0 = 0.0;
+    // The component checker's running totals when the checks began.
+    const symbolic::Checker* checked = nullptr;
+    std::uint64_t preimages0 = 0;
+    std::uint64_t conePreimages0 = 0;
     try {
       if (!d.composed) {
         out.rule = "direct";
-        // Checked on a copy: what the check materializes (a trace's
-        // monolithic relation) dies with the attempt, so a kept context
-        // holds exactly what a fresh import would.
-        const symbolic::SymbolicSystem sys = modules.at(localIndex).sys;
-        symbolic::Checker checker(sys, copts);
-        setupSeconds = checkTimer.seconds();
+        // The module's checker is kept with the context, its hook rebound
+        // to this attempt.  It keeps what a fresh attempt builds before its
+        // first preimage — the import, the cone schedules, and the fair
+        // region and INIT states every spec of the module shares — and
+        // drops the relation a counterexample search materializes.
+        if (!wc->component.has_value()) {
+          wc->component.emplace(modules.at(localIndex).sys);
+        }
+        symbolic::KeptChecker& kept = *wc->component;
+        kept.setOptions(copts);
+        const bool builds = !kept.built();
+        symbolic::Checker& checker = kept.checker();
+        if (builds) setupSeconds = checkTimer.seconds();
+        checked = &checker;
+        preimages0 = checker.preimageCount();
+        conePreimages0 = checker.conePreimageCount();
         const bool holds = checker.holds(spec);
         out.record.verdict = holds ? Verdict::Holds : Verdict::Fails;
         out.decided = true;
-        if (!holds) out.counterexample = checker.counterexampleText(spec);
+        if (!holds) out.counterexample = kept.counterexample(spec);
       } else {
         const comp::PropertyClass cls = comp::classify(spec);
         out.rule = ruleName(cls);
@@ -469,13 +487,25 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     } catch (const symbolic::CancelledError& e) {
       out.record.verdict = cancelVerdict(e.reason());
     }
+    // The kept checker or verifier polls no hook past this attempt.
+    copts.cancelCheck = nullptr;
     if (d.composed) {
       // Built before the first poll, so present whatever the checks threw.
       comp::CompositionalVerifier& verifier = *wc->verifier;
       setupSeconds += verifier.setupSeconds() - verifierSetup0;
-      copts.cancelCheck = nullptr;
       verifier.setCheckerOptions(copts);
+    } else if (wc->component.has_value()) {
+      wc->component->setOptions(copts);
+      if (checked != nullptr) {
+        out.record.preimages = checked->preimageCount() - preimages0;
+        out.record.conePreimages =
+            checked->conePreimageCount() - conePreimages0;
+      }
     }
+    // Through its checks: every phase is accounted for, 0 for one the
+    // attempt did not go through.
+    out.record.elaborateMs = out.record.elaborateMs.value_or(0.0);
+    out.record.importMs = out.record.importMs.value_or(0.0);
     out.record.setupMs = setupSeconds * 1000.0;
     out.record.fixpointMs = (checkTimer.seconds() - setupSeconds) * 1000.0;
     out.record.seconds = timer.seconds();
@@ -618,14 +648,17 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
   out.seconds += a.record.seconds;
   if (!a.rule.empty()) out.rule = a.rule;
   if (ins != nullptr) {
-    if (a.record.elaborateMs > 0.0) {
-      ins->elaborateSeconds.observe(a.record.elaborateMs / 1000.0);
+    const AttemptRecord& r = a.record;
+    if (r.elaborateMs.value_or(0.0) > 0.0) {
+      ins->elaborateSeconds.observe(*r.elaborateMs / 1000.0);
     }
-    if (a.record.importMs > 0.0) {
-      ins->importSeconds.observe(a.record.importMs / 1000.0);
+    if (r.importMs.value_or(0.0) > 0.0) {
+      ins->importSeconds.observe(*r.importMs / 1000.0);
     }
-    ins->setupSeconds.observe(a.record.setupMs / 1000.0);
-    ins->fixpointSeconds.observe(a.record.fixpointMs / 1000.0);
+    if (r.setupMs.has_value()) ins->setupSeconds.observe(*r.setupMs / 1000.0);
+    if (r.fixpointMs.has_value()) {
+      ins->fixpointSeconds.observe(*r.fixpointMs / 1000.0);
+    }
   }
   if (trace.enabled()) {
     JsonObject event;
@@ -633,19 +666,8 @@ void noteAttempt(const ObligationDesc& d, const AttemptOutput& a,
         .putDouble("t", trace.elapsedSeconds())
         .put("job", d.jobName)
         .put("obligation", d.id)
-        .putUint("attempt", static_cast<std::uint64_t>(attemptNo))
-        .put("engine", a.record.engine)
-        .put("context", a.record.warm ? "warm" : "fresh")
-        .put("verdict", toString(a.record.verdict))
-        .putDouble("seconds", a.record.seconds)
-        .putDouble("elaborate_ms", a.record.elaborateMs)
-        .putDouble("import_ms", a.record.importMs)
-        .putDouble("setup_ms", a.record.setupMs)
-        .putDouble("fixpoint_ms", a.record.fixpointMs)
-        .putUint("peak_live_nodes", a.record.peakLiveNodes);
-    if (a.record.cacheHitRate.has_value()) {
-      event.putDouble("cache_hit_rate", *a.record.cacheHitRate);
-    }
+        .putUint("attempt", static_cast<std::uint64_t>(attemptNo));
+    putAttemptFields(event, a.record);
     trace.emit(event);
   }
 }
@@ -875,11 +897,13 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
         .putDouble("seconds", out.seconds);
     // Served without an attempt (cache, journal, drain): nothing measured.
     if (!out.attempts.empty()) {
-      std::uint64_t peak = 0;
+      std::optional<std::uint64_t> peak;
       for (const AttemptRecord& a : out.attempts) {
-        peak = std::max(peak, a.peakLiveNodes);
+        if (a.peakLiveNodes.has_value()) {
+          peak = std::max(peak.value_or(0), *a.peakLiveNodes);
+        }
       }
-      event.putUint("peak_live_nodes", peak);
+      if (peak.has_value()) event.putUint("peak_live_nodes", *peak);
       if (out.attempts.back().cacheHitRate.has_value()) {
         event.putDouble("cache_hit_rate", *out.attempts.back().cacheHitRate);
       }

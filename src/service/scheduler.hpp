@@ -21,9 +21,12 @@
 //  - Warm contexts: a worker that decided an obligation (Holds/Fails)
 //    keeps its imported context and runs its next obligation of the same
 //    target and engine on it (trace and report: "context": "warm"), so a
-//    module's import is paid per worker, not per spec; a composed context
-//    also keeps its verifier (closures, composition, composed checker),
-//    whose cancel hook each attempt rebinds to its own budget.  Reuse never
+//    module's import is paid per worker, not per spec.  A component
+//    context also keeps its module's checker (schedules, cone projections,
+//    fair region) and a composed context its verifier (closures,
+//    composition, composed checker); each attempt rebinds their cancel
+//    hook to its own budget.  Fresh contexts are sized from what they
+//    import: a component's module, or the whole snapshot.  Reuse never
 //    crosses a job or a thread, and reorder jobs never reuse.  Any other
 //    outcome destroys the context, so an engine retry after MemoryOut
 //    starts with a fresh manager, as does every quarantine retry.

@@ -122,11 +122,20 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
       snap->probeSeconds = probeTimer.seconds();
     }
 
-    // Final sweep: drop probe and composition intermediates, then freeze.
-    // From here on the manager is immutable — importers rely on stable
-    // node indices.
+    // Final sweep: drop probe and composition intermediates, count what
+    // each module's import copies, then freeze.  From here on the manager
+    // is immutable — importers rely on stable node indices.
     ctx.mgr().collectGarbage();
     snap->liveNodes = ctx.mgr().liveNodeCount();
+    snap->moduleNodes.reserve(snap->modules.size());
+    for (const smv::ElaboratedModule& mod : snap->modules) {
+      std::vector<bdd::Bdd> rels;
+      for (const symbolic::PartitionedRelation& t : mod.sys.partition.tracks) {
+        for (const symbolic::Conjunct& c : t.conjuncts()) rels.push_back(c.rel);
+      }
+      if (mod.sys.transMaterialized()) rels.push_back(mod.sys.monolithic_);
+      snap->moduleNodes.push_back(ctx.mgr().dagSize(rels));
+    }
 
     result.snapshot = std::move(snap);
   } catch (const std::exception& e) {

@@ -70,9 +70,14 @@ struct ElaborationSnapshot {
   std::optional<symbolic::SymbolicSystem> composed;
   /// Engine decision for `composed` (compose jobs under Auto).
   symbolic::EngineChoice composedChoice;
-  /// Live nodes after the final collection — what workers size their
-  /// arenas from.
+  /// Live nodes after the final collection — what a composed obligation's
+  /// fresh context is sized from.
   std::uint64_t liveNodes = 0;
+  /// Per module, the nodes importing it copies: its partition's conjuncts
+  /// and, when materialized, its monolithic relation, counted before the
+  /// snapshot froze.  A component obligation's fresh context is sized from
+  /// its module's count (see contextNodes()).
+  std::vector<std::uint64_t> moduleNodes;
   /// Wall time of parse + elaboration (the cost the snapshot amortizes).
   double elaborateSeconds = 0.0;
   /// Wall time of the canonical serializations (0 when not requested).
@@ -131,6 +136,16 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon);
 smv::ElaboratedModule importModule(symbolic::Context& dst, bdd::Importer& imp,
                                    const smv::ElaboratedModule& src,
                                    bool wantMonolithic);
+
+/// The node count a fresh worker context for `ref` is sized from, and its
+/// warm arena collects against: the whole snapshot for a composed
+/// obligation, which imports every module and the composition; its own
+/// module for a component obligation — an afs2(64) client imports a few
+/// hundred nodes of the snapshot's 56,486.
+inline std::uint64_t contextNodes(const ElaborationSnapshot& snap,
+                                  const ObligationRef& ref) {
+  return ref.composed ? snap.liveNodes : snap.moduleNodes.at(ref.moduleIndex);
+}
 
 /// Arena capacity for a worker importing `snapshotLiveNodes` nodes: room
 /// for the full import plus fixpoint headroom, so neither the import nor a

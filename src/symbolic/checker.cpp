@@ -29,9 +29,19 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
       swapPerm_(sys.ctx->swapPermutation()),
       stutters_(sys.stuttersByConstruction()) {
   CMC_ASSERT(sys.ctx != nullptr);
-  if (!opts_.usePartitionedTrans || sys.partition.empty()) return;
-  partitioned_ = true;
   Context& ctx = *sys.ctx;
+  // When the system's alphabet covers the whole context (every composed
+  // system) and a track's frame conjuncts are tagged, the frames are
+  // handled by *substitution* instead of by folding (see below).  A
+  // component checker in a shared context cannot substitute — its targets
+  // may mention foreign context bits the substitution would wrongly leave
+  // unprimed — and takes the cone path instead, under either engine: a
+  // monolithic attempt imports the partition too.
+  const bool coversContext = sys.vars.size() == ctx.varCount();
+  if (sys.partition.empty() || (coversContext && !opts_.usePartitionedTrans)) {
+    return;
+  }
+  partitioned_ = opts_.usePartitionedTrans;
   bdd::Manager& mgr = ctx.mgr();
 
   // Generic fold: every next-state bit of the alphabet is quantified.
@@ -43,19 +53,33 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
   }
   std::sort(quantVars.begin(), quantVars.end());
 
-  // When the system's alphabet covers the whole context (every composed
-  // system) and a track's frame conjuncts are tagged, the frames are
-  // handled by *substitution* instead of by folding: each frame conjunct
-  // satisfies ∃v'. (v'=v ∧ dom) ∧ X' = dom(v) ∧ X[v'↦v], so the track's
-  // preimage is  dom(framed) ∧ ∃V'_owned (core ∧ partial-swap(X))  and the
-  // frame BDDs never enter the fold.  The stutter track degenerates to
-  // dom(Σ) ∧ X — core empty, nothing owned.  A component checker in a
-  // shared context keeps the generic fold: its targets may mention foreign
-  // context bits the substitution would wrongly leave unprimed.
-  const bool coversContext = sys.vars.size() == ctx.varCount();
   tracks_.reserve(sys.partition.tracks.size());
+  if (!coversContext) {
+    cone_ = true;
+    varDomain_.resize(ctx.varCount());
+    for (VarId v : sys.vars) {
+      for (std::uint32_t bit : ctx.variable(v).bits) {
+        const std::uint32_t current = Context::bddVarOf(bit, /*next=*/false);
+        if (current >= varOfBit_.size()) varOfBit_.resize(current + 1, -1);
+        varOfBit_[current] = v;
+      }
+      const bdd::Bdd dom = ctx.domain(v);
+      if (!dom.isTrue()) varDomain_[v] = dom;
+    }
+    for (const PartitionedRelation& t : sys.partition.tracks) {
+      tracks_.push_back(TrackPre{swapPerm_, /*local=*/false,
+                                 PreimageSchedule::withCone(mgr, t, quantVars)});
+    }
+    return;
+  }
+
+  // Substitution: each frame conjunct satisfies
+  // ∃v'. (v'=v ∧ dom) ∧ X' = dom(v) ∧ X[v'↦v], so the track's preimage is
+  // dom(framed) ∧ ∃V'_owned (core ∧ partial-swap(X))  and the frame BDDs
+  // never enter the fold.  The stutter track degenerates to dom(Σ) ∧ X —
+  // core empty, nothing owned.
   for (const PartitionedRelation& t : sys.partition.tracks) {
-    if (coversContext && t.framesTagged()) {
+    if (t.framesTagged()) {
       std::vector<VarId> framed = t.frameVars();
       std::sort(framed.begin(), framed.end());
       std::vector<VarId> owned;
@@ -84,7 +108,21 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
 
 bdd::Bdd Checker::preE(const bdd::Bdd& target) {
   pollCancel();
+  ++preimages_;
   bdd::Manager& mgr = sys_.ctx->mgr();
+  if (cone_) {
+    // Every track through its cone, under either engine.
+    const bdd::Bdd primed = mgr.permute(target, swapPerm_);
+    bdd::Bdd out = mgr.bddFalse();
+    bool narrow = true;
+    for (const TrackPre& t : tracks_) {
+      bool trackNarrow = false;
+      out |= t.schedule.relProduct(primed, &trackNarrow);
+      narrow = narrow && trackNarrow;
+    }
+    if (narrow) ++conePreimages_;
+    return out;
+  }
   if (!partitioned_) {
     const bdd::Bdd primed = mgr.permute(target, swapPerm_);
     return mgr.andExists(sys_.transBdd(), primed, nextVars_);
@@ -102,6 +140,22 @@ bdd::Bdd Checker::preE(const bdd::Bdd& target) {
   }
   if (!localAcc.isFalse()) out |= localAcc & domain_;
   return out;
+}
+
+bdd::Bdd Checker::preFair(const bdd::Bdd& target, const bdd::Bdd& fair) {
+  if (!cone_ || fair != domain_) return preE(target & fair);
+  // Only the domains of the target's own variables: the rest of domain_
+  // cannot change the preimage, since every track carries dom ∧ dom' for
+  // the system's variables, and would widen the cone to every variable.
+  bdd::Bdd narrowed = target;
+  VarId last = -1;
+  for (std::uint32_t bit : sys_.ctx->mgr().support(target)) {
+    const VarId v = bit < varOfBit_.size() ? varOfBit_[bit] : -1;
+    if (v < 0 || v == last) continue;
+    last = v;
+    if (!varDomain_[v].isNull()) narrowed &= varDomain_[v];
+  }
+  return preE(narrowed);
 }
 
 bdd::Bdd Checker::untilE(const bdd::Bdd& f, const bdd::Bdd& g) {
@@ -142,15 +196,24 @@ std::vector<bdd::Bdd> Checker::fairSets(
 }
 
 bdd::Bdd Checker::fairRegion(const std::vector<bdd::Bdd>& fairSets) {
-  if (fairSets.empty()) return sys_.ctx->mgr().bddTrue();
-  // EG true on a system that stutters by construction: every valid state
-  // has its self-loop, so it lies on an infinite path, and both engines
-  // confine preimages to the domain — the fixpoint is exactly domain_.
+  bdd::Manager& mgr = sys_.ctx->mgr();
+  if (fairSets.empty()) return mgr.bddTrue();
   const bool trivial =
       std::all_of(fairSets.begin(), fairSets.end(),
                   [](const bdd::Bdd& fc) { return fc.isTrue(); });
-  if (trivial && stutters_) return domain_;
-  return fairEG(sys_.ctx->mgr().bddTrue(), fairSets);
+  if (!trivial) return fairEG(mgr.bddTrue(), fairSets);
+  if (trivialFair_.isNull()) {
+    // EG true.  On a system that stutters by construction every valid
+    // state has its self-loop, so it lies on an infinite path.  On any
+    // total system — preE(true) is the domain — every valid state has a
+    // successor, which is valid again (T ⊆ dom'), so νZ. EX Z stops at
+    // the domain.  Both engines confine preimages to the domain, so the
+    // fixpoint is exactly domain_ either way.
+    trivialFair_ = stutters_ || preE(mgr.bddTrue()) == domain_
+                       ? domain_
+                       : fairEG(mgr.bddTrue(), fairSets);
+  }
+  return trivialFair_;
 }
 
 bdd::Bdd Checker::fairStates(const std::vector<ctl::FormulaPtr>& fairness) {
@@ -190,9 +253,9 @@ bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
       return satRec(f->lhs(), fairSets, fair)
           .iff(satRec(f->rhs(), fairSets, fair));
     case Op::EX:
-      return preE(satRec(f->lhs(), fairSets, fair) & fair);
+      return preFair(satRec(f->lhs(), fairSets, fair), fair);
     case Op::AX:
-      return !preE((!satRec(f->lhs(), fairSets, fair)) & fair);
+      return !preFair(!satRec(f->lhs(), fairSets, fair), fair);
     case Op::EU:
       return untilE(satRec(f->lhs(), fairSets, fair),
                     satRec(f->rhs(), fairSets, fair) & fair);
@@ -219,6 +282,18 @@ bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
   throw Error("satRec: unreachable");
 }
 
+bdd::Bdd Checker::initStates(const FormulaPtr& init,
+                              const std::vector<bdd::Bdd>& fairSets,
+                              const bdd::Bdd& fair) {
+  if (init == initFormula_) return initStates_;
+  bdd::Bdd states = satRec(init, fairSets, fair);
+  if (ctl::isPropositional(init)) {
+    initFormula_ = init;
+    initStates_ = states;
+  }
+  return states;
+}
+
 bdd::Bdd Checker::violations(const ctl::Restriction& r,
                              const ctl::FormulaPtr& f) {
   // A check that runs no fixpoint (propositional spec, free fair region)
@@ -227,7 +302,7 @@ bdd::Bdd Checker::violations(const ctl::Restriction& r,
   const FormulaPtr init = r.init != nullptr ? r.init : ctl::mkTrue();
   const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
   const bdd::Bdd fair = fairRegion(sets);
-  const bdd::Bdd satInit = satRec(init, sets, fair);
+  const bdd::Bdd satInit = initStates(init, sets, fair);
   const bdd::Bdd satF = satRec(f, sets, fair);
   return domain_ & satInit & !satF;
 }
@@ -269,7 +344,7 @@ bool Checker::holdsReachable(const ctl::Restriction& r,
   TraceBuilder builder(sys_);
   const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
   const bdd::Bdd fair = fairRegion(sets);
-  const bdd::Bdd satInit = satRec(init, sets, fair);
+  const bdd::Bdd satInit = initStates(init, sets, fair);
   const bdd::Bdd reach = builder.reachable(satInit & domain_);
   const bdd::Bdd satF = satRec(f, sets, fair);
   return (reach & satInit & !satF).isFalse();
@@ -285,7 +360,7 @@ std::optional<std::string> Checker::counterexampleTrace(
   const std::vector<bdd::Bdd> sets = fairSets(r.fairness);
   const bdd::Bdd region = fairRegion(sets);
   const bdd::Bdd good = satRec(f->lhs(), sets, region);
-  const bdd::Bdd initSet = satRec(init, sets, region) & domain_;
+  const bdd::Bdd initSet = initStates(init, sets, region) & domain_;
 
   bool trivialFairness = true;
   for (const FormulaPtr& fc : r.fairness) {
@@ -336,6 +411,34 @@ std::optional<std::string> Checker::violationWitness(
   bdd::Manager& mgr = sys_.ctx->mgr();
   const std::vector<std::int8_t> cube = mgr.pickCube(bad);
   return bdd::cubeToString(cube, sys_.ctx->bddVarNames());
+}
+
+void KeptChecker::setOptions(CheckerOptions opts) {
+  if (opts.usePartitionedTrans != opts_.usePartitionedTrans ||
+      opts.clusterThreshold != opts_.clusterThreshold) {
+    checker_.reset();
+  }
+  opts_ = std::move(opts);
+}
+
+Checker& KeptChecker::checker() {
+  if (checker_ == nullptr) {
+    CheckerOptions opts = opts_;
+    opts.cancelCheck = [this] {
+      if (opts_.cancelCheck) opts_.cancelCheck();
+    };
+    checker_ = std::make_unique<Checker>(sys_, std::move(opts));
+  }
+  return *checker_;
+}
+
+std::string KeptChecker::counterexample(const ctl::Spec& spec) {
+  const bool materialized = sys_.transMaterialized();
+  std::string text = checker().counterexampleText(spec);
+  // The trace search materializes the relation; a kept system keeps only
+  // what it started with.
+  if (!materialized) sys_.monolithic_ = bdd::Bdd();
+  return text;
 }
 
 }  // namespace cmc::symbolic

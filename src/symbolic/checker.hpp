@@ -12,10 +12,15 @@
 // and the per-track preimages are disjoined.  The monolithic relation is
 // never materialized on this path.  CheckerOptions selects the path and
 // the clustering threshold; results are BDD-identical either way (asserted
-// by the cross-validation tests).
+// by the cross-validation tests).  A component system — one whose alphabet
+// does not cover its context — takes the cone-of-influence path under
+// both engines: every target folds only the conjuncts that constrain the
+// next state of the variables it reads (PreimageSchedule::withCone), and
+// neither engine clusters or materializes the relation for its preimages.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +60,7 @@ struct CheckerOptions {
   bool usePartitionedTrans = true;
   /// Greedy clustering threshold in BDD nodes; conjuncts are merged while
   /// the cluster stays within it.  0 collapses each track to one cluster.
+  /// Cone schedules (component systems) fold unclustered conjuncts.
   std::uint64_t clusterThreshold = 1024;
   /// Cooperative cancellation hook.  When set, it is polled on entry to
   /// every holds()/violations() — so an exhausted budget binds even on a
@@ -98,7 +104,9 @@ class Checker {
   /// States from which a fair path exists (EG_fair true); everything when
   /// `fairness` is empty.  When every constraint is TRUE and the system
   /// stutters by construction (SymbolicSystem::stuttersByConstruction)
-  /// this is exactly the state domain, returned without a preimage.
+  /// this is exactly the state domain, returned without a preimage; on any
+  /// other total system (preE(true) is the domain) it is the domain after
+  /// that one preimage.  Either way it is computed once per checker.
   bdd::Bdd fairStates(const std::vector<ctl::FormulaPtr>& fairness);
 
   /// The paper's M ⊨_r f.
@@ -142,8 +150,19 @@ class Checker {
 
   const SymbolicSystem& system() const noexcept { return sys_; }
   const CheckerOptions& options() const noexcept { return opts_; }
-  /// True iff preimages fold over the partition schedules.
+  /// True iff the checker runs the partitioned engine (a component
+  /// checker folds through the cone under either engine).
   bool usesPartition() const noexcept { return partitioned_; }
+  /// True iff preimages fold through the cone of influence (component
+  /// systems, under either engine).
+  bool usesCone() const noexcept { return cone_; }
+
+  /// Running totals since construction: preE calls, and those whose cone
+  /// left part of every track out (the target read only some of the
+  /// variables' next states).  A caller measures a span of checks by the
+  /// difference.
+  std::uint64_t preimageCount() const noexcept { return preimages_; }
+  std::uint64_t conePreimageCount() const noexcept { return conePreimages_; }
 
  private:
   /// Invoke opts_.cancelCheck if set (see CheckerOptions::cancelCheck).
@@ -151,6 +170,10 @@ class Checker {
     if (opts_.cancelCheck) opts_.cancelCheck();
   }
 
+  /// preE(target ∧ fair).  On the cone path, when the fair region is the
+  /// state domain, only the domains of the target's own variables are
+  /// conjoined, so the target keeps its narrow support for the cone.
+  bdd::Bdd preFair(const bdd::Bdd& target, const bdd::Bdd& fair);
   bdd::Bdd untilE(const bdd::Bdd& f, const bdd::Bdd& g);
   bdd::Bdd fairEG(const bdd::Bdd& region, const std::vector<bdd::Bdd>& fair);
   /// The fairness constraints evaluated as state sets.
@@ -161,6 +184,13 @@ class Checker {
   bdd::Bdd satRec(const ctl::FormulaPtr& f,
                   const std::vector<bdd::Bdd>& fairSets,
                   const bdd::Bdd& fair);
+  /// sat(init) for a restriction's initial condition.  Every spec of a
+  /// module shares its INIT formula, so a propositional one is evaluated
+  /// once per checker: afs2(64)'s server INIT conjoins 193 atoms, and
+  /// folding them allocates about 30,000 nodes per evaluation.
+  bdd::Bdd initStates(const ctl::FormulaPtr& init,
+                      const std::vector<bdd::Bdd>& fairSets,
+                      const bdd::Bdd& fair);
   bdd::Bdd violations(const ctl::Restriction& r, const ctl::FormulaPtr& f);
 
   const SymbolicSystem& sys_;
@@ -179,14 +209,61 @@ class Checker {
   /// track: every track carries its component's domain conjuncts (the
   /// system invariant), so the local contributions can be disjoined first
   /// and restricted to `domain_` once.  A non-local track uses the full
-  /// swap and folds the whole track, frames included.
+  /// swap and folds the whole track, frames included.  On the cone path
+  /// every track is non-local and its schedule is a cone schedule.
   struct TrackPre {
     std::uint32_t permId;
     bool local;
     PreimageSchedule schedule;
   };
-  std::vector<TrackPre> tracks_;  ///< empty on the monolithic path
+  /// Empty on the monolithic path, unless that path takes the cone.
+  std::vector<TrackPre> tracks_;
   bool partitioned_ = false;
+  bool cone_ = false;
+  /// Cone path: the alphabet variable of each current-state BDD variable
+  /// (-1 for none), and each variable's domain (null when it is true).
+  std::vector<VarId> varOfBit_;
+  std::vector<bdd::Bdd> varDomain_;
+  /// EG true, once computed (see fairStates()).
+  bdd::Bdd trivialFair_;
+  /// The last propositional initial condition and its states.
+  ctl::FormulaPtr initFormula_;
+  bdd::Bdd initStates_;
+  std::uint64_t preimages_ = 0;
+  std::uint64_t conePreimages_ = 0;
+};
+
+/// A checker kept across checks that each bring their own budget: the
+/// system and the Checker built on it (schedules, projections, the fair
+/// region and INIT states its restriction gives) survive from one check to
+/// the next, while the cancel hook polled is always the one most recently
+/// set.  A change of engine or clustering threshold rebuilds the checker.
+class KeptChecker {
+ public:
+  explicit KeptChecker(SymbolicSystem sys) : sys_(std::move(sys)) {}
+  /// The checker's cancel hook calls back into this object.
+  KeptChecker(const KeptChecker&) = delete;
+  KeptChecker& operator=(const KeptChecker&) = delete;
+
+  /// Options for the checks from here on; the checker survives a change of
+  /// the hook alone.
+  void setOptions(CheckerOptions opts);
+  /// The checker, built on first use after construction or an engine or
+  /// threshold change.
+  Checker& checker();
+  /// True iff checker() would return without building one.
+  bool built() const noexcept { return checker_ != nullptr; }
+  /// Checker::counterexampleText on the kept checker.  The monolithic
+  /// relation the trace search materializes is dropped again unless the
+  /// system had it before, so the kept system stays as it was.
+  std::string counterexample(const ctl::Spec& spec);
+
+  const SymbolicSystem& system() const noexcept { return sys_; }
+
+ private:
+  SymbolicSystem sys_;
+  CheckerOptions opts_;
+  std::unique_ptr<Checker> checker_;
 };
 
 }  // namespace cmc::symbolic

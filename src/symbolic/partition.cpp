@@ -60,11 +60,19 @@ void PartitionedRelation::clusterGreedy(std::uint64_t nodeThreshold) {
 
   // Smallest conjuncts first: frames merge together cheaply and the big
   // component relation stays late in the fold, where most of its next-state
-  // variables are already scheduled for quantification.
-  std::stable_sort(conjuncts_.begin(), conjuncts_.end(),
-                   [&](const Conjunct& a, const Conjunct& b) {
-                     return mgr.dagSize(a.rel) < mgr.dagSize(b.rel);
-                   });
+  // variables are already scheduled for quantification.  Each size is
+  // computed once: every dagSize call resets an arena-wide mark vector.
+  std::vector<std::pair<std::uint64_t, std::size_t>> bySize;
+  bySize.reserve(conjuncts_.size());
+  for (std::size_t i = 0; i < conjuncts_.size(); ++i) {
+    bySize.emplace_back(mgr.dagSize(conjuncts_[i].rel), i);
+  }
+  std::stable_sort(bySize.begin(), bySize.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Conjunct> sorted;
+  sorted.reserve(conjuncts_.size());
+  for (const auto& [size, i] : bySize) sorted.push_back(std::move(conjuncts_[i]));
+  conjuncts_ = std::move(sorted);
 
   std::vector<Conjunct> clusters;
   for (Conjunct& c : conjuncts_) {
@@ -163,46 +171,145 @@ std::size_t TransitionPartition::conjunctCount() const noexcept {
   return n;
 }
 
-PreimageSchedule::PreimageSchedule(bdd::Manager& mgr,
-                                   PartitionedRelation track,
-                                   const std::vector<std::uint32_t>& quantVars)
-    : mgr_(&mgr) {
-  const std::vector<Conjunct>& clusters = track.conjuncts();
-
-  // lastIn[v] = index of the last cluster whose support contains v.
-  std::vector<std::uint32_t> leading;
-  std::vector<std::vector<std::uint32_t>> perStep(clusters.size());
+std::vector<PreimageSchedule::Step> PreimageSchedule::foldSteps(
+    bdd::Manager& mgr, const std::vector<Conjunct>& conjuncts,
+    const std::vector<std::uint32_t>& quantVars,
+    std::vector<std::uint32_t>* leading) {
+  // perStep[i] = the variables whose last containing conjunct is i.
+  std::vector<std::vector<std::uint32_t>> perStep(conjuncts.size());
   for (std::uint32_t v : quantVars) {
-    std::size_t last = clusters.size();
-    for (std::size_t i = clusters.size(); i-- > 0;) {
-      if (std::binary_search(clusters[i].support.begin(),
-                             clusters[i].support.end(), v)) {
+    std::size_t last = conjuncts.size();
+    for (std::size_t i = conjuncts.size(); i-- > 0;) {
+      if (std::binary_search(conjuncts[i].support.begin(),
+                             conjuncts[i].support.end(), v)) {
         last = i;
         break;
       }
     }
-    if (last == clusters.size()) {
-      leading.push_back(v);  // unconstrained: quantify out of the target
+    if (last == conjuncts.size()) {
+      leading->push_back(v);  // unconstrained: quantify out of the target
     } else {
       perStep[last].push_back(v);
     }
   }
-
-  leadingCube_ = mgr.cube(leading);
-  steps_.reserve(clusters.size());
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    steps_.push_back(Step{clusters[i].rel, mgr.cube(perStep[i])});
+  std::vector<Step> steps;
+  steps.reserve(conjuncts.size());
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    steps.push_back(Step{conjuncts[i].rel, mgr.cube(perStep[i])});
   }
+  return steps;
 }
 
-bdd::Bdd PreimageSchedule::relProduct(const bdd::Bdd& target) const {
+PreimageSchedule::PreimageSchedule(bdd::Manager& mgr,
+                                   PartitionedRelation track,
+                                   const std::vector<std::uint32_t>& quantVars)
+    : mgr_(&mgr) {
+  std::vector<std::uint32_t> leading;
+  steps_ = foldSteps(mgr, track.conjuncts(), quantVars, &leading);
+  leadingCube_ = mgr.cube(leading);
+}
+
+PreimageSchedule PreimageSchedule::withCone(
+    bdd::Manager& mgr, const PartitionedRelation& track,
+    const std::vector<std::uint32_t>& quantVars) {
+  PreimageSchedule s;
+  s.mgr_ = &mgr;
+  s.cone_ = true;
+  const std::vector<Conjunct>& conjuncts = track.conjuncts();
+
+  // Union-find over conjuncts: two conjuncts sharing a quantified variable
+  // land in one group.  owner[v] is the first conjunct mentioning v.
+  std::uint32_t varBound = 0;
+  for (std::uint32_t v : quantVars) varBound = std::max(varBound, v + 1);
+  std::vector<std::int32_t> owner(varBound, -1);
+  std::vector<std::size_t> parent(conjuncts.size());
+  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  const auto find = [&parent](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  std::vector<char> quantified(varBound, 0);
+  for (std::uint32_t v : quantVars) quantified[v] = 1;
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    for (std::uint32_t v : conjuncts[i].support) {
+      if (v >= varBound || !quantified[v]) continue;
+      if (owner[v] < 0) {
+        owner[v] = static_cast<std::int32_t>(i);
+      } else {
+        parent[find(i)] = find(static_cast<std::size_t>(owner[v]));
+      }
+    }
+  }
+
+  // Groups in order of their first conjunct; each folds its own conjuncts
+  // and quantifies its own variables.
+  std::vector<std::int32_t> groupOfRoot(conjuncts.size(), -1);
+  std::vector<std::vector<Conjunct>> members;
+  std::vector<std::int32_t> groupOf(conjuncts.size());
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    const std::size_t root = find(i);
+    if (groupOfRoot[root] < 0) {
+      groupOfRoot[root] = static_cast<std::int32_t>(members.size());
+      members.emplace_back();
+    }
+    groupOf[i] = groupOfRoot[root];
+    members[groupOf[i]].push_back(conjuncts[i]);
+  }
+  std::vector<std::vector<std::uint32_t>> groupVars(members.size());
+  std::vector<std::uint32_t> leading;
+  s.groupOfVar_.assign(varBound, -1);
+  for (std::uint32_t v : quantVars) {
+    if (owner[v] < 0) {
+      leading.push_back(v);
+      continue;
+    }
+    const std::int32_t g = groupOf[owner[v]];
+    s.groupOfVar_[v] = g;
+    groupVars[g].push_back(v);
+  }
+  s.leadingCube_ = mgr.cube(leading);
+
+  std::vector<bdd::Bdd> projections;
+  projections.reserve(members.size());
+  s.groups_.reserve(members.size());
+  for (std::size_t g = 0; g < members.size(); ++g) {
+    std::vector<std::uint32_t> none;
+    s.groups_.push_back(foldSteps(mgr, members[g], groupVars[g], &none));
+    CMC_ASSERT(none.empty());
+    projections.push_back(s.fold(mgr.bddTrue(), s.groups_.back()));
+  }
+  s.projection_ = conjoinBalanced(mgr, std::move(projections));
+  return s;
+}
+
+bdd::Bdd PreimageSchedule::fold(bdd::Bdd acc,
+                                const std::vector<Step>& steps) const {
+  for (const Step& s : steps) acc = mgr_->andExists(acc, s.rel, s.cube);
+  return acc;
+}
+
+bdd::Bdd PreimageSchedule::relProduct(const bdd::Bdd& target,
+                                      bool* narrow) const {
   CMC_ASSERT(mgr_ != nullptr);
   bdd::Bdd acc = leadingCube_.isTrue() ? target
                                        : mgr_->exists(target, leadingCube_);
-  for (const Step& s : steps_) {
-    acc = mgr_->andExists(acc, s.rel, s.cube);
+  if (!cone_) {
+    if (narrow != nullptr) *narrow = false;
+    return fold(std::move(acc), steps_);
   }
-  return acc;
+  std::vector<std::int32_t> touched;
+  if (!target.isTerminal()) {
+    for (std::uint32_t v : mgr_->support(target)) {
+      if (v < groupOfVar_.size() && groupOfVar_[v] >= 0) {
+        touched.push_back(groupOfVar_[v]);
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  }
+  if (narrow != nullptr) *narrow = touched.size() < groups_.size();
+  for (std::int32_t g : touched) acc = fold(std::move(acc), groups_[g]);
+  return acc & projection_;
 }
 
 }  // namespace cmc::symbolic

@@ -15,7 +15,9 @@
 //  - PreimageSchedule: an early-quantification schedule over a track — each
 //    quantified variable is existentially eliminated at the *last* cluster
 //    whose support contains it, so intermediate products never carry
-//    variables longer than needed (IWLS95 heuristic);
+//    variables longer than needed (IWLS95 heuristic) — or, for a
+//    component's track, a cone-of-influence schedule that folds only the
+//    conjuncts constraining the next state of what the target reads;
 //  - TransitionPartition: the disjunction of tracks.  Preimages distribute
 //    over ∨, so each track is processed independently and the results are
 //    disjoined — the full product is never materialized.
@@ -146,24 +148,59 @@ struct TransitionPartition {
 /// with andExists at the last cluster whose support contains it.  Variables
 /// of `quantVars` that no cluster mentions are quantified out of the target
 /// before the fold starts.
+///
+/// A schedule built with withCone() folds through the cone of influence
+/// instead.  It groups the track's conjuncts by shared quantified
+/// variables (union-find) and keeps each group's projection
+/// ∃N_g. ⋀ group_g, conjoined into P = ∃N. ⋀ track (the groups share no
+/// quantified variable, so ∃ distributes over them).  A target folds only
+/// the groups its support touches and conjoins P:
+///   ∃N. (⋀ track ∧ X) = ∃N_cone. (⋀ cone ∧ X) ∧ ⋀_{g ∉ cone} P_g,
+/// and conjoining all of P instead of the groups outside the cone changes
+/// nothing, because the cone's result already lies inside its own groups'
+/// projections.  The result is the node the full fold returns.
 class PreimageSchedule {
  public:
+  /// The fold of `track`'s conjuncts as given (cluster them first for a
+  /// coarser fold).
   PreimageSchedule(bdd::Manager& mgr, PartitionedRelation track,
                    const std::vector<std::uint32_t>& quantVars);
 
-  /// exists(quantVars, product(track) ∧ target), never building the product.
-  bdd::Bdd relProduct(const bdd::Bdd& target) const;
+  /// The cone schedule over `track`'s conjuncts, grouped as they are.
+  static PreimageSchedule withCone(bdd::Manager& mgr,
+                                   const PartitionedRelation& track,
+                                   const std::vector<std::uint32_t>& quantVars);
 
-  std::size_t clusterCount() const noexcept { return steps_.size(); }
+  /// exists(quantVars, product(track) ∧ target), never building the
+  /// product.  `*narrow`, when given, says whether the target's cone left
+  /// some group of a cone schedule out.
+  bdd::Bdd relProduct(const bdd::Bdd& target, bool* narrow = nullptr) const;
 
  private:
   struct Step {
     bdd::Bdd rel;
     bdd::Bdd cube;  ///< quantVars eliminated at this step (may be true)
   };
+  PreimageSchedule() = default;
+  /// Fold steps over `conjuncts`: each of `quantVars` is eliminated at the
+  /// last conjunct whose support contains it; the ones no conjunct
+  /// mentions are appended to `*leading`.
+  static std::vector<Step> foldSteps(bdd::Manager& mgr,
+                                     const std::vector<Conjunct>& conjuncts,
+                                     const std::vector<std::uint32_t>& quantVars,
+                                     std::vector<std::uint32_t>* leading);
+  /// Run `steps` over `acc`.
+  bdd::Bdd fold(bdd::Bdd acc, const std::vector<Step>& steps) const;
+
   bdd::Manager* mgr_ = nullptr;
   bdd::Bdd leadingCube_;  ///< quantVars in no cluster support
-  std::vector<Step> steps_;
+  std::vector<Step> steps_;  ///< the fold (plain schedules)
+
+  // Cone schedules.
+  bool cone_ = false;
+  std::vector<std::vector<Step>> groups_;  ///< per group, its own fold
+  std::vector<std::int32_t> groupOfVar_;   ///< BDD var -> group, or -1
+  bdd::Bdd projection_;                    ///< P = ∃N. ⋀ track
 };
 
 }  // namespace cmc::symbolic

@@ -217,6 +217,39 @@ TEST(ClusterCompat, GatesOnVersionAndProtocolRevision) {
       "{\"ok\": true, \"cmc_version\": \"" + version + "\"}", &why));
 }
 
+TEST(ClusterCoordinator, AShardAttemptRecordsOnlyWhatTheResponseSays) {
+  // The response names the deciding engine, the verdict and the seconds;
+  // the merged attempt carries those and nothing it did not measure.
+  service::ObligationRef ref;
+  ref.id = "ping/ping.SPEC2";
+  const service::ObligationOutcome out = outcomeFromResponse(
+      R"({"ok": true, "cmd": "CHECK", "verdict": "Fails", )"
+      R"("verdict_source": "checked", "rule": "direct", )"
+      R"("obligation_seconds": 0.25, "engine": "partitioned"})",
+      ref);
+  ASSERT_EQ(out.attempts.size(), 1u);
+  const service::AttemptRecord& a = out.attempts[0];
+  EXPECT_EQ(a.engine, "partitioned");
+  EXPECT_EQ(a.verdict, service::Verdict::Fails);
+  EXPECT_EQ(a.seconds, 0.25);
+  EXPECT_FALSE(a.peakLiveNodes || a.cacheHitRate || a.elaborateMs ||
+               a.importMs || a.setupMs || a.fixpointMs || a.preimages ||
+               a.conePreimages);
+  service::JobReport report;
+  report.obligations.push_back(out);
+  const std::string json = report.toJson();
+  test::parsedJson(json);
+  EXPECT_NE(json.find("\"attempts\": [{\"engine\": \"partitioned\""),
+            std::string::npos)
+      << json;
+  for (const char* key : {"peak_live_nodes", "cache_hit_rate", "elaborate_ms",
+                          "import_ms", "setup_ms", "fixpoint_ms", "preimages",
+                          "cone_preimages"}) {
+    EXPECT_EQ(json.find("\"" + std::string(key) + "\""), std::string::npos)
+        << key;
+  }
+}
+
 TEST(ClusterBackoff, DelaysAreJitteredExponentialAndCapped) {
   for (int round = 0; round < 64; ++round) {
     const int first = net::Client::backoffMs(0, 100);

@@ -354,6 +354,44 @@ TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
   EXPECT_FALSE(single.snapshot->composed.has_value());
 }
 
+TEST(ServiceSnapshot, ComponentContextsAreSizedFromTheirModule) {
+  // afs2(8): a client's import is a few hundred nodes, so its fresh
+  // context gets the floor capacity; the server's is sized for its own
+  // module, and a composed obligation's for the whole snapshot.
+  std::ifstream in(std::filesystem::path(CMC_MODELS_DIR) / "gen" /
+                   "afs2_8.smv");
+  std::stringstream text;
+  text << in.rdbuf();
+  VerificationJob job;
+  job.name = "afs2_8";
+  job.smvText = text.str();
+  job.options.compose = true;
+  const SnapshotResult built = buildSnapshot(job, /*wantCanon=*/false);
+  ASSERT_NE(built.snapshot, nullptr) << built.error;
+  const ElaborationSnapshot& snap = *built.snapshot;
+  ASSERT_EQ(snap.moduleNodes.size(), 9u);
+  std::size_t clients = 0;
+  std::uint64_t clientMax = 0;
+  std::uint64_t server = 0;
+  for (const ObligationRef& ref : enumerateObligations(snap, job.options)) {
+    const std::uint64_t nodes = contextNodes(snap, ref);
+    if (ref.composed) {
+      EXPECT_EQ(nodes, snap.liveNodes) << ref.id;
+    } else if (ref.target.find("client") != std::string::npos) {
+      ++clients;
+      clientMax = std::max(clientMax, nodes);
+      EXPECT_EQ(workerArenaCapacity(nodes), std::size_t{1} << 12) << ref.id;
+      EXPECT_EQ(workerCacheCapacity(nodes), std::size_t{1} << 12) << ref.id;
+    } else {
+      server = nodes;
+    }
+  }
+  EXPECT_EQ(clients, 8u);
+  EXPECT_LT(clientMax, 1000u);
+  EXPECT_GT(server, 2 * clientMax);
+  EXPECT_LT(server, snap.liveNodes);
+}
+
 TEST(Service, ElaborationFailureIsAnErrorOutcomeNotACrash) {
   VerificationJob job;
   job.name = "broken";
@@ -438,6 +476,51 @@ TEST(ServiceQuarantine, TransientThrowIsRetriedOnAFreshContext) {
   EXPECT_EQ(o.attempts[1].verdict, Verdict::Holds);
   EXPECT_EQ(trace.countContaining("\"event\": \"quarantine\""), 1u);
   EXPECT_EQ(trace.countContaining("simulated transient fault"), 1u);
+}
+
+TEST(ServiceQuarantine, AnErrorAttemptRecordsOnlyWhatItMeasured) {
+  // The first attempt throws inside the factory, before any phase ends:
+  // its record and "attempt" event carry no peak, phase or count.  The
+  // retry measured all of them.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  VerificationService svc(withThreads(1));
+  RunTrace trace;
+  const JobReport report = svc.run(flakyJob(calls, 2, 2), &trace);
+  ASSERT_EQ(report.obligations.size(), 1u);
+  const std::vector<AttemptRecord>& attempts =
+      report.obligations.front().attempts;
+  ASSERT_EQ(attempts.size(), 2u);
+  const AttemptRecord& error = attempts[0];
+  EXPECT_EQ(error.verdict, Verdict::Error);
+  EXPECT_FALSE(error.peakLiveNodes || error.cacheHitRate ||
+               error.elaborateMs || error.importMs || error.setupMs ||
+               error.fixpointMs || error.preimages || error.conePreimages);
+  const AttemptRecord& retry = attempts[1];
+  EXPECT_TRUE(retry.peakLiveNodes && retry.elaborateMs && retry.importMs &&
+              retry.setupMs && retry.fixpointMs && retry.preimages);
+  const std::vector<const char*> fields{
+      "peak_live_nodes", "elaborate_ms", "import_ms", "setup_ms",
+      "fixpoint_ms",     "preimages"};
+  std::size_t events = 0;
+  for (const std::string& line : trace.lines()) {
+    const util::JsonValue event = test::parsedJson(line);
+    std::string kind;
+    if (!event.req("event", &kind) || kind != "attempt") continue;
+    for (const char* field : fields) {
+      EXPECT_EQ(event.find(field) != nullptr, events > 0)
+          << field << " in " << line;
+    }
+    ++events;
+  }
+  EXPECT_EQ(events, 2u);
+  // The report prints each field once: for the retry.
+  const std::string json = report.toJson();
+  for (const char* field : fields) {
+    const std::string key = "\"" + std::string(field) + "\"";
+    const std::size_t at = json.find(key);
+    EXPECT_NE(at, std::string::npos) << field;
+    EXPECT_EQ(json.find(key, at + 1), std::string::npos) << field;
+  }
 }
 
 TEST(ServiceQuarantine, PersistentThrowBecomesErrorWithoutLosingSiblings) {
@@ -772,6 +855,50 @@ TEST(Service, WarmAttemptsDecideLikeFreshOnes) {
   }
 }
 
+TEST(Service, WarmComponentAttemptsKeepTheirChecker) {
+  // The same spec twice: the fresh attempt builds the checker and pays one
+  // preimage for the fair region (is the module total?); the warm attempt
+  // runs on that checker, fair region included, so it pays one fewer.
+  // Only component attempts count preimages.
+  VerificationJob job;
+  job.name = "twice";
+  job.smvText = R"(
+MODULE twice
+VAR s : {a, b, c};
+ASSIGN next(s) := case s = a : b; s = b : c; 1 : a; esac;
+SPEC AG EF (s = a)
+SPEC AG EF (s = a)
+MODULE watch
+VAR w : boolean;
+ASSIGN next(w) := !w;
+SPEC AG (w -> AX !w)
+)";
+  job.options.compose = true;
+  for (const symbolic::EngineMode engine :
+       {symbolic::EngineMode::Partitioned, symbolic::EngineMode::Monolithic}) {
+    SCOPED_TRACE(symbolic::toString(engine));
+    job.options.engine = engine;
+    VerificationService svc(uncachedThreads(1));
+    RunTrace trace;
+    const JobReport report = svc.run(job, &trace);
+    ASSERT_EQ(report.obligations.size(), 6u);
+    const AttemptRecord& fresh = report.obligations[0].attempts.at(0);
+    const AttemptRecord& warm = report.obligations[1].attempts.at(0);
+    EXPECT_FALSE(fresh.warm);
+    EXPECT_TRUE(warm.warm);
+    ASSERT_TRUE(fresh.preimages && fresh.conePreimages && warm.preimages &&
+                warm.conePreimages);
+    EXPECT_EQ(*warm.preimages + 1, *fresh.preimages);
+    // preE(true) reads no variable: the cone, on either engine.
+    EXPECT_EQ(*warm.conePreimages + 1, *fresh.conePreimages);
+    for (const ObligationOutcome& o : report.obligations) {
+      EXPECT_EQ(o.attempts.at(0).preimages.has_value(), o.target != "composed")
+          << o.id;
+    }
+    EXPECT_EQ(trace.countContaining("\"cone_preimages\""), 3u);
+  }
+}
+
 /// A model whose second spec needs far more live nodes than the others:
 /// its antecedent ⋀ (a_i <-> b_i) is exponential in this variable order
 /// (every a before every b).
@@ -789,6 +916,26 @@ std::string wideSmv() {
   return "MODULE wide\nVAR " + avars + bvars + "\nASSIGN " + next +
          "\nSPEC AG (a2 -> AX a2)\nSPEC AG (" + eq +
          " -> AX (a2 <-> b2))\nSPEC AG (b1 -> AX b1)\nSPEC AG a3\n";
+}
+
+/// A 20-bit counter and a watcher: EF of the counter's last value takes
+/// 2^20 backward steps, far past any deadline the tests set, while the
+/// other specs decide at once.
+std::string counterSmv() {
+  std::string vars, next, all, carry;
+  for (int i = 0; i < 20; ++i) {
+    const std::string b = "b" + std::to_string(i);
+    vars += b + " : boolean; ";
+    next += i == 0 ? "next(b0) := !b0; "
+                   : "next(" + b + ") := case " + carry + " : !" + b +
+                         "; 1 : " + b + "; esac; ";
+    carry += (i == 0 ? "" : " & ") + b;
+    all = carry;
+  }
+  return "MODULE counter\nVAR " + vars + "\nASSIGN " + next +
+         "\nSPEC AG (b0 | !b0)\nSPEC EF (" + all +
+         ")\nSPEC AG (b1 | !b1)\nSPEC AG (b2 | !b2)\n"
+         "MODULE watch\nVAR w : boolean;\nASSIGN next(w) := !w;\n";
 }
 
 /// A trace sink that hands each event line to `onLine` as a worker emits
@@ -878,9 +1025,31 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
     EXPECT_EQ(contexts.at(spec + "3"), Contexts{"fresh"});
     EXPECT_EQ(contexts.at(spec + "4"), Contexts{"warm"});
   }
-  // Timeout: nothing decides under an expired deadline, so nothing is
-  // handed on.  Reorder: each attempt sifts its own manager, so none runs
-  // warm, though every one decides.
+  // Timeout: SPEC2's warm attempt outlasts its deadline, so its kept
+  // checker dies with it and SPEC3 imports afresh.
+  {
+    VerificationJob job;
+    job.name = "counter";
+    job.smvText = counterSmv();
+    job.options.limits.deadlineSeconds = 0.25;
+    job.options.retryOtherEngine = false;
+    VerificationService svc(uncachedThreads(1));
+    RunTrace trace;
+    const JobReport report = svc.run(job, &trace);
+    ASSERT_EQ(report.obligations.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(report.obligations[i].verdict,
+                i == 1 ? Verdict::Timeout : Verdict::Holds);
+    }
+    const auto contexts = attemptContexts(trace);
+    EXPECT_EQ(contexts.at("counter/counter.SPEC1"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("counter/counter.SPEC2"), Contexts{"warm"});
+    EXPECT_EQ(contexts.at("counter/counter.SPEC3"), Contexts{"fresh"});
+    EXPECT_EQ(contexts.at("counter/counter.SPEC4"), Contexts{"warm"});
+  }
+  // An expired deadline: nothing decides, so nothing is handed on.
+  // Reorder: each attempt sifts its own manager, so none runs warm,
+  // though every one decides.
   for (const bool reorder : {false, true}) {
     VerificationJob job = relayJob();
     job.options.compose = true;
@@ -980,18 +1149,27 @@ TEST(Service, AttemptPhasesNeverExceedTheAttempt) {
     RunTrace trace;
     const std::vector<JobReport> reports =
         svc.runBatch({text, rebuilt}, &trace);
+    std::size_t keptCheckerChecks = 0;
     std::size_t keptVerifierChecks = 0;
     for (const JobReport& report : reports) {
       EXPECT_NE(report.toJson().find("\"setup_ms\""), std::string::npos);
       for (const ObligationOutcome& o : report.obligations) {
         for (const AttemptRecord& a : o.attempts) {
-          EXPECT_GE(a.fixpointMs, 0.0) << o.id;
-          EXPECT_LE((a.elaborateMs + a.importMs + a.setupMs + a.fixpointMs) /
-                        1000.0,
-                    a.seconds * (1 + 1e-9))
+          ASSERT_TRUE(a.elaborateMs && a.importMs && a.setupMs &&
+                      a.fixpointMs)
               << o.id;
-          if (!a.warm || o.target != "composed") {
+          EXPECT_GE(*a.fixpointMs, 0.0) << o.id;
+          EXPECT_LE(
+              (*a.elaborateMs + *a.importMs + *a.setupMs + *a.fixpointMs) /
+                  1000.0,
+              a.seconds * (1 + 1e-9))
+              << o.id;
+          if (!a.warm) {
             EXPECT_GT(a.setupMs, 0.0) << o.id;  // a checker at least
+          } else if (o.target != "composed") {
+            // Checked on the module's kept checker: nothing was built.
+            EXPECT_EQ(a.setupMs, 0.0) << o.id;
+            ++keptCheckerChecks;
           } else if (o.rule == "global fallback" &&
                      o.verdict == Verdict::Holds) {
             // Decided on the kept checker, with no counterexample to
@@ -1002,6 +1180,7 @@ TEST(Service, AttemptPhasesNeverExceedTheAttempt) {
         }
       }
     }
+    EXPECT_GT(keptCheckerChecks, 0u);
     EXPECT_EQ(keptVerifierChecks > 0, compose);
     EXPECT_EQ(trace.countContaining("\"setup_ms\""),
               trace.countContaining("\"event\": \"attempt\""));

@@ -714,11 +714,13 @@ TEST(StutterShortcut, SystemsWithoutAFullStutterTrackTakeTheFixpoint) {
       smv::elaborateProgram(ctx, kDeadlockSmv);
   ASSERT_EQ(modules.size(), 2u);
 
-  // A raw elaborated module carries no stutter track.
+  // A raw elaborated module carries no stutter track, and `dead` is not
+  // total either: the fixpoint runs past its first preimage.
   const SymbolicSystem& dead = modules.front().sys;
   expectFairStatesExact(dead, /*stutters=*/false);
   Checker deadChecker(dead);
   EXPECT_NE(deadChecker.fairStates({ctl::mkTrue()}), dead.stateDomain());
+  EXPECT_GT(deadChecker.preimageCount(), 1u);
 
   // A composition whose frame-only track misses one variable.
   SymbolicSystem whole = composeAll(reflexiveParts(modules));
@@ -730,6 +732,347 @@ TEST(StutterShortcut, SystemsWithoutAFullStutterTrackTakeTheFixpoint) {
   }
   whole.name = "composition with a short stutter track";
   expectFairStatesExact(whole, /*stutters=*/false);
+}
+
+/// The text of every model under models/ and models/gen/.
+std::vector<std::pair<std::string, std::string>> shippedPrograms() {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> paths;
+  for (const fs::path& dir : {fs::path(CMC_MODELS_DIR),
+                              fs::path(CMC_MODELS_DIR) / "gen"}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".smv") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::pair<std::string, std::string>> programs;
+  for (const fs::path& path : paths) {
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    programs.emplace_back(path.filename().string(), buffer.str());
+  }
+  return programs;
+}
+
+/// Elaborate `text`, then declare one more variable, so that no module
+/// covers its context: every module is a component and takes the cone.
+std::vector<smv::ElaboratedModule> componentsOf(Context& ctx,
+                                                const std::string& text) {
+  std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, text);
+  ctx.addBoolVar("outside_every_module");
+  return modules;
+}
+
+TEST(StutterShortcut, TotalComponentsGetTheirDomainFromOnePreimage) {
+  // preE(true) is the domain on a total system, so EG true is the domain
+  // after that one preimage — node for node what the fixpoint returns —
+  // and a second request costs none.
+  std::size_t total = 0;
+  for (const auto& [name, text] : shippedPrograms()) {
+    SCOPED_TRACE(name);
+    Context ctx(1 << 16);
+    for (const smv::ElaboratedModule& mod : componentsOf(ctx, text)) {
+      if (!mod.sys.isTotal()) continue;
+      ++total;
+      for (const bool partitioned : {true, false}) {
+        CheckerOptions opts;
+        opts.usePartitionedTrans = partitioned;
+        Checker checker(mod.sys, opts);
+        const bdd::Bdd fair = checker.fairStates({ctl::mkTrue()});
+        EXPECT_EQ(checker.fairStates({ctl::mkTrue(), ctl::mkTrue()}), fair);
+        EXPECT_EQ(checker.preimageCount(), 1u) << mod.sys.name;
+        EXPECT_EQ(fair, mod.sys.stateDomain()) << mod.sys.name;
+        // sat(EG true) under no fairness is fairEG(true, {true}).
+        EXPECT_EQ(fair, checker.sat(ctl::EG(ctl::mkTrue()), {}))
+            << mod.sys.name;
+      }
+    }
+  }
+  EXPECT_GE(total, 60u);
+}
+
+// ---- Cone-of-influence preimages ---------------------------------------------
+
+/// A predicate over `count` of `sys`'s variables picked at random: a value
+/// test per variable, possibly negated, joined by random ∧/∨.
+bdd::Bdd randomTarget(Context& ctx, const SymbolicSystem& sys,
+                      std::mt19937& rng, std::size_t count) {
+  std::vector<VarId> vars = sys.vars;
+  std::shuffle(vars.begin(), vars.end(), rng);
+  vars.resize(std::min(count, vars.size()));
+  bdd::Bdd target;
+  for (VarId v : vars) {
+    bdd::Bdd lit = ctx.varEqIndex(v, rng() % ctx.variable(v).values.size());
+    if (rng() % 2 == 0) lit = !lit;
+    if (target.isNull()) {
+      target = lit;
+    } else {
+      target = rng() % 2 == 0 ? target & lit : target | lit;
+    }
+  }
+  return target.isNull() ? ctx.mgr().bddTrue() : target;
+}
+
+/// preE on `target` under a partitioned and a monolithic checker must be
+/// andExists(T, target', next) computed directly.  Returns whether the
+/// target's cone left some group out.
+bool expectConeExact(Context& ctx, const SymbolicSystem& sys, Checker& part,
+                     Checker& mono, const bdd::Bdd& target) {
+  bdd::Manager& mgr = ctx.mgr();
+  const bdd::Bdd expected =
+      mgr.andExists(sys.transBdd(), mgr.permute(target, ctx.swapPermutation()),
+                    ctx.nextCube(sys.vars));
+  const std::uint64_t cone0 = part.conePreimageCount();
+  const std::uint64_t monoCone0 = mono.conePreimageCount();
+  EXPECT_EQ(part.preE(target), expected) << sys.name;
+  EXPECT_EQ(mono.preE(target), expected) << sys.name;
+  const bool narrow = part.conePreimageCount() > cone0;
+  EXPECT_EQ(mono.conePreimageCount() > monoCone0, narrow) << sys.name;
+  return narrow;
+}
+
+/// Narrow (one variable) and wide (every variable) random targets on both
+/// engines; returns how many narrow ones left some group out.
+std::size_t expectConeExactOnRandomTargets(Context& ctx,
+                                           const SymbolicSystem& sys,
+                                           std::mt19937& rng) {
+  CheckerOptions monolithic;
+  monolithic.usePartitionedTrans = false;
+  Checker part(sys);
+  Checker mono(sys, monolithic);
+  EXPECT_TRUE(part.usesCone() && mono.usesCone()) << sys.name;
+  EXPECT_TRUE(part.usesPartition() && !mono.usesPartition()) << sys.name;
+  std::size_t narrowSkipped = 0;
+  for (int i = 0; i < 12; ++i) {
+    const bool narrow = i % 2 == 0;
+    const bdd::Bdd target =
+        randomTarget(ctx, sys, rng, narrow ? 1 : sys.vars.size());
+    if (expectConeExact(ctx, sys, part, mono, target) && narrow) {
+      ++narrowSkipped;
+    }
+  }
+  return narrowSkipped;
+}
+
+TEST(ConePreimage, ExactOnEveryShippedModuleAndRandomSystem) {
+  std::mt19937 rng(2027);
+  std::size_t modules = 0;
+  std::size_t narrowSkipped = 0;
+  for (const auto& [name, text] : shippedPrograms()) {
+    SCOPED_TRACE(name);
+    Context ctx(1 << 16);
+    for (const smv::ElaboratedModule& mod : componentsOf(ctx, text)) {
+      ++modules;
+      narrowSkipped += expectConeExactOnRandomTargets(ctx, mod.sys, rng);
+    }
+  }
+  EXPECT_GE(modules, 70u);
+  // Most one-variable targets touch one group of many.
+  EXPECT_GE(narrowSkipped, 3 * modules);
+
+  // The components of PartitionCrossValidation.RandomComposedSystems.
+  std::mt19937 systems(123);
+  for (int trial = 0; trial < 5; ++trial) {
+    Context ctx;
+    kripke::ExplicitSystem ea = test::randomSystem(systems, 2);
+    kripke::ExplicitSystem ebRaw = test::randomSystem(systems, 2);
+    kripke::ExplicitSystem eb({"b", "c"});
+    ebRaw.forEachTransition(
+        [&](kripke::State s, kripke::State t) { eb.addTransition(s, t); });
+    const SymbolicSystem a = symbolicFromExplicit(ctx, ea, "A");
+    const SymbolicSystem b = symbolicFromExplicit(ctx, eb, "B");
+    expectConeExactOnRandomTargets(ctx, a, rng);
+    expectConeExactOnRandomTargets(ctx, b, rng);
+  }
+}
+
+/// `tied`'s TRANS constraints share next(x) and next(y), so those two
+/// conjuncts and x's domain form one group; z's assignment and domain form
+/// the other.  `watch` keeps `tied` a component.
+const char* kTiedSmv = R"(
+MODULE tied
+VAR
+  x : {a, b, c};
+  y : boolean;
+  z : {p, q, r};
+TRANS next(x) = a -> next(y)
+TRANS next(y) -> next(x) != c
+ASSIGN next(z) := case z = p : q; z = q : r; 1 : p; esac;
+MODULE watch
+VAR w : boolean;
+ASSIGN next(w) := !w;
+)";
+
+TEST(ConePreimage, TargetsOfOneGroupFoldOnlyThatGroup) {
+  Context ctx;
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, kTiedSmv);
+  const SymbolicSystem& tied = modules.front().sys;
+  ASSERT_EQ(tied.partition.tracks.size(), 1u);
+  ASSERT_EQ(tied.partition.tracks.front().size(), 5u);  // 2 TRANS, z, 2 doms
+  CheckerOptions monolithic;
+  monolithic.usePartitionedTrans = false;
+  Checker part(tied);
+  Checker mono(tied, monolithic);
+  const auto is = [&ctx](const char* var, const char* value) {
+    return ctx.varEq(ctx.varId(var), value);
+  };
+  const bdd::Bdd y = ctx.atomBdd("y");
+  // One group of two: the cone.
+  EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, is("x", "a")));
+  EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, y & !is("x", "c")));
+  EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, is("z", "r")));
+  // None: the projection alone.
+  EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, ctx.mgr().bddTrue()));
+  EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, ctx.atomBdd("w")));
+  // Both groups: every conjunct folds, on either engine.
+  EXPECT_FALSE(expectConeExact(ctx, tied, part, mono,
+                               is("x", "b") | is("z", "q")));
+  EXPECT_EQ(part.preimageCount(), 6u);
+  EXPECT_EQ(part.conePreimageCount(), 5u);
+  EXPECT_EQ(mono.conePreimageCount(), 5u);
+}
+
+// ---- Kept checkers ------------------------------------------------------------
+
+/// `relay` with one failing spec, whose counterexample takes three steps;
+/// `watch` keeps it a component.
+const char* kRelaySmv = R"(
+MODULE relay
+VAR s : {idle, req, busy, done};
+INIT s = idle
+ASSIGN next(s) := case s = idle : req; s = req : busy; s = busy : done; 1 : idle; esac;
+SPEC AG (s = busy -> AX (s = done))
+SPEC AG (s != done)
+MODULE watch
+VAR w : boolean;
+ASSIGN next(w) := !w;
+)";
+
+TEST(KeptChecker, OneCheckerServesEveryCheckUntilTheEngineOrThresholdChanges) {
+  Context ctx;
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, kRelaySmv);
+  const ctl::Spec& holds = modules.front().specs.at(0);
+  KeptChecker kept(modules.front().sys);
+  CheckerOptions opts;
+  int firstPolls = 0;
+  int secondPolls = 0;
+  opts.cancelCheck = [&firstPolls] { ++firstPolls; };
+  kept.setOptions(opts);
+  EXPECT_TRUE(kept.checker().holds(holds));
+  const std::uint64_t preimages = kept.checker().preimageCount();
+  EXPECT_GT(preimages, 0u);
+  EXPECT_GT(firstPolls, 0);
+
+  // A new hook alone: the same checker (its running total goes on) polls
+  // only the new hook, and a throwing one cancels just that check.
+  opts.cancelCheck = [&secondPolls] { ++secondPolls; };
+  kept.setOptions(opts);
+  const int firstPollsBefore = firstPolls;
+  EXPECT_TRUE(kept.checker().holds(holds));
+  EXPECT_EQ(firstPolls, firstPollsBefore);
+  EXPECT_GT(secondPolls, 0);
+  EXPECT_GT(kept.checker().preimageCount(), preimages);
+  opts.cancelCheck = [] {
+    throw CancelledError(CancelReason::External, "stop");
+  };
+  kept.setOptions(opts);
+  EXPECT_THROW(kept.checker().holds(holds), CancelledError);
+  opts.cancelCheck = nullptr;
+  kept.setOptions(opts);
+  EXPECT_TRUE(kept.checker().holds(holds));
+  EXPECT_GT(kept.checker().preimageCount(), preimages);
+
+  // An engine change, then a threshold change: a new checker each time.
+  opts.usePartitionedTrans = false;
+  kept.setOptions(opts);
+  EXPECT_EQ(kept.checker().preimageCount(), 0u);
+  EXPECT_FALSE(kept.checker().usesPartition());
+  EXPECT_TRUE(kept.checker().holds(holds));
+  opts.clusterThreshold = 64;
+  kept.setOptions(opts);
+  EXPECT_EQ(kept.checker().preimageCount(), 0u);
+  EXPECT_EQ(kept.checker().options().clusterThreshold, 64u);
+  EXPECT_TRUE(kept.checker().holds(holds));
+}
+
+TEST(KeptChecker, CounterexamplesLeaveTheKeptSystemUnmaterialized) {
+  Context ctx;
+  const std::vector<smv::ElaboratedModule> modules =
+      smv::elaborateProgram(ctx, kRelaySmv);
+  const ctl::Spec& fails = modules.front().specs.at(1);
+  KeptChecker kept(modules.front().sys);
+  ASSERT_FALSE(kept.system().transMaterialized());
+  EXPECT_FALSE(kept.checker().holds(fails));
+  const std::string trace = kept.counterexample(fails);
+  EXPECT_NE(trace.find("state 3: s = done"), std::string::npos) << trace;
+  EXPECT_FALSE(kept.system().transMaterialized());
+  const SymbolicSystem copy = modules.front().sys;
+  EXPECT_EQ(trace, Checker(copy).counterexampleText(fails));
+}
+
+/// `pipe`'s three variables form three groups.  SPEC1's EX target reads
+/// all of them, SPEC2 fails (c = q after four steps), SPEC3's AX target
+/// reads c alone; `watch` keeps `pipe` a component.
+const char* kPipeSmv = R"(
+MODULE pipe
+VAR
+  a : {x, y, z};
+  b : boolean;
+  c : {p, q};
+INIT a = x & !b & c = p
+ASSIGN
+  next(a) := case a = x : y; a = y : z; 1 : x; esac;
+  next(b) := a = z;
+  next(c) := case b : q; 1 : p; esac;
+SPEC AG (a = z & !b -> EX (b & a = x & c = p))
+SPEC AG !(c = q)
+SPEC AG (b -> AX (c = q))
+MODULE watch
+VAR w : boolean;
+ASSIGN next(w) := !w;
+)";
+
+TEST(KeptChecker, HoldsWhatAFreshCheckerHoldsWhateverRanBefore) {
+  // A node budget counts live nodes after a collection.  After a wide
+  // spec, a failing one and its counterexample, a kept checker's manager
+  // holds exactly the nodes of a fresh one that checked only the narrow
+  // spec, so a budget binds a warm check as it binds a fresh one.
+  for (const bool partitioned : {true, false}) {
+    SCOPED_TRACE(partitioned ? "partitioned" : "monolithic");
+    CheckerOptions opts;
+    opts.usePartitionedTrans = partitioned;
+
+    Context warmCtx;
+    const std::vector<smv::ElaboratedModule> warmModules =
+        smv::elaborateProgram(warmCtx, kPipeSmv);
+    const std::vector<ctl::Spec>& specs = warmModules.front().specs;
+    KeptChecker warm(warmModules.front().sys);
+    warm.setOptions(opts);
+    EXPECT_TRUE(warm.checker().holds(specs.at(0)));
+    // The wide target's cone is the whole relation.
+    EXPECT_LT(warm.checker().conePreimageCount(),
+              warm.checker().preimageCount());
+    EXPECT_FALSE(warm.checker().holds(specs.at(1)));
+    EXPECT_NE(warm.counterexample(specs.at(1)).find("c = q"),
+              std::string::npos);
+    EXPECT_TRUE(warm.checker().holds(specs.at(2)));
+    EXPECT_FALSE(warm.system().transMaterialized());
+    warmCtx.mgr().collectGarbage();
+
+    Context freshCtx;
+    const std::vector<smv::ElaboratedModule> freshModules =
+        smv::elaborateProgram(freshCtx, kPipeSmv);
+    KeptChecker fresh(freshModules.front().sys);
+    fresh.setOptions(opts);
+    EXPECT_TRUE(fresh.checker().holds(freshModules.front().specs.at(2)));
+    freshCtx.mgr().collectGarbage();
+
+    EXPECT_EQ(warmCtx.mgr().liveNodeCount(), freshCtx.mgr().liveNodeCount());
+  }
 }
 
 // ---- The oracle test: symbolic vs explicit on random models ----------------
