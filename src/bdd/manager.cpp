@@ -170,7 +170,10 @@ NodeIndex Manager::allocateNode() {
   }
   NodeIndex i = static_cast<NodeIndex>(nodes_.size());
   CMC_ASSERT(i != kNilNode);
-  nodes_.push_back(Node{});
+  // Poisoned until mk() fills it in, so the rehash below skips it: chained
+  // there as well as by mk(), the node would splice two bucket chains and
+  // lose nodes from the table (or loop, when both buckets coincide).
+  nodes_.push_back(Node{kTerminalLevel, kNilNode, kNilNode, kNilNode, 0});
   ++stats_.liveNodes;
   stats_.peakNodes = std::max(stats_.peakNodes, stats_.liveNodes);
   if (nodes_.size() > uniqueBuckets_.size()) {

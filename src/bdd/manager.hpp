@@ -4,7 +4,9 @@
 //
 // Design notes
 //  - Nodes live in one contiguous arena indexed by 32-bit handles; the
-//    terminals FALSE and TRUE are indices 0 and 1.
+//    terminals FALSE and TRUE are indices 0 and 1.  The arena grows (and
+//    moves) inside mk(), so code that allocates keeps node indices or
+//    copies, never references into the arena, across the call.
 //  - Reduction (no node with low==high) and sharing (hash-consed unique
 //    table) are maintained by mk(); every operation goes through mk(), so
 //    every Bdd is canonical: f == g  iff  index(f) == index(g).

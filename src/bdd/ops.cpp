@@ -154,7 +154,9 @@ NodeIndex Manager::existsRec(NodeIndex f, NodeIndex cube) {
   NodeIndex cached;
   if (cacheLookup(kOpExists, f, cube, 0, &cached)) return cached;
 
-  const Node& nf = nodes_[f];
+  // A copy, not a reference: the recursion allocates, and an arena that
+  // grows on the way would leave a reference into the freed buffer.
+  const Node nf = nodes_[f];
   NodeIndex result;
   if (nf.var == nodes_[cube].var) {
     const NodeIndex low = existsRec(nf.low, nodes_[cube].high);
@@ -237,7 +239,7 @@ NodeIndex Manager::permuteRec(NodeIndex f, std::uint32_t permId) {
   NodeIndex cached;
   if (cacheLookup(kOpPermute, f, permId, 0, &cached)) return cached;
 
-  const Node& n = nodes_[f];
+  const Node n = nodes_[f];  // a copy, as in existsRec
   const std::vector<std::uint32_t>& perm = permutations_[permId];
   const std::uint32_t target =
       n.var < perm.size() ? perm[n.var] : n.var;

@@ -90,6 +90,23 @@ FormulaPtr disj(const std::vector<FormulaPtr>& fs) {
   return acc;
 }
 
+std::vector<FormulaPtr> chainOperands(const FormulaPtr& f) {
+  CMC_ASSERT(f != nullptr && (f->op() == Op::And || f->op() == Op::Or));
+  std::vector<FormulaPtr> out;
+  std::vector<const FormulaPtr*> stack{&f};
+  while (!stack.empty()) {
+    const FormulaPtr& g = *stack.back();
+    stack.pop_back();
+    if (g->op() == f->op()) {
+      stack.push_back(&g->rhs());
+      stack.push_back(&g->lhs());
+    } else {
+      out.push_back(g);
+    }
+  }
+  return out;
+}
+
 bool isPropositional(const FormulaPtr& f) {
   CMC_ASSERT(f != nullptr);
   switch (f->op()) {

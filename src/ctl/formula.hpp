@@ -90,6 +90,11 @@ FormulaPtr disj(const std::vector<FormulaPtr>& fs);
 /// the "propositional formulas" of the paper's rules).
 bool isPropositional(const FormulaPtr& f);
 
+/// The operands of the maximal chain of f's operator (And or Or) rooted at
+/// f, left to right, whatever its nesting: conj({a, b, c}) gives {a, b, c}.
+/// Evaluators fold them balanced; the tree itself stays as built.
+std::vector<FormulaPtr> chainOperands(const FormulaPtr& f);
+
 /// Structural equality (atoms compared textually).
 bool equal(const FormulaPtr& a, const FormulaPtr& b);
 

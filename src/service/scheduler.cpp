@@ -1089,16 +1089,21 @@ std::vector<JobReport> VerificationService::runBatch(
         d.warm = state.warm;
       }
       if (tr.enabled()) {
-        tr.emit(JsonObject()
-                    .put("event", "snapshot")
-                    .putDouble("t", tr.elapsedSeconds())
-                    .put("job", job.name)
-                    .putBool("shared", shared != nullptr)
-                    .putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
+        JsonObject event;
+        event.put("event", "snapshot")
+            .putDouble("t", tr.elapsedSeconds())
+            .put("job", job.name)
+            .putBool("shared", shared != nullptr);
+        if (snap.parseSeconds) {
+          event.putDouble("parse_ms", *snap.parseSeconds * 1000.0);
+        }
+        tr.emit(event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
                     .putDouble("canon_ms", snap.canonSeconds * 1000.0)
                     .putDouble("probe_ms", snap.probeSeconds * 1000.0)
                     .putDouble("compose_ms", snap.composeSeconds * 1000.0)
                     .putUint("live_nodes", snap.liveNodes)
+                    .putUint("nodes_allocated", snap.nodesAllocated)
+                    .putUint("gc_runs", snap.gcRuns)
                     .putUint("modules",
                              static_cast<std::uint64_t>(snap.modules.size())));
       }

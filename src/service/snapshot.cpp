@@ -4,6 +4,7 @@
 
 #include "service/obligation_cache.hpp"
 #include "smv/fingerprint.hpp"
+#include "smv/parser.hpp"
 #include "symbolic/composition.hpp"
 #include "util/timer.hpp"
 
@@ -57,13 +58,19 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     snap->ctx = std::make_unique<symbolic::Context>(1 << 14);
     symbolic::Context& ctx = *snap->ctx;
 
-    WallTimer elaborateTimer;
-    snap->modules = job.factory ? job.factory(ctx)
-                                : smv::elaborateProgram(ctx, job.smvText);
+    WallTimer timer;
+    if (job.factory) {
+      snap->modules = job.factory(ctx);
+    } else {
+      const std::vector<smv::Module> parsed = smv::parseProgram(job.smvText);
+      snap->parseSeconds = timer.seconds();
+      timer.reset();
+      snap->modules = smv::elaborateProgram(ctx, parsed);
+    }
+    snap->elaborateSeconds = timer.seconds();
     if (snap->modules.empty()) {
       throw ModelError("job '" + job.name + "' has no modules");
     }
-    snap->elaborateSeconds = elaborateTimer.seconds();
 
     // Canonical serializations are best-effort: a failure leaves the job
     // uncached (replay then falls back to the identity key).
@@ -102,9 +109,12 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
       // chooseEngine restores the GC threshold it finds.  Once a cached
       // product holds the live count above that threshold, every later
       // probe would open with a full collection that frees nothing; keep
-      // the trigger above the live count instead.  The sweep at freeze
-      // collects whatever the probes leave behind.
+      // the trigger above the live count instead.  Elaboration's garbage
+      // goes first, or it would inflate that trigger and with it the
+      // arena the probes grow.  The sweep at freeze collects whatever the
+      // probes leave behind.
       bdd::Manager& mgr = ctx.mgr();
+      mgr.collectGarbage();
       const auto probe = [&mgr](const symbolic::SymbolicSystem& sys) {
         if (mgr.gcThreshold() < 2 * mgr.liveNodeCount()) {
           mgr.setGcThreshold(2 * mgr.liveNodeCount());
@@ -127,6 +137,8 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     // is immutable — importers rely on stable node indices.
     ctx.mgr().collectGarbage();
     snap->liveNodes = ctx.mgr().liveNodeCount();
+    snap->nodesAllocated = ctx.mgr().stats().nodesAllocatedTotal;
+    snap->gcRuns = ctx.mgr().stats().gcRuns;
     snap->moduleNodes.reserve(snap->modules.size());
     for (const smv::ElaboratedModule& mod : snap->modules) {
       std::vector<bdd::Bdd> rels;

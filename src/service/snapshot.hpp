@@ -30,12 +30,14 @@
 // same holds for the systems: nothing may call transBdd() (it materializes
 // into the frozen manager) or transNodeCount() on `modules` or `composed`.
 //
-// GC interaction: the snapshot context is garbage-collected once, at the
-// end of buildSnapshot, sweeping probe intermediates; the surviving nodes
-// are exactly the obligations' reachable DAGs (every handle in `modules`
-// and `composed` keeps its nodes referenced).  The snapshot manager never
-// collects again, so node indices stay stable for every importer's
-// lifetime.
+// GC interaction: before the engine probes the snapshot context drops
+// elaboration's garbage, so each probe's collection trigger (twice the
+// live count) is set from what is really live.  It is collected once more
+// at the end of buildSnapshot, sweeping probe intermediates; the surviving
+// nodes are exactly the obligations' reachable DAGs (every handle in
+// `modules` and `composed` keeps its nodes referenced).  The snapshot
+// manager never collects again, so node indices stay stable for every
+// importer's lifetime.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +80,11 @@ struct ElaborationSnapshot {
   /// snapshot froze.  A component obligation's fresh context is sized from
   /// its module's count (see contextNodes()).
   std::vector<std::uint64_t> moduleNodes;
-  /// Wall time of parse + elaboration (the cost the snapshot amortizes).
+  /// Wall time of parsing the job's text; unset for a factory job, which
+  /// parses nothing.
+  std::optional<double> parseSeconds;
+  /// Wall time of elaboration, parse excluded (the cost the snapshot
+  /// amortizes, with the parse).
   double elaborateSeconds = 0.0;
   /// Wall time of the canonical serializations (0 when not requested).
   double canonSeconds = 0.0;
@@ -86,6 +92,10 @@ struct ElaborationSnapshot {
   double probeSeconds = 0.0;
   /// Wall time of building `composed`.
   double composeSeconds = 0.0;
+  /// The snapshot manager's counters at freeze: every node it allocated
+  /// and every collection it ran, the final sweep included.
+  std::uint64_t nodesAllocated = 0;
+  std::uint64_t gcRuns = 0;
 };
 
 struct SnapshotResult {

@@ -132,11 +132,4 @@ const VarDecl* Module::findVar(const std::string& name) const {
   return nullptr;
 }
 
-const Define* Module::findDefine(const std::string& name) const {
-  for (const Define& d : defines) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
 }  // namespace cmc::smv

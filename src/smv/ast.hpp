@@ -101,7 +101,6 @@ struct Module {
   std::vector<ctl::FormulaPtr> fairness;  ///< FAIRNESS sections
 
   const VarDecl* findVar(const std::string& name) const;
-  const Define* findDefine(const std::string& name) const;
 };
 
 }  // namespace cmc::smv

@@ -2,8 +2,11 @@
 
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "smv/parser.hpp"
+#include "symbolic/partition.hpp"
 #include "util/failpoint.hpp"
 
 namespace cmc::smv {
@@ -13,11 +16,36 @@ using symbolic::VarId;
 
 namespace {
 
+/// The operands of the maximal chain of `e->kind` (And or Or) rooted at
+/// `e`, left to right: the parser's left-deep `a & b & c` gives {a, b, c}.
+std::vector<const ExprPtr*> chainOperands(const ExprPtr& e) {
+  std::vector<const ExprPtr*> out;
+  std::vector<const ExprPtr*> stack{&e};
+  while (!stack.empty()) {
+    const ExprPtr& x = *stack.back();
+    stack.pop_back();
+    if (x->kind == e->kind) {
+      stack.push_back(&x->args[1]);
+      stack.push_back(&x->args[0]);
+    } else {
+      out.push_back(&x);
+    }
+  }
+  return out;
+}
+
 class Elaborator {
  public:
   Elaborator(Context& ctx, const Module& mod) : ctx_(ctx), mod_(mod) {
+    // One hashed index per module: a scan of the declarations per
+    // identifier made elaboration quadratic in the module's width.  The
+    // first declaration of a name wins.
+    varIndex_.reserve(mod.vars.size());
+    for (std::size_t i = 0; i < mod.vars.size(); ++i) {
+      varIndex_.emplace(mod.vars[i].name, i);
+    }
     for (const Define& d : mod.defines) {
-      if (mod.findVar(d.name) != nullptr) {
+      if (varIndex_.count(d.name) != 0) {
         throw ModelError("'" + d.name + "' is both a VAR and a DEFINE");
       }
       if (!defines_.emplace(d.name, d.expr).second) {
@@ -37,7 +65,8 @@ class Elaborator {
     std::set<std::string> nextAssigned;
     std::set<std::string> initAssigned;
     for (const Assign& a : mod_.assigns) {
-      if (mod_.findVar(a.var) == nullptr) {
+      const VarId target = moduleVar(a.var);
+      if (target < 0) {
         throw ModelError("assignment to undeclared variable: " + a.var);
       }
       auto& seen =
@@ -47,7 +76,7 @@ class Elaborator {
       }
       if (a.kind == Assign::Kind::Next) {
         conjuncts.push_back(
-            assignRelation(ctx_.varId(a.var), /*targetNext=*/true, a.expr));
+            assignRelation(target, /*targetNext=*/true, a.expr));
       }
     }
     // TRANS constraints (may mention next()).
@@ -87,9 +116,10 @@ class Elaborator {
 
   ctl::FormulaPtr exprToCtlPublic(const ExprPtr& e) { return exprToCtlRec(e); }
 
- private:
   // ---- Declarations -------------------------------------------------------
 
+  /// Declare the module's variables in the context (shared ones are
+  /// resolved); every lookup below needs this first.
   void declareVariables() {
     for (const VarDecl& v : mod_.vars) {
       const std::vector<std::string> values = v.type.expandedValues();
@@ -108,6 +138,14 @@ class Elaborator {
         varIds_.push_back(ctx_.addEnumVar(v.name, values));
       }
     }
+  }
+
+ private:
+  /// The id of the module's variable `name`, or -1 when the module
+  /// declares none (another module's variables are not in scope).
+  VarId moduleVar(std::string_view name) const {
+    const auto it = varIndex_.find(name);
+    return it == varIndex_.end() ? -1 : varIds_[it->second];
   }
 
   // ---- Define expansion ---------------------------------------------------
@@ -153,8 +191,8 @@ class Elaborator {
           ExpandGuard guard(expanding_, e->text);
           return termOf(*def, allowNext);
         }
-        if (mod_.findVar(e->text) != nullptr) {
-          return Term{true, ctx_.varId(e->text), false, {}};
+        if (const VarId id = moduleVar(e->text); id >= 0) {
+          return Term{true, id, false, {}};
         }
         return Term{false, -1, false, e->text};
       }
@@ -163,10 +201,11 @@ class Elaborator {
           throw ModelError("next(" + e->text +
                            ") is only allowed in TRANS constraints");
         }
-        if (mod_.findVar(e->text) == nullptr) {
+        const VarId id = moduleVar(e->text);
+        if (id < 0) {
           throw ModelError("next() of undeclared variable: " + e->text);
         }
-        return Term{true, ctx_.varId(e->text), true, {}};
+        return Term{true, id, true, {}};
       }
       default:
         throw ModelError(
@@ -214,11 +253,11 @@ class Elaborator {
           ExpandGuard guard(expanding_, e->text);
           return boolBdd(*def, allowNext);
         }
-        if (mod_.findVar(e->text) == nullptr) {
+        const VarId id = moduleVar(e->text);
+        if (id < 0) {
           throw ModelError("unknown identifier in boolean context: " +
                            e->text);
         }
-        const VarId id = ctx_.varId(e->text);
         if (!ctx_.variable(id).isBool) {
           throw ModelError("variable '" + e->text +
                            "' is not boolean; compare it with '='");
@@ -240,9 +279,22 @@ class Elaborator {
       case ExprKind::Not:
         return !boolBdd(e->args[0], allowNext);
       case ExprKind::And:
-        return boolBdd(e->args[0], allowNext) & boolBdd(e->args[1], allowNext);
-      case ExprKind::Or:
-        return boolBdd(e->args[0], allowNext) | boolBdd(e->args[1], allowNext);
+      case ExprKind::Or: {
+        // A chain folds as a balanced tree: a left fold drags the whole
+        // accumulated BDD through every step, which made a module whose
+        // guards disjoin one atom per client quadratic in its width.  The
+        // operands are evaluated left to right, so the first error
+        // reported is the leftmost operand's.
+        std::vector<bdd::Bdd> operands;
+        for (const ExprPtr* x : chainOperands(e)) {
+          operands.push_back(boolBdd(*x, allowNext));
+        }
+        return symbolic::foldBalanced(mgr,
+                                      e->kind == ExprKind::And
+                                          ? symbolic::FoldOp::And
+                                          : symbolic::FoldOp::Or,
+                                      std::move(operands));
+      }
       case ExprKind::Implies:
         return boolBdd(e->args[0], allowNext)
             .implies(boolBdd(e->args[1], allowNext));
@@ -297,9 +349,8 @@ class Elaborator {
           ExpandGuard guard(expanding_, e->text);
           return assignRelation(target, targetNext, *def);
         }
-        if (mod_.findVar(e->text) != nullptr) {
+        if (const VarId source = moduleVar(e->text); source >= 0) {
           // Copy: target' = source (over the source's domain).
-          const VarId source = ctx_.varId(e->text);
           const symbolic::Variable& sv = ctx_.variable(source);
           bdd::Bdd acc = mgr.bddFalse();
           for (const std::string& val : sv.values) {
@@ -364,9 +415,9 @@ class Elaborator {
           ExpandGuard guard(expanding_, e->text);
           return initFormulaFor(varName, *def);
         }
-        if (mod_.findVar(e->text) != nullptr) {
+        if (const VarId source = moduleVar(e->text); source >= 0) {
           // var = var as a disjunction over the source's values.
-          const symbolic::Variable& sv = ctx_.variable(ctx_.varId(e->text));
+          const symbolic::Variable& sv = ctx_.variable(source);
           std::vector<ctl::FormulaPtr> parts;
           for (const std::string& val : sv.values) {
             parts.push_back(ctl::mkAnd(ctl::eq(e->text, val),
@@ -425,12 +476,13 @@ class Elaborator {
                            toString(x));
         };
         ctl::FormulaPtr cmp;
-        const bool aIsVar =
-            a->kind == ExprKind::VarRef && mod_.findVar(a->text) != nullptr;
+        const VarId aVar =
+            a->kind == ExprKind::VarRef ? moduleVar(a->text) : -1;
+        const bool aIsVar = aVar >= 0;
         const bool bIsVar =
-            b->kind == ExprKind::VarRef && mod_.findVar(b->text) != nullptr;
+            b->kind == ExprKind::VarRef && moduleVar(b->text) >= 0;
         if (aIsVar && bIsVar) {
-          const symbolic::Variable& sv = ctx_.variable(ctx_.varId(a->text));
+          const symbolic::Variable& sv = ctx_.variable(aVar);
           std::vector<ctl::FormulaPtr> parts;
           for (const std::string& val : sv.values) {
             parts.push_back(ctl::mkAnd(ctl::eq(a->text, val),
@@ -469,7 +521,9 @@ class Elaborator {
   const Module& mod_;
   std::map<std::string, ExprPtr> defines_;
   std::set<std::string> expanding_;
-  std::vector<VarId> varIds_;
+  /// Module variable name -> its position in mod_.vars (and in varIds_).
+  std::unordered_map<std::string_view, std::size_t> varIndex_;
+  std::vector<VarId> varIds_;  ///< parallel to mod_.vars once declared
 };
 
 }  // namespace
@@ -483,28 +537,26 @@ ElaboratedModule elaborateText(Context& ctx, std::string_view text) {
   return elaborate(ctx, mod);
 }
 
-std::vector<ElaboratedModule> elaborateProgram(Context& ctx,
-                                               std::string_view text) {
+std::vector<ElaboratedModule> elaborateProgram(
+    Context& ctx, const std::vector<Module>& modules) {
   CMC_FAILPOINT("smv.elaborate");
   std::vector<ElaboratedModule> out;
-  for (const Module& mod : parseProgram(text)) {
-    out.push_back(elaborate(ctx, mod));
-  }
+  out.reserve(modules.size());
+  for (const Module& mod : modules) out.push_back(elaborate(ctx, mod));
   return out;
+}
+
+std::vector<ElaboratedModule> elaborateProgram(Context& ctx,
+                                               std::string_view text) {
+  return elaborateProgram(ctx, parseProgram(text));
 }
 
 ctl::FormulaPtr exprToCtl(const Module& mod, const ExprPtr& expr) {
   // A throwaway context supplies variable domains for var=var comparisons;
   // the translation itself is syntactic.
   symbolic::Context ctx;
-  for (const VarDecl& v : mod.vars) {
-    if (v.type.kind == TypeDecl::Kind::Bool) {
-      ctx.addBoolVar(v.name);
-    } else {
-      ctx.addEnumVar(v.name, v.type.expandedValues());
-    }
-  }
   Elaborator el(ctx, mod);
+  el.declareVariables();
   return el.exprToCtlPublic(expr);
 }
 

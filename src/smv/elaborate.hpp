@@ -43,8 +43,12 @@ ElaboratedModule elaborate(symbolic::Context& ctx, const Module& mod);
 /// Parse + elaborate in one step (first module of the text).
 ElaboratedModule elaborateText(symbolic::Context& ctx, std::string_view text);
 
-/// Parse + elaborate every module of a multi-module file into the shared
-/// context (components communicate through identically named variables).
+/// Elaborate every module of a parsed program into the shared context
+/// (components communicate through identically named variables).
+std::vector<ElaboratedModule> elaborateProgram(
+    symbolic::Context& ctx, const std::vector<Module>& modules);
+
+/// Parse + elaborate every module of a multi-module file.
 std::vector<ElaboratedModule> elaborateProgram(symbolic::Context& ctx,
                                                std::string_view text);
 

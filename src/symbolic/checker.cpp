@@ -241,11 +241,16 @@ bdd::Bdd Checker::satRec(const ctl::FormulaPtr& f,
     case Op::Not:
       return !satRec(f->lhs(), fairSets, fair);
     case Op::And:
-      return satRec(f->lhs(), fairSets, fair) &
-             satRec(f->rhs(), fairSets, fair);
-    case Op::Or:
-      return satRec(f->lhs(), fairSets, fair) |
-             satRec(f->rhs(), fairSets, fair);
+    case Op::Or: {
+      // A chain (a wide module's INIT conjoins hundreds of atoms) folds
+      // balanced, its operands evaluated left to right.
+      std::vector<bdd::Bdd> operands;
+      for (const FormulaPtr& g : ctl::chainOperands(f)) {
+        operands.push_back(satRec(g, fairSets, fair));
+      }
+      return foldBalanced(mgr, f->op() == Op::And ? FoldOp::And : FoldOp::Or,
+                          std::move(operands));
+    }
     case Op::Implies:
       return satRec(f->lhs(), fairSets, fair)
           .implies(satRec(f->rhs(), fairSets, fair));

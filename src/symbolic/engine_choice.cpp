@@ -54,7 +54,7 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
   }
 
   // Capped incremental probe: conjoin each track as a balanced tree
-  // (conjoinBalanced), disjoin the tracks left to right, and bail out when
+  // (foldBalanced), disjoin the tracks left to right, and bail out when
   // an intermediate crosses the cap.  dagSize() is a full DAG walk (mark +
   // unmark), so walking after *every* step costs as much as the
   // materialization itself on models whose product stays small — exactly
@@ -89,7 +89,7 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
   bdd::Bdd acc = mgr.bddFalse();
   for (const PartitionedRelation& track : sys.partition.tracks) {
     const bdd::Bdd prod =
-        conjoinBalanced(mgr, track.relations(), abortsProbe);
+        foldBalanced(mgr, FoldOp::And, track.relations(), abortsProbe);
     aborted = prod.isNull() || abortsProbe(acc |= prod);
     if (aborted) break;
   }

@@ -11,7 +11,7 @@
 //
 //   cap = max(kProbeFloorNodes, kProbeFactor * partition-node-count)
 //
-// Each track's product is conjoined as a balanced tree (conjoinBalanced)
+// Each track's product is conjoined as a balanced tree (foldBalanced)
 // and the tracks are disjoined left to right, checking the DAG size of the
 // intermediates as they appear; if one ever exceeds the cap the probe
 // aborts (the blow-up the partitioned engine exists to avoid has been

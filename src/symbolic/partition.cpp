@@ -35,6 +35,13 @@ void PartitionedRelation::append(bdd::Bdd conjunct, bool isFrame) {
   conjuncts_.push_back(Conjunct{std::move(conjunct), std::move(sup), isFrame});
 }
 
+void PartitionedRelation::append(bdd::Bdd conjunct,
+                                 std::vector<std::uint32_t> support) {
+  CMC_ASSERT(!conjunct.isNull());
+  frameOnly_ = false;
+  conjuncts_.push_back(Conjunct{std::move(conjunct), std::move(support)});
+}
+
 void PartitionedRelation::appendFrame(bdd::Bdd conjunct, VarId v) {
   append(std::move(conjunct), /*isFrame=*/true);
   frameVars_.push_back(v);
@@ -101,7 +108,7 @@ std::vector<bdd::Bdd> PartitionedRelation::relations() const {
 }
 
 bdd::Bdd PartitionedRelation::product(bdd::Manager& mgr) const {
-  return conjoinBalanced(mgr, relations());
+  return foldBalanced(mgr, FoldOp::And, relations());
 }
 
 PartitionedRelation PartitionedRelation::withRelations(
@@ -122,14 +129,19 @@ PartitionedRelation PartitionedRelation::withRelations(
   return out;
 }
 
-bdd::Bdd conjoinBalanced(bdd::Manager& mgr, std::vector<bdd::Bdd> operands,
-                         const std::function<bool(const bdd::Bdd&)>& stop) {
-  if (operands.empty()) return mgr.bddTrue();
+bdd::Bdd foldBalanced(bdd::Manager& mgr, FoldOp op,
+                      std::vector<bdd::Bdd> operands,
+                      const std::function<bool(const bdd::Bdd&)>& stop) {
+  if (operands.empty()) {
+    return op == FoldOp::And ? mgr.bddTrue() : mgr.bddFalse();
+  }
   // Level by level: pair i of this level lands in slot i, whose own operand
   // (if any) was consumed by an earlier pair or is the pair's left operand.
   for (std::size_t n = operands.size(); n > 1; n = (n + 1) / 2) {
     for (std::size_t i = 0; i < n / 2; ++i) {
-      bdd::Bdd merged = operands[2 * i] & operands[2 * i + 1];
+      bdd::Bdd merged = op == FoldOp::And
+                            ? operands[2 * i] & operands[2 * i + 1]
+                            : operands[2 * i] | operands[2 * i + 1];
       operands[2 * i] = bdd::Bdd();
       operands[2 * i + 1] = bdd::Bdd();
       if (stop && stop(merged)) return bdd::Bdd();
@@ -278,7 +290,7 @@ PreimageSchedule PreimageSchedule::withCone(
     CMC_ASSERT(none.empty());
     projections.push_back(s.fold(mgr.bddTrue(), s.groups_.back()));
   }
-  s.projection_ = conjoinBalanced(mgr, std::move(projections));
+  s.projection_ = foldBalanced(mgr, FoldOp::And, std::move(projections));
   return s;
 }
 

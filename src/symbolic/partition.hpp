@@ -68,6 +68,9 @@ class PartitionedRelation {
   /// Append one conjunct (its support is computed).  Appending a non-frame
   /// conjunct clears the frameOnly flag.
   void append(bdd::Bdd conjunct, bool isFrame = false);
+  /// Append one non-frame conjunct whose support (ascending BDD variables)
+  /// the caller already computed.
+  void append(bdd::Bdd conjunct, std::vector<std::uint32_t> support);
 
   /// Append the frame conjunct for variable `v` and record it in
   /// frameVars().  Tagged frames let the checker skip the conjunct entirely:
@@ -96,7 +99,7 @@ class PartitionedRelation {
   std::vector<bdd::Bdd> relations() const;
 
   /// The full conjunction ⋀ conjuncts (true for an empty track), built by
-  /// conjoinBalanced.
+  /// foldBalanced.
   bdd::Bdd product(bdd::Manager& mgr) const;
 
   /// This track with every conjunct's relation replaced by `rels[i]` —
@@ -113,18 +116,22 @@ class PartitionedRelation {
   bool frameOnly_ = false;
 };
 
-/// ⋀ operands as a balanced pairwise tree: neighbours are conjoined level
-/// by level, and each operand is released as soon as it is consumed.  BDDs
-/// are canonical, so the result is the node a left fold returns; but a
-/// fold drags the whole accumulated product through every step, while the
-/// tree mostly conjoins neighbours that share support (one variable's
-/// next-state conjuncts, a component's frames) — afs2(16)'s server
-/// allocates 254,036 nodes folded and under 20,000 as a tree.  `stop`, when
-/// set, sees every intermediate; returning true abandons the tree and the
-/// result is a null Bdd.  An empty list is true.
-bdd::Bdd conjoinBalanced(
-    bdd::Manager& mgr, std::vector<bdd::Bdd> operands,
-    const std::function<bool(const bdd::Bdd&)>& stop = {});
+/// The associative operator a balanced fold applies.
+enum class FoldOp { And, Or };
+
+/// operands combined with `op` as a balanced pairwise tree: neighbours are
+/// combined level by level, and each operand is released as soon as it is
+/// consumed.  BDDs are canonical, so the result is the node a left fold
+/// returns; but a fold drags the whole accumulated result through every
+/// step, while the tree mostly combines neighbours that share support (one
+/// variable's next-state conjuncts, a component's frames, the adjacent
+/// atoms of a parsed chain) — afs2(16)'s server product allocates 254,036
+/// nodes folded and under 20,000 as a tree.  `stop`, when set, sees every
+/// intermediate; returning true abandons the tree and the result is a null
+/// Bdd.  An empty list is true for And and false for Or.
+bdd::Bdd foldBalanced(bdd::Manager& mgr, FoldOp op,
+                      std::vector<bdd::Bdd> operands,
+                      const std::function<bool(const bdd::Bdd&)>& stop = {});
 
 /// The disjunctively partitioned transition relation: T = ⋁ track products.
 struct TransitionPartition {

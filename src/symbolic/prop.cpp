@@ -1,5 +1,7 @@
 #include "symbolic/prop.hpp"
 
+#include "symbolic/partition.hpp"
+
 namespace cmc::symbolic {
 
 bdd::Bdd propositionalBdd(Context& ctx, const ctl::FormulaPtr& f) {
@@ -14,11 +16,16 @@ bdd::Bdd propositionalBdd(Context& ctx, const ctl::FormulaPtr& f) {
     case ctl::Op::Not:
       return !propositionalBdd(ctx, f->lhs());
     case ctl::Op::And:
-      return propositionalBdd(ctx, f->lhs()) &
-             propositionalBdd(ctx, f->rhs());
-    case ctl::Op::Or:
-      return propositionalBdd(ctx, f->lhs()) |
-             propositionalBdd(ctx, f->rhs());
+    case ctl::Op::Or: {
+      // A chain folds balanced, as in the checker.
+      std::vector<bdd::Bdd> operands;
+      for (const ctl::FormulaPtr& g : ctl::chainOperands(f)) {
+        operands.push_back(propositionalBdd(ctx, g));
+      }
+      return foldBalanced(ctx.mgr(),
+                          f->op() == ctl::Op::And ? FoldOp::And : FoldOp::Or,
+                          std::move(operands));
+    }
     case ctl::Op::Implies:
       return propositionalBdd(ctx, f->lhs())
           .implies(propositionalBdd(ctx, f->rhs()));

@@ -1,7 +1,6 @@
 #include "symbolic/system.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "bdd/io.hpp"
 
@@ -71,19 +70,28 @@ double SymbolicSystem::stateCount() const {
 
 namespace {
 
-/// Throw unless `rel`'s support stays within the current/next bits of
-/// `vars`.
-void checkAlphabet(Context& ctx, const std::string& name,
-                   const std::vector<VarId>& vars, const bdd::Bdd& rel) {
-  std::unordered_set<std::uint32_t> allowed;
+/// The system's alphabet as a bitmap over BDD variables: the current and
+/// next bits of `vars` are set.  Built once per system, so checking a
+/// conjunct costs its support, not a rebuild of the alphabet.
+std::vector<bool> alphabetBitmap(const Context& ctx,
+                                 const std::vector<VarId>& vars) {
+  std::vector<bool> allowed;
   for (VarId v : vars) {
     for (std::uint32_t bit : ctx.variable(v).bits) {
-      allowed.insert(Context::bddVarOf(bit, false));
-      allowed.insert(Context::bddVarOf(bit, true));
+      const std::uint32_t next = Context::bddVarOf(bit, true);
+      if (next >= allowed.size()) allowed.resize(next + 1, false);
+      allowed[Context::bddVarOf(bit, false)] = true;
+      allowed[next] = true;
     }
   }
-  for (std::uint32_t bv : ctx.mgr().support(rel)) {
-    if (allowed.count(bv) == 0) {
+  return allowed;
+}
+
+/// Throw unless `support` stays within `allowed`.
+void checkAlphabet(const std::string& name, const std::vector<bool>& allowed,
+                   const std::vector<std::uint32_t>& support) {
+  for (std::uint32_t bv : support) {
+    if (bv >= allowed.size() || !allowed[bv]) {
       throw ModelError("system '" + name +
                        "': transition relation mentions a variable outside "
                        "its alphabet (BDD var " +
@@ -98,7 +106,7 @@ SymbolicSystem makeSystem(Context& ctx, std::string name,
                           std::vector<VarId> vars, bdd::Bdd trans) {
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  checkAlphabet(ctx, name, vars, trans);
+  checkAlphabet(name, alphabetBitmap(ctx, vars), ctx.mgr().support(trans));
 
   SymbolicSystem sys;
   sys.ctx = &ctx;
@@ -117,11 +125,14 @@ SymbolicSystem makeSystem(Context& ctx, std::string name,
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
 
+  const std::vector<bool> allowed = alphabetBitmap(ctx, vars);
   PartitionedRelation track;
   for (bdd::Bdd& c : conjuncts) {
-    checkAlphabet(ctx, name, vars, c);
+    // One support walk serves the alphabet check and the track.
+    std::vector<std::uint32_t> support = ctx.mgr().support(c);
+    checkAlphabet(name, allowed, support);
     if (c.isTrue()) continue;  // no constraint, no cluster
-    track.append(std::move(c));
+    track.append(std::move(c), std::move(support));
   }
   // Per-variable domain constraints (both columns) keep the alphabet
   // invariant without conjoining anything into the component conjuncts.

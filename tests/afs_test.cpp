@@ -140,6 +140,61 @@ TEST(Afs2Figures, BddSizeOrderingMatchesPaper) {
             afs1Server.sys.transNodeCount());
 }
 
+// ---- The resource rows of EXPERIMENTS.md (Figures 7, 10, 15, 17) ---------------
+
+/// One figure row as bench::printFigureReport measures it: every spec
+/// checked on one checker, then the context's allocated nodes and the
+/// transition relation's nodes + alphabet size.  Counts are deterministic.
+struct FigureRow {
+  std::uint64_t nodesAllocated;
+  std::uint64_t transNodes;
+  std::size_t vars;
+};
+
+FigureRow figureRow(symbolic::Context& ctx, const smv::ElaboratedModule& mod,
+                    bool allStates) {
+  symbolic::Checker checker(mod.sys);
+  for (ctl::Spec spec : mod.specs) {
+    if (allStates) spec.r = ctl::Restriction::trivial();
+    EXPECT_TRUE(checker.check(spec).holds) << spec.name;
+  }
+  return {ctx.mgr().stats().nodesAllocatedTotal, mod.sys.transNodeCount(),
+          mod.sys.vars.size()};
+}
+
+TEST(FigureRows, CountersMatchExperiments) {
+  // bench_afs1 / bench_afs2 print these rows; EXPERIMENTS.md quotes them.
+  // A drift here means the table is stale.
+  const auto expectRow = [](const char* figure, const FigureRow& row,
+                            std::uint64_t nodes, std::uint64_t trans,
+                            std::size_t vars) {
+    EXPECT_EQ(row.nodesAllocated, nodes) << figure;
+    EXPECT_EQ(row.transNodes, trans) << figure;
+    EXPECT_EQ(row.vars, vars) << figure;
+  };
+  {
+    symbolic::Context ctx;
+    const auto server = smv::elaborateText(ctx, afs1ServerSmv());
+    expectRow("Fig. 7", figureRow(ctx, server, false), 464, 71, 3);
+  }
+  {
+    symbolic::Context ctx;
+    const auto client = smv::elaborateText(ctx, afs1ClientSmv());
+    expectRow("Fig. 10", figureRow(ctx, client, false), 400, 54, 2);
+  }
+  const std::vector<smv::Module> afs2 = smv::parseProgram(gen::afs2Model(2));
+  {
+    symbolic::Context ctx(1 << 14);
+    const auto server = smv::elaborate(ctx, afs2.at(0));
+    expectRow("Fig. 15", figureRow(ctx, server, true), 1232, 130, 11);
+  }
+  {
+    symbolic::Context ctx;
+    const auto client = smv::elaborate(ctx, afs2.at(1));
+    expectRow("Fig. 17", figureRow(ctx, client, true), 498, 82, 5);
+  }
+}
+
 // ---- Full deductions ---------------------------------------------------------
 
 TEST(Afs1Verification, FullDeductionSucceeds) {

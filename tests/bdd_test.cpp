@@ -222,6 +222,47 @@ TEST(BddGc, AllocatedCounterIsMonotonic) {
   EXPECT_GT(mgr.stats().nodesAllocatedTotal, before);
 }
 
+TEST(BddGc, RecursionSurvivesArenaGrowth) {
+  // permute and exists expand a node, recurse into a child and then read
+  // the node again.  The recursion allocates, so the arena can grow (and
+  // move) in between; the expanded node must not be read from the old
+  // buffer (a sanitizer build reports the stale read).  Each manager
+  // starts at 64 nodes, so many widths below grow the arena inside the
+  // operation itself.
+  const auto orOf = [](Manager& mgr, std::uint32_t width, std::uint32_t odd) {
+    // ⋁ x_(2i+odd): every node's low child is the next node.
+    Bdd clause = mgr.bddFalse();
+    for (std::uint32_t i = width; i-- > 0;) clause |= mgr.bddVar(2 * i + odd);
+    return clause;
+  };
+  for (std::uint32_t width = 8; width <= 64; ++width) {
+    std::vector<std::uint32_t> odd, swap(2 * width);
+    for (std::uint32_t i = 0; i < width; ++i) {
+      odd.push_back(2 * i + 1);
+      swap[2 * i] = 2 * i + 1;
+      swap[2 * i + 1] = 2 * i;
+    }
+    {
+      Manager mgr(64);
+      const std::uint32_t perm = mgr.registerPermutation(swap);
+      const Bdd clause = orOf(mgr, width, 0);
+      const Bdd renamed = mgr.permute(clause, perm);
+      EXPECT_EQ(renamed, orOf(mgr, width, 1)) << width;
+      EXPECT_EQ(mgr.permute(renamed, perm), clause) << width;
+    }
+    {
+      // ⋁ (x_2i ∧ x_2i+1) with the odd variables quantified out: ⋁ x_2i.
+      Manager mgr(64);
+      Bdd pairs = mgr.bddFalse();
+      for (std::uint32_t i = width; i-- > 0;) {
+        pairs |= mgr.bddVar(2 * i) & mgr.bddVar(2 * i + 1);
+      }
+      const Bdd quantified = mgr.exists(pairs, mgr.cube(odd));
+      EXPECT_EQ(quantified, orOf(mgr, width, 0)) << width;
+    }
+  }
+}
+
 TEST(BddStress, ManyOperationsStayCanonical) {
   Manager mgr(128);
   // Build a parity function incrementally two ways; they must agree.

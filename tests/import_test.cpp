@@ -535,12 +535,54 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
   EXPECT_NE(json.find("\"engine_choice\""), std::string::npos);
   EXPECT_GE(trace.countContaining("\"event\": \"snapshot\""), 1u);
   EXPECT_GE(trace.countContaining("\"event\": \"engine_choice\""), 1u);
-  // The snapshot event splits the snapshot's own wall time by phase.
+  // The snapshot event splits the snapshot's own wall time by phase and
+  // carries its manager's counters.
   for (const std::string& line : trace.lines()) {
     if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
-    for (const char* field : {"\"elaborate_ms\"", "\"canon_ms\"",
-                              "\"probe_ms\"", "\"compose_ms\""}) {
+    for (const char* field :
+         {"\"parse_ms\"", "\"elaborate_ms\"", "\"canon_ms\"", "\"probe_ms\"",
+          "\"compose_ms\"", "\"nodes_allocated\"", "\"gc_runs\""}) {
       EXPECT_NE(line.find(field), std::string::npos) << field;
+    }
+  }
+}
+
+TEST(Snapshot, FactoryJobsParseNothing) {
+  // A text job's snapshot times its parse apart from its elaboration; a
+  // factory job parses nothing, so its snapshot and its trace event leave
+  // parse_ms out.  Both count what the snapshot manager allocated and
+  // collected, the final sweep included.
+  service::VerificationJob text;
+  text.name = "text";
+  text.smvText = kTwoModuleSmv;
+  text.options.engine = symbolic::EngineMode::Auto;
+  service::VerificationJob factory = text;
+  factory.name = "factory";
+  factory.smvText.clear();
+  factory.factory = [](symbolic::Context& ctx) {
+    return smv::elaborateProgram(ctx, kTwoModuleSmv);
+  };
+  for (const service::VerificationJob* job : {&text, &factory}) {
+    SCOPED_TRACE(job->name);
+    const service::SnapshotResult built =
+        service::buildSnapshot(*job, /*wantCanon=*/false);
+    ASSERT_NE(built.snapshot, nullptr) << built.error;
+    const service::ElaborationSnapshot& snap = *built.snapshot;
+    EXPECT_EQ(snap.parseSeconds.has_value(), job == &text);
+    EXPECT_GE(snap.nodesAllocated, snap.liveNodes);
+    EXPECT_GE(snap.gcRuns, 2u);  // before the probes, and at freeze
+
+    service::ServiceOptions sopts;
+    sopts.threads = 2;
+    service::VerificationService svc(sopts);
+    service::RunTrace trace;
+    EXPECT_EQ(svc.run(*job, &trace).verdict, service::Verdict::Holds);
+    ASSERT_EQ(trace.countContaining("\"event\": \"snapshot\""), 1u);
+    for (const std::string& line : trace.lines()) {
+      if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
+      EXPECT_EQ(line.find("\"parse_ms\"") != std::string::npos, job == &text);
+      EXPECT_NE(line.find("\"nodes_allocated\""), std::string::npos);
+      EXPECT_NE(line.find("\"gc_runs\""), std::string::npos);
     }
   }
 }

@@ -1,7 +1,11 @@
 // Tests for the SMV front end: lexer, parser, and elaboration semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+
 #include "ctl/parser.hpp"
+#include "gen/modelgen.hpp"
 #include "smv/elaborate.hpp"
 #include "smv/lexer.hpp"
 #include "smv/parser.hpp"
@@ -377,6 +381,180 @@ ASSIGN next(n) := case n = 0 : 1; n = 1 : 2; n = 2 : 3; 1 : n; esac;
 
 namespace cmc::smv {
 namespace {
+
+/// The BDD of a boolean expression over booleans `b<i>` and enums `s<i>`
+/// with every binary ∧/∨ applied as the tree nests it — for a parsed
+/// chain, the left fold the elaborator's balanced folds must reproduce
+/// node for node.
+bdd::Bdd leftFoldBdd(symbolic::Context& ctx, const ExprPtr& e) {
+  switch (e->kind) {
+    case ExprKind::Value:
+      return e->text == "1" ? ctx.mgr().bddTrue() : ctx.mgr().bddFalse();
+    case ExprKind::VarRef:
+      return ctx.varEqIndex(ctx.varId(e->text), 1);
+    case ExprKind::NextRef:
+      return ctx.varEqIndex(ctx.varId(e->text), 1, /*next=*/true);
+    case ExprKind::Not:
+      return !leftFoldBdd(ctx, e->args[0]);
+    case ExprKind::And:
+      return leftFoldBdd(ctx, e->args[0]) & leftFoldBdd(ctx, e->args[1]);
+    case ExprKind::Or:
+      return leftFoldBdd(ctx, e->args[0]) | leftFoldBdd(ctx, e->args[1]);
+    case ExprKind::Eq:
+    case ExprKind::Neq: {
+      const ExprPtr& var = e->args[0];
+      const bdd::Bdd eq = ctx.varEq(ctx.varId(var->text), e->args[1]->text,
+                                    var->kind == ExprKind::NextRef);
+      return e->kind == ExprKind::Eq ? eq : !eq;
+    }
+    case ExprKind::Case: {
+      bdd::Bdd pending = ctx.mgr().bddTrue();
+      bdd::Bdd acc = ctx.mgr().bddFalse();
+      for (const CaseBranch& b : e->branches) {
+        const bdd::Bdd guard = leftFoldBdd(ctx, b.cond) & pending;
+        acc = acc | (guard & leftFoldBdd(ctx, b.value));
+        pending = pending.diff(guard);
+      }
+      return acc;
+    }
+    default:
+      ADD_FAILURE() << "unexpected expression " << toString(e);
+      return ctx.mgr().bddFalse();
+  }
+}
+
+TEST(SmvElaborate, ChainsFoldToTheLeftFoldsNode) {
+  // Chains of 1 to 70 operands, flat, parenthesized, nested, under `!`,
+  // with next() in TRANS and as case guards; each must elaborate to the
+  // handle the left fold builds in the same context.
+  std::mt19937 rng(7);
+  const char* values[] = {"p", "q", "r"};
+  const auto atom = [&](std::size_t i, bool next) {
+    const std::string b = "b" + std::to_string(i);
+    const std::string v = "s" + std::to_string(i);
+    const std::string val = values[rng() % 3];
+    switch (rng() % 4) {
+      case 0: return next ? "next(" + b + ")" : b;
+      case 1: return "!" + (next ? "next(" + b + ")" : b);
+      case 2: return "(" + (next ? "next(" + v + ")" : v) + " = " + val + ")";
+      default: return "(" + v + " != " + val + ")";
+    }
+  };
+  // Operands lo..hi-1 joined by `op`, split in two at a random point and
+  // parenthesized when `nested`.
+  const std::function<std::string(std::size_t, std::size_t, const char*,
+                                  bool, bool)>
+      chain = [&](std::size_t lo, std::size_t hi, const char* op, bool nested,
+                  bool next) -> std::string {
+    if (!nested || hi - lo < 3) {
+      std::string out;
+      for (std::size_t i = lo; i < hi; ++i) {
+        out += (i == lo ? "" : std::string(" ") + op + " ") + atom(i, next);
+      }
+      return out;
+    }
+    const std::size_t mid = lo + 1 + rng() % (hi - lo - 1);
+    return "(" + chain(lo, mid, op, nested, next) + ") " + op + " (" +
+           chain(mid, hi, op, nested, next) + ")";
+  };
+  for (std::size_t width = 1; width <= 70; ++width) {
+    std::string text = "MODULE m\nVAR\n";
+    for (std::size_t i = 0; i <= 70; ++i) {
+      text += "  b" + std::to_string(i) + " : boolean;\n  s" +
+              std::to_string(i) + " : {p, q, r};\n";
+    }
+    const std::string guard = chain(1, width + 1, "|", false, false);
+    text += "ASSIGN next(b0) := case " + guard + " : 1; 1 : b0; esac;\n";
+    const std::vector<std::string> constraints = {
+        chain(1, width + 1, "|", false, false),
+        chain(1, width + 1, "&", false, false),
+        chain(1, width + 1, "|", true, false),
+        chain(1, width + 1, "&", true, true),
+        "!(" + chain(1, width + 1, "&", false, true) + ")",
+        "(" + chain(1, width + 1, "|", true, true) + ") & (" +
+            chain(1, width + 1, "&", false, false) + ") | next(b0)",
+        "case " + chain(1, width + 1, "&", true, false) +
+            " : next(s0) = p; 1 : !next(b0); esac",
+    };
+    for (const std::string& c : constraints) text += "TRANS " + c + "\n";
+
+    const Module mod = parseModule(text);
+    symbolic::Context ctx;
+    const ElaboratedModule el = elaborate(ctx, mod);
+    const auto& conjuncts = el.sys.partition.tracks.front().conjuncts();
+    const symbolic::VarId b0 = ctx.varId("b0");
+    const bdd::Bdd g =
+        leftFoldBdd(ctx, mod.assigns.front().expr->branches.front().cond);
+    const bdd::Bdd b0Next = ctx.varEqIndex(b0, 1, /*next=*/true);
+    EXPECT_EQ(conjuncts.at(0).rel,
+              (g & b0Next) | ((!g) & b0Next.iff(ctx.varEqIndex(b0, 1))))
+        << width << " operands: " << guard;
+    for (std::size_t k = 0; k < constraints.size(); ++k) {
+      EXPECT_EQ(conjuncts.at(k + 1).rel,
+                leftFoldBdd(ctx, mod.transConstraints[k]))
+          << width << " operands: " << constraints[k];
+    }
+  }
+}
+
+TEST(SmvElaborate, AChainReportsItsLeftmostBadOperand) {
+  const auto error = [](const std::string& text) -> std::string {
+    symbolic::Context ctx;
+    try {
+      elaborateText(ctx, text);
+    } catch (const ModelError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error(R"(
+MODULE main
+VAR x : {a, b}; y : {a, b};
+TRANS (x = c1) | (y = c2) | (x = a)
+)"),
+            "variable 'x' has no value 'c1'");
+  EXPECT_EQ(error(R"(
+MODULE main
+VAR x : boolean;
+ASSIGN next(x) := (q1 & x) & (q2 | x);
+)"),
+            "unknown identifier in boolean context: q1");
+  // The leftmost operand of a chain nested in a case guard.
+  EXPECT_EQ(error(R"(
+MODULE main
+VAR x : boolean; y : {a, b};
+ASSIGN next(x) := case x | (y = c3) | (y = c4) : 1; 1 : x; esac;
+)"),
+            "variable 'y' has no value 'c3'");
+}
+
+TEST(SmvElaborate, AWideModuleElaboratesWithinItsNodeBudget) {
+  // afs2(64)'s server disjoins one atom per other client in three guards
+  // per client.  Folded balanced, elaboration allocates a bounded number
+  // of nodes (a left fold allocated 284,881 with 31 collections) and the
+  // 193-atom INIT evaluates in a few thousand (a left fold: 30,819).
+  // Allocation counts are deterministic.
+  symbolic::Context ctx(1 << 14);
+  const std::vector<ElaboratedModule> modules =
+      elaborateProgram(ctx, gen::afs2Model(64));
+  EXPECT_LE(ctx.mgr().stats().nodesAllocatedTotal, 130000u);
+  EXPECT_LE(ctx.mgr().stats().gcRuns, 12u);
+
+  const ElaboratedModule& server = modules.front();
+  const std::vector<ctl::FormulaPtr> atoms =
+      ctl::chainOperands(server.initFormula);
+  EXPECT_EQ(atoms.size(), 193u);
+  symbolic::Checker checker(server.sys);
+  const std::uint64_t before = ctx.mgr().stats().nodesAllocatedTotal;
+  const bdd::Bdd init = checker.sat(server.initFormula, {});
+  EXPECT_LE(ctx.mgr().stats().nodesAllocatedTotal - before, 3000u);
+  bdd::Bdd fold = ctx.mgr().bddTrue();
+  for (const ctl::FormulaPtr& a : atoms) {
+    fold &= symbolic::propositionalBdd(ctx, a);
+  }
+  EXPECT_EQ(init, fold);
+  EXPECT_EQ(symbolic::propositionalBdd(ctx, server.initFormula), fold);
+}
 
 TEST(SmvProgram, MultiModuleFilesParseAndShareVariables) {
   const std::vector<Module> modules = parseProgram(R"(

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <random>
 #include <sstream>
@@ -105,6 +106,46 @@ TEST(SymbolicSystem, MakeSystemValidatesSupport) {
   const bdd::Bdd mentionsY = ctx.varEq(y, "1");
   EXPECT_THROW(makeSystem(ctx, "bad", {x}, mentionsY), ModelError);
   EXPECT_NO_THROW(makeSystem(ctx, "ok", {x, y}, mentionsY));
+
+  // Both overloads name the first BDD variable outside the alphabet.
+  const VarId e = ctx.addEnumVar("e", {"a", "b", "c"});  // bits 2, 3
+  // Declared after the systems' own variables: its BDD variables (8 and
+  // 9) lie past the end of the alphabet's bitmap.
+  const VarId late = ctx.addBoolVar("late");
+  const auto rejects = [](const std::function<void()>& build,
+                          const std::string& system, std::uint32_t bddVar) {
+    try {
+      build();
+      ADD_FAILURE() << system << " was accepted";
+    } catch (const ModelError& err) {
+      EXPECT_EQ(std::string(err.what()),
+                "system '" + system +
+                    "': transition relation mentions a variable outside "
+                    "its alphabet (BDD var " +
+                    std::to_string(bddVar) + ")");
+    }
+  };
+  const bdd::Bdd lateNext = ctx.varEq(late, "1", /*next=*/true);
+  const bdd::Bdd eNow = ctx.varEq(e, "b");
+  rejects([&] { makeSystem(ctx, "one", {e, y}, lateNext); }, "one", 9);
+  rejects([&] { makeSystem(ctx, "list", {e, y}, {eNow, lateNext & eNow}); },
+          "list", 9);
+  // Inside the bitmap, but outside this alphabet.
+  rejects([&] { makeSystem(ctx, "gap", {e}, {eNow, mentionsY}); }, "gap", 2);
+  rejects([&] { makeSystem(ctx, "gapOne", {x, late}, mentionsY); }, "gapOne",
+          2);
+
+  // Within the alphabet both columns pass, and each conjunct keeps the
+  // support the check computed.
+  const bdd::Bdd step = eNow & ctx.varEq(late, "0", /*next=*/true) &
+                        ctx.varEq(y, "1", /*next=*/true);
+  EXPECT_NO_THROW(makeSystem(ctx, "okOne", {e, y, late}, step));
+  const SymbolicSystem ok = makeSystem(ctx, "okList", {late, e, y},
+                                       {step, lateNext, ctx.mgr().bddTrue()});
+  for (const Conjunct& c : ok.partition.tracks.front().conjuncts()) {
+    EXPECT_EQ(c.support, ctx.mgr().support(c.rel));
+  }
+  EXPECT_EQ(ok.partition.tracks.front().size(), 3u);  // true dropped, + dom(e)
 }
 
 TEST(SymbolicSystem, IdentityAndReflexivity) {
@@ -310,17 +351,22 @@ TEST(Partition, BalancedProductIsTheLeftFoldsNode) {
     for (const bdd::Bdd& c : conjuncts) fold &= c;
     std::size_t intermediates = 0;
     const bdd::Bdd tree =
-        conjoinBalanced(mgr, conjuncts, [&](const bdd::Bdd& f) {
+        foldBalanced(mgr, FoldOp::And, conjuncts, [&](const bdd::Bdd& f) {
           EXPECT_FALSE(f.isNull());
           ++intermediates;
           return false;
         });
     EXPECT_EQ(tree, fold) << n << " conjuncts";
     EXPECT_EQ(intermediates, n == 0 ? 0 : n - 1);  // one per conjunction
+    // The same helper disjoins; an empty disjunction is false.
+    bdd::Bdd disjunction = mgr.bddFalse();
+    for (const bdd::Bdd& c : conjuncts) disjunction |= c;
+    EXPECT_EQ(foldBalanced(mgr, FoldOp::Or, conjuncts), disjunction)
+        << n << " disjuncts";
   }
   // Stopping abandons the tree.
-  EXPECT_TRUE(conjoinBalanced(mgr, {pool[0], pool[1], pool[2]},
-                              [](const bdd::Bdd&) { return true; })
+  EXPECT_TRUE(foldBalanced(mgr, FoldOp::And, {pool[0], pool[1], pool[2]},
+                           [](const bdd::Bdd&) { return true; })
                   .isNull());
 }
 
