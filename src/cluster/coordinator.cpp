@@ -1,21 +1,15 @@
 #include "cluster/coordinator.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <random>
-#include <sstream>
 
 #include "service/job_options.hpp"
 #include "service/journal.hpp"
@@ -26,19 +20,6 @@
 namespace cmc::cluster {
 
 namespace {
-
-std::string errnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-std::string jobNameFromPath(const std::string& path) {
-  std::size_t slash = path.find_last_of('/');
-  std::string base =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  const std::size_t dot = base.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) base.resize(dot);
-  return base.empty() ? "job" : base;
-}
 
 unsigned forwardPoolWidth(const CoordinatorOptions& opts) {
   if (opts.forwardThreads > 0) return opts.forwardThreads;
@@ -182,7 +163,11 @@ Coordinator::Coordinator(CoordinatorOptions opts,
     : opts_(std::move(opts)),
       metrics_(metrics),
       trace_(trace),
-      pool_(forwardPoolWidth(opts_)) {
+      pool_(forwardPoolWidth(opts_)),
+      front_(opts_, metrics_,
+             [this](net::LineSocket& sock, const net::Request& req) {
+               return handleRequest(sock, req);
+             }) {
   shards_.reserve(opts_.topology.shards.size());
   for (const ShardSpec& spec : opts_.topology.shards) {
     auto shard = std::make_shared<Shard>();
@@ -436,10 +421,6 @@ Coordinator::Roster Coordinator::rosterSnapshot() const {
 }
 
 bool Coordinator::start(std::string* error) {
-  if (opts_.socketPath.empty() && opts_.tcpPort < 0) {
-    *error = "no listener configured (need a socket path or a TCP port)";
-    return false;
-  }
   const Roster roster = rosterSnapshot();
   if (roster.shards.empty()) {
     *error = "topology has no shards";
@@ -474,77 +455,9 @@ bool Coordinator::start(std::string* error) {
     return false;
   }
 
-  if (!opts_.socketPath.empty()) {
-    sockaddr_un addr{};
-    if (opts_.socketPath.size() >= sizeof addr.sun_path) {
-      *error = "socket path too long: " + opts_.socketPath;
-      return false;
-    }
-    unixFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unixFd_ < 0) {
-      *error = errnoMessage("socket(AF_UNIX)");
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, opts_.socketPath.c_str(),
-                opts_.socketPath.size() + 1);
-    // Same stale-socket discipline as the shard server: probe before
-    // unlinking so we never steal a live listener.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (probe >= 0) {
-      if (::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) == 0) {
-        ::close(probe);
-        ::close(unixFd_);
-        unixFd_ = -1;
-        *error =
-            "another daemon is already listening on " + opts_.socketPath;
-        return false;
-      }
-      ::close(probe);
-    }
-    ::unlink(opts_.socketPath.c_str());
-    if (::bind(unixFd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(unixFd_, 64) != 0) {
-      *error = errnoMessage(("bind/listen " + opts_.socketPath).c_str());
-      ::close(unixFd_);
-      unixFd_ = -1;
-      return false;
-    }
-  }
-
-  if (opts_.tcpPort >= 0) {
-    tcpFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcpFd_ < 0) {
-      *error = errnoMessage("socket(AF_INET)");
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(tcpFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts_.tcpPort));
-    if (::bind(tcpFd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(tcpFd_, 64) != 0) {
-      *error = errnoMessage("bind/listen TCP");
-      ::close(tcpFd_);
-      tcpFd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(tcpFd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-      boundTcpPort_ = ntohs(bound.sin_port);
-  }
+  if (!front_.start(error)) return false;
 
   uptime_.reset();
-  if (unixFd_ >= 0)
-    acceptThreads_.emplace_back(&Coordinator::acceptLoop, this, unixFd_);
-  if (tcpFd_ >= 0)
-    acceptThreads_.emplace_back(&Coordinator::acceptLoop, this, tcpFd_);
   if (opts_.probeIntervalSeconds > 0.0)
     probeThread_ = std::thread(&Coordinator::probeLoop, this);
 
@@ -584,23 +497,7 @@ void Coordinator::shutdown() {
     std::lock_guard<std::mutex> lock(stopMutex_);
   }
   stopCv_.notify_all();
-  for (std::thread& t : acceptThreads_) t.join();
-  acceptThreads_.clear();
-  if (unixFd_ >= 0) {
-    ::close(unixFd_);
-    unixFd_ = -1;
-    ::unlink(opts_.socketPath.c_str());
-  }
-  if (tcpFd_ >= 0) {
-    ::close(tcpFd_);
-    tcpFd_ = -1;
-  }
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (int fd : connFds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : connThreads_) t.join();
-  connThreads_.clear();
+  front_.stop();
   if (probeThread_.joinable()) probeThread_.join();
 
   trace_.emit(service::JsonObject()
@@ -610,107 +507,41 @@ void Coordinator::shutdown() {
   shutdownDone_ = true;
 }
 
-void Coordinator::acceptLoop(int listenFd) {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd p{};
-    p.fd = listenFd;
-    p.events = POLLIN;
-    const int ready = ::poll(&p, 1, 200);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) continue;
-    metrics_.counter("connections_accepted").inc();
-    std::lock_guard<std::mutex> lock(connMutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    connFds_.push_back(fd);
-    connThreads_.emplace_back(&Coordinator::handleConnection, this, fd);
+bool Coordinator::handleRequest(net::LineSocket& sock,
+                                const net::Request& req) {
+  switch (req.cmd) {
+    case net::Command::Check:
+      handleCheck(sock, req);
+      return true;
+    case net::Command::Status:
+      return sock.writeLine(statusResponse());
+    case net::Command::Stats:
+      return sock.writeLine(statsResponse());
+    case net::Command::Topology:
+      return sock.writeLine(topologyResponse());
+    case net::Command::Join:
+      return sock.writeLine(joinResponse(req));
+    case net::Command::Leave:
+      return sock.writeLine(leaveResponse(req));
+    case net::Command::CachePut:
+      return sock.writeLine(net::errorResponse(
+          "CACHE_PUT", net::kBadRequest,
+          "CACHE_PUT is a shard command; the coordinator writes "
+          "replicas, it does not hold a cache"));
+    case net::Command::Cancel:
+      return sock.writeLine(net::errorResponse(
+          "CANCEL", net::kBadRequest,
+          "the coordinator does not support CANCEL; cancel at the "
+          "owning shard"));
+    case net::Command::Drain:
+      requestDrain();
+      return sock.writeLine(service::JsonObject()
+                                .putBool("ok", true)
+                                .put("cmd", "DRAIN")
+                                .put("state", "draining")
+                                .str());
   }
-}
-
-void Coordinator::handleConnection(int fd) {
-  metrics_.gauge("connections_open").inc();
-  net::LineSocket sock(fd);
-  std::string line;
-  bool closeAfter = false;
-  while (!closeAfter) {
-    const net::LineSocket::ReadResult r = sock.readLine(&line);
-    if (r == net::LineSocket::ReadResult::Eof ||
-        r == net::LineSocket::ReadResult::Error)
-      break;
-    if (r == net::LineSocket::ReadResult::TooLong) {
-      metrics_.counter("protocol_errors").inc();
-      sock.writeLine(net::errorResponse(
-          "?", net::kBadRequest,
-          "request line exceeds " + std::to_string(net::kMaxLineBytes) +
-              " bytes; closing connection"));
-      break;
-    }
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    net::Request req;
-    std::string perror;
-    if (!net::parseRequest(line, opts_.defaults, &req, &perror)) {
-      metrics_.counter("protocol_errors").inc();
-      if (!sock.writeLine(net::errorResponse("?", net::kBadRequest, perror)))
-        break;
-      continue;
-    }
-    metrics_.counter("requests_received").inc();
-    switch (req.cmd) {
-      case net::Command::Check:
-        handleCheck(sock, req);
-        closeAfter = !sock.valid();
-        break;
-      case net::Command::Status:
-        closeAfter = !sock.writeLine(statusResponse());
-        break;
-      case net::Command::Stats:
-        closeAfter = !sock.writeLine(statsResponse());
-        break;
-      case net::Command::Topology:
-        closeAfter = !sock.writeLine(topologyResponse());
-        break;
-      case net::Command::Join:
-        closeAfter = !sock.writeLine(joinResponse(req));
-        break;
-      case net::Command::Leave:
-        closeAfter = !sock.writeLine(leaveResponse(req));
-        break;
-      case net::Command::CachePut:
-        closeAfter = !sock.writeLine(net::errorResponse(
-            "CACHE_PUT", net::kBadRequest,
-            "CACHE_PUT is a shard command; the coordinator writes "
-            "replicas, it does not hold a cache"));
-        break;
-      case net::Command::Cancel:
-        closeAfter = !sock.writeLine(net::errorResponse(
-            "CANCEL", net::kBadRequest,
-            "the coordinator does not support CANCEL; cancel at the "
-            "owning shard"));
-        break;
-      case net::Command::Drain:
-        requestDrain();
-        closeAfter = !sock.writeLine(service::JsonObject()
-                                         .putBool("ok", true)
-                                         .put("cmd", "DRAIN")
-                                         .put("state", "draining")
-                                         .str());
-        break;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (auto it = connFds_.begin(); it != connFds_.end(); ++it) {
-      if (*it == fd) {
-        connFds_.erase(it);
-        break;
-      }
-    }
-    sock.close();
-  }
-  metrics_.gauge("connections_open").dec();
+  return true;
 }
 
 service::ObligationOutcome Coordinator::forwardObligation(
@@ -993,22 +824,27 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
   const std::string requestId =
       req.id.empty() ? "#" + std::to_string(serial) : req.id;
 
-  if (drainRequested()) {
+  // Drain and capacity are tested under one hold: shutdown() sets
+  // draining_ before it waits under jobsMutex_ for activeJobs_ to reach 0,
+  // so no CHECK is counted in after that wait has passed.
+  bool draining = false, busy = false;
+  {
+    std::lock_guard<std::mutex> lock(jobsMutex_);
+    draining = drainRequested();
+    busy = !draining && activeJobs_ >= opts_.maxInFlight;
+    if (!draining && !busy) ++activeJobs_;
+  }
+  if (draining) {
     metrics_.counter("checks_rejected_draining").inc();
     sock.writeLine(net::errorResponse(
         "CHECK", net::kDraining, "coordinator is draining; not accepting"));
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(jobsMutex_);
-    if (activeJobs_ >= opts_.maxInFlight) {
-      metrics_.counter("checks_rejected_busy").inc();
-      sock.writeLine(net::errorResponse(
-          "CHECK", net::kBusy,
-          "coordinator at capacity; retry with backoff"));
-      return;
-    }
-    ++activeJobs_;
+  if (busy) {
+    metrics_.counter("checks_rejected_busy").inc();
+    sock.writeLine(net::errorResponse(
+        "CHECK", net::kBusy, "coordinator at capacity; retry with backoff"));
+    return;
   }
   struct JobSlot {
     Coordinator* self;
@@ -1020,7 +856,7 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
   } slot{this};
 
   service::VerificationJob job;
-  job.options = req.options;
+  if (!front_.checkJob(sock, req, serial, &job)) return;
   // Assume-guarantee learning is a whole-job, single-node derivation; a
   // clustered check shards per obligation instead.  Verdicts are identical
   // by construction (the learner always falls back to the direct check),
@@ -1031,29 +867,6 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
                     .put("event", "cluster_learn_downgraded")
                     .putDouble("t", trace_.elapsedSeconds())
                     .put("id", requestId));
-  }
-  job.only = req.only;
-  if (!req.smv.empty()) {
-    job.smvText = req.smv;
-    job.sourcePath = "<inline>";
-    job.name =
-        !req.name.empty() ? req.name : "inline-" + std::to_string(serial);
-  } else {
-    std::string path = req.model;
-    if (!opts_.modelRoot.empty() && !path.empty() && path.front() != '/')
-      path = opts_.modelRoot + "/" + path;
-    std::ifstream in(path);
-    if (!in) {
-      metrics_.counter("checks_rejected_bad_model").inc();
-      sock.writeLine(net::errorResponse("CHECK", net::kBadRequest,
-                                        "cannot open model: " + path));
-      return;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    job.smvText = buf.str();
-    job.sourcePath = path;
-    job.name = !req.name.empty() ? req.name : jobNameFromPath(path);
   }
 
   metrics_.counter("checks_admitted").inc();
@@ -1076,31 +889,12 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
   const service::SnapshotResult scout =
       service::buildSnapshot(job, /*wantCanon=*/true);
   if (scout.snapshot == nullptr) {
-    service::ObligationOutcome bad;
-    bad.id = job.name + "/<elaboration>";
-    bad.target = job.name;
-    bad.verdict = service::Verdict::Error;
-    bad.error = scout.error;
-    report.obligations.push_back(std::move(bad));
-    report.verdict = service::Verdict::Error;
+    report.addJobError(scout.error);
   } else {
     std::vector<service::ObligationRef> refs =
         service::enumerateObligations(*scout.snapshot, job.options);
-    if (!job.only.empty()) {
-      std::erase_if(refs, [&job](const service::ObligationRef& r) {
-        return r.id != job.only;
-      });
-      if (refs.empty()) {
-        service::ObligationOutcome bad;
-        bad.id = job.name + "/<elaboration>";
-        bad.target = job.name;
-        bad.verdict = service::Verdict::Error;
-        bad.error =
-            "job '" + job.name + "' has no obligation '" + job.only + "'";
-        report.obligations.push_back(std::move(bad));
-        report.verdict = service::Verdict::Error;
-      }
-    }
+    if (std::string why = service::keepOnly(job, &refs); !why.empty())
+      report.addJobError(std::move(why));
     // One roster snapshot for the whole job: every obligation routes over
     // the same consistent ring, so a JOIN/LEAVE mid-batch only affects
     // later jobs (the shared_ptrs keep a concurrently-removed shard alive
@@ -1117,25 +911,11 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
                                      job.smvText, job.options, ref);
           }));
     }
-    for (std::future<service::ObligationOutcome>& f : futures) {
-      report.obligations.push_back(f.get());
-      const service::ObligationOutcome& o = report.obligations.back();
-      report.verdict = worseVerdict(report.verdict, o.verdict);
-      if (o.verdictSource == "journal") ++report.journalHits;
-      if (!o.fingerprint.empty() && o.verdictSource != "journal") {
-        if (o.verdictSource == "cache") ++report.cacheHits;
-        else ++report.cacheMisses;
-      }
-    }
+    for (std::future<service::ObligationOutcome>& f : futures)
+      report.add(f.get());
   }
   report.wallSeconds = runTimer.seconds();
 
-  std::uint64_t holds = 0, fails = 0, undecided = 0;
-  for (const service::ObligationOutcome& o : report.obligations) {
-    if (o.verdict == service::Verdict::Holds) ++holds;
-    else if (o.verdict == service::Verdict::Fails) ++fails;
-    else ++undecided;
-  }
   metrics_.counter("checks_completed").inc();
   metrics_.histogram("request_seconds").observe(report.wallSeconds);
   trace_.emit(service::JsonObject()
@@ -1149,19 +929,8 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
                   .putUint("cache_hits", report.cacheHits)
                   .putUint("journal_hits", report.journalHits));
 
-  service::JsonObject resp;
-  resp.putBool("ok", true)
-      .put("cmd", "CHECK")
-      .put("id", requestId)
-      .put("job", report.job)
-      .put("verdict", service::toString(report.verdict))
-      .putUint("obligations", report.obligations.size())
-      .putUint("holds", holds)
-      .putUint("fails", fails)
-      .putUint("undecided", undecided)
-      .putUint("cache_hits", report.cacheHits)
-      .putUint("journal_hits", report.journalHits)
-      .putUint("shards_up", shardsUp())
+  service::JsonObject resp = net::checkResponseHead(requestId, report);
+  resp.putUint("shards_up", shardsUp())
       .putDouble("wall_seconds", report.wallSeconds)
       .put("report", report.toJson());
   if (!sock.writeLine(resp.str()))

@@ -57,6 +57,12 @@
 //   client hangup).  Safe for the same reason re-dispatch is: obligations
 //   are pure functions of fingerprinted content.
 //
+// Threads: the front end (net/line_server.hpp) owns the listeners'
+// accept threads and one thread per connection, which reads the request
+// lines and calls handleRequest; a CHECK runs on its connection's thread
+// and scatters its obligations onto the forwarding pool.  The coordinator
+// adds that pool and the probe thread.
+//
 // Failure handling: a probe thread sends periodic (jittered) STATUS to
 // every shard.  A transport failure while forwarding marks the shard down
 // immediately and re-dispatches the obligation to the next shard in its
@@ -76,6 +82,7 @@
 
 #include "cluster/topology.hpp"
 #include "net/client.hpp"
+#include "net/line_server.hpp"
 #include "net/protocol.hpp"
 #include "service/metrics.hpp"
 #include "service/snapshot.hpp"
@@ -105,19 +112,13 @@ enum class ShardState { Up, Suspect, Down, Probation };
 
 const char* toString(ShardState s) noexcept;
 
-struct CoordinatorOptions {
-  /// Unix-domain listener (required unless tcpPort >= 0).
-  std::string socketPath;
-  /// Loopback TCP listener: -1 disabled, 0 ephemeral.
-  int tcpPort = -1;
+/// The front end's options (socket path, TCP port, job-option defaults,
+/// model root) plus the fleet's.
+struct CoordinatorOptions : net::LineServerOptions {
   Topology topology;
   /// Path the topology was loaded from; SIGHUP reload re-reads it (empty
   /// disables reload — embedded coordinators drive JOIN/LEAVE instead).
   std::string topologyPath;
-  /// Defaults for per-request job options; requests overlay their own.
-  service::JobOptions defaults;
-  /// Directory request "model" paths resolve under.
-  std::string modelRoot;
   /// Concurrent CHECK jobs; one more and the coordinator answers BUSY.
   unsigned maxInFlight = 16;
   /// Obligation-forwarding pool width (0 = 2 per shard, min 4).
@@ -160,10 +161,10 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Probe every shard, refuse mixed versions, bind + listen, start the
-  /// accept and probe threads.  False with a message when no listener can
-  /// be set up, when a responding shard is version-incompatible, or when
-  /// no shard responds at all.
+  /// Probe every shard, refuse mixed versions, start the front end (bind +
+  /// listen + accept threads) and the probe thread.  False with a message
+  /// when no listener can be set up, when a responding shard is
+  /// version-incompatible, or when no shard responds at all.
   bool start(std::string* error);
 
   /// Refuse new CHECKs (DRAINING); in-flight jobs finish.  Idempotent.
@@ -176,7 +177,7 @@ class Coordinator {
   /// threads.  Idempotent.  Never touches the shards — they keep serving.
   void shutdown();
 
-  int boundTcpPort() const noexcept { return boundTcpPort_; }
+  int boundTcpPort() const noexcept { return front_.boundTcpPort(); }
 
   std::size_t shardsUp() const;
   std::size_t shardsTotal() const;
@@ -246,9 +247,9 @@ class Coordinator {
   };
   std::vector<RosterEntry> snapshotRoster() const;
 
-  void acceptLoop(int listenFd);
   void probeLoop();
-  void handleConnection(int fd);
+  /// The front end's handler: this coordinator's command table.
+  bool handleRequest(net::LineSocket& sock, const net::Request& req);
   void handleCheck(net::LineSocket& sock, const net::Request& req);
   std::string statusResponse();
   std::string statsResponse();
@@ -303,9 +304,6 @@ class Coordinator {
   bool shutdownDone_ = false;
   std::mutex shutdownMutex_;
 
-  int unixFd_ = -1;
-  int tcpFd_ = -1;
-  int boundTcpPort_ = -1;
   WallTimer uptime_;
   std::atomic<std::uint64_t> serial_{0};
 
@@ -314,10 +312,7 @@ class Coordinator {
   std::condition_variable jobsCv_;
   unsigned activeJobs_ = 0;
 
-  std::mutex connMutex_;
-  std::vector<int> connFds_;
-  std::vector<std::thread> connThreads_;
-  std::vector<std::thread> acceptThreads_;
+  net::LineServer front_;
   std::thread probeThread_;
   std::condition_variable stopCv_;
   std::mutex stopMutex_;

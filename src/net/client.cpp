@@ -16,14 +16,6 @@
 
 namespace cmc::net {
 
-namespace {
-
-std::string errnoMessage(const std::string& what) {
-  return what + ": " + std::strerror(errno);
-}
-
-}  // namespace
-
 bool Client::connectUnix(const std::string& socketPath, std::string* error) {
   unixPath_ = socketPath;
   tcpPort_ = -1;

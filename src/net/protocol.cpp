@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 
 #include "service/job_options.hpp"
 #include "service/trace_log.hpp"
@@ -181,6 +182,10 @@ std::string errorResponse(const std::string& cmd, const std::string& code,
       .put("code", code)
       .put("error", message)
       .str();
+}
+
+std::string errnoMessage(const std::string& what) {
+  return what + ": " + std::strerror(errno);
 }
 
 void LineSocket::close() noexcept {

@@ -128,6 +128,9 @@ bool parseRequest(const std::string& line, const service::JobOptions& defaults,
 std::string errorResponse(const std::string& cmd, const std::string& code,
                           const std::string& message);
 
+/// "<what>: <strerror(errno)>", the net layer's socket-call error message.
+std::string errnoMessage(const std::string& what);
+
 /// A line-oriented stream socket: buffers reads, splits on '\n', enforces
 /// the line cap, and writes whole lines with MSG_NOSIGNAL (a dead peer
 /// yields an error return, never SIGPIPE).  Owns the fd.  Used by the

@@ -1,19 +1,10 @@
 #include "net/server.hpp"
 
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "agr/engine.hpp"
-#include "util/failpoint.hpp"
 #include "util/version.hpp"
 
 #ifndef POLLRDHUP
@@ -21,24 +12,6 @@
 #endif
 
 namespace cmc::net {
-
-namespace {
-
-std::string errnoMessage(const char* what) {
-  return std::string(what) + ": " + std::strerror(errno);
-}
-
-/// Job name from a model path: basename without the extension.
-std::string jobNameFromPath(const std::string& path) {
-  std::size_t slash = path.find_last_of('/');
-  std::string base =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  const std::size_t dot = base.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) base.resize(dot);
-  return base.empty() ? "job" : base;
-}
-
-}  // namespace
 
 Server::Server(ServerOptions opts, service::VerificationService& svc,
                service::MetricsRegistry& metrics, service::RunTrace& trace,
@@ -49,88 +22,19 @@ Server::Server(ServerOptions opts, service::VerificationService& svc,
       metrics_(metrics),
       trace_(trace),
       journal_(journal),
-      replay_(replay) {}
+      replay_(replay),
+      front_(opts_, metrics_, [this](LineSocket& sock, const Request& req) {
+        return handleRequest(sock, req);
+      }) {}
 
 Server::~Server() { shutdown(); }
 
 bool Server::start(std::string* error) {
   maxInFlight_ =
       opts_.maxInFlight > 0 ? opts_.maxInFlight : std::max(1u, svc_.threads());
-  if (opts_.socketPath.empty() && opts_.tcpPort < 0) {
-    *error = "no listener configured (need a socket path or a TCP port)";
-    return false;
-  }
-
-  if (!opts_.socketPath.empty()) {
-    sockaddr_un addr{};
-    if (opts_.socketPath.size() >= sizeof addr.sun_path) {
-      *error = "socket path too long: " + opts_.socketPath;
-      return false;
-    }
-    unixFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unixFd_ < 0) {
-      *error = errnoMessage("socket(AF_UNIX)");
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, opts_.socketPath.c_str(),
-                opts_.socketPath.size() + 1);
-    // A stale socket file (SIGKILLed predecessor) would make bind fail;
-    // probe it first so we never steal a live server's listener.
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (probe >= 0) {
-      if (::connect(probe, reinterpret_cast<const sockaddr*>(&addr),
-                    sizeof addr) == 0) {
-        ::close(probe);
-        ::close(unixFd_);
-        unixFd_ = -1;
-        *error = "another server is already listening on " + opts_.socketPath;
-        return false;
-      }
-      ::close(probe);
-    }
-    ::unlink(opts_.socketPath.c_str());
-    if (::bind(unixFd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(unixFd_, 64) != 0) {
-      *error = errnoMessage(("bind/listen " + opts_.socketPath).c_str());
-      ::close(unixFd_);
-      unixFd_ = -1;
-      return false;
-    }
-  }
-
-  if (opts_.tcpPort >= 0) {
-    tcpFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcpFd_ < 0) {
-      *error = errnoMessage("socket(AF_INET)");
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(tcpFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // never a public iface
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts_.tcpPort));
-    if (::bind(tcpFd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(tcpFd_, 64) != 0) {
-      *error = errnoMessage("bind/listen TCP");
-      ::close(tcpFd_);
-      tcpFd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof bound;
-    if (::getsockname(tcpFd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
-      boundTcpPort_ = ntohs(bound.sin_port);
-  }
+  if (!front_.start(error)) return false;
 
   uptime_.reset();
-  if (unixFd_ >= 0)
-    acceptThreads_.emplace_back(&Server::acceptLoop, this, unixFd_, "unix");
-  if (tcpFd_ >= 0)
-    acceptThreads_.emplace_back(&Server::acceptLoop, this, tcpFd_, "tcp");
   watcherThread_ = std::thread(&Server::watcherLoop, this);
   if (opts_.metricsIntervalSeconds > 0.0)
     metricsThread_ = std::thread(&Server::metricsLoop, this);
@@ -143,8 +47,8 @@ bool Server::start(std::string* error) {
       .putUint("workers", svc_.threads())
       .putUint("max_inflight", maxInFlight_)
       .putUint("queue_depth", opts_.queueDepth);
-  if (boundTcpPort_ >= 0)
-    ev.putUint("tcp_port", static_cast<std::uint64_t>(boundTcpPort_));
+  if (boundTcpPort() >= 0)
+    ev.putUint("tcp_port", static_cast<std::uint64_t>(boundTcpPort()));
   trace_.emit(ev);
   return true;
 }
@@ -178,28 +82,7 @@ void Server::shutdown() {
     std::lock_guard<std::mutex> lock(stopMutex_);
   }
   stopCv_.notify_all();
-  for (std::thread& t : acceptThreads_) t.join();
-  acceptThreads_.clear();
-  if (unixFd_ >= 0) {
-    ::close(unixFd_);
-    unixFd_ = -1;
-    ::unlink(opts_.socketPath.c_str());
-  }
-  if (tcpFd_ >= 0) {
-    ::close(tcpFd_);
-    tcpFd_ = -1;
-  }
-
-  // Handler threads may be blocked in readLine on idle connections;
-  // half-close the sockets so they wake and exit.  connMutex_ makes the
-  // fd valid for the duration of ::shutdown (handlers close under it too).
-  {
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (int fd : connFds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : connThreads_) t.join();
-  connThreads_.clear();
-
+  front_.stop();
   if (watcherThread_.joinable()) watcherThread_.join();
   if (metricsThread_.joinable()) metricsThread_.join();
 
@@ -221,119 +104,36 @@ std::size_t Server::queued() const {
   return waiting_;
 }
 
-void Server::acceptLoop(int listenFd, const char* transport) {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd p{};
-    p.fd = listenFd;
-    p.events = POLLIN;
-    const int ready = ::poll(&p, 1, 200);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check stopping_
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) continue;
-    try {
-      CMC_FAILPOINT("net.accept");
-    } catch (const std::exception&) {
-      metrics_.counter("net_accept_failures").inc();
-      ::close(fd);
-      continue;
-    }
-    metrics_.counter("connections_accepted").inc();
-    std::lock_guard<std::mutex> lock(connMutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    connFds_.push_back(fd);
-    connThreads_.emplace_back(&Server::handleConnection, this, fd);
+bool Server::handleRequest(LineSocket& sock, const Request& req) {
+  switch (req.cmd) {
+    case Command::Check:
+      handleCheck(sock, req);
+      return true;
+    case Command::Status:
+      return sock.writeLine(statusResponse());
+    case Command::Stats:
+      return sock.writeLine(statsResponse());
+    case Command::Cancel:
+      return sock.writeLine(cancelResponse(req));
+    case Command::Drain:
+      requestDrain();
+      return sock.writeLine(service::JsonObject()
+                                .putBool("ok", true)
+                                .put("cmd", "DRAIN")
+                                .put("state", "draining")
+                                .str());
+    case Command::CachePut:
+      return sock.writeLine(cachePutResponse(req));
+    case Command::Topology:
+    case Command::Join:
+    case Command::Leave:
+      return sock.writeLine(errorResponse(
+          toString(req.cmd), kBadRequest,
+          std::string(toString(req.cmd)) +
+              " is a cluster admin command; send it to the coordinator, "
+              "not a shard"));
   }
-  (void)transport;
-}
-
-void Server::handleConnection(int fd) {
-  metrics_.gauge("connections_open").inc();
-  LineSocket sock(fd);
-  std::string line;
-  bool closeAfter = false;
-  while (!closeAfter) {
-    LineSocket::ReadResult r;
-    try {
-      CMC_FAILPOINT("net.read");
-      r = sock.readLine(&line);
-    } catch (const std::exception& e) {
-      // Injected/low-level read failure: drop the connection, never the
-      // server.  The peer sees EOF and retries against a healthy socket.
-      metrics_.counter("net_read_failures").inc();
-      break;
-    }
-    if (r == LineSocket::ReadResult::Eof ||
-        r == LineSocket::ReadResult::Error)
-      break;
-    if (r == LineSocket::ReadResult::TooLong) {
-      metrics_.counter("protocol_errors").inc();
-      sock.writeLine(errorResponse(
-          "?", kBadRequest,
-          "request line exceeds " + std::to_string(kMaxLineBytes) +
-              " bytes; closing connection"));
-      break;
-    }
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    Request req;
-    std::string perror;
-    if (!parseRequest(line, opts_.defaults, &req, &perror)) {
-      metrics_.counter("protocol_errors").inc();
-      if (!sock.writeLine(errorResponse("?", kBadRequest, perror))) break;
-      continue;
-    }
-    metrics_.counter("requests_received").inc();
-    switch (req.cmd) {
-      case Command::Check:
-        handleCheck(sock, req);
-        closeAfter = !sock.valid();
-        break;
-      case Command::Status:
-        closeAfter = !sock.writeLine(statusResponse());
-        break;
-      case Command::Stats:
-        closeAfter = !sock.writeLine(statsResponse());
-        break;
-      case Command::Cancel:
-        closeAfter = !sock.writeLine(cancelResponse(req));
-        break;
-      case Command::Drain:
-        requestDrain();
-        closeAfter = !sock.writeLine(service::JsonObject()
-                                         .putBool("ok", true)
-                                         .put("cmd", "DRAIN")
-                                         .put("state", "draining")
-                                         .str());
-        break;
-      case Command::CachePut:
-        closeAfter = !sock.writeLine(cachePutResponse(req));
-        break;
-      case Command::Topology:
-      case Command::Join:
-      case Command::Leave:
-        closeAfter = !sock.writeLine(errorResponse(
-            toString(req.cmd), kBadRequest,
-            std::string(toString(req.cmd)) +
-                " is a cluster admin command; send it to the coordinator, "
-                "not a shard"));
-        break;
-    }
-  }
-  {
-    // Remove-then-close under the lock so shutdown() never half-closes a
-    // recycled fd number.
-    std::lock_guard<std::mutex> lock(connMutex_);
-    for (auto it = connFds_.begin(); it != connFds_.end(); ++it) {
-      if (*it == fd) {
-        connFds_.erase(it);
-        break;
-      }
-    }
-    sock.close();
-  }
-  metrics_.gauge("connections_open").dec();
+  return true;
 }
 
 void Server::handleCheck(LineSocket& sock, const Request& req) {
@@ -342,30 +142,7 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   state->id = req.id.empty() ? "#" + std::to_string(serial) : req.id;
 
   service::VerificationJob job;
-  job.options = req.options;
-  job.only = req.only;
-  if (!req.smv.empty()) {
-    job.smvText = req.smv;
-    job.sourcePath = "<inline>";
-    job.name = !req.name.empty() ? req.name
-                                 : "inline-" + std::to_string(serial);
-  } else {
-    std::string path = req.model;
-    if (!opts_.modelRoot.empty() && !path.empty() && path.front() != '/')
-      path = opts_.modelRoot + "/" + path;
-    std::ifstream in(path);
-    if (!in) {
-      metrics_.counter("checks_rejected_bad_model").inc();
-      sock.writeLine(
-          errorResponse("CHECK", kBadRequest, "cannot open model: " + path));
-      return;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    job.smvText = buf.str();
-    job.sourcePath = path;
-    job.name = !req.name.empty() ? req.name : jobNameFromPath(path);
-  }
+  if (!front_.checkJob(sock, req, serial, &job)) return;
   state->job = job.name;
 
   if (!registerRequest(state)) {
@@ -448,28 +225,8 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   state->connFd.store(-1, std::memory_order_release);
   state->running.store(false, std::memory_order_release);
 
-  std::uint64_t holds = 0, fails = 0, undecided = 0;
-  for (const service::ObligationOutcome& o : report.obligations) {
-    if (o.verdict == service::Verdict::Holds)
-      ++holds;
-    else if (o.verdict == service::Verdict::Fails)
-      ++fails;
-    else
-      ++undecided;
-  }
-  service::JsonObject resp;
-  resp.putBool("ok", true)
-      .put("cmd", "CHECK")
-      .put("id", state->id)
-      .put("job", report.job)
-      .put("verdict", service::toString(report.verdict))
-      .putUint("obligations", report.obligations.size())
-      .putUint("holds", holds)
-      .putUint("fails", fails)
-      .putUint("undecided", undecided)
-      .putUint("cache_hits", report.cacheHits)
-      .putUint("journal_hits", report.journalHits)
-      .putDouble("queue_wait_seconds", waitSeconds)
+  service::JsonObject resp = checkResponseHead(state->id, report);
+  resp.putDouble("queue_wait_seconds", waitSeconds)
       .putDouble("wall_seconds", report.wallSeconds);
   if (report.obligations.size() == 1) {
     // Single-obligation responses (the coordinator's "only" forwards)

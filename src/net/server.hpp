@@ -10,13 +10,13 @@
 // across requests instead of within one run.
 //
 // Threading model
-//   - one accept thread per listener (poll + accept, so shutdown is
-//     prompt);
-//   - one handler thread per connection; a CHECK runs synchronously on it
-//     (the scheduler fans its obligations onto the shared pool), so
-//     request concurrency == connection concurrency;
-//   - a client watcher thread polls running requests' sockets for hangup
-//     and raises their cancel flag — a vanished client frees its workers;
+//   The front end (net/line_server.hpp) owns the listeners' accept threads
+//   and one thread per connection, which reads the request lines and calls
+//   handleRequest.  A CHECK runs synchronously on its connection's thread
+//   (the scheduler fans its obligations onto the shared pool), so request
+//   concurrency == connection concurrency.  The server adds two threads:
+//   - a client watcher polls running requests' sockets for hangup and
+//     raises their cancel flag — a vanished client frees its workers;
 //   - a metrics thread periodically emits a "metrics" JSONL event into
 //     the trace stream.
 //
@@ -44,6 +44,7 @@
 
 #include <condition_variable>
 
+#include "net/line_server.hpp"
 #include "net/protocol.hpp"
 #include "service/journal.hpp"
 #include "service/metrics.hpp"
@@ -53,24 +54,14 @@
 
 namespace cmc::net {
 
-struct ServerOptions {
-  /// Path of the Unix-domain listener (required; created on start, best-
-  /// effort unlinked on shutdown).
-  std::string socketPath;
-  /// Loopback TCP listener: -1 = disabled, 0 = ephemeral (see
-  /// boundTcpPort()), >0 = that port on 127.0.0.1.
-  int tcpPort = -1;
+/// The front end's options (socket path, TCP port, job-option defaults,
+/// model root) plus the server's admission and metrics settings.
+struct ServerOptions : LineServerOptions {
   /// Concurrent CHECK executions (0 = the service's worker-thread count).
   unsigned maxInFlight = 0;
   /// Admitted CHECKs allowed to wait for an execution slot; one more and
   /// the server answers BUSY.
   std::size_t queueDepth = 16;
-  /// Server-side defaults for per-request job options (deadline, budget,
-  /// engine, compose, ...); requests overlay their own fields.
-  service::JobOptions defaults;
-  /// Directory that request "model" paths resolve under (empty = the
-  /// server process's cwd).
-  std::string modelRoot;
   /// Period of the "metrics" trace event, seconds (0 = disabled).
   double metricsIntervalSeconds = 10.0;
 };
@@ -88,8 +79,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + start the accept/watcher/metrics threads.  False
-  /// with a message on any setup failure.
+  /// Start the front end (bind + listen + accept threads) and the
+  /// watcher/metrics threads.  False with a message on any setup failure.
   bool start(std::string* error);
 
   /// Begin wind-down: refuse new CHECKs (DRAINING), let admitted ones
@@ -109,7 +100,7 @@ class Server {
 
   /// The actual TCP port (after start) when tcpPort was 0; -1 if the TCP
   /// listener is disabled.
-  int boundTcpPort() const noexcept { return boundTcpPort_; }
+  int boundTcpPort() const noexcept { return front_.boundTcpPort(); }
 
   /// Admitted CHECKs currently executing / waiting for a slot.
   unsigned inFlight() const;
@@ -127,10 +118,10 @@ class Server {
     WallTimer since;
   };
 
-  void acceptLoop(int listenFd, const char* transport);
   void watcherLoop();
   void metricsLoop();
-  void handleConnection(int fd);
+  /// The front end's handler: this server's command table.
+  bool handleRequest(LineSocket& sock, const Request& req);
   void handleCheck(LineSocket& sock, const Request& req);
   std::string statusResponse();
   std::string statsResponse();
@@ -161,9 +152,6 @@ class Server {
   bool shutdownDone_ = false;
   std::mutex shutdownMutex_;
 
-  int unixFd_ = -1;
-  int tcpFd_ = -1;
-  int boundTcpPort_ = -1;
   WallTimer uptime_;
   std::atomic<std::uint64_t> serial_{0};
 
@@ -178,11 +166,7 @@ class Server {
   mutable std::mutex requestsMutex_;
   std::unordered_map<std::string, std::shared_ptr<RequestState>> requests_;
 
-  // Connection bookkeeping: fds for shutdown, threads for join.
-  std::mutex connMutex_;
-  std::vector<int> connFds_;
-  std::vector<std::thread> connThreads_;
-  std::vector<std::thread> acceptThreads_;
+  LineServer front_;
   std::thread watcherThread_;
   std::thread metricsThread_;
   std::condition_variable stopCv_;

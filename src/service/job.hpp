@@ -240,6 +240,22 @@ struct JobReport {
   /// Obligations replayed from a prior run's journal (--resume).
   std::uint64_t journalHits = 0;
 
+  /// Fold one outcome in: the worst-of verdict and the cache and journal
+  /// counters.  An outcome counts as a cache insert only when it says so
+  /// (cacheInserted), so a coordinator's forwarded outcomes add none.
+  void add(ObligationOutcome outcome);
+  /// Fold in the Error outcome "<job>/<elaboration>" that stands for a job
+  /// whose obligations could not be enumerated.
+  void addJobError(std::string error);
+
+  /// Obligations by verdict: Holds, Fails, and everything else.
+  struct Tally {
+    std::uint64_t holds = 0;
+    std::uint64_t fails = 0;
+    std::uint64_t undecided = 0;
+  };
+  Tally tally() const noexcept;
+
   bool allHold() const noexcept { return verdict == Verdict::Holds; }
   /// The summary JSON written next to the model (schema in README.md).
   std::string toJson() const;

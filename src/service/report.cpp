@@ -106,13 +106,38 @@ std::string outcomeJson(const ObligationOutcome& o) {
 
 }  // namespace
 
-std::string JobReport::toJson() const {
-  std::uint64_t holds = 0, fails = 0, undecided = 0;
-  for (const ObligationOutcome& o : obligations) {
-    if (o.verdict == Verdict::Holds) ++holds;
-    else if (o.verdict == Verdict::Fails) ++fails;
-    else ++undecided;
+void JobReport::add(ObligationOutcome outcome) {
+  verdict = worseVerdict(verdict, outcome.verdict);
+  if (outcome.verdictSource == "journal") ++journalHits;
+  if (!outcome.fingerprint.empty() && outcome.verdictSource != "journal") {
+    if (outcome.verdictSource == "cache") ++cacheHits;
+    else ++cacheMisses;
+    if (outcome.cacheInserted) ++cacheInserts;
   }
+  obligations.push_back(std::move(outcome));
+}
+
+void JobReport::addJobError(std::string error) {
+  ObligationOutcome bad;
+  bad.id = job + "/<elaboration>";
+  bad.target = job;
+  bad.verdict = Verdict::Error;
+  bad.error = std::move(error);
+  add(std::move(bad));
+}
+
+JobReport::Tally JobReport::tally() const noexcept {
+  Tally t;
+  for (const ObligationOutcome& o : obligations) {
+    if (o.verdict == Verdict::Holds) ++t.holds;
+    else if (o.verdict == Verdict::Fails) ++t.fails;
+    else ++t.undecided;
+  }
+  return t;
+}
+
+std::string JobReport::toJson() const {
+  const Tally t = tally();
   JsonObject root;
   root.put("job", job)
       .put("cmc_version", util::versionString())
@@ -122,9 +147,9 @@ std::string JobReport::toJson() const {
       .putRaw("options", jobOptionsEcho(options))
       .putUint("obligation_count",
                static_cast<std::uint64_t>(obligations.size()))
-      .putUint("holds", holds)
-      .putUint("fails", fails)
-      .putUint("undecided", undecided);
+      .putUint("holds", t.holds)
+      .putUint("fails", t.fails)
+      .putUint("undecided", t.undecided);
   JsonObject cache;
   cache.putUint("hits", cacheHits)
       .putUint("misses", cacheMisses)

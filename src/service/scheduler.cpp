@@ -1062,19 +1062,9 @@ std::vector<JobReport> VerificationService::runBatch(
       }
       state.descs = descs;
       // A single-obligation job (cluster shards run them for the
-      // coordinator) filters AFTER enumeration: the full, deterministic
-      // enumeration is what makes ids and fingerprints agree across the
-      // fleet.  The memo keeps the unfiltered list — `only` prunes this
-      // job's private copy.
-      if (!job.only.empty()) {
-        std::erase_if(state.descs, [&job](const ObligationDesc& d) {
-          return d.id != job.only;
-        });
-        if (state.descs.empty()) {
-          state.scoutError =
-              "job '" + job.name + "' has no obligation '" + job.only + "'";
-        }
-      }
+      // coordinator): the memo keeps the unfiltered list, `only` prunes
+      // this job's private copy.
+      state.scoutError = keepOnly(job, &state.descs);
       // Text jobs run obligations warm on kept contexts; a reorder job
       // sifts each manager, so its contexts are never handed on.
       if (shared != nullptr && !job.options.reorderBeforeCheck) {
@@ -1165,31 +1155,13 @@ std::vector<JobReport> VerificationService::runBatch(
     report.job = job.name;
     report.source = job.sourcePath;
     report.options = job.options;
-    if (!state.scoutError.empty()) {
-      ObligationOutcome bad;
-      bad.id = job.name + "/<elaboration>";
-      bad.target = job.name;
-      bad.verdict = Verdict::Error;
-      bad.error = state.scoutError;
-      report.obligations.push_back(std::move(bad));
-      report.verdict = Verdict::Error;
-    }
+    if (!state.scoutError.empty()) report.addJobError(state.scoutError);
     // One sleep per job: after the latch fires every future below is
     // settled (the last one may still be mid-set_value; its get() then
     // blocks only for that sliver).
     if (state.done.valid()) state.done.wait();
     if (state.warm != nullptr) state.warm->clear();
-    for (std::future<ObligationOutcome>& f : state.futures) {
-      report.obligations.push_back(f.get());
-      const ObligationOutcome& o = report.obligations.back();
-      report.verdict = worseVerdict(report.verdict, o.verdict);
-      if (o.verdictSource == "journal") ++report.journalHits;
-      if (!o.fingerprint.empty() && o.verdictSource != "journal") {
-        if (o.verdictSource == "cache") ++report.cacheHits;
-        else ++report.cacheMisses;
-        if (o.cacheInserted) ++report.cacheInserts;
-      }
-    }
+    for (std::future<ObligationOutcome>& f : state.futures) report.add(f.get());
     report.wallSeconds = state.timer.seconds();
     if (tr.enabled()) {
       tr.emit(JsonObject()

@@ -131,6 +131,20 @@ struct ObligationRef {
 std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
                                                 const JobOptions& options);
 
+/// Apply `job.only` to its enumerated obligations (ObligationRefs or
+/// descriptors extending them): keep only the one it names, or all when it
+/// is empty.  The filter runs after the full enumeration, which is what
+/// makes ids and fingerprints agree across the fleet.  Returns the job's
+/// error when `only` names no obligation, else "".
+template <typename Ref>
+std::string keepOnly(const VerificationJob& job, std::vector<Ref>* refs) {
+  if (job.only.empty()) return {};
+  std::erase_if(*refs,
+                [&job](const ObligationRef& r) { return r.id != job.only; });
+  if (!refs->empty()) return {};
+  return "job '" + job.name + "' has no obligation '" + job.only + "'";
+}
+
 /// Elaborate `job` once into a fresh context (never throws — errors land in
 /// SnapshotResult::error).  `wantCanon` additionally computes the canonical
 /// module serializations (best-effort).  Engine probes run only when the

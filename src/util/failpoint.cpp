@@ -32,8 +32,12 @@ constexpr CatalogEntry kCatalog[] = {
     {"scheduler.retry", "engine-degradation retry decision"},
     {"journal.append", "run-journal append of a decided obligation"},
     {"journal.load", "run-journal load on --resume (per line)"},
-    {"net.accept", "server accept of a new connection (before the handler)"},
-    {"net.read", "server read of a request line (per read attempt)"},
+    {"net.accept",
+     "daemon accept of a new connection, before its thread starts "
+     "(cmc serve and cmc coordinator)"},
+    {"net.read",
+     "daemon read of a request line, per read attempt "
+     "(cmc serve and cmc coordinator)"},
     {"cluster.hedge_delay",
      "coordinator hedge-lane launch (delay it to let the primary win)"},
 };

@@ -1035,5 +1035,113 @@ TEST(ClusterCoordinator, DrainRefusesNewChecks) {
   EXPECT_EQ(code, net::kDraining);
 }
 
+// ---------------------------------------------------------------------------
+// The coordinator's front end: a shard's framing and listener checks,
+// through the same helpers
+// ---------------------------------------------------------------------------
+
+TEST(ClusterCoordinator, MalformedRequestsGetBadRequestAndConnectionSurvives) {
+  ClusterHarness cluster(1);
+  ASSERT_TRUE(cluster.started);
+  test::malformedRequestsGetBadRequest(cluster.sockPath, cluster.metrics);
+}
+
+TEST(ClusterCoordinator, OversizedLineIsRejectedAndConnectionClosed) {
+  ClusterHarness cluster(1);
+  ASSERT_TRUE(cluster.started);
+  test::oversizedLineClosesTheConnection(cluster.sockPath, cluster.metrics);
+}
+
+TEST(ClusterCoordinator, HalfClosedConnectionUnwindsCleanly) {
+  ClusterHarness cluster(1);
+  ASSERT_TRUE(cluster.started);
+  test::halfClosedConnectionUnwinds(cluster.sockPath, cluster.metrics);
+}
+
+TEST(ClusterCoordinator, SecondCoordinatorOnALiveSocketFailsAndTheFirstServes) {
+  ClusterHarness cluster(1);
+  ASSERT_TRUE(cluster.started);
+  CoordinatorOptions opts;
+  opts.socketPath = cluster.sockPath;
+  ShardSpec spec;
+  spec.name = "s0";
+  spec.socketPath = cluster.shards[0]->sockPath;
+  opts.topology.shards.push_back(spec);
+  opts.probeIntervalSeconds = 0.0;
+  service::MetricsRegistry metrics;
+  service::RunTrace trace;
+  {
+    Coordinator second(opts, metrics, trace);
+    std::string err;
+    EXPECT_FALSE(second.start(&err));
+    EXPECT_NE(err.find("already listening"), std::string::npos) << err;
+  }
+  // The refused coordinator never owned the socket file, so its shutdown
+  // left the first coordinator's listener in place.
+  test::answersStatus(cluster.sockPath);
+}
+
+TEST(ClusterCoordinator, StaleSocketFileIsTakenOver) {
+  const std::string path = freshSocketPath("stale");
+  test::leaveStaleSocketFile(path);
+  ClusterHarness cluster(1, /*failThreshold=*/2,
+                         [&path](CoordinatorOptions& opts) {
+                           opts.socketPath = path;
+                         });
+  ASSERT_TRUE(cluster.started);
+  test::answersStatus(path);
+}
+
+// ---------------------------------------------------------------------------
+// Connection-level failpoints, on both daemons
+// ---------------------------------------------------------------------------
+
+/// With `site` armed on a started daemon, one connection is dropped before
+/// it is answered and counted as `counter` in the daemon's registry; once
+/// the site is disarmed, the next connection is served.
+void injectedFailureDropsTheConnection(const std::string& socketPath,
+                                       const service::MetricsRegistry& metrics,
+                                       const std::string& site,
+                                       const char* counter) {
+  SCOPED_TRACE(site);
+  util::Failpoint::configure(site + "=error");
+  net::Client client;
+  std::string resp, err;
+  // The listen backlog takes the connection either way; the request is
+  // never answered.
+  const bool connected = client.connectUnix(socketPath, &err);
+  const bool answered =
+      connected && client.request("{\"cmd\": \"STATUS\"}", &resp, &err);
+  util::Failpoint::disarmAll();
+  EXPECT_TRUE(connected) << err;
+  EXPECT_FALSE(answered) << resp;
+  EXPECT_EQ(metrics.counterValue(counter), 1u);
+  test::answersStatus(socketPath);
+}
+
+TEST(ClusterFailpoints, NetSitesDropOneConnectionOnEitherDaemon) {
+  if (!util::Failpoint::compiledIn()) {
+    GTEST_SKIP() << "needs -DCMC_FAILPOINTS=ON";
+  }
+  {
+    SCOPED_TRACE("cmc serve");
+    ShardHarness shard;
+    ASSERT_TRUE(shard.started);
+    injectedFailureDropsTheConnection(shard.sockPath, shard.metrics,
+                                      "net.accept", "net_accept_failures");
+    injectedFailureDropsTheConnection(shard.sockPath, shard.metrics,
+                                      "net.read", "net_read_failures");
+  }
+  {
+    SCOPED_TRACE("cmc coordinator");
+    ClusterHarness cluster(1);
+    ASSERT_TRUE(cluster.started);
+    injectedFailureDropsTheConnection(cluster.sockPath, cluster.metrics,
+                                      "net.accept", "net_accept_failures");
+    injectedFailureDropsTheConnection(cluster.sockPath, cluster.metrics,
+                                      "net.read", "net_read_failures");
+  }
+}
+
 }  // namespace
 }  // namespace cmc::cluster

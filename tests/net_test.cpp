@@ -85,14 +85,7 @@ std::string checkRequest(const std::string& id, const std::string& smv,
   return line;
 }
 
-bool waitFor(const std::function<bool()>& pred, double seconds = 30.0) {
-  WallTimer t;
-  while (t.seconds() < seconds) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(20ms);
-  }
-  return pred();
-}
+using test::waitFor;
 
 /// An in-process server on a fresh socket, with direct access to the
 /// registry and trace.
@@ -393,69 +386,60 @@ TEST(NetLineSocket, TornTailIsEofNeverALine) {
 
 TEST(NetServer, MalformedRequestsGetBadRequestAndConnectionSurvives) {
   Harness h;
-  Client c = h.connect();
-  std::string resp, err;
-  ASSERT_TRUE(c.request("this is not json", &resp, &err)) << err;
-  EXPECT_NE(resp.find(kBadRequest), std::string::npos);
-  ASSERT_TRUE(c.request("{\"cmd\": \"FROBNICATE\"}", &resp, &err)) << err;
-  EXPECT_NE(resp.find("unknown command"), std::string::npos);
-  // The connection is still usable for a well-formed request.
-  ASSERT_TRUE(c.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
-  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
-  EXPECT_NE(resp.find("\"state\": \"serving\""), std::string::npos);
-  EXPECT_NE(resp.find(util::versionString()), std::string::npos);
-  EXPECT_EQ(h.metrics.counterValue("protocol_errors"), 2u);
-  // The malformed-line corpus, each case in a field that takes an integer,
-  // gets BAD_REQUEST on the same connection; the depth bomb still fits one
-  // line.
-  const std::vector<std::string> corpus =
-      test::malformedValues(kMaxLineBytes - 128);
-  for (const std::string& v : corpus) {
-    ASSERT_TRUE(c.request("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
-                          "\"node_budget\": " + v + "}",
-                          &resp, &err))
-        << err;
-    EXPECT_NE(resp.find(kBadRequest), std::string::npos) << v.substr(0, 40);
-  }
-  ASSERT_TRUE(c.request("{ \"cmd\" : \"STATUS\" }", &resp, &err)) << err;
-  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
-  EXPECT_EQ(h.metrics.counterValue("protocol_errors"), 2u + corpus.size());
+  test::malformedRequestsGetBadRequest(h.sockPath, h.metrics);
 }
 
 TEST(NetServer, OversizedLineIsRejectedAndConnectionClosed) {
   Harness h;
-  Client c = h.connect();
-  std::string big(kMaxLineBytes + 2, 'x');
-  ASSERT_TRUE(c.send(big));
-  std::string resp, err;
-  ASSERT_TRUE(c.readResponse(&resp, &err)) << err;
-  EXPECT_NE(resp.find(kBadRequest), std::string::npos);
-  EXPECT_NE(resp.find("exceeds"), std::string::npos);
-  // The server closes after an unbounded line; the next read is EOF.
-  EXPECT_FALSE(c.readResponse(&resp, &err));
+  test::oversizedLineClosesTheConnection(h.sockPath, h.metrics);
 }
 
 TEST(NetServer, HalfClosedConnectionUnwindsCleanly) {
   Harness h;
+  test::halfClosedConnectionUnwinds(h.sockPath, h.metrics);
+}
+
+// ---------------------------------------------------------------------------
+// Server: listeners
+// ---------------------------------------------------------------------------
+
+TEST(NetServer, SecondServerOnALiveSocketFailsAndTheFirstKeepsServing) {
+  Harness h;
+  ASSERT_TRUE(h.started);
+  service::MetricsRegistry metrics;
+  service::RunTrace trace;
+  ServerOptions opts;
+  opts.socketPath = h.sockPath;
   {
-    Client c = h.connect();
-    // A torn request then write-shutdown: the server must treat it as EOF,
-    // answer nothing, and release the connection.
-    ASSERT_TRUE(c.socket() != nullptr);
-    const std::string fragment = "{\"cmd\": \"STAT";
-    ::send(c.socket()->fd(), fragment.data(), fragment.size(), MSG_NOSIGNAL);
-    ::shutdown(c.socket()->fd(), SHUT_WR);
-    std::string resp, err;
-    EXPECT_FALSE(c.readResponse(&resp, &err));
+    Server second(opts, *h.svc, metrics, trace, nullptr, nullptr);
+    std::string err;
+    EXPECT_FALSE(second.start(&err));
+    EXPECT_NE(err.find("already listening"), std::string::npos) << err;
   }
-  EXPECT_TRUE(waitFor([&] {
-    return h.metrics.gaugeValue("connections_open") == 0;
-  }));
-  // And the server still serves.
-  Client c2 = h.connect();
-  std::string resp, err;
-  ASSERT_TRUE(c2.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
-  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
+  // The refused server never owned the socket file, so its shutdown left
+  // the first server's listener in place.
+  test::answersStatus(h.sockPath);
+}
+
+TEST(NetServer, StaleSocketFileIsTakenOver) {
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("cmc_net_test_stale_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  test::leaveStaleSocketFile(path);
+  service::MetricsRegistry metrics;
+  service::RunTrace trace;
+  service::ServiceOptions so;
+  so.threads = 1;
+  service::VerificationService svc(so);
+  ServerOptions opts;
+  opts.socketPath = path;
+  Server server(opts, svc, metrics, trace, nullptr, nullptr);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  test::answersStatus(path);
+  server.shutdown();
+  EXPECT_FALSE(fs::exists(path));
 }
 
 // ---------------------------------------------------------------------------

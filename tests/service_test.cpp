@@ -528,7 +528,12 @@ TEST(ServiceQuarantine, PersistentThrowBecomesErrorWithoutLosingSiblings) {
   // a healthy job in the same batch: the healthy job must be unaffected
   // and the poisoned one must surface as Error with the exception text.
   auto calls = std::make_shared<std::atomic<int>>(0);
-  VerificationService svc(withThreads(2));
+  // Both jobs check the same module and spec, so they share a fingerprint:
+  // with the obligation cache on, the poisoned obligation is served the
+  // healthy one's Holds whenever that one finishes first.
+  ServiceOptions opts = withThreads(2);
+  opts.cacheEnabled = false;
+  VerificationService svc(opts);
   RunTrace trace;
   const std::vector<JobReport> reports =
       svc.runBatch({flakyJob(calls, 2, 1000), chainJob()}, &trace);

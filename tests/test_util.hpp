@@ -1,21 +1,35 @@
 // Shared helpers for the test suite: seeded random systems and formulas,
-// conversion glue for cross-validating the two checkers, and reading
-// protocol responses.
+// conversion glue for cross-validating the two checkers, reading protocol
+// responses, and the framing checks both daemons' front end must pass.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ctl/formula.hpp"
 #include "kripke/composition.hpp"
 #include "kripke/explicit_checker.hpp"
 #include "kripke/explicit_system.hpp"
+#include "net/client.hpp"
+#include "net/protocol.hpp"
+#include "service/metrics.hpp"
 #include "symbolic/checker.hpp"
 #include "symbolic/encode.hpp"
 #include "util/json.hpp"
+#include "util/timer.hpp"
+#include "util/version.hpp"
 
 namespace cmc::test {
 
@@ -59,6 +73,116 @@ inline std::vector<std::string> malformedValues(std::size_t bombBytes) {
       "1\0"s,                             // NUL byte after a value
       "",
   };
+}
+
+/// Poll `pred` every 20 ms for up to `seconds`; its last value.
+inline bool waitFor(const std::function<bool()>& pred, double seconds = 30.0) {
+  WallTimer t;
+  while (t.seconds() < seconds) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return pred();
+}
+
+// The daemons' front end (net/line_server.hpp), driven from outside.  Each
+// check runs against the daemon listening on `socketPath` whose registry
+// is `metrics`, so `cmc serve` and `cmc coordinator` pass the same ones.
+
+/// STATUS on `socketPath` answers ok.
+inline void answersStatus(const std::string& socketPath) {
+  net::Client c;
+  std::string resp, err;
+  ASSERT_TRUE(c.connectUnix(socketPath, &err)) << err;
+  ASSERT_TRUE(c.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos) << resp;
+}
+
+/// Malformed request lines get BAD_REQUEST, each is counted in
+/// protocol_errors, and the connection survives them.
+inline void malformedRequestsGetBadRequest(
+    const std::string& socketPath, const service::MetricsRegistry& metrics) {
+  net::Client c;
+  std::string resp, err;
+  ASSERT_TRUE(c.connectUnix(socketPath, &err)) << err;
+  ASSERT_TRUE(c.request("this is not json", &resp, &err)) << err;
+  EXPECT_NE(resp.find(net::kBadRequest), std::string::npos);
+  ASSERT_TRUE(c.request("{\"cmd\": \"FROBNICATE\"}", &resp, &err)) << err;
+  EXPECT_NE(resp.find("unknown command"), std::string::npos);
+  // The connection is still usable for a well-formed request.
+  ASSERT_TRUE(c.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
+  EXPECT_NE(resp.find("\"state\": \"serving\""), std::string::npos);
+  EXPECT_NE(resp.find(util::versionString()), std::string::npos);
+  EXPECT_EQ(metrics.counterValue("protocol_errors"), 2u);
+  // The malformed-line corpus, each case in a field that takes an integer,
+  // gets BAD_REQUEST on the same connection; the depth bomb still fits one
+  // line.
+  const std::vector<std::string> corpus =
+      malformedValues(net::kMaxLineBytes - 128);
+  for (const std::string& v : corpus) {
+    ASSERT_TRUE(c.request("{\"cmd\": \"CHECK\", \"model\": \"m.smv\", "
+                          "\"node_budget\": " + v + "}",
+                          &resp, &err))
+        << err;
+    EXPECT_NE(resp.find(net::kBadRequest), std::string::npos)
+        << v.substr(0, 40);
+  }
+  ASSERT_TRUE(c.request("{ \"cmd\" : \"STATUS\" }", &resp, &err)) << err;
+  EXPECT_NE(resp.find("\"ok\": true"), std::string::npos);
+  EXPECT_EQ(metrics.counterValue("protocol_errors"), 2u + corpus.size());
+}
+
+/// A line over the cap gets BAD_REQUEST, is counted in protocol_errors,
+/// and the daemon closes the connection.
+inline void oversizedLineClosesTheConnection(
+    const std::string& socketPath, const service::MetricsRegistry& metrics) {
+  net::Client c;
+  std::string resp, err;
+  ASSERT_TRUE(c.connectUnix(socketPath, &err)) << err;
+  std::string big(net::kMaxLineBytes + 2, 'x');
+  ASSERT_TRUE(c.send(big));
+  ASSERT_TRUE(c.readResponse(&resp, &err)) << err;
+  EXPECT_NE(resp.find(net::kBadRequest), std::string::npos);
+  EXPECT_NE(resp.find("exceeds"), std::string::npos);
+  EXPECT_EQ(metrics.counterValue("protocol_errors"), 1u);
+  // The daemon closes after an unbounded line; the next read is EOF.
+  EXPECT_FALSE(c.readResponse(&resp, &err));
+}
+
+/// A torn request then a write-shutdown is EOF: the daemon answers
+/// nothing, releases the connection, and still serves.
+inline void halfClosedConnectionUnwinds(
+    const std::string& socketPath, const service::MetricsRegistry& metrics) {
+  {
+    net::Client c;
+    std::string resp, err;
+    ASSERT_TRUE(c.connectUnix(socketPath, &err)) << err;
+    ASSERT_TRUE(c.socket() != nullptr);
+    const std::string fragment = "{\"cmd\": \"STAT";
+    ::send(c.socket()->fd(), fragment.data(), fragment.size(), MSG_NOSIGNAL);
+    ::shutdown(c.socket()->fd(), SHUT_WR);
+    EXPECT_FALSE(c.readResponse(&resp, &err));
+  }
+  EXPECT_TRUE(
+      waitFor([&] { return metrics.gaugeValue("connections_open") == 0; }));
+  answersStatus(socketPath);
+}
+
+/// Leave at `path` what a SIGKILLed daemon leaves behind: a socket file
+/// that was bound and closed but never unlinked (replacing any file there).
+inline void leaveStaleSocketFile(const std::string& path) {
+  std::filesystem::remove(path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+            0);
+  ::close(fd);
+  ASSERT_TRUE(std::filesystem::exists(path));
 }
 
 /// Atom names a, b, c, ... (up to 26).

@@ -40,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -411,6 +412,17 @@ bool writeFile(const std::string& path, const std::string& content) {
   return true;
 }
 
+/// Open the --trace file `path` (nothing to open when it is empty).  False,
+/// after printing "<who>: cannot write <path>", when it cannot be written.
+bool openTraceFile(const char* who, const std::string& path,
+                   std::ofstream* file) {
+  if (path.empty()) return true;
+  file->open(path);
+  if (*file) return true;
+  std::cerr << who << ": cannot write " << path << "\n";
+  return false;
+}
+
 void printReport(const service::JobReport& report, bool quiet) {
   std::cout << "== job " << report.job << " ==\n";
   if (!quiet) {
@@ -486,13 +498,7 @@ int runCheck(const CliOptions& cli) {
   svcOpts.cancelFlag = &gCancelRequested;
   service::VerificationService svc(svcOpts);
   std::ofstream traceFile;
-  if (!cli.tracePath.empty()) {
-    traceFile.open(cli.tracePath);
-    if (!traceFile) {
-      std::cerr << "cmc: cannot write " << cli.tracePath << "\n";
-      return 2;
-    }
-  }
+  if (!openTraceFile("cmc", cli.tracePath, &traceFile)) return 2;
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
   // Journal: load the prior run first (--resume), then open the same file
@@ -627,6 +633,44 @@ int runCheck(const CliOptions& cli) {
 }
 
 // ---------------------------------------------------------------------------
+// The daemons' main loop
+
+/// The main loop `cmc serve` and `cmc coordinator` share, entered once the
+/// daemon has started.  SIGINT/SIGTERM are installed before the "listening
+/// on" banner, so a script that signals the moment it reads the banner
+/// drains the daemon rather than killing it.  `tick` runs every 100 ms
+/// until a signal arrives or a DRAIN is requested; then the daemon drains
+/// and shuts down.
+template <typename Daemon>
+void serveUntilDrained(const char* who, Daemon& daemon,
+                       const std::string& socketPath,
+                       const std::string& bannerTail,
+                       const std::function<void()>& tick = {}) {
+  std::signal(SIGINT, onSignal);
+  std::signal(SIGTERM, onSignal);
+  std::cout << who << ": listening on " << socketPath;
+  if (daemon.boundTcpPort() >= 0) {
+    std::cout << " and 127.0.0.1:" << daemon.boundTcpPort();
+  }
+  std::cout << " " << bannerTail << std::endl;
+
+  // The handlers only set gSignal (async-signal-safe); this loop turns it
+  // into a drain.  A DRAIN protocol command also ends it.
+  while (gSignal.load(std::memory_order_relaxed) == 0 &&
+         !daemon.drainRequested()) {
+    if (tick) tick();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  if (const int sig = gSignal.load(std::memory_order_relaxed); sig != 0) {
+    std::cout << who << ": signal " << sig << "; draining" << std::endl;
+  }
+  daemon.requestDrain();
+  daemon.shutdown();
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+}
+
+// ---------------------------------------------------------------------------
 // cmc serve
 
 struct ServeOptions {
@@ -730,13 +774,7 @@ int runServe(const ServeOptions& opts) {
   service::VerificationService svc(svcOpts);
 
   std::ofstream traceFile;
-  if (!opts.tracePath.empty()) {
-    traceFile.open(opts.tracePath);
-    if (!traceFile) {
-      std::cerr << "cmc serve: cannot write " << opts.tracePath << "\n";
-      return 2;
-    }
-  }
+  if (!openTraceFile("cmc serve", opts.tracePath, &traceFile)) return 2;
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
   service::JournalReplay replay;
@@ -764,28 +802,8 @@ int runServe(const ServeOptions& opts) {
     return 2;
   }
 
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-
-  std::cout << "cmc serve: listening on " << opts.server.socketPath;
-  if (server.boundTcpPort() >= 0) {
-    std::cout << " and 127.0.0.1:" << server.boundTcpPort();
-  }
-  std::cout << " (" << svc.threads() << " workers)" << std::endl;
-
-  // The handlers only set gSignal (async-signal-safe); the main loop turns
-  // it into a drain.  A DRAIN protocol command also ends this loop.
-  while (gSignal.load(std::memory_order_relaxed) == 0 &&
-         !server.drainRequested()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (const int sig = gSignal.load(std::memory_order_relaxed); sig != 0) {
-    std::cout << "cmc serve: signal " << sig << "; draining" << std::endl;
-  }
-  server.requestDrain();
-  server.shutdown();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  serveUntilDrained("cmc serve", server, opts.server.socketPath,
+                    "(" + std::to_string(svc.threads()) + " workers)");
 
   std::cout << "cmc serve: drained; "
             << metrics.counterValue("checks_completed")
@@ -900,12 +918,8 @@ int runCoordinator(CoordinatorCliOptions& opts) {
 
   service::MetricsRegistry metrics;
   std::ofstream traceFile;
-  if (!opts.tracePath.empty()) {
-    traceFile.open(opts.tracePath);
-    if (!traceFile) {
-      std::cerr << "cmc coordinator: cannot write " << opts.tracePath << "\n";
-      return 2;
-    }
+  if (!openTraceFile("cmc coordinator", opts.tracePath, &traceFile)) {
+    return 2;
   }
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
@@ -915,41 +929,25 @@ int runCoordinator(CoordinatorCliOptions& opts) {
     return 2;
   }
 
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
+  // SIGHUP means re-read the topology file and diff it against the
+  // roster — the zero-downtime alternative to restart-on-edit.  The
+  // handler only sets a flag; each tick of the main loop acts on it.
   std::signal(SIGHUP, onReload);
-
-  std::cout << "cmc coordinator: listening on " << opts.coord.socketPath;
-  if (coordinator.boundTcpPort() >= 0) {
-    std::cout << " and 127.0.0.1:" << coordinator.boundTcpPort();
-  }
-  std::cout << " fronting " << coordinator.shardsUp() << "/"
-            << coordinator.shardsTotal() << " shard(s)" << std::endl;
-
-  // As in serve: a signal means drain, turned into action by this loop.
-  // SIGHUP instead means re-read the topology file and diff it against
-  // the roster — the zero-downtime alternative to restart-on-edit.
-  while (gSignal.load(std::memory_order_relaxed) == 0 &&
-         !coordinator.drainRequested()) {
-    if (gReloadRequested.exchange(false, std::memory_order_relaxed)) {
-      std::string summary, reloadErr;
-      if (coordinator.reloadTopology(&summary, &reloadErr)) {
-        std::cout << "cmc coordinator: " << summary << std::endl;
-      } else {
-        std::cerr << "cmc coordinator: reload failed: " << reloadErr
-                  << " (roster unchanged)" << std::endl;
-      }
+  const auto reloadIfAsked = [&coordinator] {
+    if (!gReloadRequested.exchange(false, std::memory_order_relaxed)) return;
+    std::string summary, reloadErr;
+    if (coordinator.reloadTopology(&summary, &reloadErr)) {
+      std::cout << "cmc coordinator: " << summary << std::endl;
+    } else {
+      std::cerr << "cmc coordinator: reload failed: " << reloadErr
+                << " (roster unchanged)" << std::endl;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (const int sig = gSignal.load(std::memory_order_relaxed); sig != 0) {
-    std::cout << "cmc coordinator: signal " << sig << "; draining"
-              << std::endl;
-  }
-  coordinator.requestDrain();
-  coordinator.shutdown();
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
+  };
+  serveUntilDrained("cmc coordinator", coordinator, opts.coord.socketPath,
+                    "fronting " + std::to_string(coordinator.shardsUp()) +
+                        "/" + std::to_string(coordinator.shardsTotal()) +
+                        " shard(s)",
+                    reloadIfAsked);
   std::signal(SIGHUP, SIG_DFL);
 
   std::cout << "cmc coordinator: drained; "
