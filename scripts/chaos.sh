@@ -4,12 +4,20 @@
 #   scripts/chaos.sh [path/to/cmc]
 #
 # Needs a cmc built with -DCMC_FAILPOINTS=ON (default: build-chaos/tools/cmc).
-# Two phases, both against models/afs2_composed.smv (12 obligations, all of
+# Five phases, all against models/afs2_composed.smv (12 obligations, all of
 # which hold on a healthy run):
 #
 #  1. Sweep: every registered failpoint site is armed with `error` and with
-#     `1in(3)`.  Each run must terminate, produce a report, and never flip
-#     a verdict to Fails.  What else we can demand depends on the site:
+#     `1in(3)`, each where it is reached: the check's sites on `cmc check`
+#     (scheduler.retry under a one-node budget, so every attempt runs out),
+#     cache.compact on `cmc cache compact`, net.accept and net.read on a
+#     `cmc serve` daemon (with `1in(2)` instead of `1in(3)`, so one
+#     CHECK's few connections meet a failure), and cluster.hedge_delay on a
+#     coordinator that hedges every forward.  cmc prints each armed site's
+#     hit count on exit; a run that never hit its site does not count, and
+#     a site that no run reached fails the script.  Each check run must
+#     terminate, produce a report, and never flip a verdict to Fails.
+#     What else we can demand depends on the site:
 #       - durability/telemetry sites (cache.*, trace.write, journal.*)
 #         degrade: all 12 obligations still Hold and the run exits 0;
 #       - scheduler sites fail per obligation: all 12 are reported, each
@@ -101,7 +109,24 @@ SITES=$("$CMC" failpoints | sed -n 's/^  \([a-z_.]*\) .*/\1/p')
 [ -n "$SITES" ] || fail "no failpoint sites listed"
 echo "$SITES" | grep -q "scheduler.dispatch" || fail "site list looks wrong: $SITES"
 
+# Every cmc run with armed sites ends by printing "cmc: failpoint SITE: N
+# hits" for each.  A site counts as reached once a run hit it; after the
+# sweep, a site that no run reached fails the script.
+REACHED=$WORK/reached.sites
+: > "$REACHED"
+hits() { # log, site
+  local n
+  n=$(grep -F "cmc: failpoint $2: " "$1" | sed -n 's/.*: \([0-9]*\) hits$/\1/p' | tail -n 1)
+  echo "${n:-0}"
+}
+reached() { # log, site
+  [ "$(hits "$1" "$2")" -gt 0 ] && echo "$2" >> "$REACHED"
+}
+
+# 1a: the sites a check reaches, on `cmc check`.  The daemon sites get
+# daemons below, and cache.compact runs on `cmc cache compact`.
 for site in $SITES; do
+  case $site in net.*|cluster.*|cache.compact) continue ;; esac
   for action in error '1in(3)'; do
     name="sweep-$site-$action"
     case $site in
@@ -114,6 +139,10 @@ for site in $SITES; do
         # Only fires on --resume: replay a copy of the baseline journal.
         cp "$WORK/clean.journal.jsonl" "$WORK/$name.journal.jsonl"
         set -- --no-cache --resume ;;
+      scheduler.retry)
+        # Only fires when an attempt exhausts its budget: a one-node budget
+        # exhausts every attempt, so every obligation reaches the retry.
+        set -- --cache-dir "$WORK/$name.cache" --node-budget 1 ;;
       *)
         set -- --cache-dir "$WORK/$name.cache" ;;
     esac
@@ -126,8 +155,12 @@ for site in $SITES; do
     [ "$n" -ge 1 ] || fail "$site=$action: empty report"
     # Injection must never flip a verdict: the model holds, so anything
     # other than Holds must be the injected Error — never Fails, and never
-    # a bogus budget verdict.
-    bad=$(awk '$2 != "Holds" && $2 != "Error"' "$WORK/$name.verdicts")
+    # a bogus budget verdict.  Under the one-node budget nothing is
+    # decided: both engines run out (Inconclusive) unless the injected
+    # Error comes first.
+    decided=Holds
+    [ "$site" = scheduler.retry ] && decided=Inconclusive
+    bad=$(awk -v ok="$decided" '$2 != ok && $2 != "Error"' "$WORK/$name.verdicts")
     [ -z "$bad" ] || fail "$site=$action: unexpected verdicts: $bad"
     case $site in
       cache.*|trace.*|journal.*)
@@ -145,9 +178,137 @@ for site in $SITES; do
           || fail "$site=$action: $n of $TOTAL obligations reported"
         ;;
     esac
-    note "sweep $site=$action: ok (exit $rc, $(awk '$2 == "Holds"' "$WORK/$name.verdicts" | wc -l)/$n hold)"
+    reached "$WORK/$name.log" "$site"
+    note "sweep $site=$action: ok (exit $rc, $(hits "$WORK/$name.log" "$site") hits, $(awk -v ok="$decided" '$2 == ok' "$WORK/$name.verdicts" | wc -l)/$n $decided)"
   done
 done
+
+# 1b: cache.compact, on an offline compaction of a copy of the warm store.
+# An injected error aborts it before the rename, so either way the store
+# must be intact: a warm check on it serves every verdict from the cache.
+for action in error '1in(3)'; do
+  name="sweep-cache.compact-$action"
+  cp -r "$WORK/warm.cache" "$WORK/$name.cache"
+  rc=0
+  CMC_FAILPOINTS="cache.compact=$action" "$CMC" cache compact \
+    --cache-dir "$WORK/$name.cache" > "$WORK/$name.log" 2>&1 || rc=$?
+  if [ "$action" = error ]; then
+    [ "$rc" -ne 0 ] || fail "cache.compact=error: compaction reported success"
+  else
+    [ "$rc" -eq 0 ] || fail "cache.compact=$action: compaction exited $rc"
+  fi
+  run_cmc "$name-warm" --cache-dir "$WORK/$name.cache" \
+    || fail "cache.compact=$action: warm run exited $?"
+  verdicts "$WORK/$name-warm.json" > "$WORK/$name.verdicts"
+  diff -u "$WORK/clean.verdicts" "$WORK/$name.verdicts" \
+    || fail "cache.compact=$action: warm verdicts differ from the clean run"
+  [ "$(grep -o '"verdict_source": "cache"' "$WORK/$name-warm.json" | wc -l)" -eq "$TOTAL" ] \
+    || fail "cache.compact=$action: the store lost verdicts"
+  reached "$WORK/$name.log" cache.compact
+  note "sweep cache.compact=$action: ok (exit $rc, $(hits "$WORK/$name.log" cache.compact) hits, store intact)"
+done
+
+# 1c: net.accept and net.read, on a `cmc serve` daemon.  `error` drops
+# every connection: no request is answered, yet the daemon survives,
+# drains on SIGTERM, and its final metrics event counts the failures.
+# `1in(2)` fails every other accept or read: after one STATUS, the CHECK's
+# connection is dropped at accept (or the STATUS connection at its last
+# read), and `cmc submit --max-retries` must still get the CHECK through
+# with the clean run's verdicts.
+for site in net.accept net.read; do
+  counter=net_accept_failures
+  [ "$site" = net.read ] && counter=net_read_failures
+  for action in error '1in(2)'; do
+    name="sweep-$site-$action"
+    sock="$WORK/$name.sock"
+    "$CMC" serve --socket "$sock" --compose --threads 2 --no-cache \
+      --trace "$WORK/$name.trace.jsonl" --failpoint "$site=$action" \
+      > "$WORK/$name.log" 2>&1 &
+    srv=$!
+    for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.1; done
+    [ -S "$sock" ] || fail "$site=$action: daemon never listened: $(cat "$WORK/$name.log")"
+    "$CMC" submit --socket "$sock" --status > /dev/null 2>&1
+    rc=0
+    timeout 60 "$CMC" submit --socket "$sock" --max-retries 4 --retry-ms 50 \
+      --report "$WORK/$name.json" "$MODEL" > "$WORK/$name.submit.log" 2>&1 || rc=$?
+    kill -0 "$srv" 2>/dev/null || fail "$site=$action: the daemon died"
+    if [ "$action" = error ]; then
+      [ "$rc" -ne 0 ] || fail "$site=$action: a CHECK was answered"
+    else
+      [ "$rc" -eq 0 ] || fail "$site=$action: CHECK failed: $(cat "$WORK/$name.submit.log")"
+      verdicts "$WORK/$name.json" > "$WORK/$name.verdicts"
+      diff -u "$WORK/clean.verdicts" "$WORK/$name.verdicts" \
+        || fail "$site=$action: verdicts differ from the clean run"
+    fi
+    kill -TERM "$srv"
+    rc=0
+    wait "$srv" || rc=$?
+    [ "$rc" -eq 0 ] || fail "$site=$action: daemon exited $rc on SIGTERM"
+    failures=$(grep '"event": "metrics"' "$WORK/$name.trace.jsonl" | tail -n 1 \
+      | grep -o "\"$counter\": [0-9]*" | sed 's/.*: //')
+    [ "${failures:-0}" -gt 0 ] || fail "$site=$action: $counter stayed 0"
+    reached "$WORK/$name.log" "$site"
+    note "sweep $site=$action: ok ($(hits "$WORK/$name.log" "$site") hits, $counter $failures)"
+  done
+done
+
+# 1d: cluster.hedge_delay, on a coordinator that hedges every forward:
+# each obligation stalls 300 ms on its shard and the hedge fires at 50 ms.
+# `error` suppresses every hedge; `1in(3)` every third, so the others
+# launch.  Either way the verdicts are the clean run's.
+for i in 1 2; do
+  "$CMC" serve --socket "$WORK/hs$i.sock" --threads 2 --no-cache \
+    --failpoint "scheduler.dispatch=delay(300)" > "$WORK/hs$i.log" 2>&1 &
+  eval "HS$i=$!"
+done
+for i in 1 2; do
+  for _ in $(seq 100); do
+    "$CMC" submit --socket "$WORK/hs$i.sock" --status > /dev/null 2>&1 && break
+    sleep 0.1
+  done
+done
+printf '{"name": "s%s", "socket": "%s"}\n' 1 "$WORK/hs1.sock" 2 "$WORK/hs2.sock" \
+  > "$WORK/htopology.jsonl"
+for action in error '1in(3)'; do
+  name="sweep-cluster.hedge_delay-$action"
+  csock="$WORK/$name.sock"
+  "$CMC" coordinator --socket "$csock" --topology "$WORK/htopology.jsonl" \
+    --hedge-ms 50 --failpoint "cluster.hedge_delay=$action" \
+    > "$WORK/$name.log" 2>&1 &
+  coord=$!
+  for _ in $(seq 100); do
+    "$CMC" submit --socket "$csock" --status > /dev/null 2>&1 && break
+    sleep 0.1
+  done
+  timeout 120 "$CMC" submit --socket "$csock" --compose \
+    --report "$WORK/$name.json" "$MODEL" > "$WORK/$name.submit.log" 2>&1 \
+    || fail "cluster.hedge_delay=$action: CHECK failed: $(cat "$WORK/$name.submit.log")"
+  verdicts "$WORK/$name.json" > "$WORK/$name.verdicts"
+  diff -u "$WORK/clean.verdicts" "$WORK/$name.verdicts" \
+    || fail "cluster.hedge_delay=$action: verdicts differ from the clean run"
+  "$CMC" submit --socket "$csock" --stats > "$WORK/$name.stats" 2>&1
+  hedges=$(awk '$1 == "cluster_hedges" { print $2 }' "$WORK/$name.stats")
+  if [ "$action" = error ]; then
+    [ "${hedges:-0}" -eq 0 ] || fail "cluster.hedge_delay=error: $hedges hedge(s) launched"
+  else
+    [ "${hedges:-0}" -ge 1 ] || fail "cluster.hedge_delay=$action: no hedge launched"
+  fi
+  kill -TERM "$coord"
+  rc=0
+  wait "$coord" || rc=$?
+  [ "$rc" -eq 0 ] || fail "cluster.hedge_delay=$action: coordinator exited $rc on SIGTERM"
+  reached "$WORK/$name.log" cluster.hedge_delay
+  note "sweep cluster.hedge_delay=$action: ok ($(hits "$WORK/$name.log" cluster.hedge_delay) hits, ${hedges:-0} hedges)"
+done
+for pid in "$HS1" "$HS2"; do
+  kill -TERM "$pid" 2>/dev/null
+  wait "$pid" 2>/dev/null
+done
+
+for site in $SITES; do
+  grep -qxF "$site" "$REACHED" || fail "site $site: no sweep run reached it"
+done
+note "sweep reached all $(echo "$SITES" | wc -w) sites"
 
 # ---------------------------------------------------------------------------
 # Phase 2: SIGKILL mid-batch, then --resume

@@ -179,6 +179,9 @@ class Coordinator {
 
   int boundTcpPort() const noexcept { return front_.boundTcpPort(); }
 
+  /// The front end's connection threads not yet joined (see LineServer).
+  std::size_t connectionThreads() const { return front_.connectionThreads(); }
+
   std::size_t shardsUp() const;
   std::size_t shardsTotal() const;
 

@@ -6,9 +6,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <system_error>
 
 #include "net/client.hpp"
 #include "util/failpoint.hpp"
@@ -150,14 +153,44 @@ void LineServer::acceptLoop(int listenFd) {
       continue;
     }
     metrics_.counter("connections_accepted").inc();
-    std::lock_guard<std::mutex> lock(connMutex_);
     if (stopping_.load(std::memory_order_relaxed)) {
       ::close(fd);
       break;
     }
-    connFds_.push_back(fd);
-    connThreads_.emplace_back(&LineServer::connectionLoop, this, fd);
+    if (!startConnection(fd)) metrics_.counter("net_accept_failures").inc();
   }
+}
+
+bool LineServer::startConnection(int fd) {
+  std::vector<std::thread> finished;
+  bool started = true;
+  {
+    std::lock_guard<std::mutex> lock(connMutex_);
+    const auto closed = std::partition(
+        connThreads_.begin(), connThreads_.end(), [this](const std::thread& t) {
+          return std::find(finishedThreads_.begin(), finishedThreads_.end(),
+                           t.get_id()) == finishedThreads_.end();
+        });
+    std::move(closed, connThreads_.end(), std::back_inserter(finished));
+    connThreads_.erase(closed, connThreads_.end());
+    finishedThreads_.clear();
+    connFds_.push_back(fd);
+    try {
+      connThreads_.emplace_back(&LineServer::connectionLoop, this, fd);
+    } catch (const std::system_error&) {
+      connFds_.pop_back();
+      ::close(fd);
+      started = false;
+    }
+  }
+  // Each of these has left connMutex_ for the last time.
+  for (std::thread& t : finished) t.join();
+  return started;
+}
+
+std::size_t LineServer::connectionThreads() const {
+  std::lock_guard<std::mutex> lock(connMutex_);
+  return connThreads_.size();
 }
 
 void LineServer::connectionLoop(int fd) {
@@ -200,7 +233,7 @@ void LineServer::connectionLoop(int fd) {
   }
   {
     // Remove-then-close under the lock so stop() never half-closes a
-    // recycled fd number.
+    // recycled fd number; the next accept joins this thread.
     std::lock_guard<std::mutex> lock(connMutex_);
     for (auto it = connFds_.begin(); it != connFds_.end(); ++it) {
       if (*it == fd) {
@@ -209,6 +242,7 @@ void LineServer::connectionLoop(int fd) {
       }
     }
     sock.close();
+    finishedThreads_.push_back(std::this_thread::get_id());
   }
   metrics_.gauge("connections_open").dec();
 }

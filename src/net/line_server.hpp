@@ -10,7 +10,12 @@
 //   - one thread per connection.  It reads request lines in order, skips
 //     blank ones, answers an oversized line (then closes) or a malformed
 //     one with BAD_REQUEST itself, and passes every parsed request to the
-//     handler, which writes its response on the same connection.
+//     handler, which writes its response on the same connection.  An
+//     accept joins the threads of connections that have closed before it
+//     starts the next one, so the front end holds a thread per open
+//     connection, not per connection ever accepted.  When no thread can be
+//     started, the connection is closed and counted in
+//     net_accept_failures, and the front end keeps accepting.
 //
 // Failure injection: the `net.accept` failpoint drops a just-accepted
 // connection (net_accept_failures), and `net.read` drops a connection at
@@ -81,6 +86,10 @@ class LineServer {
   /// listener is disabled.
   int boundTcpPort() const noexcept { return boundTcpPort_; }
 
+  /// Connection threads not yet joined: those of open connections, plus
+  /// those that closed since the last accept.
+  std::size_t connectionThreads() const;
+
   /// The job a CHECK names: its inline "smv" text (named from `serial`
   /// unless the request names it), or the "model" file resolved under
   /// modelRoot.  When that file cannot be read, answers BAD_REQUEST on
@@ -93,6 +102,9 @@ class LineServer {
   bool listenTcp(std::string* error);
   void acceptLoop(int listenFd);
   void connectionLoop(int fd);
+  /// Start a connection's thread, first joining those whose loop has
+  /// returned; false when no thread could be started.
+  bool startConnection(int fd);
 
   const LineServerOptions opts_;
   service::MetricsRegistry& metrics_;
@@ -103,10 +115,12 @@ class LineServer {
   int tcpFd_ = -1;
   int boundTcpPort_ = -1;
 
-  // Connection bookkeeping: fds for stop(), threads for join.
-  std::mutex connMutex_;
+  // Connection bookkeeping: fds for stop(), threads for join, and the ids
+  // of the threads whose loop has returned.
+  mutable std::mutex connMutex_;
   std::vector<int> connFds_;
   std::vector<std::thread> connThreads_;
+  std::vector<std::thread::id> finishedThreads_;
   std::vector<std::thread> acceptThreads_;
 };
 

@@ -102,6 +102,9 @@ class Server {
   /// listener is disabled.
   int boundTcpPort() const noexcept { return front_.boundTcpPort(); }
 
+  /// The front end's connection threads not yet joined (see LineServer).
+  std::size_t connectionThreads() const { return front_.connectionThreads(); }
+
   /// Admitted CHECKs currently executing / waiting for a slot.
   unsigned inFlight() const;
   std::size_t queued() const;

@@ -243,17 +243,22 @@ const char* engineName(bool partitioned) {
   return partitioned ? "partitioned" : "monolithic";
 }
 
-std::string choiceJson(const symbolic::EngineChoice& c) {
-  return JsonObject()
-      .put("engine", engineName(c.usePartitioned))
+/// Write `c`'s fields into `obj`: the report's engine_choice and the
+/// "engine_choice" trace event carry the same ones, and leave out the sizes
+/// nothing measured.
+JsonObject& putChoiceFields(JsonObject& obj, const symbolic::EngineChoice& c) {
+  const auto putSize = [&obj](const char* key,
+                              std::optional<std::uint64_t> value) {
+    if (value.has_value()) obj.putUint(key, *value);
+  };
+  obj.put("engine", engineName(c.usePartitioned))
       .putBool("probed", c.probed)
-      .putBool("probe_aborted", c.probeAborted)
-      .putUint("conjuncts", static_cast<std::uint64_t>(c.conjuncts))
-      .putUint("partition_nodes", c.partitionNodes)
-      .putUint("monolithic_nodes", c.monolithicNodes)
-      .putUint("cap_nodes", c.capNodes)
-      .put("reason", c.reason)
-      .str();
+      .putBool("probe_aborted", c.probeAborted);
+  putSize("conjuncts", c.conjuncts);
+  putSize("partition_nodes", c.partitionNodes);
+  putSize("monolithic_nodes", c.monolithicNodes);
+  putSize("cap_nodes", c.capNodes);
+  return obj.put("reason", c.reason);
 }
 
 Verdict cancelVerdict(symbolic::CancelReason reason) {
@@ -335,7 +340,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
       }
     } else if (snap != nullptr) {
       // Snapshot path: Auto was resolved by the caller (runAttempts reads
-      // the snapshot's probed choice), so `partitioned` is known and the
+      // the snapshot's choice), so `partitioned` is known and the
       // import copies exactly what the chosen engine needs.
       CMC_ASSERT(engineKnown);
       WallTimer importTimer;
@@ -620,22 +625,15 @@ void recordEngineChoice(const ObligationDesc& d,
                         const symbolic::EngineChoice& c,
                         ObligationOutcome& out, RunTrace& trace) {
   if (!out.engineChoiceJson.empty()) return;
-  out.engineChoiceJson = choiceJson(c);
+  JsonObject fields;
+  out.engineChoiceJson = putChoiceFields(fields, c).str();
   if (trace.enabled()) {
-    trace.emit(JsonObject()
-                   .put("event", "engine_choice")
-                   .putDouble("t", trace.elapsedSeconds())
-                   .put("job", d.jobName)
-                   .put("obligation", d.id)
-                   .put("engine", engineName(c.usePartitioned))
-                   .putBool("probed", c.probed)
-                   .putBool("probe_aborted", c.probeAborted)
-                   .putUint("conjuncts",
-                            static_cast<std::uint64_t>(c.conjuncts))
-                   .putUint("partition_nodes", c.partitionNodes)
-                   .putUint("monolithic_nodes", c.monolithicNodes)
-                   .putUint("cap_nodes", c.capNodes)
-                   .put("reason", c.reason));
+    JsonObject event;
+    event.put("event", "engine_choice")
+        .putDouble("t", trace.elapsedSeconds())
+        .put("job", d.jobName)
+        .put("obligation", d.id);
+    trace.emit(putChoiceFields(event, c));
   }
 }
 
@@ -698,7 +696,7 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
                  const ObligationInstruments* ins) {
   const JobOptions& jopts = d.job->options;
   // First-attempt engine: fixed modes are forced outright; Auto resolves
-  // from the snapshot's probed choice when there is one, otherwise the
+  // from the snapshot's choice when there is one, otherwise the
   // first attempt resolves it worker-side.
   std::optional<bool> partitioned;
   if (jopts.engine == symbolic::EngineMode::Partitioned) {

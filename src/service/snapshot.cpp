@@ -5,6 +5,7 @@
 #include "service/obligation_cache.hpp"
 #include "smv/fingerprint.hpp"
 #include "smv/parser.hpp"
+#include "symbolic/checker.hpp"
 #include "symbolic/composition.hpp"
 #include "util/timer.hpp"
 
@@ -121,8 +122,20 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
         }
         return symbolic::chooseEngine(sys);
       };
+      // A module whose checker takes the cone reads no product, so only
+      // one that covers the context (a single-module program) is probed.
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
-        snap->moduleChoice[i] = probe(snap->modules[i].sys);
+        const symbolic::SymbolicSystem& sys = snap->modules[i].sys;
+        symbolic::EngineChoice& choice = snap->moduleChoice[i];
+        if (!symbolic::takesCone(sys)) {
+          choice = probe(sys);
+          continue;
+        }
+        choice.conjuncts = sys.partition.conjunctCount();
+        choice.partitionNodes = sys.partition.nodeCount(mgr);
+        choice.reason =
+            "component checker folds every preimage through its target's "
+            "cone; no product probed";
       }
       if (snap->composed.has_value()) {
         // A completed probe caches its product in the composition, which

@@ -10,7 +10,10 @@
 //    freezes the result (modules, canonical serializations for the cache,
 //    for a compose job the composition of the reflexive-closed modules,
 //    and — under EngineMode::Auto — the per-module and composed engine
-//    choices, probed here where mutation is still allowed).
+//    choices).  Only the systems whose checker reads a product are probed,
+//    here where mutation is still allowed: the composition and a module
+//    that covers the context.  A module whose checker takes the cone
+//    (symbolic::takesCone) gets an unprobed choice and no product.
 //  - Workers adopt the snapshot's variable layout into their own pre-sized
 //    Context and copy the BDDs they need through bdd::Importer — a linear
 //    walk of the reachable DAG instead of a parse + elaboration.  A
@@ -62,7 +65,8 @@ struct ElaborationSnapshot {
   /// requested.
   std::vector<std::string> canon;
   /// Per-module engine decision (EngineMode::Auto only; defaulted
-  /// otherwise).
+  /// otherwise).  A module whose checker takes the cone is not probed: its
+  /// choice is partitioned, unprobed, and carries no product size.
   std::vector<symbolic::EngineChoice> moduleChoice;
   /// The reflexive-closed modules folded with ∘ in module order — set for
   /// every compose job with more than one module, whatever the engine
@@ -76,9 +80,10 @@ struct ElaborationSnapshot {
   /// fresh context is sized from.
   std::uint64_t liveNodes = 0;
   /// Per module, the nodes importing it copies: its partition's conjuncts
-  /// and, when materialized, its monolithic relation, counted before the
-  /// snapshot froze.  A component obligation's fresh context is sized from
-  /// its module's count (see contextNodes()).
+  /// and, when materialized (a probed module whose product fit), its
+  /// monolithic relation, counted before the snapshot froze.  A component
+  /// obligation's fresh context is sized from its module's count (see
+  /// contextNodes()).
   std::vector<std::uint64_t> moduleNodes;
   /// Wall time of parsing the job's text; unset for a factory job, which
   /// parses nothing.
@@ -165,7 +170,7 @@ smv::ElaboratedModule importModule(symbolic::Context& dst, bdd::Importer& imp,
 /// warm arena collects against: the whole snapshot for a composed
 /// obligation, which imports every module and the composition; its own
 /// module for a component obligation — an afs2(64) client imports a few
-/// hundred nodes of the snapshot's 56,486.
+/// hundred nodes of the snapshot's 23,214.
 inline std::uint64_t contextNodes(const ElaborationSnapshot& snap,
                                   const ObligationRef& ref) {
   return ref.composed ? snap.liveNodes : snap.moduleNodes.at(ref.moduleIndex);

@@ -1,113 +1,123 @@
 #include "smv/lexer.hpp"
 
-#include <cctype>
+#include <array>
 
 #include "util/common.hpp"
 
 namespace cmc::smv {
 
+namespace {
+
+/// Character classes, one table lookup per character.
+enum CharClass : unsigned char {
+  kSpace = 1,       ///< what std::isspace accepts in the C locale
+  kIdentStart = 2,  ///< letters and '_'
+  kIdentPart = 4,   ///< letters, digits, '_' and '.'
+  kDigit = 8,
+};
+
+constexpr std::array<unsigned char, 256> makeClasses() {
+  std::array<unsigned char, 256> t{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    t[static_cast<unsigned char>(c)] = kSpace;
+  }
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kIdentStart | kIdentPart;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentStart | kIdentPart;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kIdentPart | kDigit;
+  t['_'] = kIdentStart | kIdentPart;
+  t['.'] = kIdentPart;
+  return t;
+}
+
+constexpr std::array<unsigned char, 256> kClasses = makeClasses();
+
+bool is(char c, CharClass cls) {
+  return (kClasses[static_cast<unsigned char>(c)] & cls) != 0;
+}
+
+}  // namespace
+
 std::vector<Token> tokenize(std::string_view text) {
   std::vector<Token> out;
+  // Line and column come from the current line's start offset.
   int line = 1;
-  int column = 1;
+  std::size_t lineStart = 0;
   std::size_t i = 0;
-
-  auto advance = [&](std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (i < text.size() && text[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-      ++i;
-    }
-  };
-  std::size_t tokOffset = 0;
-  auto push = [&](TokenKind kind, std::string tokText, int tokLine,
-                  int tokCol) {
-    out.push_back(Token{kind, std::move(tokText), tokLine, tokCol, tokOffset});
+  const auto push = [&](TokenKind kind, std::size_t begin, std::size_t end) {
+    out.push_back(Token{kind, text.substr(begin, end - begin), line,
+                        static_cast<int>(begin - lineStart) + 1, begin});
   };
 
   while (i < text.size()) {
     const char c = text[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      advance(1);
+    if (c == '\n') {
+      ++line;
+      lineStart = ++i;
+      continue;
+    }
+    if (is(c, kSpace)) {
+      ++i;
       continue;
     }
     // Comment: -- to end of line.
     if (c == '-' && i + 1 < text.size() && text[i + 1] == '-') {
-      while (i < text.size() && text[i] != '\n') advance(1);
+      while (i < text.size() && text[i] != '\n') ++i;
       continue;
     }
-    const int tokLine = line;
-    const int tokCol = column;
-    tokOffset = i;
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t begin = i;
-      while (i < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[i])) ||
-              text[i] == '_' || text[i] == '.')) {
-        // ".." belongs to range syntax, not identifiers.
-        if (text[i] == '.' && i + 1 < text.size() && text[i + 1] == '.') {
-          break;
-        }
-        advance(1);
+    const std::size_t begin = i;
+    if (is(c, kIdentStart)) {
+      // ".." belongs to range syntax, not identifiers.
+      while (i < text.size() && is(text[i], kIdentPart) &&
+             !(text[i] == '.' && i + 1 < text.size() && text[i + 1] == '.')) {
+        ++i;
       }
-      push(TokenKind::Ident, std::string(text.substr(begin, i - begin)),
-           tokLine, tokCol);
+      push(TokenKind::Ident, begin, i);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t begin = i;
-      while (i < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[i]))) {
-        advance(1);
-      }
-      push(TokenKind::Number, std::string(text.substr(begin, i - begin)),
-           tokLine, tokCol);
+    if (is(c, kDigit)) {
+      while (i < text.size() && is(text[i], kDigit)) ++i;
+      push(TokenKind::Number, begin, i);
       continue;
     }
-    auto two = text.substr(i, 2);
-    auto three = text.substr(i, 3);
-    if (three == "<->") {
-      advance(3);
-      push(TokenKind::Iff, "<->", tokLine, tokCol);
+    const std::string_view two = text.substr(i, 2);
+    TokenKind kind;
+    std::size_t length = 2;
+    if (text.substr(i, 3) == "<->") {
+      kind = TokenKind::Iff;
+      length = 3;
     } else if (two == ":=") {
-      advance(2);
-      push(TokenKind::Assign, ":=", tokLine, tokCol);
+      kind = TokenKind::Assign;
     } else if (two == "!=") {
-      advance(2);
-      push(TokenKind::Neq, "!=", tokLine, tokCol);
+      kind = TokenKind::Neq;
     } else if (two == "->") {
-      advance(2);
-      push(TokenKind::Implies, "->", tokLine, tokCol);
+      kind = TokenKind::Implies;
     } else if (two == "..") {
-      advance(2);
-      push(TokenKind::DotDot, "..", tokLine, tokCol);
+      kind = TokenKind::DotDot;
     } else {
+      length = 1;
       switch (c) {
-        case ':': push(TokenKind::Colon, ":", tokLine, tokCol); break;
-        case ';': push(TokenKind::Semicolon, ";", tokLine, tokCol); break;
-        case ',': push(TokenKind::Comma, ",", tokLine, tokCol); break;
-        case '{': push(TokenKind::LBrace, "{", tokLine, tokCol); break;
-        case '}': push(TokenKind::RBrace, "}", tokLine, tokCol); break;
-        case '(': push(TokenKind::LParen, "(", tokLine, tokCol); break;
-        case ')': push(TokenKind::RParen, ")", tokLine, tokCol); break;
-        case '[': push(TokenKind::LBracket, "[", tokLine, tokCol); break;
-        case ']': push(TokenKind::RBracket, "]", tokLine, tokCol); break;
-        case '=': push(TokenKind::Eq, "=", tokLine, tokCol); break;
-        case '&': push(TokenKind::And, "&", tokLine, tokCol); break;
-        case '|': push(TokenKind::Or, "|", tokLine, tokCol); break;
-        case '!': push(TokenKind::Not, "!", tokLine, tokCol); break;
+        case ':': kind = TokenKind::Colon; break;
+        case ';': kind = TokenKind::Semicolon; break;
+        case ',': kind = TokenKind::Comma; break;
+        case '{': kind = TokenKind::LBrace; break;
+        case '}': kind = TokenKind::RBrace; break;
+        case '(': kind = TokenKind::LParen; break;
+        case ')': kind = TokenKind::RParen; break;
+        case '[': kind = TokenKind::LBracket; break;
+        case ']': kind = TokenKind::RBracket; break;
+        case '=': kind = TokenKind::Eq; break;
+        case '&': kind = TokenKind::And; break;
+        case '|': kind = TokenKind::Or; break;
+        case '!': kind = TokenKind::Not; break;
         default:
-          throw ParseError(std::string("illegal character '") + c + "'",
-                           tokLine, tokCol);
+          throw ParseError(std::string("illegal character '") + c + "'", line,
+                           static_cast<int>(begin - lineStart) + 1);
       }
-      advance(1);
     }
+    i += length;
+    push(kind, begin, i);
   }
-  out.push_back(Token{TokenKind::End, "", line, column, text.size()});
+  push(TokenKind::End, text.size(), text.size());
   return out;
 }
 

@@ -33,14 +33,17 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind;
-  std::string text;
+  /// The token's characters: a view into the tokenized text, so valid only
+  /// while that text is.
+  std::string_view text;
   int line = 1;
   int column = 1;
   std::size_t offset = 0;  ///< byte offset of the token's first character
 };
 
 /// Tokenize the whole input; throws cmc::ParseError on illegal characters.
-/// A synthetic End token terminates the stream.
+/// A synthetic End token terminates the stream.  The tokens view `text`,
+/// which must outlive them.
 std::vector<Token> tokenize(std::string_view text);
 
 /// Human-readable token-kind name (for error messages).

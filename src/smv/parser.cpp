@@ -1,7 +1,5 @@
 #include "smv/parser.hpp"
 
-#include <unordered_set>
-
 #include "ctl/parser.hpp"
 #include "smv/lexer.hpp"
 #include "util/common.hpp"
@@ -9,11 +7,6 @@
 namespace cmc::smv {
 
 namespace {
-
-const std::unordered_set<std::string> kSectionKeywords = {
-    "MODULE", "VAR", "DEFINE", "ASSIGN", "INIT",
-    "TRANS",  "SPEC", "FAIRNESS",
-};
 
 class Parser {
  public:
@@ -59,7 +52,7 @@ class Parser {
       } else {
         fail(section, "expected a section keyword (VAR, ASSIGN, DEFINE, "
                       "INIT, TRANS, SPEC, FAIRNESS), got '" +
-                          section.text + "'");
+                          std::string(section.text) + "'");
       }
     }
     return mod;
@@ -97,7 +90,7 @@ class Parser {
     return false;
   }
 
-  bool eatIdent(const std::string& text) {
+  bool eatIdent(std::string_view text) {
     if (peek().kind == TokenKind::Ident && peek().text == text) {
       advance();
       return true;
@@ -108,23 +101,26 @@ class Parser {
   const Token& expectKind(TokenKind kind) {
     if (peek().kind != kind) {
       fail(peek(), "expected " + tokenKindName(kind) + ", got '" +
-                       peek().text + "'");
+                       std::string(peek().text) + "'");
     }
     return advance();
   }
 
-  void expectIdent(const std::string& text) {
+  void expectIdent(std::string_view text) {
     const Token& tok = expectKind(TokenKind::Ident);
     if (tok.text != text) {
-      fail(tok, "expected '" + text + "', got '" + tok.text + "'");
+      fail(tok, "expected '" + std::string(text) + "', got '" +
+                    std::string(tok.text) + "'");
     }
   }
 
   void eatOptionalSemicolon() { eat(TokenKind::Semicolon); }
 
   bool atSectionKeyword() const {
-    return peek().kind == TokenKind::Ident &&
-           kSectionKeywords.count(peek().text) != 0;
+    if (peek().kind != TokenKind::Ident) return false;
+    const std::string_view t = peek().text;
+    return t == "MODULE" || t == "VAR" || t == "DEFINE" || t == "ASSIGN" ||
+           t == "INIT" || t == "TRANS" || t == "SPEC" || t == "FAIRNESS";
   }
 
   /// Raw source span from the current token up to (excluding) the next
@@ -175,7 +171,7 @@ class Parser {
         if (tok.kind != TokenKind::Ident && tok.kind != TokenKind::Number) {
           fail(tok, "expected enum value");
         }
-        type.values.push_back(tok.text);
+        type.values.emplace_back(tok.text);
         if (eat(TokenKind::RBrace)) break;
         expectKind(TokenKind::Comma);
       }
@@ -183,9 +179,9 @@ class Parser {
     }
     if (peek().kind == TokenKind::Number) {
       type.kind = TypeDecl::Kind::Range;
-      type.lo = std::stol(advance().text);
+      type.lo = std::stol(std::string(advance().text));
       expectKind(TokenKind::DotDot);
-      type.hi = std::stol(expectKind(TokenKind::Number).text);
+      type.hi = std::stol(std::string(expectKind(TokenKind::Number).text));
       if (type.hi < type.lo) {
         fail(peek(), "empty range type");
       }
@@ -297,7 +293,7 @@ class Parser {
     }
     if (tok.kind == TokenKind::Number) {
       advance();
-      return mkValue(tok.text);
+      return mkValue(std::string(tok.text));
     }
     if (tok.kind == TokenKind::Ident) {
       if (tok.text == "case") {
@@ -306,15 +302,15 @@ class Parser {
       if (tok.text == "next" && peek(1).kind == TokenKind::LParen) {
         advance();  // next
         advance();  // (
-        const std::string name = expectKind(TokenKind::Ident).text;
+        std::string name(expectKind(TokenKind::Ident).text);
         expectKind(TokenKind::RParen);
-        return mkNextRef(name);
+        return mkNextRef(std::move(name));
       }
       advance();
       // Variable, define, or enum literal; resolved during elaboration.
-      return mkVarRef(tok.text);
+      return mkVarRef(std::string(tok.text));
     }
-    fail(tok, "expected an expression, got '" + tok.text + "'");
+    fail(tok, "expected an expression, got '" + std::string(tok.text) + "'");
   }
 
   ExprPtr parseCase() {

@@ -21,13 +21,18 @@ const char* toString(CancelReason reason) noexcept {
   return "unknown";
 }
 
+bool takesCone(const SymbolicSystem& sys) noexcept {
+  return !sys.partition.empty() && sys.vars.size() < sys.ctx->varCount();
+}
+
 Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
     : sys_(sys),
       opts_(opts),
       domain_(sys.stateDomain()),
       nextVars_(sys.ctx->nextCube(sys.vars)),
       swapPerm_(sys.ctx->swapPermutation()),
-      stutters_(sys.stuttersByConstruction()) {
+      stutters_(sys.stuttersByConstruction()),
+      cone_(takesCone(sys)) {
   CMC_ASSERT(sys.ctx != nullptr);
   Context& ctx = *sys.ctx;
   // When the system's alphabet covers the whole context (every composed
@@ -37,8 +42,7 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
   // may mention foreign context bits the substitution would wrongly leave
   // unprimed — and takes the cone path instead, under either engine: a
   // monolithic attempt imports the partition too.
-  const bool coversContext = sys.vars.size() == ctx.varCount();
-  if (sys.partition.empty() || (coversContext && !opts_.usePartitionedTrans)) {
+  if (sys.partition.empty() || (!cone_ && !opts_.usePartitionedTrans)) {
     return;
   }
   partitioned_ = opts_.usePartitionedTrans;
@@ -54,8 +58,7 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
   std::sort(quantVars.begin(), quantVars.end());
 
   tracks_.reserve(sys.partition.tracks.size());
-  if (!coversContext) {
-    cone_ = true;
+  if (cone_) {
     varDomain_.resize(ctx.varCount());
     for (VarId v : sys.vars) {
       for (std::uint32_t bit : ctx.variable(v).bits) {

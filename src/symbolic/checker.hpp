@@ -72,6 +72,14 @@ struct CheckerOptions {
   std::function<void()> cancelCheck;
 };
 
+/// True iff a Checker on `sys` folds every preimage through the cone of
+/// influence, under either engine: the system has a partition and its
+/// alphabet is smaller than its context (a component in a shared context).
+/// Such a checker never reads the monolithic relation for a preimage — only
+/// a counterexample trace does — so nothing need probe or materialize it
+/// before a check.
+bool takesCone(const SymbolicSystem& sys) noexcept;
+
 /// Result of one ⊨_r check with the resource data the paper's figures
 /// report (verdict, wall time, BDD counters).
 struct CheckResult {

@@ -39,14 +39,17 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
 
   EngineChoice c;
   c.conjuncts = sys.partition.conjunctCount();
-  c.partitionNodes = sys.partition.nodeCount(mgr);
-  c.capNodes = std::max(kProbeFloorNodes, kProbeFactor * c.partitionNodes);
+  const std::uint64_t partitionNodes = sys.partition.nodeCount(mgr);
+  const std::uint64_t cap = std::max(kProbeFloorNodes,
+                                     kProbeFactor * partitionNodes);
+  c.partitionNodes = partitionNodes;
+  c.capNodes = cap;
 
   if (sys.transMaterialized()) {
     // Someone already paid for the product (leaf systems build it eagerly);
     // just compare the measured sizes.
     c.monolithicNodes = mgr.dagSize(sys.monolithic_);
-    c.usePartitioned = c.monolithicNodes > c.capNodes;
+    c.usePartitioned = *c.monolithicNodes > cap;
     c.reason = c.usePartitioned
                    ? "materialized monolithic relation exceeds cap"
                    : "materialized monolithic relation within cap";
@@ -76,12 +79,12 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
   const std::uint64_t savedGcThreshold = mgr.gcThreshold();
   std::uint64_t lastWalkAlloc = mgr.stats().nodesAllocatedTotal;
   const auto abortsProbe = [&](const bdd::Bdd& f) {
-    if (mgr.stats().nodesAllocatedTotal - lastWalkAlloc <= c.capNodes) {
+    if (mgr.stats().nodesAllocatedTotal - lastWalkAlloc <= cap) {
       return false;
     }
     lastWalkAlloc = mgr.stats().nodesAllocatedTotal;
     const std::uint64_t size = mgr.dagSize(f);
-    if (size <= c.capNodes) return false;
+    if (size <= cap) return false;
     c.monolithicNodes = size;  // the partial product that crossed the cap
     return true;
   };
@@ -106,7 +109,7 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
   // The sparse trigger can let a product complete past the cap (it is a
   // rate limiter, not the measurement); the final walk is authoritative.
   c.monolithicNodes = mgr.dagSize(acc);
-  if (c.monolithicNodes > c.capNodes) {
+  if (*c.monolithicNodes > cap) {
     c.usePartitioned = true;
     c.reason = "completed monolithic product exceeds cap; keeping partition";
     acc = bdd::Bdd();

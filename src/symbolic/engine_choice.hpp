@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,20 +47,23 @@ bool engineModeFromString(std::string_view text, EngineMode* out) noexcept;
 
 /// One resolved engine decision plus the inputs that drove it — recorded
 /// verbatim in the run trace (engine_choice event) and the report so a
-/// surprising pick can be audited from the artifacts alone.
+/// surprising pick can be audited from the artifacts alone.  A size is
+/// unset when nothing measured it: chooseEngine measures all four, and a
+/// choice made without it (a component whose checker takes the cone, see
+/// takesCone) leaves the product's size and the cap unset.
 struct EngineChoice {
   bool usePartitioned = true;
   /// True when the capped materialization probe ran (Auto path).
   bool probed = false;
   /// True when the probe aborted at the cap.
   bool probeAborted = false;
-  std::size_t conjuncts = 0;
-  std::uint64_t partitionNodes = 0;
+  std::optional<std::size_t> conjuncts;
+  std::optional<std::uint64_t> partitionNodes;
   /// Size of the monolithic product when the probe completed.  At an abort
   /// it is the size of the partial product that crossed the cap — not a
   /// lower bound: conjoining more conjuncts can shrink a BDD.
-  std::uint64_t monolithicNodes = 0;
-  std::uint64_t capNodes = 0;
+  std::optional<std::uint64_t> monolithicNodes;
+  std::optional<std::uint64_t> capNodes;
   std::string reason;
 };
 

@@ -71,8 +71,12 @@ class FailpointRegistry {
   std::vector<Failpoint::SiteInfo> list() {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<Failpoint::SiteInfo> out;
+    const auto info = [](const Failpoint& fp, const char* description) {
+      return Failpoint::SiteInfo{fp.name(), description, fp.armed(),
+                                 fp.hits()};
+    };
     for (const CatalogEntry& e : kCatalog) {
-      out.push_back({e.name, e.description});
+      out.push_back(info(*sites_.find(e.name)->second, e.description));
     }
     for (const auto& [name, fp] : sites_) {
       bool inCatalog = false;
@@ -82,7 +86,7 @@ class FailpointRegistry {
           break;
         }
       }
-      if (!inCatalog) out.push_back({name, ""});
+      if (!inCatalog) out.push_back(info(*fp, ""));
     }
     return out;
   }

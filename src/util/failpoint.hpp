@@ -59,6 +59,8 @@ class Failpoint {
   struct SiteInfo {
     std::string name;
     std::string description;  ///< empty for dynamically created sites
+    bool armed = false;
+    std::uint64_t hits = 0;  ///< since the site was last armed
   };
 
   /// Get-or-create the named site.  The returned reference is stable for
@@ -99,6 +101,9 @@ class Failpoint {
   }
 
   const std::string& name() const noexcept { return name_; }
+  bool armed() const noexcept {
+    return action_.load(std::memory_order_relaxed) != Action::Off;
+  }
   std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }

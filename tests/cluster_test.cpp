@@ -1058,6 +1058,14 @@ TEST(ClusterCoordinator, HalfClosedConnectionUnwindsCleanly) {
   test::halfClosedConnectionUnwinds(cluster.sockPath, cluster.metrics);
 }
 
+TEST(ClusterCoordinator, ClosedConnectionThreadsAreJoined) {
+  ClusterHarness cluster(1);
+  ASSERT_TRUE(cluster.started);
+  test::sequentialConnectionsAreJoined(
+      cluster.sockPath, cluster.metrics,
+      [&cluster] { return cluster.coordinator->connectionThreads(); });
+}
+
 TEST(ClusterCoordinator, SecondCoordinatorOnALiveSocketFailsAndTheFirstServes) {
   ClusterHarness cluster(1);
   ASSERT_TRUE(cluster.started);

@@ -275,6 +275,71 @@ TEST(EngineChoice, AutoMatchesForcedEnginesOnAllModels) {
   EXPECT_GT(models, 0u);
 }
 
+/// Two components sharing `s`, each with a variable of its own and one
+/// spec that fails: neither covers the context, and the consumer reads the
+/// producer's variable, so its cone takes in a bit it does not own.
+const char* kFailingComponentsSmv = R"(
+MODULE producer
+VAR s : {idle, busy, done};
+    ready : boolean;
+ASSIGN
+  init(s) := idle;
+  next(s) := case s = idle : busy; s = busy : done; 1 : s; esac;
+  next(ready) := s = busy;
+SPEC AG (s = idle | s = busy)
+SPEC AG (EF (s = done))
+MODULE consumer
+VAR s : {idle, busy, done};
+    seen : boolean;
+ASSIGN
+  init(seen) := 0;
+  next(seen) := case s = done : 1; 1 : seen; esac;
+SPEC AG (!seen)
+SPEC AG (seen -> AX seen)
+)";
+
+TEST(EngineChoice, FailingComponentSpecsAgreeUnderEveryEngine) {
+  // No shipped model has a failing component spec.  Under auto neither
+  // component is probed and neither snapshot module holds a product, so a
+  // failing spec's trace materializes the relation within its own attempt:
+  // verdicts and counterexamples must be those of the forced engines.
+  std::map<symbolic::EngineMode,
+           std::map<std::string, std::pair<service::Verdict, std::string>>>
+      outcomes;
+  for (symbolic::EngineMode mode :
+       {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
+        symbolic::EngineMode::Monolithic}) {
+    service::ServiceOptions sopts;
+    sopts.threads = 2;
+    sopts.cacheEnabled = false;
+    service::VerificationService svc(sopts);
+    service::VerificationJob job;
+    job.name = "failing";
+    job.smvText = kFailingComponentsSmv;
+    job.options.engine = mode;
+    const service::JobReport report = svc.run(job);
+    for (const service::ObligationOutcome& o : report.obligations) {
+      outcomes[mode][o.id] = {o.verdict, o.counterexample};
+      if (mode == symbolic::EngineMode::Auto) {
+        EXPECT_NE(o.engineChoiceJson.find("\"probed\": false"),
+                  std::string::npos)
+            << o.id << " " << o.engineChoiceJson;
+      }
+    }
+  }
+  const auto& autoOutcomes = outcomes[symbolic::EngineMode::Auto];
+  ASSERT_EQ(autoOutcomes.size(), 4u);
+  std::size_t fails = 0;
+  for (const auto& [id, outcome] : autoOutcomes) {
+    if (outcome.first != service::Verdict::Fails) continue;
+    ++fails;
+    EXPECT_FALSE(outcome.second.empty()) << id;
+  }
+  EXPECT_EQ(fails, 2u);
+  EXPECT_EQ(autoOutcomes, outcomes[symbolic::EngineMode::Partitioned]);
+  EXPECT_EQ(autoOutcomes, outcomes[symbolic::EngineMode::Monolithic]);
+}
+
 /// The engine probe with every product a left fold, conjunct by conjunct
 /// and track by track, but chooseEngine's cap, rate-limited walk,
 /// GC-threshold restore, sweeps and cached product: the reference the
@@ -282,23 +347,22 @@ TEST(EngineChoice, AutoMatchesForcedEnginesOnAllModels) {
 symbolic::EngineChoice leftFoldProbe(const symbolic::SymbolicSystem& sys) {
   bdd::Manager& mgr = sys.ctx->mgr();
   symbolic::EngineChoice c;
-  c.partitionNodes = sys.partition.nodeCount(mgr);
-  c.capNodes = std::max(symbolic::kProbeFloorNodes,
-                        symbolic::kProbeFactor * c.partitionNodes);
+  const std::uint64_t cap =
+      std::max(symbolic::kProbeFloorNodes,
+               symbolic::kProbeFactor * sys.partition.nodeCount(mgr));
+  c.capNodes = cap;
   if (sys.transMaterialized()) {
     c.monolithicNodes = mgr.dagSize(sys.transBdd());
-    c.usePartitioned = c.monolithicNodes > c.capNodes;
+    c.usePartitioned = *c.monolithicNodes > cap;
     return c;
   }
   c.probed = true;
   const std::uint64_t savedGcThreshold = mgr.gcThreshold();
   std::uint64_t lastWalk = mgr.stats().nodesAllocatedTotal;
   const auto crosses = [&](const bdd::Bdd& f) {
-    if (mgr.stats().nodesAllocatedTotal - lastWalk <= c.capNodes) {
-      return false;
-    }
+    if (mgr.stats().nodesAllocatedTotal - lastWalk <= cap) return false;
     lastWalk = mgr.stats().nodesAllocatedTotal;
-    return mgr.dagSize(f) > c.capNodes;
+    return mgr.dagSize(f) > cap;
   };
   bdd::Bdd acc = mgr.bddFalse();
   for (const symbolic::PartitionedRelation& track : sys.partition.tracks) {
@@ -312,7 +376,7 @@ symbolic::EngineChoice leftFoldProbe(const symbolic::SymbolicSystem& sys) {
     if (c.probeAborted) break;
   }
   if (!c.probeAborted) c.monolithicNodes = mgr.dagSize(acc);
-  c.usePartitioned = c.probeAborted || c.monolithicNodes > c.capNodes;
+  c.usePartitioned = c.probeAborted || *c.monolithicNodes > cap;
   if (c.usePartitioned) {
     acc = bdd::Bdd();
     mgr.setGcThreshold(savedGcThreshold);
@@ -324,10 +388,8 @@ symbolic::EngineChoice leftFoldProbe(const symbolic::SymbolicSystem& sys) {
   return c;
 }
 
-TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
-  // Every module and composition of the shipped models, probed as the
-  // snapshot of a compose job probes them, against the left fold run in
-  // the snapshot's order on an identical, separate context.
+/// Every shipped model, in models/ and models/gen/.
+std::vector<fs::path> shippedModels() {
   std::vector<fs::path> paths;
   for (const fs::path& dir : {fs::path(CMC_MODELS_DIR),
                               fs::path(CMC_MODELS_DIR) / "gen"}) {
@@ -335,63 +397,161 @@ TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
       if (entry.path().extension() == ".smv") paths.push_back(entry.path());
     }
   }
-  std::size_t systems = 0, aborted = 0, completed = 0;
-  for (const fs::path& path : paths) {
-    std::ifstream in(path);
-    std::stringstream text;
-    text << in.rdbuf();
+  return paths;
+}
+
+std::string readText(const fs::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// A compose job's systems as its snapshot builds them, elaborated into
+/// `ctx`: the modules, then their composition when there are several.
+struct ComposeSystems {
+  std::vector<smv::ElaboratedModule> modules;
+  std::optional<symbolic::SymbolicSystem> composed;
+};
+
+ComposeSystems elaborateForCompose(symbolic::Context& ctx,
+                                   const std::string& text) {
+  ComposeSystems out;
+  out.modules = smv::elaborateProgram(ctx, text);
+  if (out.modules.size() > 1) {
+    std::vector<symbolic::SymbolicSystem> parts;
+    for (const smv::ElaboratedModule& mod : out.modules) {
+      symbolic::SymbolicSystem sys = mod.sys;
+      symbolic::addReflexive(sys);
+      parts.push_back(std::move(sys));
+    }
+    out.composed = symbolic::composeAll(parts);
+  }
+  return out;
+}
+
+TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
+  // Every module and composition of the shipped models, probed by
+  // chooseEngine on a fresh elaboration, against the left fold run in the
+  // same order on an identical, separate context.  The snapshot of the
+  // same compose job probes exactly the composition and the modules that
+  // cover the context, and decides those as chooseEngine does.
+  std::size_t systems = 0, aborted = 0, completed = 0, probedModules = 0;
+  for (const fs::path& path : shippedModels()) {
+    const std::string text = readText(path);
+    symbolic::Context balancedCtx(1 << 14), leftCtx(1 << 14);
+    const ComposeSystems balanced = elaborateForCompose(balancedCtx, text);
+    const ComposeSystems left = elaborateForCompose(leftCtx, text);
+    ASSERT_EQ(balanced.modules.size(), left.modules.size());
+    std::vector<std::pair<std::string, symbolic::EngineChoice>> got, want;
+    for (std::size_t i = 0; i < balanced.modules.size(); ++i) {
+      got.emplace_back(balanced.modules[i].sys.name,
+                       symbolic::chooseEngine(balanced.modules[i].sys));
+      want.emplace_back(left.modules[i].sys.name,
+                        leftFoldProbe(left.modules[i].sys));
+    }
+    if (balanced.composed.has_value()) {
+      got.emplace_back("composed", symbolic::chooseEngine(*balanced.composed));
+      want.emplace_back("composed", leftFoldProbe(*left.composed));
+    }
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const symbolic::EngineChoice& g = got[i].second;
+      const symbolic::EngineChoice& w = want[i].second;
+      SCOPED_TRACE(path.filename().string() + " " + want[i].first);
+      EXPECT_EQ(g.usePartitioned, w.usePartitioned);
+      EXPECT_EQ(g.probed, w.probed);
+      EXPECT_EQ(g.probeAborted, w.probeAborted);
+      EXPECT_EQ(g.capNodes, w.capNodes);
+      if (!w.probeAborted) {
+        EXPECT_EQ(g.monolithicNodes, w.monolithicNodes);
+      }
+      ++systems;
+      aborted += w.probeAborted ? 1 : 0;
+      completed += w.probed && !w.probeAborted ? 1 : 0;
+    }
+
     service::VerificationJob job;
     job.name = path.stem().string();
-    job.smvText = text.str();
+    job.smvText = text;
     job.options.engine = symbolic::EngineMode::Auto;
     job.options.compose = true;
     const service::SnapshotResult sr =
         service::buildSnapshot(job, /*wantCanon=*/false);
     ASSERT_NE(sr.snapshot, nullptr) << path << ": " << sr.error;
     const service::ElaborationSnapshot& snap = *sr.snapshot;
-
-    symbolic::Context ctx(1 << 14);
-    const std::vector<smv::ElaboratedModule> modules =
-        smv::elaborateProgram(ctx, job.smvText);
-    std::optional<symbolic::SymbolicSystem> composed;
-    if (modules.size() > 1) {
-      std::vector<symbolic::SymbolicSystem> parts;
-      for (const smv::ElaboratedModule& mod : modules) {
-        symbolic::SymbolicSystem sys = mod.sys;
-        symbolic::addReflexive(sys);
-        parts.push_back(std::move(sys));
+    ASSERT_EQ(snap.modules.size(), balanced.modules.size());
+    for (std::size_t i = 0; i < snap.modules.size(); ++i) {
+      SCOPED_TRACE(path.filename().string() + " " + got[i].first);
+      const symbolic::EngineChoice& c = snap.moduleChoice[i];
+      const bool covers = !symbolic::takesCone(balanced.modules[i].sys);
+      EXPECT_EQ(symbolic::takesCone(snap.modules[i].sys), !covers);
+      EXPECT_EQ(c.probed, covers);
+      if (covers) {
+        EXPECT_EQ(c.usePartitioned, got[i].second.usePartitioned);
       }
-      composed = symbolic::composeAll(parts);
+      probedModules += c.probed ? 1 : 0;
     }
-    std::vector<std::pair<std::string, symbolic::EngineChoice>> reference;
-    for (const smv::ElaboratedModule& mod : modules) {
-      reference.emplace_back(mod.sys.name, leftFoldProbe(mod.sys));
-    }
-    if (composed.has_value()) {
-      reference.emplace_back("composed", leftFoldProbe(*composed));
-    }
-    ASSERT_EQ(reference.size(), snap.modules.size() + (composed ? 1 : 0));
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      const symbolic::EngineChoice& want = reference[i].second;
-      const symbolic::EngineChoice& got = i < snap.modules.size()
-                                              ? snap.moduleChoice[i]
-                                              : snap.composedChoice;
-      SCOPED_TRACE(path.filename().string() + " " + reference[i].first);
-      EXPECT_EQ(got.usePartitioned, want.usePartitioned);
-      EXPECT_EQ(got.probed, want.probed);
-      EXPECT_EQ(got.probeAborted, want.probeAborted);
-      EXPECT_EQ(got.capNodes, want.capNodes);
-      if (!want.probeAborted) {
-        EXPECT_EQ(got.monolithicNodes, want.monolithicNodes);
-      }
-      ++systems;
-      aborted += want.probeAborted ? 1 : 0;
-      completed += want.probed && !want.probeAborted ? 1 : 0;
+    if (balanced.composed.has_value()) {
+      EXPECT_TRUE(snap.composedChoice.probed) << path;
+      EXPECT_EQ(snap.composedChoice.usePartitioned,
+                got.back().second.usePartitioned)
+          << path;
     }
   }
   EXPECT_GE(systems, 40u);
   EXPECT_GT(aborted, 0u);
   EXPECT_GT(completed, 0u);
+  EXPECT_GT(probedModules, 0u);  // the single-module programs
+}
+
+TEST(Snapshot, ComponentOnlySnapshotsHoldNoProduct) {
+  // Under auto, no component of afs2(8) or ring(8) is probed and none
+  // carries a product: each module's import is its partition alone.
+  for (const char* name : {"afs2_8.smv", "ring_8.smv"}) {
+    SCOPED_TRACE(name);
+    service::VerificationJob job;
+    job.name = name;
+    job.smvText = readText(fs::path(CMC_MODELS_DIR) / "gen" / name);
+    job.options.engine = symbolic::EngineMode::Auto;
+    const service::SnapshotResult sr =
+        service::buildSnapshot(job, /*wantCanon=*/false);
+    ASSERT_NE(sr.snapshot, nullptr) << sr.error;
+    const service::ElaborationSnapshot& snap = *sr.snapshot;
+    ASSERT_GT(snap.modules.size(), 1u);
+    for (std::size_t i = 0; i < snap.modules.size(); ++i) {
+      SCOPED_TRACE(snap.modules[i].sys.name);
+      EXPECT_FALSE(snap.modules[i].sys.transMaterialized());
+      const symbolic::EngineChoice& c = snap.moduleChoice[i];
+      EXPECT_FALSE(c.probed);
+      EXPECT_TRUE(c.usePartitioned);
+      EXPECT_FALSE(c.monolithicNodes.has_value());
+      EXPECT_FALSE(c.capNodes.has_value());
+      EXPECT_NE(c.reason.find("cone"), std::string::npos) << c.reason;
+      // What the module's import copies is its partition, counted once.
+      EXPECT_EQ(c.partitionNodes, snap.moduleNodes[i]);
+      EXPECT_EQ(c.conjuncts, snap.modules[i].sys.partition.conjunctCount());
+    }
+  }
+
+  // A single-module program covers its context and is still probed; its
+  // small product completes and is kept for a monolithic import.
+  service::VerificationJob single;
+  single.name = "single";
+  single.smvText = R"(
+MODULE tiny
+VAR s : {a, b};
+ASSIGN next(s) := case s = a : b; 1 : a; esac;
+SPEC AG (s = a | s = b)
+)";
+  single.options.engine = symbolic::EngineMode::Auto;
+  const service::SnapshotResult sr =
+      service::buildSnapshot(single, /*wantCanon=*/false);
+  ASSERT_NE(sr.snapshot, nullptr) << sr.error;
+  const symbolic::EngineChoice& c = sr.snapshot->moduleChoice.front();
+  EXPECT_TRUE(c.probed);
+  EXPECT_FALSE(c.usePartitioned);
+  EXPECT_TRUE(c.capNodes.has_value());
+  EXPECT_TRUE(sr.snapshot->modules.front().sys.transMaterialized());
 }
 
 // chooseEngine's materialization probe must not leak its allocation burst

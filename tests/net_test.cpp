@@ -399,6 +399,12 @@ TEST(NetServer, HalfClosedConnectionUnwindsCleanly) {
   test::halfClosedConnectionUnwinds(h.sockPath, h.metrics);
 }
 
+TEST(NetServer, ClosedConnectionThreadsAreJoined) {
+  Harness h;
+  test::sequentialConnectionsAreJoined(
+      h.sockPath, h.metrics, [&h] { return h.server->connectionThreads(); });
+}
+
 // ---------------------------------------------------------------------------
 // Server: listeners
 // ---------------------------------------------------------------------------

@@ -169,6 +169,25 @@ inline void halfClosedConnectionUnwinds(
   answersStatus(socketPath);
 }
 
+/// 200 sequential one-STATUS connections leave the front end holding no
+/// thread of a closed connection once the next one is accepted, and
+/// STATUS still answers.  `connectionThreads` reads the daemon's count.
+inline void sequentialConnectionsAreJoined(
+    const std::string& socketPath, const service::MetricsRegistry& metrics,
+    const std::function<std::size_t()>& connectionThreads) {
+  for (int i = 0; i < 200; ++i) {
+    net::Client c;
+    std::string resp, err;
+    ASSERT_TRUE(c.connectUnix(socketPath, &err)) << err;
+    ASSERT_TRUE(c.request("{\"cmd\": \"STATUS\"}", &resp, &err)) << err;
+  }
+  ASSERT_TRUE(
+      waitFor([&] { return metrics.gaugeValue("connections_open") == 0; }));
+  // Accepting this one joins the threads of all 200.
+  answersStatus(socketPath);
+  EXPECT_LE(connectionThreads(), 2u);
+}
+
 /// Leave at `path` what a SIGKILLed daemon leaves behind: a socket file
 /// that was bound and closed but never unlinked (replacing any file there).
 inline void leaveStaleSocketFile(const std::string& path) {

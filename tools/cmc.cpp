@@ -221,7 +221,7 @@ cmc cache compact options:
   Rewrite DIR/obligations.jsonl keeping only the last write per
   fingerprint, dropping corrupt lines, under the store's lock with an
   atomic rename.  Offline only: a store locked by a live writer (a running
-  serve or check) is refused rather than raced.
+  serve or check) is refused rather than raced.  Honors CMC_FAILPOINTS.
 
 exit codes: 0 completed (all hold under --strict); 1 --strict and a spec
 fails; 2 usage/I-O/model error; 3 --strict and Timeout/MemoryOut;
@@ -989,6 +989,7 @@ int runCacheCompact(int argc, char** argv) {
                  "directory)\n";
     return 2;
   }
+  if (const int rc = armFailpoints({}); rc != 0) return rc;
   service::CompactionResult result;
   std::string err;
   if (!service::compactObligationStore(dir, &result, &err)) {
@@ -1354,26 +1355,18 @@ int runFailpoints() {
   return 0;
 }
 
-}  // namespace
+/// After a command that armed failpoints: how often each armed site was
+/// hit, on stderr, so a chaos run can tell a site it reached from one it
+/// never did.  Nothing can be armed in a build without failpoints.
+void printFailpointHits() {
+  for (const util::Failpoint::SiteInfo& s : util::Failpoint::sites()) {
+    if (s.armed) {
+      std::cerr << "cmc: failpoint " << s.name << ": " << s.hits << " hits\n";
+    }
+  }
+}
 
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::cerr << kUsage;
-    return 2;
-  }
-  const std::string command = argv[1];
-  if (command == "version" || command == "--version") {
-    std::cout << "cmc " << util::versionString()
-              << " (compositional model checker)\n";
-    return 0;
-  }
-  if (command == "help" || command == "--help") {
-    std::cout << kUsage;
-    return 0;
-  }
-  if (command == "failpoints") {
-    return runFailpoints();
-  }
+int runCommand(const std::string& command, int argc, char** argv) {
   try {
     if (command == "check" || command == "learn") {
       CliOptions cli;
@@ -1415,4 +1408,29 @@ int main(int argc, char** argv) {
   }
   std::cerr << "cmc: unknown command '" << command << "'\n" << kUsage;
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::cerr << kUsage;
+    return 2;
+  }
+  const std::string command = argv[1];
+  if (command == "version" || command == "--version") {
+    std::cout << "cmc " << util::versionString()
+              << " (compositional model checker)\n";
+    return 0;
+  }
+  if (command == "help" || command == "--help") {
+    std::cout << kUsage;
+    return 0;
+  }
+  if (command == "failpoints") {
+    return runFailpoints();
+  }
+  const int rc = runCommand(command, argc, argv);
+  printFailpointHits();
+  return rc;
 }
