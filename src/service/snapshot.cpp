@@ -1,5 +1,6 @@
 #include "service/snapshot.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "service/obligation_cache.hpp"
@@ -107,23 +108,29 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     snap->moduleChoice.resize(snap->modules.size());
     if (job.options.engine == symbolic::EngineMode::Auto) {
       WallTimer probeTimer;
+      // A module whose checker takes the cone reads no product, so only
+      // one that covers the context (a single-module program) is probed.
+      const bool probes =
+          snap->composed.has_value() ||
+          std::any_of(snap->modules.begin(), snap->modules.end(),
+                      [](const smv::ElaboratedModule& mod) {
+                        return !symbolic::takesCone(mod.sys);
+                      });
       // chooseEngine restores the GC threshold it finds.  Once a cached
       // product holds the live count above that threshold, every later
       // probe would open with a full collection that frees nothing; keep
       // the trigger above the live count instead.  Elaboration's garbage
-      // goes first, or it would inflate that trigger and with it the
-      // arena the probes grow.  The sweep at freeze collects whatever the
-      // probes leave behind.
+      // goes first when anything is probed, or it would inflate that
+      // trigger and with it the arena the probes grow.  The sweep at
+      // freeze collects whatever the probes leave behind.
       bdd::Manager& mgr = ctx.mgr();
-      mgr.collectGarbage();
+      if (probes) mgr.collectGarbage();
       const auto probe = [&mgr](const symbolic::SymbolicSystem& sys) {
         if (mgr.gcThreshold() < 2 * mgr.liveNodeCount()) {
           mgr.setGcThreshold(2 * mgr.liveNodeCount());
         }
         return symbolic::chooseEngine(sys);
       };
-      // A module whose checker takes the cone reads no product, so only
-      // one that covers the context (a single-module program) is probed.
       for (std::size_t i = 0; i < snap->modules.size(); ++i) {
         const symbolic::SymbolicSystem& sys = snap->modules[i].sys;
         symbolic::EngineChoice& choice = snap->moduleChoice[i];

@@ -16,7 +16,10 @@ SymbolicSystem compose(const SymbolicSystem& m, const SymbolicSystem& mp);
 SymbolicSystem expand(const SymbolicSystem& m,
                       const std::vector<VarId>& extraVars);
 
-/// Fold a list of components left-to-right (∘ is associative, Lemma 1).
+/// M₁ ∘ … ∘ Mₙ in one pass: exactly the left fold ((M₁ ∘ M₂) ∘ M₃) ∘ …,
+/// track for track and conjunct for conjunct (∘ is associative, Lemma 1),
+/// with each variable's frame conjunct built once.  A single system is
+/// returned unchanged.
 SymbolicSystem composeAll(const std::vector<SymbolicSystem>& systems);
 
 /// Semantic equality of two systems over the same context: same alphabet

@@ -83,10 +83,7 @@ EngineChoice chooseEngine(const SymbolicSystem& sys) {
       return false;
     }
     lastWalkAlloc = mgr.stats().nodesAllocatedTotal;
-    const std::uint64_t size = mgr.dagSize(f);
-    if (size <= cap) return false;
-    c.monolithicNodes = size;  // the partial product that crossed the cap
-    return true;
+    return mgr.dagSize(f) > cap;
   };
   bool aborted = false;
   bdd::Bdd acc = mgr.bddFalse();

@@ -48,9 +48,10 @@ bool engineModeFromString(std::string_view text, EngineMode* out) noexcept;
 /// One resolved engine decision plus the inputs that drove it — recorded
 /// verbatim in the run trace (engine_choice event) and the report so a
 /// surprising pick can be audited from the artifacts alone.  A size is
-/// unset when nothing measured it: chooseEngine measures all four, and a
-/// choice made without it (a component whose checker takes the cone, see
-/// takesCone) leaves the product's size and the cap unset.
+/// unset when nothing measured it: chooseEngine measures all four unless
+/// its probe aborts, and a choice made without it (a component whose
+/// checker takes the cone, see takesCone) leaves the product's size and
+/// the cap unset.
 struct EngineChoice {
   bool usePartitioned = true;
   /// True when the capped materialization probe ran (Auto path).
@@ -59,9 +60,12 @@ struct EngineChoice {
   bool probeAborted = false;
   std::optional<std::size_t> conjuncts;
   std::optional<std::uint64_t> partitionNodes;
-  /// Size of the monolithic product when the probe completed.  At an abort
-  /// it is the size of the partial product that crossed the cap — not a
-  /// lower bound: conjoining more conjuncts can shrink a BDD.
+  /// Size of the monolithic product (materialized, or completed by the
+  /// probe).  Unset when the probe aborted: the partial product it caught
+  /// crossing the cap depends on what the manager held before the probe,
+  /// not on the system, and is no bound either (conjoining more conjuncts
+  /// can shrink a BDD); probeAborted, capNodes and the reason explain the
+  /// choice.
   std::optional<std::uint64_t> monolithicNodes;
   std::optional<std::uint64_t> capNodes;
   std::string reason;

@@ -28,11 +28,9 @@ PartitionedRelation PartitionedRelation::of(std::vector<bdd::Bdd> conjuncts,
   return out;
 }
 
-void PartitionedRelation::append(bdd::Bdd conjunct, bool isFrame) {
-  CMC_ASSERT(!conjunct.isNull());
-  if (!isFrame) frameOnly_ = false;
+void PartitionedRelation::append(bdd::Bdd conjunct) {
   std::vector<std::uint32_t> sup = supportOf(conjunct);
-  conjuncts_.push_back(Conjunct{std::move(conjunct), std::move(sup), isFrame});
+  append(std::move(conjunct), std::move(sup));
 }
 
 void PartitionedRelation::append(bdd::Bdd conjunct,
@@ -43,7 +41,16 @@ void PartitionedRelation::append(bdd::Bdd conjunct,
 }
 
 void PartitionedRelation::appendFrame(bdd::Bdd conjunct, VarId v) {
-  append(std::move(conjunct), /*isFrame=*/true);
+  std::vector<std::uint32_t> sup = supportOf(conjunct);
+  appendFrame(std::move(conjunct), std::move(sup), v);
+}
+
+void PartitionedRelation::appendFrame(bdd::Bdd conjunct,
+                                      std::vector<std::uint32_t> support,
+                                      VarId v) {
+  CMC_ASSERT(!conjunct.isNull());
+  conjuncts_.push_back(
+      Conjunct{std::move(conjunct), std::move(support), /*isFrame=*/true});
   frameVars_.push_back(v);
 }
 

@@ -65,9 +65,9 @@ class PartitionedRelation {
     return conjuncts_;
   }
 
-  /// Append one conjunct (its support is computed).  Appending a non-frame
-  /// conjunct clears the frameOnly flag.
-  void append(bdd::Bdd conjunct, bool isFrame = false);
+  /// Append one non-frame conjunct (its support is computed); this clears
+  /// the frameOnly flag.
+  void append(bdd::Bdd conjunct);
   /// Append one non-frame conjunct whose support (ascending BDD variables)
   /// the caller already computed.
   void append(bdd::Bdd conjunct, std::vector<std::uint32_t> support);
@@ -78,6 +78,11 @@ class PartitionedRelation {
   /// only needs its *core* conjuncts, a partial swap of the target over the
   /// non-frame variables, and the frame variables' domain constraint.
   void appendFrame(bdd::Bdd conjunct, VarId v);
+  /// appendFrame with the conjunct's support (ascending BDD variables)
+  /// already computed: the composition builds each variable's frame once
+  /// and appends it to every track that misses the variable.
+  void appendFrame(bdd::Bdd conjunct, std::vector<std::uint32_t> support,
+                   VarId v);
 
   /// Variables covered by tagged frame conjuncts (in append order).
   const std::vector<VarId>& frameVars() const noexcept { return frameVars_; }

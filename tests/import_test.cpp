@@ -462,9 +462,7 @@ TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
       EXPECT_EQ(g.probed, w.probed);
       EXPECT_EQ(g.probeAborted, w.probeAborted);
       EXPECT_EQ(g.capNodes, w.capNodes);
-      if (!w.probeAborted) {
-        EXPECT_EQ(g.monolithicNodes, w.monolithicNodes);
-      }
+      EXPECT_EQ(g.monolithicNodes, w.monolithicNodes);  // unset on abort
       ++systems;
       aborted += w.probeAborted ? 1 : 0;
       completed += w.probed && !w.probeAborted ? 1 : 0;
@@ -502,6 +500,54 @@ TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
   EXPECT_GT(aborted, 0u);
   EXPECT_GT(completed, 0u);
   EXPECT_GT(probedModules, 0u);  // the single-module programs
+}
+
+TEST(EngineChoice, AnAbortedProbeRecordsNoProductSize) {
+  // The partial product an aborted probe catches crossing the cap depends
+  // on what the manager held before the probe, so the choice leaves the
+  // product's size out of the report and the trace; probe_aborted,
+  // cap_nodes and the reason explain it.  A completed probe records it.
+  for (const auto& [file, aborts] :
+       {std::pair{"afs2_3.smv", true}, std::pair{"ring_8.smv", false}}) {
+    SCOPED_TRACE(file);
+    service::ServiceOptions sopts;
+    sopts.threads = 2;
+    sopts.cacheEnabled = false;
+    service::VerificationService svc(sopts);
+    service::VerificationJob job;
+    job.name = file;
+    job.smvText = readText(fs::path(CMC_MODELS_DIR) / "gen" / file);
+    job.options.engine = symbolic::EngineMode::Auto;
+    job.options.compose = true;
+    service::RunTrace trace;
+    const service::JobReport report = svc.run(job, &trace);
+    std::size_t reported = 0, traced = 0;
+    const auto expectChoice = [aborts = aborts](const std::string& choice) {
+      EXPECT_NE(choice.find(aborts ? "\"probe_aborted\": true"
+                                   : "\"probe_aborted\": false"),
+                std::string::npos)
+          << choice;
+      EXPECT_EQ(choice.find("\"monolithic_nodes\"") != std::string::npos,
+                !aborts)
+          << choice;
+      EXPECT_NE(choice.find("\"cap_nodes\""), std::string::npos) << choice;
+    };
+    for (const service::ObligationOutcome& o : report.obligations) {
+      if (o.id.rfind("composed/", 0) != 0) continue;
+      expectChoice(o.engineChoiceJson);
+      ++reported;
+    }
+    for (const std::string& line : trace.lines()) {
+      if (line.find("\"event\": \"engine_choice\"") == std::string::npos ||
+          line.find("\"obligation\": \"composed/") == std::string::npos) {
+        continue;
+      }
+      expectChoice(line);
+      ++traced;
+    }
+    EXPECT_GT(reported, 0u);
+    EXPECT_GT(traced, 0u);
+  }
 }
 
 TEST(Snapshot, ComponentOnlySnapshotsHoldNoProduct) {
@@ -722,15 +768,21 @@ TEST(Snapshot, FactoryJobsParseNothing) {
   factory.factory = [](symbolic::Context& ctx) {
     return smv::elaborateProgram(ctx, kTwoModuleSmv);
   };
-  for (const service::VerificationJob* job : {&text, &factory}) {
+  service::VerificationJob probing = text;
+  probing.name = "probing";
+  probing.options.compose = true;
+  for (const service::VerificationJob* job : {&text, &factory, &probing}) {
     SCOPED_TRACE(job->name);
     const service::SnapshotResult built =
         service::buildSnapshot(*job, /*wantCanon=*/false);
     ASSERT_NE(built.snapshot, nullptr) << built.error;
     const service::ElaborationSnapshot& snap = *built.snapshot;
-    EXPECT_EQ(snap.parseSeconds.has_value(), job == &text);
+    EXPECT_EQ(snap.parseSeconds.has_value(), job != &factory);
     EXPECT_GE(snap.nodesAllocated, snap.liveNodes);
-    EXPECT_GE(snap.gcRuns, 2u);  // before the probes, and at freeze
+    // Both modules take the cone, so a component-only job probes nothing
+    // and collects once, at freeze; the compose job probes the
+    // composition and collects before the probes as well.
+    EXPECT_EQ(snap.gcRuns, job == &probing ? 2u : 1u);
 
     service::ServiceOptions sopts;
     sopts.threads = 2;
@@ -740,7 +792,8 @@ TEST(Snapshot, FactoryJobsParseNothing) {
     ASSERT_EQ(trace.countContaining("\"event\": \"snapshot\""), 1u);
     for (const std::string& line : trace.lines()) {
       if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
-      EXPECT_EQ(line.find("\"parse_ms\"") != std::string::npos, job == &text);
+      EXPECT_EQ(line.find("\"parse_ms\"") != std::string::npos,
+                job != &factory);
       EXPECT_NE(line.find("\"nodes_allocated\""), std::string::npos);
       EXPECT_NE(line.find("\"gc_runs\""), std::string::npos);
     }

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <random>
 #include <sstream>
 
@@ -15,6 +16,7 @@
 #include "afs/afs1.hpp"
 #include "afs/afs2.hpp"
 #include "ctl/parser.hpp"
+#include "gen/modelgen.hpp"
 #include "ring/token_ring.hpp"
 #include "smv/elaborate.hpp"
 #include "symbolic/checker.hpp"
@@ -708,6 +710,165 @@ std::vector<SymbolicSystem> reflexiveParts(
     parts.push_back(std::move(sys));
   }
   return parts;
+}
+
+/// Reference binary ∘, as a left fold applies it at each step: both
+/// systems' non-stutter tracks copied and extended by freshly built frame
+/// conjuncts (each support walked again), then Id(Σ*).
+SymbolicSystem binaryCompose(const SymbolicSystem& m,
+                             const SymbolicSystem& mp) {
+  Context& ctx = *m.ctx;
+  SymbolicSystem sys;
+  sys.ctx = &ctx;
+  sys.name = m.name + " o " + mp.name;
+  std::set_union(m.vars.begin(), m.vars.end(), mp.vars.begin(), mp.vars.end(),
+                 std::back_inserter(sys.vars));
+  for (const SymbolicSystem* part : {&m, &mp}) {
+    std::vector<VarId> extra;
+    std::set_difference(sys.vars.begin(), sys.vars.end(), part->vars.begin(),
+                        part->vars.end(), std::back_inserter(extra));
+    for (const PartitionedRelation& t : part->partition.tracks) {
+      if (t.frameOnly()) continue;
+      PartitionedRelation extended = t;
+      for (VarId v : extra) extended.appendFrame(frameConjunct(ctx, v), v);
+      sys.partition.tracks.push_back(std::move(extended));
+    }
+  }
+  sys.partition.tracks.push_back(stutterTrack(ctx, sys.vars));
+  return sys;
+}
+
+SymbolicSystem leftFold(const std::vector<SymbolicSystem>& parts) {
+  SymbolicSystem acc = parts.front();
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    acc = binaryCompose(acc, parts[i]);
+  }
+  return acc;
+}
+
+/// The first structural difference between two systems, or "" when there
+/// is none: name, alphabet, materialized relation, stutter by
+/// construction, track order, each track's frameOnly flag and frameVars,
+/// and each conjunct's node, support and frame tag.  Nodes compare by
+/// index: within one context that is the same node, and across two
+/// contexts built alike it is the same allocation history.
+std::string structureDiff(const SymbolicSystem& got,
+                          const SymbolicSystem& want) {
+  if (got.name != want.name) return "name " + got.name;
+  if (got.vars != want.vars) return "vars";
+  if (got.transMaterialized() != want.transMaterialized() ||
+      got.monolithic_.index() != want.monolithic_.index()) {
+    return "monolithic relation";
+  }
+  if (got.stuttersByConstruction() != want.stuttersByConstruction()) {
+    return "stuttersByConstruction";
+  }
+  const std::vector<PartitionedRelation>& g = got.partition.tracks;
+  const std::vector<PartitionedRelation>& w = want.partition.tracks;
+  if (g.size() != w.size()) return "track count " + std::to_string(g.size());
+  for (std::size_t t = 0; t < w.size(); ++t) {
+    const std::string track = "track " + std::to_string(t);
+    if (g[t].frameOnly() != w[t].frameOnly()) return track + " frameOnly";
+    if (g[t].frameVars() != w[t].frameVars()) return track + " frameVars";
+    if (g[t].size() != w[t].size()) return track + " size";
+    for (std::size_t k = 0; k < w[t].size(); ++k) {
+      const Conjunct& gc = g[t].conjuncts()[k];
+      const Conjunct& wc = w[t].conjuncts()[k];
+      const std::string conjunct = track + " conjunct " + std::to_string(k);
+      if (gc.rel.index() != wc.rel.index()) return conjunct + " relation";
+      if (gc.support != wc.support) return conjunct + " support";
+      if (gc.isFrame != wc.isFrame) return conjunct + " frame tag";
+    }
+  }
+  return "";
+}
+
+/// Every shipped program (models/ and models/gen/) plus genmodel's ring(64)
+/// and afs2(16), by name.
+std::vector<std::pair<std::string, std::string>> compositionPrograms() {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<std::string, std::string>> programs{
+      {"ring(64)", gen::ringModel(64)}, {"afs2(16)", gen::afs2Model(16)}};
+  const fs::path models(CMC_MODELS_DIR);
+  for (const fs::path& dir : {models, models / "gen"}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ".smv") continue;
+      std::ifstream in(entry.path());
+      std::stringstream text;
+      text << in.rdbuf();
+      programs.emplace_back(entry.path().filename().string(), text.str());
+    }
+  }
+  return programs;
+}
+
+TEST(Composition, OnePassIsTheLeftFold) {
+  std::size_t programs = 0, multiModule = 0;
+  for (const auto& [name, text] : compositionPrograms()) {
+    SCOPED_TRACE(name);
+    ++programs;
+    Context ctx(1 << 14), foldCtx(1 << 14);
+    const std::vector<smv::ElaboratedModule> modules =
+        smv::elaborateProgram(ctx, text);
+    const std::vector<smv::ElaboratedModule> foldModules =
+        smv::elaborateProgram(foldCtx, text);
+    multiModule += modules.size() > 1 ? 1 : 0;
+
+    // The modules themselves, before any reflexive closure built their
+    // frames, in two contexts elaborated alike: the pass builds the frames
+    // the fold built, in the fold's order, so both allocate the same
+    // nodes at the same indices.
+    std::vector<SymbolicSystem> raw, foldRaw;
+    for (const smv::ElaboratedModule& mod : modules) raw.push_back(mod.sys);
+    for (const smv::ElaboratedModule& mod : foldModules) {
+      foldRaw.push_back(mod.sys);
+    }
+    EXPECT_EQ(structureDiff(composeAll(raw), leftFold(foldRaw)), "");
+    EXPECT_EQ(ctx.mgr().stats().nodesAllocatedTotal,
+              foldCtx.mgr().stats().nodesAllocatedTotal);
+    EXPECT_EQ(ctx.mgr().stats().gcRuns, foldCtx.mgr().stats().gcRuns);
+
+    // The reflexive closures, as composed obligations compose them; every
+    // neighbouring pair both ways round; each module expanded over the
+    // union.
+    const std::vector<SymbolicSystem> parts = reflexiveParts(modules);
+    const SymbolicSystem whole = composeAll(parts);
+    EXPECT_EQ(structureDiff(whole, leftFold(parts)), "");
+    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+      const SymbolicSystem& a = parts[i];
+      const SymbolicSystem& b = parts[i + 1];
+      EXPECT_EQ(structureDiff(compose(a, b), binaryCompose(a, b)), "") << i;
+      EXPECT_EQ(structureDiff(compose(b, a), binaryCompose(b, a)), "") << i;
+    }
+    for (const SymbolicSystem& part : parts) {
+      SymbolicSystem want =
+          binaryCompose(part, identitySystem(ctx, whole.vars));
+      want.name = part.name + " (expanded)";
+      EXPECT_EQ(structureDiff(expand(part, whole.vars), want), "")
+          << part.name;
+    }
+  }
+  EXPECT_EQ(programs, 17u);
+  EXPECT_GE(multiModule, 10u);
+}
+
+TEST(Composition, WorkIsLinearInComponents) {
+  // Op-cache lookups, not time: they repeat exactly, so host noise cannot
+  // flip this.  A left fold of binary ∘, which re-frames every track built
+  // so far at every step, makes 28,954 lookups on ring(32) and 117,773 on
+  // ring(64).
+  std::map<std::size_t, std::uint64_t> lookups;
+  for (std::size_t n : {32, 64}) {
+    SCOPED_TRACE(n);
+    Context ctx(1 << 14);
+    const std::vector<SymbolicSystem> parts =
+        reflexiveParts(smv::elaborateProgram(ctx, gen::ringModel(n)));
+    const std::uint64_t before = ctx.mgr().stats().cacheLookups;
+    const SymbolicSystem whole = composeAll(parts);
+    lookups[n] = ctx.mgr().stats().cacheLookups - before;
+    EXPECT_LE(lookups[n], 16 * whole.vars.size());
+  }
+  EXPECT_LE(2 * lookups[64], 5 * lookups[32]);  // at most 2.5 times
 }
 
 TEST(StutterShortcut, FairRegionIsExactOnEveryCompositionAndExpansion) {
