@@ -86,11 +86,11 @@ void BM_SymbolicComposeMany(benchmark::State& state) {
   symbolic::Context ctx(1 << 14);
   std::vector<symbolic::SymbolicSystem> components;
   for (int i = 0; i < k; ++i) {
-    const symbolic::VarId v = ctx.addBoolVar("c" + std::to_string(i));
+    const std::string name = std::string("c").append(std::to_string(i));
+    const symbolic::VarId v = ctx.addBoolVar(name);
     const bdd::Bdd latch =
         ctx.varEq(v, "0") & ctx.varEq(v, "1", true);
-    symbolic::SymbolicSystem sys = symbolic::makeSystem(
-        ctx, "c" + std::to_string(i), {v}, latch);
+    symbolic::SymbolicSystem sys = symbolic::makeSystem(ctx, name, {v}, latch);
     symbolic::addReflexive(sys);
     components.push_back(std::move(sys));
   }

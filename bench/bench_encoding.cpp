@@ -92,7 +92,9 @@ void BM_EncodeExplicitToSymbolic(benchmark::State& state) {
   const int atoms = static_cast<int>(state.range(0));
   std::mt19937 rng(9);
   std::vector<std::string> names;
-  for (int i = 0; i < atoms; ++i) names.push_back("a" + std::to_string(i));
+  for (int i = 0; i < atoms; ++i) {
+    names.push_back(std::string("a").append(std::to_string(i)));
+  }
   kripke::ExplicitSystem es(names);
   std::uniform_int_distribution<std::uint64_t> pick(0, es.stateCount() - 1);
   for (kripke::State s = 0; s < es.stateCount(); ++s) {

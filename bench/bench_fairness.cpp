@@ -29,7 +29,9 @@ std::string ringSmv(int k) {
 
 ctl::FormulaPtr ringRegion(int k) {
   std::vector<ctl::FormulaPtr> ps;
-  for (int i = 1; i <= k; ++i) ps.push_back(ctl::eq("s", "p" + std::to_string(i)));
+  for (int i = 1; i <= k; ++i) {
+    ps.push_back(ctl::eq("s", std::string("p").append(std::to_string(i))));
+  }
   return ctl::disj(ps);
 }
 
@@ -47,7 +49,9 @@ void report() {
               rule4.has_value() ? "holds" : "fails");
 
   std::vector<ctl::FormulaPtr> ps;
-  for (int i = 1; i <= 6; ++i) ps.push_back(ctl::eq("s", "p" + std::to_string(i)));
+  for (int i = 1; i <= 6; ++i) {
+    ps.push_back(ctl::eq("s", std::string("p").append(std::to_string(i))));
+  }
   const auto rule5 = comp::deriveRule5(checker, ps, 0, q, proof);
   std::printf("Rule 5 with helpful disjunct p1:   %s (paper: succeeds)\n",
               rule5.has_value() ? "succeeds" : "FAILS");
@@ -70,7 +74,7 @@ void BM_Rule5Derivation(benchmark::State& state) {
     symbolic::Checker checker(mod.sys);
     std::vector<ctl::FormulaPtr> ps;
     for (int i = 1; i <= k; ++i) {
-      ps.push_back(ctl::eq("s", "p" + std::to_string(i)));
+      ps.push_back(ctl::eq("s", std::string("p").append(std::to_string(i))));
     }
     comp::ProofTree proof;
     const auto g =
@@ -107,7 +111,9 @@ void BM_EmersonLeiManyConstraints(benchmark::State& state) {
   const smv::ElaboratedModule mod = smv::elaborateText(ctx, smv.str());
   symbolic::Checker checker(mod.sys);
   std::vector<ctl::FormulaPtr> fairness;
-  for (int i = 0; i < m; ++i) fairness.push_back(ctl::atom("b" + std::to_string(i)));
+  for (int i = 0; i < m; ++i) {
+    fairness.push_back(ctl::atom(std::string("b").append(std::to_string(i))));
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(checker.fairStates(fairness));
   }

@@ -10,7 +10,7 @@ namespace {
 std::string varLabel(std::uint32_t var,
                      const std::vector<std::string>& varNames) {
   if (var < varNames.size() && !varNames[var].empty()) return varNames[var];
-  return "x" + std::to_string(var);
+  return std::string("x").append(std::to_string(var));
 }
 
 }  // namespace
@@ -34,7 +34,7 @@ std::string toDot(const Manager& mgr, const Bdd& f,
   auto nodeName = [](NodeIndex i) -> std::string {
     if (i == kFalseNode) return "t0";
     if (i == kTrueNode) return "t1";
-    return "n" + std::to_string(i);
+    return std::string("n").append(std::to_string(i));
   };
   while (!stack.empty()) {
     const NodeIndex i = stack.back();

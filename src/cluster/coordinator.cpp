@@ -857,17 +857,6 @@ void Coordinator::handleCheck(net::LineSocket& sock, const net::Request& req) {
 
   service::VerificationJob job;
   if (!front_.checkJob(sock, req, serial, &job)) return;
-  // Assume-guarantee learning is a whole-job, single-node derivation; a
-  // clustered check shards per obligation instead.  Verdicts are identical
-  // by construction (the learner always falls back to the direct check),
-  // so the coordinator serves learn requests as plain checks.
-  if (job.options.learn) {
-    job.options.learn = false;
-    trace_.emit(service::JsonObject()
-                    .put("event", "cluster_learn_downgraded")
-                    .putDouble("t", trace_.elapsedSeconds())
-                    .put("id", requestId));
-  }
 
   metrics_.counter("checks_admitted").inc();
   trace_.emit(service::JsonObject()

@@ -1,13 +1,12 @@
 // Parameterized SMV model generation (gen layer): scalable families of the
-// paper's systems for learning, benchmarking, and scaling experiments.
+// paper's systems for benchmarking and scaling experiments.
 //
 //  - ringModel(n): a token ring of n stations.  Station i owns st<i> and
 //    shares the token bits tok<i> (with its predecessor) and tok<i+1 mod n>
-//    (with its successor), so every 2-way split has a 2-bit interface —
-//    the minimal nontrivial assumption-learning exercise: under a free
-//    environment a station in its critical section can have its token
-//    stolen, so the learner must discover "the environment never clears
-//    tok<i>".
+//    (with its successor).  Its spec, "in the critical section, station i
+//    holds tok<i>" as p ⇒ AX p, holds on the station alone but not under
+//    a free environment, which may clear tok<i> while station i is in its
+//    critical section; the composed check decides it on the whole ring.
 //  - afs2Model(n): the AFS-2 server of Figure 12 generalized to n clients
 //    plus the n clients of Figure 13, mirroring models/afs2_composed.smv
 //    (which is this family at n = 2, modulo formatting).  afs::buildAfs2

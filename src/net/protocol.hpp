@@ -13,7 +13,7 @@
 //           "name" (job name) is optional.  Job options (all optional,
 //           defaulting to the server's; the table in
 //           service/job_options.hpp):
-//             "compose", "learn", "no_retry", "trace_force", "reorder"
+//             "compose", "no_retry", "trace_force", "reorder"
 //             (bool); "deadline_ms", "node_budget", "cluster" (integer);
 //             "engine" ("auto" | "partitioned" | "monolithic")
 //   STATUS  {"cmd": "STATUS"}

@@ -4,7 +4,6 @@
 
 #include <chrono>
 
-#include "agr/engine.hpp"
 #include "util/version.hpp"
 
 #ifndef POLLRDHUP
@@ -139,7 +138,9 @@ bool Server::handleRequest(LineSocket& sock, const Request& req) {
 void Server::handleCheck(LineSocket& sock, const Request& req) {
   const std::uint64_t serial = ++serial_;
   auto state = std::make_shared<RequestState>();
-  state->id = req.id.empty() ? "#" + std::to_string(serial) : req.id;
+  state->id = req.id.empty()
+                  ? std::string("#").append(std::to_string(serial))
+                  : req.id;
 
   service::VerificationJob job;
   if (!front_.checkJob(sock, req, serial, &job)) return;
@@ -212,15 +213,8 @@ void Server::handleCheck(LineSocket& sock, const Request& req) {
   state->running.store(true, std::memory_order_release);
   state->connFd.store(sock.fd(), std::memory_order_release);
   WallTimer runTimer;
-  // Learn-enabled checks route through the assume-guarantee engine; its
-  // service queries and fallbacks reuse this server's scheduler and cache.
-  // (Journal replay does not apply to learned runs: their obligations are
-  // derived, not journaled attempt-by-attempt.)
   service::JobReport report =
-      job.options.learn
-          ? agr::runLearnedJob(svc_, job, agr::LearnOptions{}, &trace_,
-                               &metrics_)
-          : svc_.run(job, &trace_, journal_, replay_, &state->cancel);
+      svc_.run(job, &trace_, journal_, replay_, &state->cancel);
   const double runSeconds = runTimer.seconds();
   state->connFd.store(-1, std::memory_order_release);
   state->running.store(false, std::memory_order_release);

@@ -99,19 +99,6 @@ struct JobOptions {
   /// of the obligation fingerprint: it changes how a verdict is *served*,
   /// never the verdict.
   bool traceForce = false;
-  /// Discharge composed obligations through the assume-guarantee learning
-  /// engine (agr::runLearnedJob) where the spec shape admits it, falling
-  /// back to the direct composed check otherwise.  Like traceForce this is
-  /// not part of the obligation fingerprint: the learned verdict is the
-  /// same ⊨_r verdict, derived differently.
-  bool learn = false;
-  /// Provenance of a synthetic assumption/environment module composed into
-  /// this job's model (agr teacher queries): the learned automaton's
-  /// content digest, or a per-step tag for membership queries.  Folded into
-  /// every obligation fingerprint so premise queries against two different
-  /// assumptions can never alias each other in the obligation cache.
-  /// Empty for ordinary jobs.
-  std::string assumptionDigest;
 };
 
 /// Builds a job's modules inside a fresh per-obligation context.  Used for
@@ -218,11 +205,6 @@ struct ObligationOutcome {
   std::string error;           ///< non-empty for Verdict::Error
   std::string counterexample;  ///< trace for failing AG specs, if derivable
   std::string proofJson;       ///< ProofTree certificate (composed only)
-  /// JSON object describing the assume-guarantee learning run that decided
-  /// (verdict_source "learned": assumption size, query counts, partition)
-  /// or declined (fallback_reason) this composed obligation.  Empty for
-  /// ordinary obligations.
-  std::string learnedJson;
 };
 
 struct JobReport {

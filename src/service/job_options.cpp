@@ -76,10 +76,6 @@ const JobOptionRow kRows[kJobOptionCount] = {
      [](const JobOptions& o, JsonObject& r) {
        r.putUint("cluster_threshold", o.clusterThreshold);
      }},
-    {"learn",
-     [](const JobOptions& o) -> JobOptionValue { return o.learn; },
-     [](JobOptions& o, const JobOptionValue& v) { o.learn = flag(v); },
-     [](const JobOptions& o, JsonObject& r) { r.putBool("learn", o.learn); }},
     {"reorder",
      [](const JobOptions& o) -> JobOptionValue {
        return o.reorderBeforeCheck;
@@ -97,13 +93,6 @@ const JobOptionRow kRows[kJobOptionCount] = {
        r.putBool("trace_force", o.traceForce);
      }},
 };
-
-std::size_t rowIndex(std::string_view key) {
-  for (std::size_t r = 0; r < kJobOptionCount; ++r) {
-    if (key == kRows[r].key) return r;
-  }
-  return kJobOptionCount;
-}
 
 }  // namespace
 
@@ -145,10 +134,6 @@ FlagParse parseJobOptionFlag(int argc, char** argv, int* i, JobOptions* opts,
     }
     row.set(*opts, value);
     if (given != nullptr) given->set(r);
-    if (r == rowIndex("learn")) {
-      opts->compose = true;
-      if (given != nullptr) given->set(rowIndex("compose"));
-    }
     return FlagParse::Applied;
   }
   return FlagParse::NotAnOption;

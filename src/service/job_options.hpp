@@ -37,7 +37,7 @@ struct JobOptionRow {
   void (*echo)(const JobOptions&, util::JsonObject&);
 };
 
-constexpr std::size_t kJobOptionCount = 9;
+constexpr std::size_t kJobOptionCount = 8;
 
 /// The rows, in the order of the report's "options" echo.
 std::span<const JobOptionRow, kJobOptionCount> jobOptionRows();
@@ -54,8 +54,7 @@ enum class FlagParse { NotAnOption, Applied, Invalid };
 /// the value after it if the row takes one, and add the row to *given
 /// (may be null).  Invalid, with *error naming the flag, on a missing or
 /// malformed value.  NotAnOption, touching nothing, for any other
-/// argument.  --learn also sets compose, and marks it given: learning
-/// only applies to composed obligations.
+/// argument.
 FlagParse parseJobOptionFlag(int argc, char** argv, int* i, JobOptions* opts,
                              JobOptionSet* given, std::string* error);
 

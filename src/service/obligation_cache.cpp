@@ -469,11 +469,10 @@ std::string obligationFingerprint(const std::vector<std::string>& moduleCanon,
   h.update(symbolic::toString(options.engine)).sep();
   h.update(std::to_string(options.clusterThreshold)).sep();
   h.update(options.reorderBeforeCheck ? "reorder" : "noreorder").sep();
-  // Assumption provenance: a learned-assumption premise query composes a
-  // synthetic environment module into the model.  The module content is
-  // already in the canon, but folding the digest keeps two different
-  // assumptions apart even if canonicalization ever coarsens (v2 bump).
-  h.update("assume:").update(options.assumptionDigest).sep();
+  // The v2 key ends in an assumption-provenance field, empty for every
+  // job; hashing the bare tag keeps the entries older builds wrote
+  // addressable.
+  h.update("assume:").sep();
   return h.hex();
 }
 

@@ -100,7 +100,6 @@ std::string outcomeJson(const ObligationOutcome& o) {
   if (!o.error.empty()) obj.put("error", o.error);
   if (!o.counterexample.empty()) obj.put("counterexample", o.counterexample);
   if (!o.proofJson.empty()) obj.putRaw("proof", o.proofJson);
-  if (!o.learnedJson.empty()) obj.putRaw("learned", o.learnedJson);
   return obj.str();
 }
 

@@ -125,11 +125,4 @@ bool TypeDecl::operator==(const TypeDecl& other) const {
          (kind == Kind::Bool) == (other.kind == Kind::Bool);
 }
 
-const VarDecl* Module::findVar(const std::string& name) const {
-  for (const VarDecl& v : vars) {
-    if (v.name == name) return &v;
-  }
-  return nullptr;
-}
-
 }  // namespace cmc::smv

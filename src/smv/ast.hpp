@@ -99,8 +99,6 @@ struct Module {
   std::vector<ExprPtr> transConstraints;  ///< TRANS sections
   std::vector<ctl::FormulaPtr> specs;     ///< SPEC sections
   std::vector<ctl::FormulaPtr> fairness;  ///< FAIRNESS sections
-
-  const VarDecl* findVar(const std::string& name) const;
 };
 
 }  // namespace cmc::smv

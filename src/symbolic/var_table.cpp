@@ -218,7 +218,7 @@ std::vector<std::string> Context::bddVarNames() const {
   for (const Variable& v : vars_) {
     for (std::size_t b = 0; b < v.bits.size(); ++b) {
       std::string base = v.name;
-      if (v.bits.size() > 1) base += "." + std::to_string(b);
+      if (v.bits.size() > 1) base.append(".").append(std::to_string(b));
       names[2 * v.bits[b]] = base;
       names[2 * v.bits[b] + 1] = base + "'";
     }

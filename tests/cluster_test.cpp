@@ -245,7 +245,8 @@ TEST(ClusterCoordinator, AShardAttemptRecordsOnlyWhatTheResponseSays) {
   for (const char* key : {"peak_live_nodes", "cache_hit_rate", "elaborate_ms",
                           "import_ms", "setup_ms", "fixpoint_ms", "preimages",
                           "cone_preimages"}) {
-    EXPECT_EQ(json.find("\"" + std::string(key) + "\""), std::string::npos)
+    EXPECT_EQ(json.find(std::string("\"").append(key).append("\"")),
+              std::string::npos)
         << key;
   }
 }
@@ -323,7 +324,7 @@ struct ClusterHarness {
     opts.socketPath = freshSocketPath("coord");
     for (int i = 0; i < n; ++i) {
       ShardSpec spec;
-      spec.name = "s" + std::to_string(i);
+      spec.name = std::string("s").append(std::to_string(i));
       spec.socketPath = shards[i]->sockPath;
       opts.topology.shards.push_back(spec);
     }

@@ -32,9 +32,8 @@ const JobOptionRow& rowFor(std::string_view key) {
   throw std::logic_error("no job-option row " + std::string(key));
 }
 
-/// Options the CLI can express: --learn always brings --compose along.
-/// Deadlines are whole milliseconds below 2^40, which JobOptions' seconds
-/// (a double) hold exactly.
+/// Options the CLI can express: deadlines are whole milliseconds below
+/// 2^40, which JobOptions' seconds (a double) hold exactly.
 JobOptions randomOptions(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> coin(0, 1);
   std::uniform_int_distribution<std::uint64_t> ms(0, (std::uint64_t{1} << 40));
@@ -44,8 +43,7 @@ JobOptions randomOptions(std::mt19937_64& rng) {
   o.limits.nodeBudget = coin(rng) != 0 ? any(rng) : any(rng) % 1000;
   o.engine = kEngines[any(rng) % 3];
   o.retryOtherEngine = coin(rng) != 0;
-  o.learn = coin(rng) != 0;
-  o.compose = o.learn || coin(rng) != 0;
+  o.compose = coin(rng) != 0;
   o.clusterThreshold = any(rng);
   o.reorderBeforeCheck = coin(rng) != 0;
   o.traceForce = coin(rng) != 0;
@@ -132,15 +130,14 @@ TEST(JobOptionTable, RandomOptionsSurviveCliWireAndReportEcho) {
     double deadline = -1.0;
     std::uint64_t nodeBudget = 0, cluster = 0;
     std::string engine;
-    bool retry = false, compose = false, learn = false, reorder = false,
-         traceForce = false;
+    bool retry = false, compose = false, reorder = false, traceForce = false;
     ASSERT_TRUE(echo->req("deadline_seconds", &deadline) &&
                 echo->req("node_budget", &nodeBudget) &&
                 echo->req("engine", &engine) &&
                 echo->req("retry_other_engine", &retry) &&
                 echo->req("compose", &compose) &&
                 echo->req("cluster_threshold", &cluster) &&
-                echo->req("learn", &learn) && echo->req("reorder", &reorder) &&
+                echo->req("reorder", &reorder) &&
                 echo->req("trace_force", &traceForce));
     EXPECT_EQ(deadline,
               std::strtod(util::jsonNumber(want.limits.deadlineSeconds).c_str(),
@@ -150,7 +147,6 @@ TEST(JobOptionTable, RandomOptionsSurviveCliWireAndReportEcho) {
     EXPECT_EQ(retry, want.retryOtherEngine);
     EXPECT_EQ(compose, want.compose);
     EXPECT_EQ(cluster, want.clusterThreshold);
-    EXPECT_EQ(learn, want.learn);
     EXPECT_EQ(reorder, want.reorderBeforeCheck);
     EXPECT_EQ(traceForce, want.traceForce);
   }
@@ -162,8 +158,8 @@ TEST(JobOptionTable, ReportEchoKeepsItsKeysInOrderAndAppendsTheRest) {
   EXPECT_EQ(jobOptionsEcho(o),
             "{\"deadline_seconds\": 1.5, \"node_budget\": 0, \"engine\": "
             "\"partitioned\", \"retry_other_engine\": true, \"compose\": "
-            "false, \"cluster_threshold\": 1024, \"learn\": false, "
-            "\"reorder\": false, \"trace_force\": false}");
+            "false, \"cluster_threshold\": 1024, \"reorder\": false, "
+            "\"trace_force\": false}");
 }
 
 TEST(JobOptionTable, FingerprintSeesExactlyEngineClusterAndReorder) {
@@ -227,20 +223,20 @@ TEST(JobOptionTable, CliRefusesValuesARowCannotHold) {
             FlagParse::NotAnOption);
   EXPECT_EQ(parseOne({"cmc", "check", "--deadline_ms", "4"}, &err),
             FlagParse::NotAnOption);
+  EXPECT_EQ(parseOne({"cmc", "check", "--learn"}, &err),
+            FlagParse::NotAnOption);
 
   // The largest values pass; a deadline saturates instead of wrapping.
   JobOptionSet given;
   const JobOptions big =
       parseArgs({"cmc", "check", "--node-budget", "18446744073709551615",
-                 "--deadline-ms", "18446744073709551615", "--learn"},
+                 "--deadline-ms", "18446744073709551615", "--compose"},
                 &given);
   EXPECT_EQ(big.limits.nodeBudget, 18446744073709551615u);
   EXPECT_EQ(std::get<std::uint64_t>(rowFor("deadline_ms").get(big)),
             18446744073709551615u);
-  // --learn brings --compose along, and marks it given.
-  EXPECT_TRUE(big.learn);
   EXPECT_TRUE(big.compose);
-  EXPECT_EQ(given.count(), 4u);
+  EXPECT_EQ(given.count(), 3u);
 }
 
 TEST(JobOptionTable, SubmitSendsTheDeadlineItWasGiven) {

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <random>
@@ -21,6 +22,7 @@
 #include "net/protocol.hpp"
 #include "service/journal.hpp"
 #include "service/obligation_cache.hpp"
+#include "service/scheduler.hpp"
 #include "test_util.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -435,6 +437,38 @@ TEST(ParentLines, StoreLinesReadBackFieldForField) {
   EXPECT_EQ(written[2], lines["store_line_cex_proof"]);
   EXPECT_EQ(written[3], service::frameLine(lines["store_line_legacy"]));
   fs::remove_all(dir);
+}
+
+TEST(ParentLines, FingerprintsOfTheShippedModelAreUnchanged) {
+  // The journal and store lines above were written for
+  // models/afs1_composed.smv checked with --compose under the auto engine.
+  // Today's fingerprints of the same obligations must be theirs, or every
+  // line an older build wrote stops being addressable.
+  auto lines = parentLines();
+  const auto fpOf = [&](const std::string& kind) {
+    std::string fp;
+    EXPECT_TRUE(test::parsedJson(lines[kind]).req("fp", &fp)) << kind;
+    return fp;
+  };
+  service::VerificationJob job;
+  job.name = "afs1_composed";
+  std::ifstream in(fs::path(CMC_MODELS_DIR) / "afs1_composed.smv");
+  job.smvText.assign(std::istreambuf_iterator<char>(in), {});
+  job.options.compose = true;
+  job.options.engine = symbolic::EngineMode::Auto;
+  service::ServiceOptions opts;
+  opts.threads = 2;
+  service::VerificationService svc(opts);
+  std::map<std::string, std::string> fingerprints;
+  for (const service::ObligationOutcome& o : svc.run(job).obligations) {
+    fingerprints[o.id] = o.fingerprint;
+  }
+  EXPECT_EQ(fingerprints["afs1server/afs1server.SPEC1"],
+            fpOf("journal_entry"));
+  EXPECT_EQ(fingerprints["composed/afs1server.SPEC1"],
+            fpOf("store_line_proof"));
+  EXPECT_EQ(fingerprints["composed/afs1client.SPEC1"],
+            fpOf("store_line_cex_proof"));
 }
 
 TEST(ParentLines, TopologyAndResponsesReadBack) {

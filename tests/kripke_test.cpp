@@ -106,7 +106,9 @@ TEST(Composition, Figure1Example) {
 
 TEST(Composition, AlphabetGuard) {
   std::vector<std::string> many;
-  for (int i = 0; i < 15; ++i) many.push_back("p" + std::to_string(i));
+  for (int i = 0; i < 15; ++i) {
+    many.push_back(std::string("p").append(std::to_string(i)));
+  }
   ExplicitSystem big(many);
   ExplicitSystem other({"q0", "q1", "q2", "q3", "q4", "q5", "q6"});
   EXPECT_THROW(compose(big, other), ModelError);

@@ -232,7 +232,8 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
   EXPECT_DOUBLE_EQ(req.options.limits.deadlineSeconds, 0.0);
 
   // Whitespace is free and key order does not matter: a compact request
-  // keeps its budgets.
+  // keeps its budgets.  "learn" is a key older clients send; like any
+  // unknown key it is ignored, and it does not turn on compose.
   ASSERT_TRUE(parseRequest(
       "{\"node_budget\":777,\"deadline_ms\":1500,\"model\":\"m.smv\","
       "\"cmd\":\"CHECK\",\"learn\":true,\"reorder\":true,"
@@ -241,8 +242,7 @@ TEST(NetProtocol, ParseOverlaysDefaults) {
       << err;
   EXPECT_DOUBLE_EQ(req.options.limits.deadlineSeconds, 1.5);
   EXPECT_EQ(req.options.limits.nodeBudget, 777u);
-  EXPECT_TRUE(req.options.learn);
-  EXPECT_FALSE(req.options.compose);  // learn implies compose on the CLI only
+  EXPECT_FALSE(req.options.compose);
   EXPECT_TRUE(req.options.reorderBeforeCheck);
   EXPECT_TRUE(req.options.traceForce);
   EXPECT_EQ(req.options.clusterThreshold, 64u);
@@ -685,9 +685,8 @@ TEST(NetServer, StatsAreConsistentAfterABurst) {
   Client c = h.connect();
   std::string resp, err;
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(c.request(checkRequest("r" + std::to_string(i), kChainSmv),
-                          &resp, &err))
-        << err;
+    const std::string id = std::string("r").append(std::to_string(i));
+    ASSERT_TRUE(c.request(checkRequest(id, kChainSmv), &resp, &err)) << err;
   }
   // Registry invariants the STATS command exposes.
   EXPECT_EQ(h.metrics.counterValue("checks_admitted"), 4u);

@@ -910,8 +910,8 @@ SPEC AG (w -> AX !w)
 std::string wideSmv() {
   std::string avars, bvars, next, eq;
   for (int i = 1; i <= 12; ++i) {
-    const std::string a = "a" + std::to_string(i);
-    const std::string b = "b" + std::to_string(i);
+    const std::string a = std::string("a").append(std::to_string(i));
+    const std::string b = std::string("b").append(std::to_string(i));
     avars += a + " : boolean; ";
     bvars += b + " : boolean; ";
     next += "next(" + b + ") := " + b + "; ";
@@ -929,7 +929,7 @@ std::string wideSmv() {
 std::string counterSmv() {
   std::string vars, next, all, carry;
   for (int i = 0; i < 20; ++i) {
-    const std::string b = "b" + std::to_string(i);
+    const std::string b = std::string("b").append(std::to_string(i));
     vars += b + " : boolean; ";
     next += i == 0 ? "next(b0) := !b0; "
                    : "next(" + b + ") := case " + carry + " : !" + b +

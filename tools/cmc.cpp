@@ -48,7 +48,6 @@
 #include <thread>
 #include <vector>
 
-#include "agr/engine.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/topology.hpp"
 #include "net/client.hpp"
@@ -69,9 +68,6 @@ constexpr const char* kUsage = R"(usage: cmc <command> [options] <model.smv> [mo
 
 commands:
   check       parse, elaborate and verify every SPEC of the given models
-  learn       like `check --compose --learn`: discharge composed specs by
-              the assume-guarantee rule with an L*-learned assumption
-              (see docs/THEORY.md "Learned assumptions")
   serve       run the persistent verification daemon (wire protocol over a
               Unix-domain socket; see README.md "Server mode")
   coordinator front a fleet of serve daemons as one: route each obligation
@@ -88,13 +84,6 @@ commands:
 cmc check options:
   --compose          also verify each spec on the composition of all modules
                      (compositional rules first, certificate in the report)
-  --learn            discharge composed specs through assume-guarantee
-                     learning where possible (implies --compose): a learned
-                     assumption automaton replaces the product build; specs
-                     that resist learning fall back to the direct composed
-                     check, so verdicts never change.  The report carries
-                     verdict_source "learned" plus the assumption size and
-                     query counts per discharged spec
   --engine MODE      first-attempt verification engine:
                        auto         probe the monolithic product size per
                                     obligation, pick the cheaper symbolic
@@ -147,12 +136,11 @@ cmc serve options:
                      period of the "metrics" JSONL trace event (default
                      10000; 0 = off)
   plus, as in check: --threads --cache-dir --no-cache --journal --resume
-  --trace --failpoint, and the job-option defaults (--compose --learn
-  --engine --no-retry --trace-force --deadline-ms --node-budget --cluster
-  --reorder), which
-  requests overlay per CHECK.  SIGTERM/SIGINT (or a DRAIN command) drains:
-  in-flight requests finish and respond, new CHECKs get DRAINING, then the
-  server exits 0.
+  --trace --failpoint, and the job-option defaults (--compose --engine
+  --no-retry --trace-force --deadline-ms --node-budget --cluster
+  --reorder), which requests overlay per CHECK.  SIGTERM/SIGINT (or a
+  DRAIN command) drains: in-flight requests finish and respond, new CHECKs
+  get DRAINING, then the server exits 0.
 
 cmc coordinator options:
   --socket PATH      Unix-domain listener (required; unlinked on shutdown)
@@ -533,23 +521,9 @@ int runCheck(const CliOptions& cli) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  std::vector<service::JobReport> reports;
-  if (cli.job.learn) {
-    // Learned runs drive the service job by job: each spec spawns its own
-    // query obligations through svc (cached and budgeted as usual), so the
-    // batch pool interleaving buys nothing here.  The run journal does not
-    // cover learned composed obligations — their outcomes are derived from
-    // many query jobs, not one recordable attempt.
-    reports.reserve(jobs.size());
-    for (const service::VerificationJob& job : jobs) {
-      reports.push_back(
-          agr::runLearnedJob(svc, job, agr::LearnOptions{}, &trace));
-    }
-  } else {
-    reports = svc.runBatch(jobs, &trace,
-                           journal.isOpen() ? &journal : nullptr,
-                           cli.resume ? &replay : nullptr);
-  }
+  const std::vector<service::JobReport> reports =
+      svc.runBatch(jobs, &trace, journal.isOpen() ? &journal : nullptr,
+                   cli.resume ? &replay : nullptr);
 
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -1368,12 +1342,8 @@ void printFailpointHits() {
 
 int runCommand(const std::string& command, int argc, char** argv) {
   try {
-    if (command == "check" || command == "learn") {
+    if (command == "check") {
       CliOptions cli;
-      if (command == "learn") {
-        cli.job.learn = true;
-        cli.job.compose = true;
-      }
       if (const int rc = parseArgs(argc, argv, &cli); rc != 0) return rc;
       return runCheck(cli);
     }
