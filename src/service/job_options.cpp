@@ -106,6 +106,26 @@ std::string jobOptionFlag(const JobOptionRow& row) {
   return flag;
 }
 
+const char* flagValue(int argc, char** argv, int* i, std::string* error) {
+  if (*i + 1 >= argc) {
+    *error = std::string(argv[*i]) + " requires a value";
+    return nullptr;
+  }
+  return argv[++*i];
+}
+
+bool flagInteger(const std::string& flag, const char* text, std::uint64_t min,
+                 std::uint64_t max, std::uint64_t* out, std::string* error) {
+  std::uint64_t n = 0;
+  if (parseUint(text, &n) && n >= min && n <= max) {
+    *out = n;
+    return true;
+  }
+  *error = flag + " needs an integer in " + std::to_string(min) + ".." +
+           std::to_string(max) + ", got '" + text + "'";
+  return false;
+}
+
 FlagParse parseJobOptionFlag(int argc, char** argv, int* i, JobOptions* opts,
                              JobOptionSet* given, std::string* error) {
   for (std::size_t r = 0; r < kJobOptionCount; ++r) {
@@ -116,14 +136,12 @@ FlagParse parseJobOptionFlag(int argc, char** argv, int* i, JobOptions* opts,
     if (std::holds_alternative<bool>(value)) {
       value = true;
     } else {
-      if (*i + 1 >= argc) {
-        *error = flag + " requires a value";
-        return FlagParse::Invalid;
-      }
-      const char* text = argv[++*i];
+      const char* text = flagValue(argc, argv, i, error);
+      if (text == nullptr) return FlagParse::Invalid;
       if (std::uint64_t* n = std::get_if<std::uint64_t>(&value)) {
-        if (!parseUint(text, n)) {
-          *error = flag + " needs a non-negative integer, got '" + text + "'";
+        if (!flagInteger(flag, text, 0,
+                         std::numeric_limits<std::uint64_t>::max(), n,
+                         error)) {
           return FlagParse::Invalid;
         }
       } else if (!symbolic::engineModeFromString(

@@ -48,6 +48,15 @@ using JobOptionSet = std::bitset<kJobOptionCount>;
 /// The row's CLI flag: "--" + key with '_' replaced by '-'.
 std::string jobOptionFlag(const JobOptionRow& row);
 
+/// The value of the flag argv[*i], consumed: argv[*i + 1].  Null, with
+/// *error saying that the flag requires a value, when there is none.
+const char* flagValue(int argc, char** argv, int* i, std::string* error);
+
+/// A flag's integer value: digits only, in [min, max].  False, with *error
+/// naming the flag, the range and `text`, otherwise.
+bool flagInteger(const std::string& flag, const char* text, std::uint64_t min,
+                 std::uint64_t max, std::uint64_t* out, std::string* error);
+
 enum class FlagParse { NotAnOption, Applied, Invalid };
 
 /// Parse argv[*i] when it is a job-option flag: apply it to *opts, consume

@@ -215,8 +215,9 @@ class WarmContexts : public std::enable_shared_from_this<WarmContexts> {
 struct ObligationDesc : ObligationRef {
   const VerificationJob* job = nullptr;
   std::string jobName;
-  /// The job's shared elaboration snapshot; null for factory jobs (their
-  /// builder runs per attempt) — workers then rebuild from scratch.
+  /// The job's elaboration snapshot: its engine choices, and for a text
+  /// job the BDDs its attempts import.  A factory job's attempts rebuild
+  /// from its builder, the model's source of truth.
   std::shared_ptr<const ElaborationSnapshot> snapshot;
   /// The job's kept worker contexts; null when no attempt of the job may
   /// run warm (factory jobs, reorder jobs).
@@ -282,42 +283,34 @@ struct AttemptOutput {
   AttemptRecord record;
   bool decided = false;  ///< verdict is Holds/Fails (not budget/error)
   bool partitioned = true;  ///< engine actually used
-  /// EngineMode::Auto was resolved during this attempt (worker-side probe
-  /// on the rebuild path); `choice` then carries the decision.
-  bool autoResolved = false;
-  symbolic::EngineChoice choice;
   std::string rule;
   std::string counterexample;
   std::string proofJson;
   std::string error;
 };
 
-/// One engine attempt.  With a snapshot (and `useSnapshot`), the worker
-/// runs warm on the context it kept from its previous decided obligation
-/// of the same target and engine (WarmContexts), or else adopts the
-/// snapshot's variable layout into a context pre-sized from the nodes it
-/// imports (contextNodes) and imports the BDDs it needs — a linear DAG
-/// copy in DFS order, no rehashing mid-import; a composed obligation also
-/// imports the snapshot's composition instead of composing.  Otherwise
-/// (factory jobs, quarantine retries) it rebuilds and composes from
-/// scratch.  A warm attempt also keeps the context's component checker or
-/// composed verifier, so it builds no closure, composition or checker;
-/// only the cancel hook is its own.
-/// `forcePartitioned` fixes the engine (retries, non-Auto modes,
-/// snapshot-resolved Auto); when absent the mode is Auto without a snapshot
-/// and the worker resolves it here.
-AttemptOutput runAttempt(const ObligationDesc& d,
-                         std::optional<bool> forcePartitioned,
+/// One engine attempt on the engine `partitioned` names: the caller has
+/// resolved Auto from the snapshot's choice before the first attempt.
+/// With a text job's snapshot (and `useSnapshot`), the worker runs warm on
+/// the context it kept from its previous decided obligation of the same
+/// target and engine (WarmContexts), or else adopts the snapshot's
+/// variable layout into a context pre-sized from the nodes it imports
+/// (contextNodes) and imports the BDDs it needs — a linear DAG copy in DFS
+/// order, no rehashing mid-import; a composed obligation also imports the
+/// snapshot's composition instead of composing.  Otherwise (factory jobs,
+/// quarantine retries) it rebuilds and composes from scratch.  A warm
+/// attempt also keeps the context's component checker or composed
+/// verifier, so it builds no closure, composition or checker; only the
+/// cancel hook is its own.
+AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
                          bool useSnapshot, const CancelFlags& cancel) {
   AttemptOutput out;
   const JobOptions& jopts = d.job->options;
   const ElaborationSnapshot* snap =
-      useSnapshot ? d.snapshot.get() : nullptr;
-
-  const bool engineKnown = forcePartitioned.has_value();
-  bool partitioned = forcePartitioned.value_or(true);
-  out.record.engine = engineKnown ? engineName(partitioned) : "auto";
-  // Only snapshot-backed attempts hand contexts on; their engine is known.
+      useSnapshot && !d.job->factory ? d.snapshot.get() : nullptr;
+  out.partitioned = partitioned;
+  out.record.engine = engineName(partitioned);
+  // Only snapshot-backed attempts hand contexts on.
   WarmContexts* warm = snap != nullptr ? d.warm.get() : nullptr;
   const WarmContexts::Key key{d.warmTarget(), partitioned};
 
@@ -339,10 +332,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
         mgr.collectGarbage();
       }
     } else if (snap != nullptr) {
-      // Snapshot path: Auto was resolved by the caller (runAttempts reads
-      // the snapshot's choice), so `partitioned` is known and the
-      // import copies exactly what the chosen engine needs.
-      CMC_ASSERT(engineKnown);
+      // The engine is known, so the import copies exactly what it needs.
       WallTimer importTimer;
       const std::uint64_t nodes = contextNodes(*snap, d);
       wc = std::make_unique<WorkerContext>(workerArenaCapacity(nodes),
@@ -382,25 +372,7 @@ AttemptOutput runAttempt(const ObligationDesc& d,
     const std::size_t localIndex =
         snap != nullptr && !d.composed ? 0 : d.moduleIndex;
 
-    if (!engineKnown) {
-      // Auto without a snapshot: probe on the freshly built system.  For
-      // a composed obligation the product is exactly what we refuse to
-      // build speculatively, so default to the engine that never
-      // materializes it.
-      if (!d.composed) {
-        out.choice = symbolic::chooseEngine(modules.at(localIndex).sys);
-      } else {
-        out.choice.usePartitioned = true;
-        out.choice.reason =
-            "composed obligation without snapshot defaults to partitioned";
-      }
-      partitioned = out.choice.usePartitioned;
-      out.autoResolved = true;
-    }
-
     const ctl::Spec& spec = modules.at(localIndex).specs.at(d.specIndex);
-    out.partitioned = partitioned;
-    out.record.engine = engineName(partitioned);
 
     if (jopts.reorderBeforeCheck) mgr.reorderSift();
 
@@ -695,15 +667,10 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
                  const CancelFlags& cancel,
                  const ObligationInstruments* ins) {
   const JobOptions& jopts = d.job->options;
-  // First-attempt engine: fixed modes are forced outright; Auto resolves
-  // from the snapshot's choice when there is one, otherwise the
-  // first attempt resolves it worker-side.
-  std::optional<bool> partitioned;
-  if (jopts.engine == symbolic::EngineMode::Partitioned) {
-    partitioned = true;
-  } else if (jopts.engine == symbolic::EngineMode::Monolithic) {
-    partitioned = false;
-  } else if (d.snapshot != nullptr) {
+  // First-attempt engine: fixed modes are forced outright; Auto takes the
+  // choice the job's snapshot made for this obligation's target.
+  bool partitioned = jopts.engine != symbolic::EngineMode::Monolithic;
+  if (jopts.engine == symbolic::EngineMode::Auto) {
     const symbolic::EngineChoice& c =
         d.composed ? d.snapshot->composedChoice
                    : d.snapshot->moduleChoice.at(d.moduleIndex);
@@ -720,10 +687,6 @@ void runAttempts(const ObligationDesc& d, ObligationOutcome& out,
     // rebuild from the program text rules out a poisoned import just as
     // the fresh Context rules out a poisoned manager.
     const AttemptOutput a = runAttempt(d, partitioned, !quarantined, cancel);
-    if (a.autoResolved) {
-      partitioned = a.partitioned;
-      recordEngineChoice(d, a.choice, out, trace);
-    }
     noteAttempt(d, a, attemptNo, out, trace, ins);
     if (a.record.verdict == Verdict::Error) {
       // Quarantine: one more try rebuilt from scratch (fresh Context, no
@@ -809,7 +772,7 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
                    .put("target", d.target)
                    .put("spec", d.specName)
                    .put("engine", symbolic::toString(d.job->options.engine))
-                   .putBool("snapshot", d.snapshot != nullptr)
+                   .putBool("snapshot", !d.job->factory)
                    .putUint("queue_depth", pool.pendingTasks()));
   }
 
@@ -924,8 +887,8 @@ JobReport VerificationService::run(const VerificationJob& job,
 std::shared_future<SnapshotResult> VerificationService::snapshotFor(
     const VerificationJob& job, bool wantCanon) {
   // Factory jobs are not memoizable (the builder must run per call — and
-  // tests rely on its call count); their snapshot is also only used for
-  // obligation enumeration, never shared with workers.
+  // tests rely on its call count); their snapshot is only used for
+  // obligation enumeration and engine choices, never imported by workers.
   if (!job.factory && snapshotCapacity_ > 0) {
     // The snapshot's content depends on the engine mode (Auto probes and
     // records choices), compose (composed probe), and whether canonical
@@ -1039,10 +1002,6 @@ std::vector<JobReport> VerificationService::runBatch(
     } else {
       state.snapshot = sr.snapshot;
       const ElaborationSnapshot& snap = *sr.snapshot;
-      // Workers share the snapshot's BDDs for text jobs only: a factory
-      // job's builder is the model's source of truth and runs per attempt.
-      const std::shared_ptr<const ElaborationSnapshot> shared =
-          job.factory ? nullptr : state.snapshot;
       // Everything obligationFingerprint hashes beyond the snapshot
       // (engine is part of the snapshot memo key already).
       const std::uint64_t optBits =
@@ -1065,7 +1024,7 @@ std::vector<JobReport> VerificationService::runBatch(
       state.scoutError = keepOnly(job, &state.descs);
       // Text jobs run obligations warm on kept contexts; a reorder job
       // sifts each manager, so its contexts are never handed on.
-      if (shared != nullptr && !job.options.reorderBeforeCheck) {
+      if (!job.factory && !job.options.reorderBeforeCheck) {
         std::vector<std::size_t> perTarget(snap.modules.size() + 1, 0);
         for (const ObligationDesc& d : state.descs) ++perTarget[d.warmTarget()];
         state.warm = std::make_shared<WarmContexts>(std::move(perTarget));
@@ -1073,7 +1032,7 @@ std::vector<JobReport> VerificationService::runBatch(
       for (ObligationDesc& d : state.descs) {
         d.job = &job;
         d.jobName = job.name;
-        d.snapshot = shared;
+        d.snapshot = state.snapshot;
         d.warm = state.warm;
       }
       if (tr.enabled()) {
@@ -1081,7 +1040,7 @@ std::vector<JobReport> VerificationService::runBatch(
         event.put("event", "snapshot")
             .putDouble("t", tr.elapsedSeconds())
             .put("job", job.name)
-            .putBool("shared", shared != nullptr);
+            .putBool("shared", !job.factory);
         if (snap.parseSeconds) {
           event.putDouble("parse_ms", *snap.parseSeconds * 1000.0);
         }

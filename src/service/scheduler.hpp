@@ -17,7 +17,7 @@
 //    jobs *import* their BDDs from the snapshot through bdd::Importer — a
 //    linear copy of the reachable DAG into a pre-sized arena — instead of
 //    re-parsing and re-elaborating; factory jobs and quarantine retries
-//    rebuild from scratch.
+//    rebuild from scratch, on the engine the snapshot chose.
 //  - Warm contexts: a worker that decided an obligation (Holds/Fails)
 //    keeps its imported context and runs its next obligation of the same
 //    target and engine on it (trace and report: "context": "warm"), so a

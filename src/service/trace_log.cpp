@@ -8,22 +8,23 @@ namespace cmc::service {
 
 void RunTrace::emit(const JsonObject& event) {
   if (!enabled_) return;
-  const std::string line = event.str();
+  std::string line = event.str();
   std::lock_guard<std::mutex> lock(mutex_);
-  lines_.push_back(line);
-  if (sink_ != nullptr) {
-    // A failing sink degrades the trace to in-memory only (warn once):
-    // telemetry loss must never take down the batch it narrates.
-    try {
-      CMC_FAILPOINT("trace.write");
-      *sink_ << line << '\n';
-      sink_->flush();
-      if (!*sink_) throw Error("trace: sink write failed");
-    } catch (const std::exception& e) {
-      sink_ = nullptr;
-      std::fprintf(stderr, "%s; continuing with in-memory trace only\n",
-                   e.what());
-    }
+  if (keep_) {
+    lines_.push_back(std::move(line));
+    return;
+  }
+  if (sink_ == nullptr) return;
+  // A failing sink stops the trace (warn once): telemetry loss must never
+  // take down the batch it narrates.
+  try {
+    CMC_FAILPOINT("trace.write");
+    *sink_ << line << '\n';
+    sink_->flush();
+    if (!*sink_) throw Error("trace: sink write failed");
+  } catch (const std::exception& e) {
+    sink_ = nullptr;
+    std::fprintf(stderr, "%s; the trace stops here\n", e.what());
   }
 }
 

@@ -2,10 +2,12 @@
 //
 // Every job emits a sequence of single-line JSON events (job_start,
 // obligation_start, attempt, retry, obligation_end, job_end — see
-// scheduler.cpp) through a RunTrace.  The trace buffers events in memory
-// (so tests can assert on them) and optionally appends each line to an
-// ostream sink as it happens, which is how `cmc` streams
-// <model>.trace.jsonl while the batch is still running.
+// scheduler.cpp) through a RunTrace.  A trace either keeps its events in
+// memory (so tests and `cmc check`'s per-model split can read them) or
+// streams each line to an ostream sink as it happens, which is how
+// `--trace` writes its file while the batch is still running; a trace
+// that streams keeps no copy, so a daemon's trace costs no memory per
+// request.
 //
 // Events are built with the JSON writer in util/json.hpp; its names stay
 // reachable as service::JsonObject, service::jsonEscape and
@@ -36,10 +38,12 @@ class RunTrace {
   /// JsonObject, since the argument is evaluated either way.
   struct Disabled {};
 
+  /// Keeps every event in memory.
   RunTrace() = default;
-  /// Events are additionally appended (and flushed) to `sink`; the sink
-  /// must outlive the trace.  Pass nullptr for in-memory only.
-  explicit RunTrace(std::ostream* sink) : sink_(sink) {}
+  /// Appends (and flushes) every event to `sink` and keeps none; the sink
+  /// must outlive the trace.  Pass nullptr to keep the events in memory.
+  explicit RunTrace(std::ostream* sink)
+      : sink_(sink), keep_(sink == nullptr) {}
   explicit RunTrace(Disabled) : enabled_(false) {}
 
   /// False when this trace discards events: skip building them.
@@ -48,10 +52,11 @@ class RunTrace {
   /// Append one event line.  Thread-safe; called from pool workers.
   void emit(const JsonObject& event);
 
-  /// Snapshot of all emitted lines.
+  /// Snapshot of the kept lines: every emitted one, or none for a trace
+  /// that streams to a sink.
   std::vector<std::string> lines() const;
 
-  /// Number of emitted lines containing `needle` (test/assertion helper).
+  /// Number of kept lines containing `needle` (test/assertion helper).
   std::size_t countContaining(std::string_view needle) const;
 
   /// Seconds since construction; the "t" field of every event.
@@ -61,6 +66,7 @@ class RunTrace {
   mutable std::mutex mutex_;
   bool enabled_ = true;
   std::ostream* sink_ = nullptr;
+  bool keep_ = true;  ///< events go to lines_, not to a sink
   std::vector<std::string> lines_;
   WallTimer timer_;
 };

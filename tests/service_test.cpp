@@ -4,6 +4,7 @@
 // the structured run trace / report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -97,6 +98,45 @@ TEST(Service, HoldingJobProducesReportAndTrace) {
   EXPECT_NE(json.find("\"verdict\": \"Holds\""), std::string::npos);
   EXPECT_NE(json.find("\"obligation_count\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"engine\": \"partitioned\""), std::string::npos);
+}
+
+TEST(Service, AStreamingTraceKeepsNoLines) {
+  // A daemon's trace lives as long as the daemon: whatever it streams must
+  // not also pile up in memory.
+  constexpr std::size_t kEvents = 1000;
+  std::ostringstream sink;
+  RunTrace streamed(&sink);
+  RunTrace kept;
+  for (std::size_t k = 0; k < kEvents; ++k) {
+    const JsonObject event =
+        JsonObject().put("event", "tick").putUint("k", k);
+    streamed.emit(event);
+    kept.emit(event);
+  }
+  const std::string text = sink.str();
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            kEvents);
+  EXPECT_TRUE(streamed.lines().empty());
+  EXPECT_EQ(streamed.countContaining("\"event\": \"tick\""), 0u);
+  EXPECT_EQ(kept.lines().size(), kEvents);
+
+  // A service run streams every event and keeps none either.
+  std::ostringstream jobSink;
+  RunTrace jobTrace(&jobSink);
+  VerificationService svc(withThreads(2));
+  EXPECT_TRUE(svc.run(chainJob(), &jobTrace).allHold());
+  EXPECT_NE(jobSink.str().find("\"event\": \"job_end\""), std::string::npos);
+  EXPECT_TRUE(jobTrace.lines().empty());
+
+  // Nor does a trace whose sink has failed.
+  std::ostringstream broken;
+  broken.setstate(std::ios::badbit);
+  RunTrace stopped(&broken);
+  for (std::size_t k = 0; k < 3; ++k) {
+    stopped.emit(JsonObject().put("event", "tick"));
+  }
+  EXPECT_TRUE(stopped.lines().empty());
 }
 
 TEST(Service, DeadlineExpiryYieldsTimeoutThenInconclusive) {
@@ -516,7 +556,7 @@ TEST(ServiceQuarantine, AnErrorAttemptRecordsOnlyWhatItMeasured) {
   // The report prints each field once: for the retry.
   const std::string json = report.toJson();
   for (const char* field : fields) {
-    const std::string key = "\"" + std::string(field) + "\"";
+    const std::string key = std::string("\"").append(field).append("\"");
     const std::size_t at = json.find(key);
     EXPECT_NE(at, std::string::npos) << field;
     EXPECT_EQ(json.find(key, at + 1), std::string::npos) << field;
@@ -780,11 +820,12 @@ ServiceOptions uncachedThreads(unsigned n) {
   return opts;
 }
 
-/// The "context" field of every attempt event, per obligation, in order.
+/// The "context" field of every attempt event among a trace's lines, per
+/// obligation, in order.
 std::map<std::string, std::vector<std::string>> attemptContexts(
-    const RunTrace& trace) {
+    const std::vector<std::string>& lines) {
   std::map<std::string, std::vector<std::string>> out;
-  for (const std::string& line : trace.lines()) {
+  for (const std::string& line : lines) {
     const util::JsonValue event = test::parsedJson(line);
     std::string kind, id, context;
     if (!event.req("event", &kind) || kind != "attempt") continue;
@@ -836,6 +877,11 @@ TEST(Service, WarmAttemptsDecideLikeFreshOnes) {
           EXPECT_EQ(a[i].rule, b[i].rule) << a[i].id;
           EXPECT_EQ(a[i].counterexample, b[i].counterexample) << a[i].id;
           EXPECT_EQ(a[i].proofJson, b[i].proofJson) << a[i].id;
+          // Both start on the engine their snapshot chose for the target.
+          EXPECT_EQ(a[i].engineChoiceJson, b[i].engineChoiceJson) << a[i].id;
+          ASSERT_FALSE(b[i].attempts.empty()) << b[i].id;
+          EXPECT_EQ(a[i].attempts.front().engine, b[i].attempts.front().engine)
+              << a[i].id;
           if (a[i].verdict == Verdict::Fails) {
             ++fails;
             EXPECT_FALSE(a[i].counterexample.empty()) << a[i].id;
@@ -989,7 +1035,7 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
     EXPECT_EQ(report.obligations[1].verdict, Verdict::Inconclusive);
     EXPECT_EQ(report.obligations[1].attempts[0].verdict, Verdict::MemoryOut);
     EXPECT_EQ(report.obligations[3].verdict, Verdict::Fails);
-    const auto contexts = attemptContexts(trace);
+    const auto contexts = attemptContexts(trace.lines());
     EXPECT_EQ(contexts.at("wide/wide.SPEC1"), Contexts{"fresh"});
     EXPECT_EQ(contexts.at("wide/wide.SPEC2"), (Contexts{"warm", "fresh"}));
     EXPECT_EQ(contexts.at("wide/wide.SPEC3"), Contexts{"fresh"});
@@ -1006,7 +1052,10 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
     job.options.compose = target == "composed";
     const std::string spec = target + "/relay.SPEC";
     std::atomic<bool> cancel{false};
-    LineHook hook([&cancel, &spec](const std::string& line) {
+    // A trace that streams keeps no lines: the hook collects them.
+    std::vector<std::string> lines;
+    LineHook hook([&cancel, &spec, &lines](const std::string& line) {
+      lines.push_back(line);
       if (isEvent(line, "engine_choice", spec + "2")) cancel = true;
       if (isEvent(line, "attempt", spec + "2")) cancel = false;
     });
@@ -1024,7 +1073,7 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
                                : reference.obligations[i].verdict)
           << o.id;
     }
-    const auto contexts = attemptContexts(trace);
+    const auto contexts = attemptContexts(lines);
     EXPECT_EQ(contexts.at(spec + "1"), Contexts{"fresh"});
     EXPECT_EQ(contexts.at(spec + "2"), Contexts{"warm"});
     EXPECT_EQ(contexts.at(spec + "3"), Contexts{"fresh"});
@@ -1046,7 +1095,7 @@ TEST(Service, UndecidedAttemptsNeverHandTheirContextOn) {
       EXPECT_EQ(report.obligations[i].verdict,
                 i == 1 ? Verdict::Timeout : Verdict::Holds);
     }
-    const auto contexts = attemptContexts(trace);
+    const auto contexts = attemptContexts(trace.lines());
     EXPECT_EQ(contexts.at("counter/counter.SPEC1"), Contexts{"fresh"});
     EXPECT_EQ(contexts.at("counter/counter.SPEC2"), Contexts{"warm"});
     EXPECT_EQ(contexts.at("counter/counter.SPEC3"), Contexts{"fresh"});
@@ -1098,7 +1147,9 @@ TEST(Service, InjectedTimeoutAndErrorStartTheNextObligationFresh) {
         job.options.retryOtherEngine = false;
       }
       const std::string spec = target + "/relay.SPEC";
-      LineHook hook([action, &spec](const std::string& line) {
+      std::vector<std::string> lines;
+      LineHook hook([action, &spec, &lines](const std::string& line) {
+        lines.push_back(line);
         if (isEvent(line, "obligation_start", spec + "2")) {
           util::Failpoint::configure(std::string("bdd.alloc_node=") + action);
         }
@@ -1128,7 +1179,7 @@ TEST(Service, InjectedTimeoutAndErrorStartTheNextObligationFresh) {
         EXPECT_TRUE(o.verdict == Verdict::Holds || o.verdict == Verdict::Fails)
             << o.id;
       }
-      const auto contexts = attemptContexts(trace);
+      const auto contexts = attemptContexts(lines);
       EXPECT_EQ(contexts.at(spec + "1"), Contexts{"fresh"});
       EXPECT_EQ(contexts.at(spec + "2"),
                 timeout ? Contexts{"warm"} : (Contexts{"warm", "fresh"}));

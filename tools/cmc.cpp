@@ -33,19 +33,23 @@
 // exhausted (Timeout / MemoryOut), 4 = Inconclusive on both engines.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
@@ -57,7 +61,6 @@
 #include "service/scheduler.hpp"
 #include "util/failpoint.hpp"
 #include "util/json.hpp"
-#include "util/string_util.hpp"
 #include "util/version.hpp"
 
 using namespace cmc;
@@ -218,21 +221,233 @@ fails; 2 usage/I-O/model error; 3 --strict and Timeout/MemoryOut;
 report hold the partial results)
 )";
 
-struct CliOptions {
+
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
+
+// ---------------------------------------------------------------------------
+// The command line
+
+/// The subcommands that read a command line, as bits of a flag's `takes`.
+enum Command : unsigned {
+  kCheck = 1u << 0,
+  kServe = 1u << 1,
+  kCoordinator = 1u << 2,
+  kSubmit = 1u << 3,
+  kCacheCompact = 1u << 4,
+};
+constexpr unsigned kDaemons = kServe | kCoordinator;
+
+/// A count flag's value; unset when the flag was not given, so the
+/// default of whatever the count configures stands.
+using Count = std::optional<std::uint64_t>;
+
+/// What the command line of any subcommand says.  Each subcommand reads
+/// the members of the flags it takes.
+struct CommandLine {
   service::JobOptions job;
-  unsigned threads = 0;
-  std::string reportPath;
-  std::string tracePath;
+  service::JobOptionSet given;  ///< the job options on the command line
+  std::vector<std::string> operands;  ///< models, or cache compact's DIR
+  std::vector<std::string> failpoints;
+  Count threads;
   std::string cacheDir;
+  bool noCache = false;
   std::string journalPath;
-  bool cacheEnabled = true;
-  bool journalEnabled = true;
+  bool noJournal = false;
   bool resume = false;
+  std::string tracePath;
+  std::string reportPath;
   bool strict = false;
   bool quiet = false;
-  std::vector<std::string> models;
-  std::vector<std::string> failpoints;
+  // The daemons' listener, or the endpoint submit connects to.
+  std::string socketPath;
+  int tcpPort = -1;
+  Count maxInFlight;
+  std::string modelRoot;
+  // serve
+  Count queueDepth;
+  Count metricsIntervalMs;
+  // coordinator
+  std::string topologyPath;
+  Count forwardThreads;
+  Count probeIntervalMs;
+  Count failThreshold;
+  Count probationProbes;
+  Count replication;
+  Count hedgeMs;
+  // submit
+  bool status = false;
+  bool stats = false;
+  bool drain = false;
+  bool topology = false;    ///< TOPOLOGY: coordinator roster + lifecycle
+  std::string joinName;     ///< JOIN: shard name to add/readmit
+  std::string leaveName;    ///< LEAVE: shard name to decommission
+  std::string shardSocket;  ///< JOIN: the shard's Unix endpoint ...
+  int shardTcp = -1;        ///< ... or its loopback TCP port
+  std::string cancelId;
+  std::string id;
+  std::string name;
+  /// CHECK retry on BUSY/DRAINING or transport failure: off by default
+  /// (0 keeps the historical fail-fast exit 6).
+  Count maxRetries;
+  Count retryMs;
 };
+
+/// Where a flag's value goes, which also says how it reads: a switch, a
+/// text, a repeatable text, a count in the flag's [min, max], or a TCP
+/// port (-1 when not given) in that range.
+using FlagTarget =
+    std::variant<bool CommandLine::*, std::string CommandLine::*,
+                 std::vector<std::string> CommandLine::*, Count CommandLine::*,
+                 int CommandLine::*>;
+
+struct Flag {
+  const char* name;
+  unsigned takes;  ///< the Commands that take it
+  FlagTarget target;
+  std::uint64_t min = 0;
+  std::uint64_t max = kMaxUint64;
+};
+
+/// Every flag but the job options (service/job_options.hpp), once each.
+/// `--topology` has two rows: a file for coordinator, a switch for submit.
+const Flag kFlags[] = {
+    {"--threads", kCheck | kServe, &CommandLine::threads, 0, kMaxUnsigned},
+    {"--cache-dir", kCheck | kServe | kCacheCompact, &CommandLine::cacheDir},
+    {"--no-cache", kCheck | kServe, &CommandLine::noCache},
+    {"--journal", kCheck | kServe, &CommandLine::journalPath},
+    {"--no-journal", kCheck, &CommandLine::noJournal},
+    {"--resume", kCheck | kServe, &CommandLine::resume},
+    {"--trace", kCheck | kDaemons, &CommandLine::tracePath},
+    {"--failpoint", kCheck | kDaemons, &CommandLine::failpoints},
+    {"--report", kCheck | kSubmit, &CommandLine::reportPath},
+    {"--strict", kCheck | kSubmit, &CommandLine::strict},
+    {"--quiet", kCheck | kSubmit, &CommandLine::quiet},
+    {"--socket", kDaemons | kSubmit, &CommandLine::socketPath},
+    {"--tcp", kDaemons | kSubmit, &CommandLine::tcpPort, 1, 65535},
+    {"--max-inflight", kDaemons, &CommandLine::maxInFlight, 0, kMaxUnsigned},
+    {"--model-root", kDaemons, &CommandLine::modelRoot},
+    {"--queue-depth", kServe, &CommandLine::queueDepth},
+    {"--metrics-interval-ms", kServe, &CommandLine::metricsIntervalMs},
+    {"--topology", kCoordinator, &CommandLine::topologyPath},
+    {"--forward-threads", kCoordinator, &CommandLine::forwardThreads, 0,
+     kMaxUnsigned},
+    {"--probe-interval-ms", kCoordinator, &CommandLine::probeIntervalMs},
+    {"--fail-threshold", kCoordinator, &CommandLine::failThreshold, 1,
+     kMaxInt},
+    {"--probation-probes", kCoordinator, &CommandLine::probationProbes, 1,
+     kMaxInt},
+    {"--replication", kCoordinator, &CommandLine::replication, 1, kMaxInt},
+    {"--hedge-ms", kCoordinator, &CommandLine::hedgeMs},
+    {"--status", kSubmit, &CommandLine::status},
+    {"--stats", kSubmit, &CommandLine::stats},
+    {"--drain", kSubmit, &CommandLine::drain},
+    {"--topology", kSubmit, &CommandLine::topology},
+    {"--join", kSubmit, &CommandLine::joinName},
+    {"--leave", kSubmit, &CommandLine::leaveName},
+    {"--shard-socket", kSubmit, &CommandLine::shardSocket},
+    {"--shard-tcp", kSubmit, &CommandLine::shardTcp, 1, 65535},
+    {"--cancel", kSubmit, &CommandLine::cancelId},
+    {"--id", kSubmit, &CommandLine::id},
+    {"--name", kSubmit, &CommandLine::name},
+    {"--max-retries", kSubmit, &CommandLine::maxRetries, 0, kMaxInt},
+    {"--retry-ms", kSubmit, &CommandLine::retryMs, 1, kMaxInt},
+};
+
+/// Read `cmd`'s arguments, argv[first..], into *cl in one pass.  Each
+/// argument goes first to the job-option table (every subcommand but
+/// cache compact takes the job options), then to the flags of kFlags that
+/// `cmd` takes; anything else is an operand, which check and submit take
+/// as models and cache compact as its one directory.  False, after
+/// printing the error prefixed with `who`, on a missing value, an integer
+/// out of range, or an argument `cmd` does not take.
+bool readCommandLine(Command cmd, const std::string& who, int argc,
+                     char** argv, int first, CommandLine* cl) {
+  // The CLI resolves the engine adaptively by default; library embedders
+  // keep JobOptions' reproducible Partitioned default.  (submit sends only
+  // the options given.)
+  cl->job.engine = symbolic::EngineMode::Auto;
+  const std::size_t maxOperands =
+      cmd == kCheck || cmd == kSubmit ? std::numeric_limits<std::size_t>::max()
+      : cmd == kCacheCompact          ? 1
+                                      : 0;
+  std::string error;
+  const auto fail = [&who, &error] {
+    std::cerr << who << ": " << error << "\n";
+    return false;
+  };
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (cmd != kCacheCompact) {
+      const service::FlagParse parsed = service::parseJobOptionFlag(
+          argc, argv, &i, &cl->job, &cl->given, &error);
+      if (parsed == service::FlagParse::Invalid) return fail();
+      if (parsed == service::FlagParse::Applied) continue;
+    }
+    const Flag* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return (f.takes & cmd) != 0 && arg == f.name; });
+    const bool option = arg.starts_with('-');
+    if (flag == std::end(kFlags)) {
+      if (!option && cl->operands.size() < maxOperands) {
+        cl->operands.push_back(arg);
+        continue;
+      }
+      std::cerr << who << ": "
+                << (option ? "unknown option " : "unexpected argument ")
+                << arg << "\n"
+                << kUsage;
+      return false;
+    }
+    if (const auto* on = std::get_if<bool CommandLine::*>(&flag->target)) {
+      cl->**on = true;
+      continue;
+    }
+    const char* value = service::flagValue(argc, argv, &i, &error);
+    if (value == nullptr) return fail();
+    if (const auto* text =
+            std::get_if<std::string CommandLine::*>(&flag->target)) {
+      cl->**text = value;
+      continue;
+    }
+    if (const auto* texts =
+            std::get_if<std::vector<std::string> CommandLine::*>(
+                &flag->target)) {
+      (cl->**texts).push_back(value);
+      continue;
+    }
+    // Port 0 asks a daemon's listener for an ephemeral port; a client
+    // has no port 0 to connect to.
+    const auto* port = std::get_if<int CommandLine::*>(&flag->target);
+    const std::uint64_t min =
+        port != nullptr && (cmd & kDaemons) != 0 ? 0 : flag->min;
+    std::uint64_t n = 0;
+    if (!service::flagInteger(arg, value, min, flag->max, &n, &error)) {
+      return fail();
+    }
+    if (port != nullptr) {
+      cl->**port = static_cast<int>(n);
+    } else {
+      cl->*std::get<Count CommandLine::*>(flag->target) = n;
+    }
+  }
+  return true;
+}
+
+/// Set *out from a count the command line gave; keep it otherwise.
+template <typename T>
+void setGiven(const Count& count, T* out) {
+  if (count) *out = static_cast<T>(*count);
+}
+
+/// Set seconds *out from a count of milliseconds the command line gave.
+void setGivenMs(const Count& ms, double* out) {
+  if (ms) *out = static_cast<double>(*ms) / 1e3;
+}
+
+// ---------------------------------------------------------------------------
+// What the subcommands share
 
 /// Set by the SIGINT/SIGTERM handler; polled by the scheduler (via
 /// ServiceOptions::cancelFlag) and by the checker's cancel hook, so a batch
@@ -275,119 +490,18 @@ std::string siblingPath(const std::string& modelPath, const char* suffix) {
   return base + suffix;
 }
 
-/// A numeric flag's value: digits only, in [min, max].  Prints the usage
-/// error itself, naming the flag; a null `text` (no value) was already
-/// reported.
-bool uintArg(const std::string& flag, const char* text, std::uint64_t min,
-             std::uint64_t max, std::uint64_t* out) {
-  if (text == nullptr) return false;
-  std::uint64_t n = 0;
-  if (parseUint(text, &n) && n >= min && n <= max) {
-    *out = n;
-    return true;
+/// Read the model file `path` into *text; false, after printing
+/// "<who>: cannot open <path>", when it cannot be read.
+bool readModel(const char* who, const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << who << ": cannot open " << path << "\n";
+    return false;
   }
-  std::cerr << "cmc: " << flag << " needs an integer in " << min << ".."
-            << max << ", got '" << text << "'\n";
-  return false;
-}
-
-/// The job-option flags of every subcommand, through the table in
-/// service/job_options.hpp.  Prints the usage error itself.
-service::FlagParse jobOptionArg(int argc, char** argv, int* i,
-                                service::JobOptions* job,
-                                service::JobOptionSet* given = nullptr) {
-  std::string error;
-  const service::FlagParse parsed =
-      service::parseJobOptionFlag(argc, argv, i, job, given, &error);
-  if (parsed == service::FlagParse::Invalid) {
-    std::cerr << "cmc: " << error << "\n";
-  }
-  return parsed;
-}
-
-constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
-constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
-constexpr std::uint64_t kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
-
-int parseArgs(int argc, char** argv, CliOptions* cli) {
-  // The CLI resolves the engine adaptively by default; library embedders
-  // keep JobOptions' reproducible Partitioned default.
-  cli->job.engine = symbolic::EngineMode::Auto;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc: " << arg << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const service::FlagParse r = jobOptionArg(argc, argv, &i, &cli->job);
-    if (r == service::FlagParse::Invalid) return 2;
-    if (r == service::FlagParse::Applied) continue;
-    std::uint64_t n = 0;
-    if (arg == "--strict") {
-      cli->strict = true;
-    } else if (arg == "--quiet") {
-      cli->quiet = true;
-    } else if (arg == "--threads") {
-      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
-      cli->threads = static_cast<unsigned>(n);
-    } else if (arg == "--report") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->reportPath = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->tracePath = v;
-    } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->cacheDir = v;
-    } else if (arg == "--no-cache") {
-      cli->cacheEnabled = false;
-    } else if (arg == "--journal") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->journalPath = v;
-    } else if (arg == "--no-journal") {
-      cli->journalEnabled = false;
-    } else if (arg == "--resume") {
-      cli->resume = true;
-    } else if (arg == "--failpoint") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      cli->failpoints.push_back(v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "cmc: unknown option " << arg << "\n" << kUsage;
-      return 2;
-    } else {
-      cli->models.push_back(arg);
-    }
-  }
-  if (cli->models.empty()) {
-    std::cerr << "cmc: no model files given\n" << kUsage;
-    return 2;
-  }
-  if (cli->resume && !cli->journalEnabled) {
-    std::cerr << "cmc: --resume needs the journal (drop --no-journal)\n";
-    return 2;
-  }
-  return 0;
-}
-
-/// The journal lives alongside the report: next to the combined report
-/// when --report is given, else next to the first model.
-std::string defaultJournalPath(const CliOptions& cli) {
-  if (!cli.reportPath.empty()) {
-    std::string base = cli.reportPath;
-    if (base.size() > 5 && base.ends_with(".json")) {
-      base.resize(base.size() - 5);
-    }
-    return base + ".journal.jsonl";
-  }
-  return siblingPath(cli.models.front(), ".journal.jsonl");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  *text = buffer.str();
+  return true;
 }
 
 bool writeFile(const std::string& path, const std::string& content) {
@@ -400,6 +514,44 @@ bool writeFile(const std::string& path, const std::string& content) {
   return true;
 }
 
+/// Write the --report file: one report as it is, several as
+/// {"reports": [...]}.
+bool writeReports(const std::string& path,
+                  const std::vector<std::string>& reports) {
+  if (reports.size() == 1) return writeFile(path, reports.front() + "\n");
+  std::string combined = "{\"reports\": [\n";
+  for (std::size_t k = 0; k < reports.size(); ++k) {
+    combined += reports[k];
+    combined += k + 1 < reports.size() ? ",\n" : "\n";
+  }
+  return writeFile(path, combined + "]}\n");
+}
+
+/// The exit code of a run that completed with `worst` as its worst
+/// verdict.  An Error verdict (failed elaboration, or an exception that
+/// survived quarantine) is an operational failure even in the default
+/// mode; --strict maps the other verdicts too.
+int verdictExitCode(service::Verdict worst, bool strict) {
+  if (worst == service::Verdict::Error) return 5;
+  if (!strict) return 0;
+  switch (worst) {
+    case service::Verdict::Holds: return 0;
+    case service::Verdict::Fails: return 1;
+    case service::Verdict::Inconclusive: return 4;
+    default: return 3;  // Timeout / MemoryOut / Cancelled
+  }
+}
+
+/// Open the run journal at `path` for append.  A journal that cannot be
+/// opened is reported and the run goes on without one.
+void openJournal(const char* who, const std::string& path,
+                 service::RunJournal* journal) {
+  std::string err;
+  if (!journal->open(path, &err)) {
+    std::cerr << who << ": " << err << "; continuing without a journal\n";
+  }
+}
+
 /// Open the --trace file `path` (nothing to open when it is empty).  False,
 /// after printing "<who>: cannot write <path>", when it cannot be written.
 bool openTraceFile(const char* who, const std::string& path,
@@ -409,29 +561,6 @@ bool openTraceFile(const char* who, const std::string& path,
   if (*file) return true;
   std::cerr << who << ": cannot write " << path << "\n";
   return false;
-}
-
-void printReport(const service::JobReport& report, bool quiet) {
-  std::cout << "== job " << report.job << " ==\n";
-  if (!quiet) {
-    for (const service::ObligationOutcome& o : report.obligations) {
-      std::string text = o.specText;
-      if (text.size() > 56) text = text.substr(0, 53) + "...";
-      std::cout << "-- [" << o.target << "] " << o.spec << "  " << text
-                << "  : " << service::toString(o.verdict) << " (" << o.rule
-                << (o.verdictSource != "checked" ? ", " + o.verdictSource
-                                                 : "")
-                << (o.retried ? ", retried" : "") << ", "
-                << service::jsonNumber(o.seconds) << " s)\n";
-      if (!o.error.empty()) std::cout << "--   error: " << o.error << "\n";
-      if (!o.counterexample.empty()) {
-        std::cout << "-- counterexample:\n" << o.counterexample;
-      }
-    }
-  }
-  std::cout << "-- verdict: " << service::toString(report.verdict) << " ("
-            << report.obligations.size() << " obligations, "
-            << service::jsonNumber(report.wallSeconds) << " s wall)\n\n";
 }
 
 int armFailpoints(const std::vector<std::string>& specs) {
@@ -459,42 +588,83 @@ int armFailpoints(const std::vector<std::string>& specs) {
   return 0;
 }
 
-int runCheck(const CliOptions& cli) {
-  if (const int rc = armFailpoints(cli.failpoints); rc != 0) return rc;
+// ---------------------------------------------------------------------------
+// cmc check
+
+/// The journal lives alongside the report: next to the combined report
+/// when --report is given, else next to the first model.
+std::string defaultJournalPath(const CommandLine& cl) {
+  if (!cl.reportPath.empty()) {
+    std::string base = cl.reportPath;
+    if (base.size() > 5 && base.ends_with(".json")) {
+      base.resize(base.size() - 5);
+    }
+    return base + ".journal.jsonl";
+  }
+  return siblingPath(cl.operands.front(), ".journal.jsonl");
+}
+
+void printReport(const service::JobReport& report, bool quiet) {
+  std::cout << "== job " << report.job << " ==\n";
+  if (!quiet) {
+    for (const service::ObligationOutcome& o : report.obligations) {
+      std::string text = o.specText;
+      if (text.size() > 56) text = text.substr(0, 53) + "...";
+      std::cout << "-- [" << o.target << "] " << o.spec << "  " << text
+                << "  : " << service::toString(o.verdict) << " (" << o.rule
+                << (o.verdictSource != "checked" ? ", " + o.verdictSource
+                                                 : "")
+                << (o.retried ? ", retried" : "") << ", "
+                << service::jsonNumber(o.seconds) << " s)\n";
+      if (!o.error.empty()) std::cout << "--   error: " << o.error << "\n";
+      if (!o.counterexample.empty()) {
+        std::cout << "-- counterexample:\n" << o.counterexample;
+      }
+    }
+  }
+  std::cout << "-- verdict: " << service::toString(report.verdict) << " ("
+            << report.obligations.size() << " obligations, "
+            << service::jsonNumber(report.wallSeconds) << " s wall)\n\n";
+}
+
+int runCheck(const CommandLine& cl) {
+  if (cl.operands.empty()) {
+    std::cerr << "cmc check: no model files given\n" << kUsage;
+    return 2;
+  }
+  if (cl.resume && cl.noJournal) {
+    std::cerr << "cmc check: --resume needs the journal (drop --no-journal)\n";
+    return 2;
+  }
+  if (const int rc = armFailpoints(cl.failpoints); rc != 0) return rc;
 
   std::vector<service::VerificationJob> jobs;
-  for (const std::string& path : cli.models) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cmc: cannot open " << path << "\n";
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
+  for (const std::string& path : cl.operands) {
     service::VerificationJob job;
+    if (!readModel("cmc", path, &job.smvText)) return 2;
     job.name = basenameStem(path);
-    job.smvText = buffer.str();
     job.sourcePath = path;
-    job.options = cli.job;
+    job.options = cl.job;
     jobs.push_back(std::move(job));
   }
 
   service::ServiceOptions svcOpts;
-  svcOpts.threads = cli.threads;
-  svcOpts.cacheEnabled = cli.cacheEnabled;
-  svcOpts.cacheDir = cli.cacheDir;
+  setGiven(cl.threads, &svcOpts.threads);
+  svcOpts.cacheEnabled = !cl.noCache;
+  svcOpts.cacheDir = cl.cacheDir;
   svcOpts.cancelFlag = &gCancelRequested;
   service::VerificationService svc(svcOpts);
+  // Without --trace the events stay in memory for the per-model split.
   std::ofstream traceFile;
-  if (!openTraceFile("cmc", cli.tracePath, &traceFile)) return 2;
+  if (!openTraceFile("cmc", cl.tracePath, &traceFile)) return 2;
   service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
 
   // Journal: load the prior run first (--resume), then open the same file
   // for append — replayed outcomes are not re-recorded, new ones extend it.
   const std::string journalPath =
-      !cli.journalPath.empty() ? cli.journalPath : defaultJournalPath(cli);
+      !cl.journalPath.empty() ? cl.journalPath : defaultJournalPath(cl);
   service::JournalReplay replay;
-  if (cli.resume) {
+  if (cl.resume) {
     replay = service::loadJournal(journalPath);
     if (!replay.found) {
       std::cerr << "cmc: no journal at " << journalPath
@@ -509,12 +679,7 @@ int runCheck(const CliOptions& cli) {
     }
   }
   service::RunJournal journal;
-  if (cli.journalEnabled) {
-    std::string jerr;
-    if (!journal.open(journalPath, &jerr)) {
-      std::cerr << "cmc: " << jerr << "; continuing without a journal\n";
-    }
-  }
+  if (!cl.noJournal) openJournal("cmc", journalPath, &journal);
 
   // From here on an interrupt must wind the batch down, not kill it: the
   // handler raises the cancel flag the scheduler and checker poll.
@@ -523,48 +688,40 @@ int runCheck(const CliOptions& cli) {
 
   const std::vector<service::JobReport> reports =
       svc.runBatch(jobs, &trace, journal.isOpen() ? &journal : nullptr,
-                   cli.resume ? &replay : nullptr);
+                   cl.resume ? &replay : nullptr);
 
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
 
   // Default trace destination: <model>.trace.jsonl next to each model
   // (events carry their job name, so the combined stream splits cleanly).
-  if (cli.tracePath.empty()) {
+  if (cl.tracePath.empty()) {
     for (std::size_t k = 0; k < jobs.size(); ++k) {
       const std::string needle = "\"job\": \"" + jobs[k].name + "\"";
       std::string lines;
       for (const std::string& line : trace.lines()) {
         if (line.find(needle) != std::string::npos) lines += line + "\n";
       }
-      writeFile(siblingPath(cli.models[k], ".trace.jsonl"), lines);
+      writeFile(siblingPath(cl.operands[k], ".trace.jsonl"), lines);
     }
   }
 
   // Summary reports: one combined file with --report, else one per model.
-  if (!cli.reportPath.empty()) {
-    std::string combined;
-    if (reports.size() == 1) {
-      combined = reports.front().toJson() + "\n";
-    } else {
-      combined = "{\"reports\": [\n";
-      for (std::size_t k = 0; k < reports.size(); ++k) {
-        combined += reports[k].toJson();
-        combined += k + 1 < reports.size() ? ",\n" : "\n";
-      }
-      combined += "]}\n";
-    }
-    if (!writeFile(cli.reportPath, combined)) return 2;
+  std::vector<std::string> json;
+  for (const service::JobReport& report : reports) {
+    json.push_back(report.toJson());
+  }
+  if (!cl.reportPath.empty()) {
+    if (!writeReports(cl.reportPath, json)) return 2;
   } else {
-    for (std::size_t k = 0; k < reports.size(); ++k) {
-      writeFile(siblingPath(cli.models[k], ".report.json"),
-                reports[k].toJson() + "\n");
+    for (std::size_t k = 0; k < json.size(); ++k) {
+      writeFile(siblingPath(cl.operands[k], ".report.json"), json[k] + "\n");
     }
   }
 
   service::Verdict verdict = service::Verdict::Holds;
   for (const service::JobReport& report : reports) {
-    printReport(report, cli.quiet);
+    printReport(report, cl.quiet);
     verdict = service::worseVerdict(verdict, report.verdict);
   }
   if (const service::ObligationCache* cache = svc.cache()) {
@@ -584,7 +741,7 @@ int runCheck(const CliOptions& cli) {
     }
     std::cout << "== journal: " << journal.recorded()
               << " outcome(s) recorded";
-    if (cli.resume) std::cout << ", " << served << " served from the journal";
+    if (cl.resume) std::cout << ", " << served << " served from the journal";
     std::cout << " (" << journal.path() << ") ==\n";
   }
 
@@ -594,20 +751,27 @@ int runCheck(const CliOptions& cli) {
                  "re-run with --resume to finish\n";
     return 128 + sig;
   }
-  // An Error verdict (failed elaboration, or an exception that survived
-  // quarantine) is an operational failure even in the default mode.
-  if (verdict == service::Verdict::Error) return 5;
-  if (!cli.strict) return 0;
-  switch (verdict) {
-    case service::Verdict::Holds: return 0;
-    case service::Verdict::Fails: return 1;
-    case service::Verdict::Inconclusive: return 4;
-    default: return 3;  // Timeout / MemoryOut (Cancelled exits above)
-  }
+  return verdictExitCode(verdict, cl.strict);
 }
 
 // ---------------------------------------------------------------------------
-// The daemons' main loop
+// The daemons
+
+/// The listener options both daemons take: --socket (required), --tcp,
+/// --model-root and the job-option defaults.  False, after saying so,
+/// without --socket.
+bool readListener(const char* who, const CommandLine& cl,
+                  net::LineServerOptions* out) {
+  if (cl.socketPath.empty()) {
+    std::cerr << who << ": --socket PATH is required\n";
+    return false;
+  }
+  out->socketPath = cl.socketPath;
+  out->tcpPort = cl.tcpPort;
+  out->defaults = cl.job;
+  out->modelRoot = cl.modelRoot;
+  return true;
+}
 
 /// The main loop `cmc serve` and `cmc coordinator` share, entered once the
 /// daemon has started.  SIGINT/SIGTERM are installed before the "listening
@@ -644,139 +808,60 @@ void serveUntilDrained(const char* who, Daemon& daemon,
   std::signal(SIGTERM, SIG_DFL);
 }
 
-// ---------------------------------------------------------------------------
-// cmc serve
-
-struct ServeOptions {
-  net::ServerOptions server;
-  unsigned threads = 0;
-  std::string cacheDir;
-  std::string journalPath;
-  std::string tracePath;
-  bool cacheEnabled = true;
-  bool resume = false;
-  std::vector<std::string> failpoints;
-};
-
-int parseServeArgs(int argc, char** argv, ServeOptions* opts) {
-  service::JobOptions& job = opts->server.defaults;
-  job.engine = symbolic::EngineMode::Auto;  // CLI default, as in check
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc serve: " << arg << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const service::FlagParse r = jobOptionArg(argc, argv, &i, &job);
-    if (r == service::FlagParse::Invalid) return 2;
-    if (r == service::FlagParse::Applied) continue;
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->server.socketPath = v;
-    } else if (arg == "--tcp") {
-      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
-      opts->server.tcpPort = static_cast<int>(n);
-    } else if (arg == "--max-inflight") {
-      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
-      opts->server.maxInFlight = static_cast<unsigned>(n);
-    } else if (arg == "--queue-depth") {
-      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
-      opts->server.queueDepth = static_cast<std::size_t>(n);
-    } else if (arg == "--model-root") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->server.modelRoot = v;
-    } else if (arg == "--metrics-interval-ms") {
-      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
-      opts->server.metricsIntervalSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--threads") {
-      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
-      opts->threads = static_cast<unsigned>(n);
-    } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->cacheDir = v;
-    } else if (arg == "--no-cache") {
-      opts->cacheEnabled = false;
-    } else if (arg == "--journal") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->journalPath = v;
-    } else if (arg == "--resume") {
-      opts->resume = true;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->tracePath = v;
-    } else if (arg == "--failpoint") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->failpoints.push_back(v);
-    } else {
-      std::cerr << "cmc serve: unknown option " << arg << "\n";
-      return 2;
-    }
-  }
-  if (opts->server.socketPath.empty()) {
-    std::cerr << "cmc serve: --socket PATH is required\n";
-    return 2;
-  }
-  if (opts->resume && opts->journalPath.empty()) {
+int runServe(const CommandLine& cl) {
+  net::ServerOptions opts;
+  if (!readListener("cmc serve", cl, &opts)) return 2;
+  if (cl.resume && cl.journalPath.empty()) {
     std::cerr << "cmc serve: --resume needs --journal PATH\n";
     return 2;
   }
-  return 0;
-}
-
-int runServe(const ServeOptions& opts) {
-  if (const int rc = armFailpoints(opts.failpoints); rc != 0) return rc;
+  setGiven(cl.maxInFlight, &opts.maxInFlight);
+  setGiven(cl.queueDepth, &opts.queueDepth);
+  setGivenMs(cl.metricsIntervalMs, &opts.metricsIntervalSeconds);
+  if (const int rc = armFailpoints(cl.failpoints); rc != 0) return rc;
 
   service::MetricsRegistry metrics;
   service::ServiceOptions svcOpts;
-  svcOpts.threads = opts.threads;
-  svcOpts.cacheEnabled = opts.cacheEnabled;
-  svcOpts.cacheDir = opts.cacheDir;
+  setGiven(cl.threads, &svcOpts.threads);
+  svcOpts.cacheEnabled = !cl.noCache;
+  svcOpts.cacheDir = cl.cacheDir;
   svcOpts.metrics = &metrics;
   // No service-wide cancel flag: a signal means *drain* (in-flight
   // requests complete and respond), not cancel.  Per-request cancellation
   // arrives through the protocol's CANCEL command instead.
   service::VerificationService svc(svcOpts);
 
+  // A daemon's trace streams to --trace or drops its events: nobody would
+  // read events kept in memory, and they would grow with every request.
   std::ofstream traceFile;
-  if (!openTraceFile("cmc serve", opts.tracePath, &traceFile)) return 2;
-  service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
+  if (!openTraceFile("cmc serve", cl.tracePath, &traceFile)) return 2;
+  service::RunTrace trace =
+      traceFile.is_open() ? service::RunTrace(&traceFile)
+                          : service::RunTrace(service::RunTrace::Disabled{});
 
   service::JournalReplay replay;
-  if (opts.resume) {
-    replay = service::loadJournal(opts.journalPath);
+  if (cl.resume) {
+    replay = service::loadJournal(cl.journalPath);
     if (replay.found) {
       std::cout << "cmc serve: resuming " << replay.decided.size()
-                << " decided obligation(s) from " << opts.journalPath << "\n";
+                << " decided obligation(s) from " << cl.journalPath << "\n";
     }
   }
   service::RunJournal journal;
-  if (!opts.journalPath.empty()) {
-    std::string jerr;
-    if (!journal.open(opts.journalPath, &jerr)) {
-      std::cerr << "cmc serve: " << jerr << "; continuing without a journal\n";
-    }
+  if (!cl.journalPath.empty()) {
+    openJournal("cmc serve", cl.journalPath, &journal);
   }
 
-  net::Server server(opts.server, svc, metrics, trace,
+  net::Server server(opts, svc, metrics, trace,
                      journal.isOpen() ? &journal : nullptr,
-                     opts.resume && replay.found ? &replay : nullptr);
+                     cl.resume && replay.found ? &replay : nullptr);
   std::string err;
   if (!server.start(&err)) {
     std::cerr << "cmc serve: " << err << "\n";
     return 2;
   }
 
-  serveUntilDrained("cmc serve", server, opts.server.socketPath,
+  serveUntilDrained("cmc serve", server, opts.socketPath,
                     "(" + std::to_string(svc.threads()) + " workers)");
 
   std::cout << "cmc serve: drained; "
@@ -793,111 +878,40 @@ int runServe(const ServeOptions& opts) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// cmc coordinator
-
-struct CoordinatorCliOptions {
-  cluster::CoordinatorOptions coord;
-  std::string topologyPath;
-  std::string tracePath;
-  std::vector<std::string> failpoints;
-};
-
-int parseCoordinatorArgs(int argc, char** argv, CoordinatorCliOptions* opts) {
-  service::JobOptions& job = opts->coord.defaults;
-  job.engine = symbolic::EngineMode::Auto;  // CLI default, as in check
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc coordinator: " << arg << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const service::FlagParse r = jobOptionArg(argc, argv, &i, &job);
-    if (r == service::FlagParse::Invalid) return 2;
-    if (r == service::FlagParse::Applied) continue;
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->coord.socketPath = v;
-    } else if (arg == "--tcp") {
-      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
-      opts->coord.tcpPort = static_cast<int>(n);
-    } else if (arg == "--topology") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->topologyPath = v;
-    } else if (arg == "--max-inflight") {
-      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
-      opts->coord.maxInFlight = static_cast<unsigned>(n);
-    } else if (arg == "--forward-threads") {
-      if (!uintArg(arg, next(), 0, kMaxUnsigned, &n)) return 2;
-      opts->coord.forwardThreads = static_cast<unsigned>(n);
-    } else if (arg == "--probe-interval-ms") {
-      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
-      opts->coord.probeIntervalSeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--fail-threshold") {
-      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
-      opts->coord.failThreshold = static_cast<int>(n);
-    } else if (arg == "--probation-probes") {
-      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
-      opts->coord.probationProbes = static_cast<int>(n);
-    } else if (arg == "--replication") {
-      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
-      opts->coord.replicationFactor = static_cast<int>(n);
-    } else if (arg == "--hedge-ms") {
-      if (!uintArg(arg, next(), 0, kMaxUint64, &n)) return 2;
-      opts->coord.hedgeDelaySeconds = static_cast<double>(n) / 1e3;
-    } else if (arg == "--model-root") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->coord.modelRoot = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->tracePath = v;
-    } else if (arg == "--failpoint") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->failpoints.push_back(v);
-    } else {
-      std::cerr << "cmc coordinator: unknown option " << arg << "\n";
-      return 2;
-    }
-  }
-  if (opts->coord.socketPath.empty() && opts->coord.tcpPort < 0) {
-    std::cerr << "cmc coordinator: --socket PATH is required\n";
-    return 2;
-  }
-  if (opts->topologyPath.empty()) {
+int runCoordinator(const CommandLine& cl) {
+  cluster::CoordinatorOptions opts;
+  if (!readListener("cmc coordinator", cl, &opts)) return 2;
+  if (cl.topologyPath.empty()) {
     std::cerr << "cmc coordinator: --topology FILE is required\n";
     return 2;
   }
-  return 0;
-}
-
-int runCoordinator(CoordinatorCliOptions& opts) {
-  if (const int rc = armFailpoints(opts.failpoints); rc != 0) return rc;
+  setGiven(cl.maxInFlight, &opts.maxInFlight);
+  setGiven(cl.forwardThreads, &opts.forwardThreads);
+  setGivenMs(cl.probeIntervalMs, &opts.probeIntervalSeconds);
+  setGiven(cl.failThreshold, &opts.failThreshold);
+  setGiven(cl.probationProbes, &opts.probationProbes);
+  setGiven(cl.replication, &opts.replicationFactor);
+  setGivenMs(cl.hedgeMs, &opts.hedgeDelaySeconds);
+  if (const int rc = armFailpoints(cl.failpoints); rc != 0) return rc;
 
   std::string err;
-  if (!cluster::loadTopology(opts.topologyPath, &opts.coord.topology, &err)) {
+  if (!cluster::loadTopology(cl.topologyPath, &opts.topology, &err)) {
     std::cerr << "cmc coordinator: " << err << "\n";
     return 2;
   }
   // Remember where the topology came from: SIGHUP re-reads this path.
-  opts.coord.topologyPath = opts.topologyPath;
+  opts.topologyPath = cl.topologyPath;
 
   service::MetricsRegistry metrics;
   std::ofstream traceFile;
-  if (!openTraceFile("cmc coordinator", opts.tracePath, &traceFile)) {
+  if (!openTraceFile("cmc coordinator", cl.tracePath, &traceFile)) {
     return 2;
   }
-  service::RunTrace trace(traceFile.is_open() ? &traceFile : nullptr);
+  service::RunTrace trace =
+      traceFile.is_open() ? service::RunTrace(&traceFile)
+                          : service::RunTrace(service::RunTrace::Disabled{});
 
-  cluster::Coordinator coordinator(opts.coord, metrics, trace);
+  cluster::Coordinator coordinator(opts, metrics, trace);
   if (!coordinator.start(&err)) {
     std::cerr << "cmc coordinator: " << err << "\n";
     return 2;
@@ -917,7 +931,7 @@ int runCoordinator(CoordinatorCliOptions& opts) {
                 << " (roster unchanged)" << std::endl;
     }
   };
-  serveUntilDrained("cmc coordinator", coordinator, opts.coord.socketPath,
+  serveUntilDrained("cmc coordinator", coordinator, opts.socketPath,
                     "fronting " + std::to_string(coordinator.shardsUp()) +
                         "/" + std::to_string(coordinator.shardsTotal()) +
                         " shard(s)",
@@ -936,28 +950,15 @@ int runCoordinator(CoordinatorCliOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// cmc cache
+// cmc cache compact
 
-int runCacheCompact(int argc, char** argv) {
-  std::string dir;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--cache-dir") {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc cache compact: --cache-dir requires a value\n";
-        return 2;
-      }
-      dir = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "cmc cache compact: unknown option " << arg << "\n";
-      return 2;
-    } else if (dir.empty()) {
-      dir = arg;
-    } else {
-      std::cerr << "cmc cache compact: one cache directory only\n";
-      return 2;
-    }
+int runCacheCompact(const CommandLine& cl) {
+  if (!cl.cacheDir.empty() && !cl.operands.empty()) {
+    std::cerr << "cmc cache compact: one cache directory only\n";
+    return 2;
   }
+  const std::string dir =
+      cl.operands.empty() ? cl.cacheDir : cl.operands.front();
   if (dir.empty()) {
     std::cerr << "cmc cache compact: need --cache-dir DIR (or a positional "
                  "directory)\n";
@@ -981,149 +982,15 @@ int runCacheCompact(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // cmc submit
 
-struct SubmitOptions {
-  std::string socketPath;
-  int tcpPort = -1;
-  bool status = false;
-  bool stats = false;
-  bool drain = false;
-  bool topology = false;   ///< TOPOLOGY: coordinator roster + lifecycle
-  std::string joinName;    ///< JOIN: shard name to add/readmit
-  std::string leaveName;   ///< LEAVE: shard name to decommission
-  std::string shardSocket; ///< JOIN: the shard's Unix endpoint ...
-  int shardTcp = -1;       ///< ... or its loopback TCP port
-  std::string cancelId;
-  std::string id;
-  std::string name;
-  std::string reportPath;
-  bool strict = false;
-  bool quiet = false;
-  /// CHECK retry on BUSY/DRAINING or transport failure: off by default
-  /// (maxRetries 0 keeps the historical fail-fast exit 6).
-  int maxRetries = 0;
-  int retryMs = 200;
-  service::JobOptions job;
-  /// Only the job options given on the command line are sent; the
-  /// server's defaults cover the rest.
-  service::JobOptionSet given;
-  std::vector<std::string> models;
-};
-
-int parseSubmitArgs(int argc, char** argv, SubmitOptions* opts) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "cmc submit: " << arg << " requires a value\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const service::FlagParse r =
-        jobOptionArg(argc, argv, &i, &opts->job, &opts->given);
-    if (r == service::FlagParse::Invalid) return 2;
-    if (r == service::FlagParse::Applied) continue;
-    std::uint64_t n = 0;
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->socketPath = v;
-    } else if (arg == "--tcp") {
-      if (!uintArg(arg, next(), 0, 65535, &n)) return 2;
-      opts->tcpPort = static_cast<int>(n);
-    } else if (arg == "--status") {
-      opts->status = true;
-    } else if (arg == "--stats") {
-      opts->stats = true;
-    } else if (arg == "--drain") {
-      opts->drain = true;
-    } else if (arg == "--topology") {
-      opts->topology = true;
-    } else if (arg == "--join") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->joinName = v;
-    } else if (arg == "--leave") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->leaveName = v;
-    } else if (arg == "--shard-socket") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->shardSocket = v;
-    } else if (arg == "--shard-tcp") {
-      if (!uintArg(arg, next(), 1, 65535, &n)) return 2;
-      opts->shardTcp = static_cast<int>(n);
-    } else if (arg == "--cancel") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->cancelId = v;
-    } else if (arg == "--id") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->id = v;
-    } else if (arg == "--name") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->name = v;
-    } else if (arg == "--report") {
-      const char* v = next();
-      if (v == nullptr) return 2;
-      opts->reportPath = v;
-    } else if (arg == "--strict") {
-      opts->strict = true;
-    } else if (arg == "--quiet") {
-      opts->quiet = true;
-    } else if (arg == "--max-retries") {
-      if (!uintArg(arg, next(), 0, kMaxInt, &n)) return 2;
-      opts->maxRetries = static_cast<int>(n);
-    } else if (arg == "--retry-ms") {
-      if (!uintArg(arg, next(), 1, kMaxInt, &n)) return 2;
-      opts->retryMs = static_cast<int>(n);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "cmc submit: unknown option " << arg << "\n";
-      return 2;
-    } else {
-      opts->models.push_back(arg);
-    }
-  }
-  if (opts->socketPath.empty() && opts->tcpPort < 0) {
-    std::cerr << "cmc submit: need --socket PATH or --tcp PORT\n";
-    return 2;
-  }
-  if (!opts->joinName.empty() &&
-      opts->shardSocket.empty() == (opts->shardTcp < 0)) {
-    std::cerr << "cmc submit: --join needs exactly one of --shard-socket "
-                 "PATH or --shard-tcp PORT\n";
-    return 2;
-  }
-  if (opts->joinName.empty() &&
-      (!opts->shardSocket.empty() || opts->shardTcp >= 0)) {
-    std::cerr << "cmc submit: --shard-socket/--shard-tcp only make sense "
-                 "with --join NAME\n";
-    return 2;
-  }
-  const bool control = opts->status || opts->stats || opts->drain ||
-                       opts->topology || !opts->joinName.empty() ||
-                       !opts->leaveName.empty() || !opts->cancelId.empty();
-  if (control && !opts->models.empty()) {
-    std::cerr << "cmc submit: control commands take no model arguments\n";
-    return 2;
-  }
-  if (!control && opts->models.empty()) {
-    std::cerr << "cmc submit: no model files given\n";
-    return 2;
-  }
-  return 0;
-}
-
-std::string buildCheckRequest(const SubmitOptions& opts, const std::string& id,
+std::string buildCheckRequest(const CommandLine& cl, const std::string& id,
                               const std::string& name,
                               const std::string& smv) {
   service::JsonObject req;
   req.put("cmd", "CHECK").put("id", id);
   if (!name.empty()) req.put("name", name);
-  service::writeJobOptions(opts.job, opts.given, &req);
+  // Only the job options given on the command line are sent; the server's
+  // defaults cover the rest.
+  service::writeJobOptions(cl.job, cl.given, &req);
   req.put("smv", smv);
   return req.str();
 }
@@ -1170,59 +1037,71 @@ int renderCheckResponse(const std::string& resp, bool quiet,
   return 0;
 }
 
-/// Send one CHECK, retrying BUSY/DRAINING refusals and transport failures
-/// with jittered exponential backoff when --max-retries is set.  True with
-/// *resp filled on any server response (the caller maps refusal codes to
-/// exit 6 as before); false with *err after the last transport failure.
-bool sendCheckWithRetry(net::Client& client, const SubmitOptions& opts,
-                        const std::string& reqLine, std::string* resp,
-                        std::string* err) {
-  return client.requestWithRetry(
-      reqLine, opts.maxRetries, opts.retryMs, resp, err,
-      [&opts](const std::string& why, int attempt, int delay) {
-        std::cerr << "cmc submit: " << why << "; retry " << attempt << "/"
-                  << opts.maxRetries << " in " << delay << " ms\n";
-      });
-}
+int runSubmit(const CommandLine& cl) {
+  if (cl.socketPath.empty() && cl.tcpPort < 0) {
+    std::cerr << "cmc submit: need --socket PATH or --tcp PORT\n";
+    return 2;
+  }
+  if (!cl.joinName.empty() &&
+      cl.shardSocket.empty() == (cl.shardTcp < 0)) {
+    std::cerr << "cmc submit: --join needs exactly one of --shard-socket "
+                 "PATH or --shard-tcp PORT\n";
+    return 2;
+  }
+  if (cl.joinName.empty() && (!cl.shardSocket.empty() || cl.shardTcp >= 0)) {
+    std::cerr << "cmc submit: --shard-socket/--shard-tcp only make sense "
+                 "with --join NAME\n";
+    return 2;
+  }
+  const bool control = cl.status || cl.stats || cl.drain || cl.topology ||
+                       !cl.joinName.empty() || !cl.leaveName.empty() ||
+                       !cl.cancelId.empty();
+  if (control && !cl.operands.empty()) {
+    std::cerr << "cmc submit: control commands take no model arguments\n";
+    return 2;
+  }
+  if (!control && cl.operands.empty()) {
+    std::cerr << "cmc submit: no model files given\n";
+    return 2;
+  }
 
-int runSubmit(const SubmitOptions& opts) {
-  net::Client client;
-  std::string err;
   // The initial dial honors the retry budget too: a shard or coordinator
   // restarting (connection refused, socket not yet bound) looks exactly
   // like a mid-request transport failure from the caller's side.  The
   // final failure keeps the historical exit 2.
-  const auto logRetry = [&opts](const std::string& why, int attempt,
-                                int delay) {
+  const int maxRetries = static_cast<int>(cl.maxRetries.value_or(0));
+  const int retryMs = static_cast<int>(cl.retryMs.value_or(200));
+  const auto logRetry = [maxRetries](const std::string& why, int attempt,
+                                     int delay) {
     std::cerr << "cmc submit: " << why << "; retry " << attempt << "/"
-              << opts.maxRetries << " in " << delay << " ms\n";
+              << maxRetries << " in " << delay << " ms\n";
   };
-  if (!client.connectRetrying(opts.socketPath, opts.tcpPort, opts.maxRetries,
-                              opts.retryMs, &err, logRetry)) {
+  net::Client client;
+  std::string err;
+  if (!client.connectRetrying(cl.socketPath, cl.tcpPort, maxRetries, retryMs,
+                              &err, logRetry)) {
     std::cerr << "cmc submit: " << err << "\n";
     return 2;
   }
 
   // Control commands: one request, print, done.
-  if (opts.status || opts.stats || opts.drain || opts.topology ||
-      !opts.joinName.empty() || !opts.leaveName.empty() ||
-      !opts.cancelId.empty()) {
+  if (control) {
     service::JsonObject req;
-    if (opts.status) req.put("cmd", "STATUS");
-    else if (opts.stats) req.put("cmd", "STATS");
-    else if (opts.drain) req.put("cmd", "DRAIN");
-    else if (opts.topology) req.put("cmd", "TOPOLOGY");
-    else if (!opts.joinName.empty()) {
-      req.put("cmd", "JOIN").put("shard", opts.joinName);
-      if (opts.shardTcp >= 0) {
-        req.putUint("tcp", static_cast<std::uint64_t>(opts.shardTcp));
+    if (cl.status) req.put("cmd", "STATUS");
+    else if (cl.stats) req.put("cmd", "STATS");
+    else if (cl.drain) req.put("cmd", "DRAIN");
+    else if (cl.topology) req.put("cmd", "TOPOLOGY");
+    else if (!cl.joinName.empty()) {
+      req.put("cmd", "JOIN").put("shard", cl.joinName);
+      if (cl.shardTcp >= 0) {
+        req.putUint("tcp", static_cast<std::uint64_t>(cl.shardTcp));
       } else {
-        req.put("socket", opts.shardSocket);
+        req.put("socket", cl.shardSocket);
       }
     }
-    else if (!opts.leaveName.empty())
-      req.put("cmd", "LEAVE").put("shard", opts.leaveName);
-    else req.put("cmd", "CANCEL").put("id", opts.cancelId);
+    else if (!cl.leaveName.empty())
+      req.put("cmd", "LEAVE").put("shard", cl.leaveName);
+    else req.put("cmd", "CANCEL").put("id", cl.cancelId);
     std::string resp;
     if (!client.request(req.str(), &resp, &err)) {
       std::cerr << "cmc submit: " << err << "\n";
@@ -1231,7 +1110,7 @@ int runSubmit(const SubmitOptions& opts) {
     util::JsonValue doc;
     bool ok = false;
     if (util::parseJson(resp, &doc, nullptr)) doc.opt("ok", &ok);
-    if (opts.stats && ok) {
+    if (cl.stats && ok) {
       // The greppable rendering: one metric per line.
       std::string text;
       double uptime = 0.0;
@@ -1250,68 +1129,48 @@ int runSubmit(const SubmitOptions& opts) {
   }
 
   // CHECK per model, sequentially on this connection (run several submit
-  // processes for concurrency; the daemon interleaves them).
+  // processes for concurrency; the daemon interleaves them).  A CHECK
+  // refused with BUSY/DRAINING or lost to a transport failure is retried
+  // with jittered exponential backoff when --max-retries is set; a final
+  // refusal still exits 6.
   int exitCode = 0;
   service::Verdict worst = service::Verdict::Holds;
   std::vector<std::string> reports;
-  for (std::size_t k = 0; k < opts.models.size(); ++k) {
-    const std::string& path = opts.models[k];
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cmc submit: cannot open " << path << "\n";
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    std::string id = opts.id;
+  for (std::size_t k = 0; k < cl.operands.size(); ++k) {
+    const std::string& path = cl.operands[k];
+    std::string smv;
+    if (!readModel("cmc submit", path, &smv)) return 2;
+    std::string id = cl.id;
     if (id.empty()) {
       id = "submit-" + std::to_string(::getpid()) + "-" + std::to_string(k);
-    } else if (opts.models.size() > 1) {
+    } else if (cl.operands.size() > 1) {
       id += "-" + std::to_string(k);
     }
-    const std::string name = !opts.name.empty() && opts.models.size() == 1
-                                 ? opts.name
+    const std::string name = !cl.name.empty() && cl.operands.size() == 1
+                                 ? cl.name
                                  : basenameStem(path);
     std::string resp;
-    if (!sendCheckWithRetry(client, opts,
-                            buildCheckRequest(opts, id, name, buffer.str()),
-                            &resp, &err)) {
+    if (!client.requestWithRetry(buildCheckRequest(cl, id, name, smv),
+                                 maxRetries, retryMs, &resp, &err, logRetry)) {
       std::cerr << "cmc submit: " << err << "\n";
       return 2;
     }
     std::string report;
-    const int rc = renderCheckResponse(resp, opts.quiet, &worst,
-                                       opts.reportPath.empty() ? nullptr
-                                                               : &report);
+    const int rc = renderCheckResponse(
+        resp, cl.quiet, &worst, cl.reportPath.empty() ? nullptr : &report);
     if (rc != 0) exitCode = rc;
     if (!report.empty()) reports.push_back(std::move(report));
   }
 
-  if (!opts.reportPath.empty() && !reports.empty()) {
-    std::string combined;
-    if (reports.size() == 1) {
-      combined = reports.front() + "\n";
-    } else {
-      combined = "{\"reports\": [\n";
-      for (std::size_t k = 0; k < reports.size(); ++k) {
-        combined += reports[k];
-        combined += k + 1 < reports.size() ? ",\n" : "\n";
-      }
-      combined += "]}\n";
-    }
-    if (!writeFile(opts.reportPath, combined)) return 2;
+  if (!cl.reportPath.empty() && !reports.empty() &&
+      !writeReports(cl.reportPath, reports)) {
+    return 2;
   }
-
   if (exitCode != 0) return exitCode;
-  if (worst == service::Verdict::Error) return 5;
-  if (!opts.strict) return 0;
-  switch (worst) {
-    case service::Verdict::Holds: return 0;
-    case service::Verdict::Fails: return 1;
-    case service::Verdict::Inconclusive: return 4;
-    default: return 3;
-  }
+  return verdictExitCode(worst, cl.strict);
 }
+
+// ---------------------------------------------------------------------------
 
 int runFailpoints() {
   if (util::Failpoint::compiledIn()) {
@@ -1341,40 +1200,30 @@ void printFailpointHits() {
 }
 
 int runCommand(const std::string& command, int argc, char** argv) {
-  try {
-    if (command == "check") {
-      CliOptions cli;
-      if (const int rc = parseArgs(argc, argv, &cli); rc != 0) return rc;
-      return runCheck(cli);
+  const auto run = [&](Command cmd, int (*body)(const CommandLine&)) {
+    const bool compact = cmd == kCacheCompact;
+    CommandLine cl;
+    if (!readCommandLine(cmd, "cmc " + command + (compact ? " compact" : ""),
+                         argc, argv, compact ? 3 : 2, &cl)) {
+      return 2;
     }
-    if (command == "serve") {
-      ServeOptions opts;
-      if (const int rc = parseServeArgs(argc, argv, &opts); rc != 0)
-        return rc;
-      return runServe(opts);
+    try {
+      return body(cl);
+    } catch (const Error& e) {
+      std::cerr << "cmc: " << e.what() << "\n";
+      return 2;
     }
-    if (command == "coordinator") {
-      CoordinatorCliOptions opts;
-      if (const int rc = parseCoordinatorArgs(argc, argv, &opts); rc != 0)
-        return rc;
-      return runCoordinator(opts);
+  };
+  if (command == "check") return run(kCheck, runCheck);
+  if (command == "serve") return run(kServe, runServe);
+  if (command == "coordinator") return run(kCoordinator, runCoordinator);
+  if (command == "submit") return run(kSubmit, runSubmit);
+  if (command == "cache") {
+    if (argc < 3 || std::string(argv[2]) != "compact") {
+      std::cerr << "cmc cache: the only subcommand is `compact`\n";
+      return 2;
     }
-    if (command == "submit") {
-      SubmitOptions opts;
-      if (const int rc = parseSubmitArgs(argc, argv, &opts); rc != 0)
-        return rc;
-      return runSubmit(opts);
-    }
-    if (command == "cache") {
-      if (argc < 3 || std::string(argv[2]) != "compact") {
-        std::cerr << "cmc cache: the only subcommand is `compact`\n";
-        return 2;
-      }
-      return runCacheCompact(argc, argv);
-    }
-  } catch (const Error& e) {
-    std::cerr << "cmc: " << e.what() << "\n";
-    return 2;
+    return run(kCacheCompact, runCacheCompact);
   }
   std::cerr << "cmc: unknown command '" << command << "'\n" << kUsage;
   return 2;
