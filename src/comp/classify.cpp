@@ -1,5 +1,7 @@
 #include "comp/classify.hpp"
 
+#include <algorithm>
+
 namespace cmc::comp {
 
 using ctl::FormulaPtr;
@@ -55,8 +57,9 @@ bool trivialFairness(const ctl::Restriction& r) {
   return true;
 }
 
-bool trivialInit(const ctl::Restriction& r) {
-  return r.init == nullptr || r.init->op() == Op::True;
+/// The INITs Rules 2 and 3 admit: none, or a propositional one.
+bool propositionalInit(const ctl::Restriction& r) {
+  return r.init == nullptr || ctl::isPropositional(r.init);
 }
 
 PropertyClass classifyOne(const ctl::Restriction& r, const FormulaPtr& f) {
@@ -64,10 +67,10 @@ PropertyClass classifyOne(const ctl::Restriction& r, const FormulaPtr& f) {
   if (ctl::isPropositional(f) && trivialFairness(r)) {
     return PropertyClass::Existential;
   }
-  // Rules 2/3 are proven for the unrestricted ⊨; we additionally require a
-  // trivial restriction on the spec itself (fairness is introduced on the
-  // composed system afterwards via Lemma 11).
-  if (!trivialInit(r) || !trivialFairness(r)) {
+  // Rules 2/3 under (I, {true}) with I propositional: the restriction only
+  // strengthens the antecedent to I ∧ p.  Fairness is introduced on the
+  // composed system afterwards (Lemma 11), never through these rules.
+  if (!propositionalInit(r) || !trivialFairness(r)) {
     return PropertyClass::Unknown;
   }
   if (matchImpliesAX(f, nullptr, nullptr)) {
@@ -101,6 +104,14 @@ PropertyClass classify(const ctl::Restriction& r, const FormulaPtr& f) {
 
 PropertyClass classify(const ctl::Spec& spec) {
   return classify(spec.r, spec.f);
+}
+
+bool premisesAreExact(const ctl::Spec& spec) {
+  if (classify(spec) != PropertyClass::Universal) return false;
+  const std::vector<FormulaPtr> parts = conjuncts(spec.f);
+  return std::none_of(parts.begin(), parts.end(), [](const FormulaPtr& c) {
+    return matchImpliesEX(c, nullptr, nullptr);
+  });
 }
 
 }  // namespace cmc::comp

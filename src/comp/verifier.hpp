@@ -4,13 +4,21 @@
 //
 // Verification strategy for a spec S on M₁ ∘ … ∘ Mₙ:
 //  - classify(S) == Universal:    check S on the expansion of *every*
-//    component over the union alphabet (Lemma 5 makes the expansion the
-//    right object); conclude S for the composition (Rule 2).
+//    component (Lemma 5 makes the expansion the right object); conclude S
+//    for the composition (Rule 2).  A component whose alphabet misses the
+//    variables of every AX body leaves those bodies unchanged, so its
+//    premise is the propositional I ⇒ S[AX q := q] (Lemmas 6 and 8/9): one
+//    validity check covers every such component (frame discharge).
 //  - classify(S) == Existential:  check S on the expansion of *some*
 //    component; conclude for the composition (Rules 1/3).
 //  - Unknown: optionally fall back to a direct (non-compositional) check on
 //    the composed system.  The proof tree labels this honestly so the
 //    certificate shows which steps were compositional.
+//
+// No expansion is built.  Each component's premises run on one checker
+// over its reflexive closure, which primes only the component's own bits:
+// a variable of S outside the alphabet keeps its value across a step,
+// which is its frame in the expansion (Checker::holdsOnExpansion).
 //
 // The verifier discharges its obligations one after another in the
 // caller's Context.  Independent obligations fan out across cores as jobs
@@ -21,13 +29,14 @@
 //
 // A verifier is meant to be kept: the service's worker keeps one per
 // composed target and runs every composed obligation of its job on it, so
-// the components, their expansions, the composition and the composed
+// the components, their premise checkers, the composition and the composed
 // checker are built once per worker, not once per spec.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "comp/classify.hpp"
 #include "comp/proof.hpp"
@@ -89,12 +98,22 @@ class CompositionalVerifier {
   std::string counterexample(const ctl::Spec& spec);
 
   /// Wall time this verifier spent building the composition (when it
-  /// composed it itself), expansions and checkers — everything but the
-  /// checks — so a caller can split its own timing into setup and checks.
+  /// composed it itself) and checkers — everything but the checks — so a
+  /// caller can split its own timing into setup and checks.
   double setupSeconds() const noexcept { return setupSeconds_; }
 
+  /// Preimages run so far by the checkers the verifier keeps (premise and
+  /// composed), and those whose cone left part of every track out.  A
+  /// caller measures a span of checks by the difference, taken after its
+  /// setCheckerOptions: a checker that an engine change rebuilds counts
+  /// from zero again.
+  std::uint64_t preimageCount() const noexcept;
+  std::uint64_t conePreimageCount() const noexcept;
+
   /// Verify `spec` on the composition compositionally where the classifier
-  /// allows; returns the verdict and records every step in `proof`.
+  /// allows; returns the verdict and records every step in `proof`.  A
+  /// false Universal verdict refutes the composition when
+  /// premisesAreExact(spec); a false Existential one need not.
   bool verify(const ctl::Spec& spec, ProofTree& proof,
               bool allowGlobalFallback = true);
 
@@ -118,19 +137,37 @@ class CompositionalVerifier {
                         const std::string& name);
 
  private:
+  /// A propositional INIT as the verifier uses it: its states, its
+  /// variables and their domain, evaluated once per verifier (afs2(n)'s
+  /// server INIT has 3n+1 atoms, and every premise of a server spec reads
+  /// it).
+  struct InitFacts {
+    ctl::FormulaPtr formula;
+    bdd::Bdd states;
+    std::vector<symbolic::VarId> vars;
+    bdd::Bdd domain;  ///< Context::domainAll(vars)
+  };
+
   /// Keep `sys` as the composition, with a checker built on first use.
   void keepComposed(symbolic::SymbolicSystem sys);
-  /// Expansion of component i over the union alphabet (cached).
-  const symbolic::SymbolicSystem& expansion(std::size_t i);
-  /// A checker over `sys` with the current options, for one check.
-  symbolic::Checker checkerFor(const symbolic::SymbolicSystem& sys);
+  /// The checker over component i's reflexive closure that decides its
+  /// premises, kept like the composed one.  The first premise builds every
+  /// component's.
+  symbolic::Checker& premiseChecker(std::size_t i);
+  /// Component i's premise for `spec`: `spec` on its expansion over the
+  /// spec's variables outside its alphabet.
+  bool premiseHolds(std::size_t i, const ctl::Spec& spec);
+  const InitFacts& initFacts(const ctl::FormulaPtr& init);
+  /// The variables of `f`, sorted, through the context's name table.
+  std::vector<symbolic::VarId> varsOf(const ctl::FormulaPtr& f) const;
   std::vector<symbolic::VarId> unionVars() const;
 
   symbolic::Context& ctx_;
   symbolic::CheckerOptions checkerOpts_;
   std::vector<symbolic::SymbolicSystem> components_;
-  std::vector<symbolic::SymbolicSystem> expansions_;  ///< lazy, parallel to components_
-  std::vector<bool> expansionBuilt_;
+  /// Lazy, parallel to components_.
+  std::vector<std::unique_ptr<symbolic::KeptChecker>> premises_;
+  std::vector<InitFacts> inits_;
   /// The composition and the checker over it.
   std::optional<symbolic::KeptChecker> composed_;
   double setupSeconds_ = 0.0;

@@ -99,9 +99,10 @@ struct ObligationInstruments {
 /// imported or rebuilt into it and what the checks were built on: for a
 /// component target the module's checker (schedules, cone projections,
 /// fair region), for a composed target the verifier — reflexive-closed
-/// components, the composition (the snapshot's, imported, or composed on
-/// first use) and the composed checker.  `ctx` is declared first, so every
-/// handle below it dies before the manager that owns it.
+/// components, their premise checkers, and the composition (the
+/// snapshot's, imported, or composed on first use) with its checker.
+/// `ctx` is declared first, so every handle below it dies before the
+/// manager that owns it.
 struct WorkerContext {
   WorkerContext(std::size_t arenaCapacity, std::size_t cacheCapacity)
       : ctx(arenaCapacity, cacheCapacity) {}
@@ -297,11 +298,13 @@ struct AttemptOutput {
 /// variable layout into a context pre-sized from the nodes it imports
 /// (contextNodes) and imports the BDDs it needs — a linear DAG copy in DFS
 /// order, no rehashing mid-import; a composed obligation also imports the
-/// snapshot's composition instead of composing.  Otherwise (factory jobs,
-/// quarantine retries) it rebuilds and composes from scratch.  A warm
-/// attempt also keeps the context's component checker or composed
-/// verifier, so it builds no closure, composition or checker; only the
-/// cancel hook is its own.
+/// snapshot's composition when the snapshot built one (some composed spec
+/// is outside Rules 1-3).  Otherwise (factory jobs, quarantine retries) it
+/// rebuilds from scratch.  A composed attempt's verifier composes on first
+/// use only, for a global check or a counterexample.  A warm attempt also
+/// keeps the context's component checker or composed verifier, so it
+/// builds no closure, composition or checker; only the cancel hook is its
+/// own.
 AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
                          bool useSnapshot, const CancelFlags& cancel) {
   AttemptOutput out;
@@ -351,11 +354,13 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
           wc->modules.push_back(importModule(wc->ctx, imp, mod,
                                              /*wantMonolithic=*/false));
         }
-        // The job's composition, built once in the snapshot; its conjuncts
-        // share the modules' imported nodes through `imp`.
-        CMC_ASSERT(snap->composed.has_value());
-        composed = symbolic::importSystem(
-            wc->ctx, imp, *snap->composed, /*wantMonolithic=*/!partitioned);
+        // The job's composition, built once in the snapshot when a spec
+        // needs it; its conjuncts share the modules' imported nodes through
+        // `imp`.
+        if (snap->composed.has_value()) {
+          composed = symbolic::importSystem(
+              wc->ctx, imp, *snap->composed, /*wantMonolithic=*/!partitioned);
+        }
       }
       out.record.importMs = importTimer.seconds() * 1000.0;
     } else {
@@ -397,7 +402,8 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
     WallTimer checkTimer;
     double setupSeconds = 0.0;
     double verifierSetup0 = 0.0;
-    // The component checker's running totals when the checks began.
+    // The checkers' running totals when the checks began: the component
+    // checker's, or those of every checker the verifier keeps.
     const symbolic::Checker* checked = nullptr;
     std::uint64_t preimages0 = 0;
     std::uint64_t conePreimages0 = 0;
@@ -440,15 +446,20 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
         }
         comp::CompositionalVerifier& verifier = *wc->verifier;
         verifierSetup0 = verifier.setupSeconds();
-        // The kept checker polls this attempt's budget and flags, and
+        // The kept checkers poll this attempt's budget and flags, and
         // nothing else: the hook is cleared below once the checks end.
         verifier.setCheckerOptions(copts);
+        preimages0 = verifier.preimageCount();
+        conePreimages0 = verifier.conePreimageCount();
         comp::ProofTree proof;
         bool ok = verifier.verify(spec, proof, /*allowGlobalFallback=*/true);
-        if (!ok && cls != comp::PropertyClass::Unknown) {
-          // The rules not establishing the spec is not a refutation (a
-          // failing component premise says nothing about the composition);
-          // decide with a direct check and record it in the certificate.
+        if (!ok && cls != comp::PropertyClass::Unknown &&
+            !comp::premisesAreExact(spec)) {
+          // A failing Rule 1/3 premise is not a refutation (another
+          // component may satisfy the spec, or the composition may where no
+          // component does); decide with a direct check and record it in
+          // the certificate.  A failing exact Rule 2 premise refutes the
+          // composition: its violating step is a step of the composition.
           ok = verifier.composedChecker().holds(spec);
           proof.add(comp::ProofNode::Kind::ModelCheck,
                     "composed system |= " + ctl::toString(spec.f) +
@@ -471,6 +482,8 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
       comp::CompositionalVerifier& verifier = *wc->verifier;
       setupSeconds += verifier.setupSeconds() - verifierSetup0;
       verifier.setCheckerOptions(copts);
+      out.record.preimages = verifier.preimageCount() - preimages0;
+      out.record.conePreimages = verifier.conePreimageCount() - conePreimages0;
     } else if (wc->component.has_value()) {
       wc->component->setOptions(copts);
       if (checked != nullptr) {
@@ -1044,11 +1057,16 @@ std::vector<JobReport> VerificationService::runBatch(
         if (snap.parseSeconds) {
           event.putDouble("parse_ms", *snap.parseSeconds * 1000.0);
         }
-        tr.emit(event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
-                    .putDouble("canon_ms", snap.canonSeconds * 1000.0)
-                    .putDouble("probe_ms", snap.probeSeconds * 1000.0)
-                    .putDouble("compose_ms", snap.composeSeconds * 1000.0)
-                    .putUint("live_nodes", snap.liveNodes)
+        event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
+            .putDouble("canon_ms", snap.canonSeconds * 1000.0);
+        // Left out when nothing was probed or composed.
+        if (snap.probeSeconds) {
+          event.putDouble("probe_ms", *snap.probeSeconds * 1000.0);
+        }
+        if (snap.composeSeconds) {
+          event.putDouble("compose_ms", *snap.composeSeconds * 1000.0);
+        }
+        tr.emit(event.putUint("live_nodes", snap.liveNodes)
                     .putUint("nodes_allocated", snap.nodesAllocated)
                     .putUint("gc_runs", snap.gcRuns)
                     .putUint("modules",

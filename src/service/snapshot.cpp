@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "comp/classify.hpp"
 #include "service/obligation_cache.hpp"
 #include "smv/fingerprint.hpp"
 #include "smv/parser.hpp"
@@ -53,6 +54,18 @@ std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
   return refs;
 }
 
+bool composes(const std::vector<smv::ElaboratedModule>& modules) {
+  if (modules.size() < 2) return false;
+  return std::any_of(
+      modules.begin(), modules.end(), [](const smv::ElaboratedModule& mod) {
+        return std::any_of(mod.specs.begin(), mod.specs.end(),
+                           [](const ctl::Spec& spec) {
+                             return comp::classify(spec) ==
+                                    comp::PropertyClass::Unknown;
+                           });
+      });
+}
+
 SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
   SnapshotResult result;
   try {
@@ -92,7 +105,9 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     // The composition exactly as composed obligations check it:
     // reflexive-closed components folded with ∘.  Built before the module
     // probes cache their products, which addReflexive would then widen.
-    if (job.options.compose && snap->modules.size() > 1) {
+    const bool composedObligations =
+        job.options.compose && snap->modules.size() > 1;
+    if (composedObligations && composes(snap->modules)) {
       WallTimer composeTimer;
       std::vector<symbolic::SymbolicSystem> parts;
       parts.reserve(snap->modules.size());
@@ -148,8 +163,12 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
         // A completed probe caches its product in the composition, which
         // composed attempts on the monolithic engine then import.
         snap->composedChoice = probe(*snap->composed);
+      } else if (composedObligations) {
+        snap->composedChoice.reason =
+            "Rules 1-3 decide every composed spec on the components; no "
+            "composition built or probed";
       }
-      snap->probeSeconds = probeTimer.seconds();
+      if (probes) snap->probeSeconds = probeTimer.seconds();
     }
 
     // Final sweep: drop probe and composition intermediates, count what

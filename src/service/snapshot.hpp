@@ -8,20 +8,23 @@
 //
 //  - buildSnapshot elaborates a job ONCE into a dedicated Context and
 //    freezes the result (modules, canonical serializations for the cache,
-//    for a compose job the composition of the reflexive-closed modules,
-//    and — under EngineMode::Auto — the per-module and composed engine
-//    choices).  Only the systems whose checker reads a product are probed,
-//    here where mutation is still allowed: the composition and a module
-//    that covers the context.  A module whose checker takes the cone
-//    (symbolic::takesCone) gets an unprobed choice and no product.
+//    for a compose job with a composed spec outside Rules 1-3 the
+//    composition of the reflexive-closed modules, and — under
+//    EngineMode::Auto — the per-module and composed engine choices).  Only
+//    the systems whose checker reads a product are probed, here where
+//    mutation is still allowed: that composition and a module that covers
+//    the context.  A module whose checker takes the cone
+//    (symbolic::takesCone) gets an unprobed choice and no product, and so
+//    does a compose job whose composed specs Rules 1-3 all decide: their
+//    premises run on the components.
 //  - Workers adopt the snapshot's variable layout into their own pre-sized
 //    Context and copy the BDDs they need through bdd::Importer — a linear
 //    walk of the reachable DAG instead of a parse + elaboration.  A
-//    composed attempt imports the composition too, so the product is
-//    composed (and, under Auto, materialized) once per job, not once per
-//    attempt.  A worker keeps what it imported for its next obligation of
-//    the same target and engine (the scheduler's warm contexts), so most
-//    attempts import nothing at all.
+//    composed attempt imports the composition too when there is one, so
+//    the product is composed (and, under Auto, materialized) once per job,
+//    not once per attempt.  A worker keeps what it imported for its next
+//    obligation of the same target and engine (the scheduler's warm
+//    contexts), so most attempts import nothing at all.
 //
 // Ownership and immutability: the snapshot is held by shared_ptr<const>;
 // the last obligation (or the service's snapshot cache) drops it.  After
@@ -69,12 +72,15 @@ struct ElaborationSnapshot {
   /// choice is partitioned, unprobed, and carries no product size.
   std::vector<symbolic::EngineChoice> moduleChoice;
   /// The reflexive-closed modules folded with ∘ in module order — set for
-  /// every compose job with more than one module, whatever the engine
-  /// mode.  Under Auto it carries the probe's product when the probe
-  /// completed within its cap; otherwise the product stays unbuilt, so a
-  /// monolithic attempt materializes it under its own budget.
+  /// a compose job with more than one module when some composed spec
+  /// classifies Unknown (composes()), whatever the engine mode.  Under
+  /// Auto it carries the probe's product when the probe completed within
+  /// its cap; otherwise the product stays unbuilt, so a monolithic attempt
+  /// materializes it under its own budget.
   std::optional<symbolic::SymbolicSystem> composed;
-  /// Engine decision for `composed` (compose jobs under Auto).
+  /// Engine decision for the composed obligations (compose jobs under
+  /// Auto): the probe of `composed`, or, without one, partitioned and
+  /// unprobed, since every premise runs on a component's cone checker.
   symbolic::EngineChoice composedChoice;
   /// Live nodes after the final collection — what a composed obligation's
   /// fresh context is sized from.
@@ -93,10 +99,11 @@ struct ElaborationSnapshot {
   double elaborateSeconds = 0.0;
   /// Wall time of the canonical serializations (0 when not requested).
   double canonSeconds = 0.0;
-  /// Wall time of the engine probes, modules and composition (Auto only).
-  double probeSeconds = 0.0;
-  /// Wall time of building `composed`.
-  double composeSeconds = 0.0;
+  /// Wall time of the engine probes, modules and composition; unset when
+  /// nothing was probed (a mode other than Auto, or only cone modules).
+  std::optional<double> probeSeconds;
+  /// Wall time of building `composed`; unset when nothing was composed.
+  std::optional<double> composeSeconds;
   /// The snapshot manager's counters at freeze: every node it allocated
   /// and every collection it ran, the final sweep included.
   std::uint64_t nodesAllocated = 0;
@@ -149,6 +156,13 @@ std::string keepOnly(const VerificationJob& job, std::vector<Ref>* refs) {
   if (!refs->empty()) return {};
   return "job '" + job.name + "' has no obligation '" + job.only + "'";
 }
+
+/// True iff a compose job over `modules` needs their composition: it has
+/// more than one module and some spec classifies Unknown, so its composed
+/// obligation takes the global check.  Every other composed spec is
+/// decided by Rules 1-3 on the components, and only a failing Rule 1/3
+/// premise or a counterexample composes, in the worker that needs it.
+bool composes(const std::vector<smv::ElaboratedModule>& modules);
 
 /// Elaborate `job` once into a fresh context (never throws — errors land in
 /// SnapshotResult::error).  `wantCanon` additionally computes the canonical

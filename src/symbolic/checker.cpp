@@ -30,7 +30,7 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
       opts_(opts),
       domain_(sys.stateDomain()),
       nextVars_(sys.ctx->nextCube(sys.vars)),
-      swapPerm_(sys.ctx->swapPermutation()),
+      swapPerm_(sys.ctx->swapPermutation(sys.vars)),
       stutters_(sys.stuttersByConstruction()),
       cone_(takesCone(sys)) {
   CMC_ASSERT(sys.ctx != nullptr);
@@ -38,10 +38,11 @@ Checker::Checker(const SymbolicSystem& sys, CheckerOptions opts)
   // When the system's alphabet covers the whole context (every composed
   // system) and a track's frame conjuncts are tagged, the frames are
   // handled by *substitution* instead of by folding (see below).  A
-  // component checker in a shared context cannot substitute — its targets
-  // may mention foreign context bits the substitution would wrongly leave
-  // unprimed — and takes the cone path instead, under either engine: a
-  // monolithic attempt imports the partition too.
+  // component checker in a shared context takes the cone path instead,
+  // under either engine: a monolithic attempt imports the partition too.
+  // Either way only the alphabet's bits are primed, so a variable outside
+  // the alphabet keeps its current value across a step: that is its frame
+  // in the system's expansion over it (see holdsOnExpansion).
   if (sys.partition.empty() || (!cone_ && !opts_.usePartitionedTrans)) {
     return;
   }
@@ -320,6 +321,12 @@ bool Checker::holds(const ctl::Restriction& r, const ctl::FormulaPtr& f) {
 }
 
 bool Checker::holds(const ctl::Spec& spec) { return holds(spec.r, spec.f); }
+
+bool Checker::holdsOnExpansion(const ctl::Restriction& r,
+                               const ctl::FormulaPtr& f,
+                               const bdd::Bdd& foreignDomain) {
+  return (violations(r, f) & foreignDomain).isFalse();
+}
 
 CheckResult Checker::check(const ctl::Spec& spec) {
   bdd::Manager& mgr = sys_.ctx->mgr();

@@ -121,6 +121,19 @@ class Checker {
   bool holds(const ctl::Restriction& r, const ctl::FormulaPtr& f);
   bool holds(const ctl::Spec& spec);
 
+  /// M ∘ (E, I) ⊨_r f, the expansion of M over E (paper §3.2), where E are
+  /// the variables of r and f outside M's alphabet and `foreignDomain`
+  /// holds their valid encodings (Context::domainAll; constraining
+  /// alphabet variables to theirs as well changes nothing).  No expansion
+  /// is built: the checker primes only the alphabet's bits, so every
+  /// variable of E keeps its value across a step — its frame in the
+  /// expansion, since ∃v'. (v' = v ∧ dom) ∧ X' is the substitution
+  /// v' ↦ v.  By Lemma 5 the verdict is also the expansion's over any
+  /// larger alphabet.  M must stutter, as every expansion does.  Without
+  /// foreign variables this is holds().
+  bool holdsOnExpansion(const ctl::Restriction& r, const ctl::FormulaPtr& f,
+                        const bdd::Bdd& foreignDomain);
+
   /// Like holds() but with resource accounting (for the Fig. 7/10/15/17
   /// reproduction): per-check peak live nodes and computed-table hit rate
   /// on top of the allocation totals.
@@ -205,7 +218,7 @@ class Checker {
   CheckerOptions opts_;
   bdd::Bdd domain_;     ///< valid current-state encodings
   bdd::Bdd nextVars_;   ///< quantification cube for preimages
-  std::uint32_t swapPerm_;
+  std::uint32_t swapPerm_;  ///< current <-> next over the alphabet's bits
   bool stutters_;       ///< sys.stuttersByConstruction()
 
   /// One preimage operator per partition track.  When the track's frame
@@ -267,6 +280,15 @@ class KeptChecker {
   std::string counterexample(const ctl::Spec& spec);
 
   const SymbolicSystem& system() const noexcept { return sys_; }
+
+  /// The checker's running preimage totals (Checker::preimageCount and
+  /// conePreimageCount); 0 while none is built.
+  std::uint64_t preimageCount() const noexcept {
+    return checker_ != nullptr ? checker_->preimageCount() : 0;
+  }
+  std::uint64_t conePreimageCount() const noexcept {
+    return checker_ != nullptr ? checker_->conePreimageCount() : 0;
+  }
 
  private:
   SymbolicSystem sys_;

@@ -43,8 +43,16 @@ TEST(Classify, Rule2AXIsUniversal) {
             PropertyClass::Unknown);
   EXPECT_EQ(classify(trivial(), parse("p -> AX AX q")),
             PropertyClass::Unknown);
-  // An initial-condition restriction disables Rule 2.
+  // A propositional INIT only strengthens the antecedent to INIT & p.
   EXPECT_EQ(classify(trivial().withInit(parse("p")), parse("p -> AX q")),
+            PropertyClass::Universal);
+  // A temporal INIT, or fairness other than TRUE, still disables Rule 2.
+  EXPECT_EQ(classify(trivial().withInit(parse("EF p")), parse("p -> AX q")),
+            PropertyClass::Unknown);
+  EXPECT_EQ(classify(trivial().withFairness(parse("p")), parse("p -> AX q")),
+            PropertyClass::Unknown);
+  EXPECT_EQ(classify(trivial().withInit(parse("p")).withFairness(parse("q")),
+                     parse("p -> AX q")),
             PropertyClass::Unknown);
 }
 
@@ -242,13 +250,34 @@ TEST(Verifier, UniversalSpecCheckedOnEveryComponent) {
   verifier.addComponent(tc.left);
   verifier.addComponent(tc.right);
   ProofTree proof;
-  // A latch never unsets: a -> AX a holds in both expansions.
+  // A latch never unsets: a -> AX a holds in both expansions.  `right`
+  // never changes a, so its premise is a -> a, discharged by the frame
+  // instead of a model check.
   EXPECT_TRUE(verifier.verify(
       ctl::Spec{"latchA", trivial(), parse("a -> AX a")}, proof));
-  EXPECT_EQ(proof.modelCheckCount(), 2u);  // one per component
+  EXPECT_EQ(proof.modelCheckCount(), 1u);
+  const auto discharges = [&proof] {
+    std::size_t n = 0;
+    for (std::size_t id = 0; id < proof.size(); ++id) {
+      const ProofNode& node = proof.node(id);
+      if (node.kind == ProofNode::Kind::RuleApplication &&
+          node.description.find("frame discharge") != std::string::npos) {
+        EXPECT_TRUE(node.ok) << node.description;
+        EXPECT_NE(node.description.find("1 of 2 components"),
+                  std::string::npos)
+            << node.description;
+        ++n;
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(discharges(), 1u);
   // b -> AX b also universal; a&b -> AX (a&b) follows on the composition.
+  // Both components touch a & b, so both are checked.
   EXPECT_TRUE(verifier.verify(
       ctl::Spec{"latchAB", trivial(), parse("a & b -> AX (a & b)")}, proof));
+  EXPECT_EQ(proof.modelCheckCount(), 3u);
+  EXPECT_EQ(discharges(), 1u);
   EXPECT_TRUE(proof.valid());
 }
 
@@ -456,6 +485,71 @@ TEST_P(RuleSoundness, Rule2UniversalHolds) {
     if (ca.holds(trivial(), spec) && cb.holds(trivial(), spec)) {
       EXPECT_TRUE(cw.holds(trivial(), spec)) << ctl::toString(spec);
     }
+  }
+}
+
+TEST_P(RuleSoundness, Rule2WithInitIsExact) {
+  // Three reflexive components: A over {a, b}, B over {b, c}, C over {d}.
+  // Every q mentions c, which is foreign to A (held across A's steps), and
+  // none mentions d, so C's premise is discharged by its frame.  Under a
+  // propositional INIT and trivial fairness, the three premises hold
+  // exactly when the composition satisfies p -> AX q.
+  kripke::ExplicitSystem ea = test::randomSystem(rng, 2);
+  kripke::ExplicitSystem ebRaw = test::randomSystem(rng, 2);
+  kripke::ExplicitSystem eb({"b", "c"});
+  ebRaw.forEachTransition(
+      [&](kripke::State s, kripke::State t) { eb.addTransition(s, t); });
+  kripke::ExplicitSystem ecRaw = test::randomSystem(rng, 1);
+  kripke::ExplicitSystem ec({"d"});
+  ecRaw.forEachTransition(
+      [&](kripke::State s, kripke::State t) { ec.addTransition(s, t); });
+  const std::vector<std::string> allAtoms = {"a", "b", "c", "d"};
+  const std::vector<std::string> bodyAtoms = {"a", "b", "c"};
+  const kripke::ExplicitSystem expA = kripke::expand(ea, {"c", "d"});
+  const kripke::ExplicitSystem expB = kripke::expand(eb, {"a", "d"});
+  const kripke::ExplicitSystem expC = kripke::expand(ec, {"a", "b", "c"});
+  const kripke::ExplicitSystem whole =
+      kripke::compose(kripke::compose(ea, eb), ec);
+  kripke::ExplicitChecker ca(expA);
+  kripke::ExplicitChecker cb(expB);
+  kripke::ExplicitChecker cc(expC);
+  kripke::ExplicitChecker cw(whole);
+
+  symbolic::Context ctx;
+  CompositionalVerifier verifier(ctx);
+  verifier.addComponent(symbolic::symbolicFromExplicit(ctx, ea, "A"));
+  verifier.addComponent(symbolic::symbolicFromExplicit(ctx, eb, "B"));
+  verifier.addComponent(symbolic::symbolicFromExplicit(ctx, ec, "C"));
+  for (int i = 0; i < 6; ++i) {
+    const ctl::FormulaPtr init =
+        test::randomPropositional(rng, allAtoms, 2);
+    const ctl::FormulaPtr p = test::randomPropositional(rng, allAtoms, 2);
+    const ctl::FormulaPtr q =
+        i % 2 == 0
+            ? ctl::mkOr(test::randomPropositional(rng, bodyAtoms, 2),
+                        ctl::atom("c"))
+            : ctl::mkAnd(test::randomPropositional(rng, bodyAtoms, 2),
+                         ctl::mkNot(ctl::atom("c")));
+    const ctl::Spec spec{"step", Restriction{init, {ctl::mkTrue()}},
+                         ctl::mkImplies(p, ctl::AX(q))};
+    ASSERT_EQ(classify(spec), PropertyClass::Universal);
+    ASSERT_TRUE(premisesAreExact(spec));
+    const bool premises =
+        ca.holds(spec.r, spec.f) && cb.holds(spec.r, spec.f) &&
+        cc.holds(spec.r, spec.f);
+    const bool composed = cw.holds(spec.r, spec.f);
+    const std::string what =
+        ctl::toString(init) + " : " + ctl::toString(spec.f);
+    EXPECT_EQ(premises, composed) << what;
+    ProofTree proof;
+    EXPECT_EQ(verifier.verify(spec, proof, /*allowGlobalFallback=*/false),
+              composed)
+        << what;
+    // B is checked, and A when q reads a or b; the other premises are the
+    // frame discharge (C's always).
+    const std::set<std::string> read = ctl::collectVariables(q);
+    const bool checksA = read.count("a") > 0 || read.count("b") > 0;
+    EXPECT_EQ(proof.modelCheckCount(), checksA ? 2u : 1u) << what;
   }
 }
 

@@ -430,12 +430,19 @@ ComposeSystems elaborateForCompose(symbolic::Context& ctx,
   return out;
 }
 
+/// A spec outside Rules 1-3, appended to a model's last module: its
+/// composed obligation takes the global check, so a compose job of the
+/// model composes and probes the composition.
+constexpr const char* kGlobalSpec = "SPEC AG TRUE\n";
+
 TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
   // Every module and composition of the shipped models, probed by
   // chooseEngine on a fresh elaboration, against the left fold run in the
   // same order on an identical, separate context.  The snapshot of the
-  // same compose job probes exactly the composition and the modules that
-  // cover the context, and decides those as chooseEngine does.
+  // same compose job with kGlobalSpec appended probes exactly the
+  // composition and the modules that cover the context, and decides those
+  // as chooseEngine does.  Without it, the snapshot composes and probes
+  // the composition only when some composed spec is outside Rules 1-3.
   std::size_t systems = 0, aborted = 0, completed = 0, probedModules = 0;
   for (const fs::path& path : shippedModels()) {
     const std::string text = readText(path);
@@ -473,6 +480,14 @@ TEST(EngineChoice, BalancedProbeDecidesLikeALeftFoldOnEveryModel) {
     job.smvText = text;
     job.options.engine = symbolic::EngineMode::Auto;
     job.options.compose = true;
+    const service::SnapshotResult plain =
+        service::buildSnapshot(job, /*wantCanon=*/false);
+    ASSERT_NE(plain.snapshot, nullptr) << path << ": " << plain.error;
+    const bool composes = service::composes(balanced.modules);
+    EXPECT_EQ(plain.snapshot->composed.has_value(), composes) << path;
+    EXPECT_EQ(plain.snapshot->composedChoice.probed, composes) << path;
+
+    job.smvText = text + kGlobalSpec;
     const service::SnapshotResult sr =
         service::buildSnapshot(job, /*wantCanon=*/false);
     ASSERT_NE(sr.snapshot, nullptr) << path << ": " << sr.error;
@@ -516,7 +531,9 @@ TEST(EngineChoice, AnAbortedProbeRecordsNoProductSize) {
     service::VerificationService svc(sopts);
     service::VerificationJob job;
     job.name = file;
-    job.smvText = readText(fs::path(CMC_MODELS_DIR) / "gen" / file);
+    // Only a composed spec outside Rules 1-3 makes the job probe.
+    job.smvText =
+        readText(fs::path(CMC_MODELS_DIR) / "gen" / file) + kGlobalSpec;
     job.options.engine = symbolic::EngineMode::Auto;
     job.options.compose = true;
     service::RunTrace trace;
@@ -548,6 +565,59 @@ TEST(EngineChoice, AnAbortedProbeRecordsNoProductSize) {
     EXPECT_GT(reported, 0u);
     EXPECT_GT(traced, 0u);
   }
+}
+
+TEST(ComposedCorpus, EveryVerdictMatchesTheDirectComposedCheck) {
+  // Each composed obligation of every shipped model, as the service
+  // decides it (compose, engine auto: Rules 1-3 on the components where
+  // they apply), against a direct Checker over composeAll of the
+  // reflexive closures.  The corpus's one failing premise is the server's
+  // for afs1client.SPEC1, and Rule 2 decides that spec Fails.
+  std::size_t compared = 0;
+  std::size_t fails = 0;
+  for (const fs::path& path : shippedModels()) {
+    SCOPED_TRACE(path.filename().string());
+    const std::string text = readText(path);
+    symbolic::Context ctx(1 << 14);
+    const ComposeSystems direct = elaborateForCompose(ctx, text);
+    if (!direct.composed.has_value()) continue;
+    symbolic::Checker checker(*direct.composed);
+
+    service::ServiceOptions sopts;
+    sopts.threads = 2;
+    sopts.cacheEnabled = false;
+    service::VerificationService svc(sopts);
+    service::VerificationJob job;
+    job.name = path.stem().string();
+    job.smvText = text;
+    job.options.engine = symbolic::EngineMode::Auto;
+    job.options.compose = true;
+    const service::JobReport report = svc.run(job);
+    std::map<std::string, const service::ObligationOutcome*> byId;
+    for (const service::ObligationOutcome& o : report.obligations) {
+      byId[o.id] = &o;
+    }
+    for (const smv::ElaboratedModule& mod : direct.modules) {
+      for (const ctl::Spec& spec : mod.specs) {
+        const auto it = byId.find("composed/" + spec.name);
+        ASSERT_NE(it, byId.end()) << spec.name;
+        const service::ObligationOutcome& o = *it->second;
+        const bool holds = checker.holds(spec);
+        EXPECT_EQ(o.verdict,
+                  holds ? service::Verdict::Holds : service::Verdict::Fails)
+            << o.id << " (" << o.rule << ")";
+        ++compared;
+        if (!holds) {
+          ++fails;
+          EXPECT_EQ(o.id, "composed/afs1client.SPEC1");
+          EXPECT_EQ(o.rule, "universal (Rule 2)");
+          EXPECT_FALSE(o.counterexample.empty());
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 100u);
+  EXPECT_EQ(fails, 1u);
 }
 
 TEST(Snapshot, ComponentOnlySnapshotsHoldNoProduct) {
@@ -742,15 +812,43 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
   EXPECT_GE(trace.countContaining("\"event\": \"snapshot\""), 1u);
   EXPECT_GE(trace.countContaining("\"event\": \"engine_choice\""), 1u);
   // The snapshot event splits the snapshot's own wall time by phase and
-  // carries its manager's counters.
-  for (const std::string& line : trace.lines()) {
-    if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
-    for (const char* field :
-         {"\"parse_ms\"", "\"elaborate_ms\"", "\"canon_ms\"", "\"probe_ms\"",
-          "\"compose_ms\"", "\"nodes_allocated\"", "\"gc_runs\""}) {
-      EXPECT_NE(line.find(field), std::string::npos) << field;
+  // carries its manager's counters.  A phase that did not run is left out:
+  // both modules take the cone and the job does not compose, so nothing
+  // was probed or composed.
+  const auto expectSnapshotFields = [](const service::RunTrace& t,
+                                       bool probed, bool composed) {
+    std::size_t events = 0;
+    for (const std::string& line : t.lines()) {
+      if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
+      ++events;
+      for (const char* field : {"\"parse_ms\"", "\"elaborate_ms\"",
+                                "\"canon_ms\"", "\"nodes_allocated\"",
+                                "\"gc_runs\""}) {
+        EXPECT_NE(line.find(field), std::string::npos) << field;
+      }
+      EXPECT_EQ(line.find("\"probe_ms\"") != std::string::npos, probed)
+          << line;
+      EXPECT_EQ(line.find("\"compose_ms\"") != std::string::npos, composed)
+          << line;
     }
-  }
+    EXPECT_EQ(events, 1u);
+  };
+  expectSnapshotFields(trace, /*probed=*/false, /*composed=*/false);
+
+  // A compose job whose composed specs take the global check composes and
+  // probes the composition, and says how long each took.
+  job.name = "timers-composed";
+  job.options.compose = true;
+  service::RunTrace composedTrace;
+  svc.run(job, &composedTrace);
+  expectSnapshotFields(composedTrace, /*probed=*/true, /*composed=*/true);
+
+  // Under a fixed engine the composition is built but not probed.
+  job.name = "timers-partitioned";
+  job.options.engine = symbolic::EngineMode::Partitioned;
+  service::RunTrace fixedTrace;
+  svc.run(job, &fixedTrace);
+  expectSnapshotFields(fixedTrace, /*probed=*/false, /*composed=*/true);
 }
 
 TEST(Snapshot, FactoryJobsParseNothing) {

@@ -288,7 +288,19 @@ ASSIGN
                 ctl::parse("ball=here -> EX ball=there")},
       proof));
   EXPECT_TRUE(proof.valid());
-  EXPECT_EQ(proof.modelCheckCount(), 3u);  // 2 universal + 1 existential
+  // 1 universal (ping never touches hits: its premise hits -> hits is
+  // discharged by the frame) + 1 existential.
+  EXPECT_EQ(proof.modelCheckCount(), 2u);
+  std::size_t discharged = 0;
+  for (std::size_t id = 0; id < proof.size(); ++id) {
+    const comp::ProofNode& node = proof.node(id);
+    if (node.kind == comp::ProofNode::Kind::RuleApplication &&
+        node.description.find("frame discharge") != std::string::npos) {
+      EXPECT_TRUE(node.ok);
+      ++discharged;
+    }
+  }
+  EXPECT_EQ(discharged, 1u);
 }
 
 TEST(ResourceReporting, CheckResultsComposeIntoFigureRows) {

@@ -369,23 +369,44 @@ TEST(ServiceSnapshot, SharedCompositionDecidesLikeAPerAttemptComposition) {
 }
 
 TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
+  // A snapshot is composed iff the job composes and some composed spec is
+  // outside Rules 1-3.  kTwoModuleSmv's specs are all Rule 2; one AG spec
+  // appended takes the global check.
+  const std::string outsideTheRules =
+      std::string(kTwoModuleSmv) + "SPEC AG (x = on | x = off)\n";
   VerificationJob job;
   job.name = "twomod";
-  job.smvText = kTwoModuleSmv;
+  job.smvText = outsideTheRules;
 
   const SnapshotResult plain = buildSnapshot(job, /*wantCanon=*/false);
   ASSERT_NE(plain.snapshot, nullptr) << plain.error;
   EXPECT_FALSE(plain.snapshot->composed.has_value());
-  EXPECT_EQ(plain.snapshot->composeSeconds, 0.0);
+  EXPECT_FALSE(plain.snapshot->composeSeconds.has_value());
 
   job.options.compose = true;
   const SnapshotResult composed = buildSnapshot(job, /*wantCanon=*/true);
   ASSERT_NE(composed.snapshot, nullptr) << composed.error;
   const ElaborationSnapshot& snap = *composed.snapshot;
   ASSERT_TRUE(snap.composed.has_value());
+  EXPECT_TRUE(snap.composeSeconds.has_value());
   EXPECT_EQ(snap.composed->vars.size(), snap.ctx->varCount());
   EXPECT_TRUE(snap.composed->stuttersByConstruction());
   EXPECT_GT(snap.canonSeconds, 0.0);
+
+  // Rules 1-3 decide every composed spec: nothing composed, the
+  // composition unprobed (mB, which covers the context, still is), and the
+  // composed obligations' choice says why.
+  job.smvText = kTwoModuleSmv;
+  job.options.engine = symbolic::EngineMode::Auto;
+  const SnapshotResult ruled = buildSnapshot(job, /*wantCanon=*/false);
+  ASSERT_NE(ruled.snapshot, nullptr) << ruled.error;
+  EXPECT_FALSE(ruled.snapshot->composed.has_value());
+  EXPECT_FALSE(ruled.snapshot->composeSeconds.has_value());
+  EXPECT_TRUE(ruled.snapshot->moduleChoice.at(1).probed);
+  EXPECT_TRUE(ruled.snapshot->composedChoice.usePartitioned);
+  EXPECT_FALSE(ruled.snapshot->composedChoice.probed);
+  EXPECT_NE(ruled.snapshot->composedChoice.reason.find("Rules 1-3"),
+            std::string::npos);
 
   // A single-module compose job has no composed obligation to serve.
   job.smvText = kChainSmv;
@@ -910,7 +931,7 @@ TEST(Service, WarmComponentAttemptsKeepTheirChecker) {
   // The same spec twice: the fresh attempt builds the checker and pays one
   // preimage for the fair region (is the module total?); the warm attempt
   // runs on that checker, fair region included, so it pays one fewer.
-  // Only component attempts count preimages.
+  // Composed attempts count the preimages of the verifier's checkers.
   VerificationJob job;
   job.name = "twice";
   job.smvText = R"(
@@ -943,10 +964,19 @@ SPEC AG (w -> AX !w)
     // preE(true) reads no variable: the cone, on either engine.
     EXPECT_EQ(*warm.conePreimages + 1, *fresh.conePreimages);
     for (const ObligationOutcome& o : report.obligations) {
-      EXPECT_EQ(o.attempts.at(0).preimages.has_value(), o.target != "composed")
-          << o.id;
+      EXPECT_TRUE(o.attempts.at(0).preimages.has_value()) << o.id;
+      EXPECT_TRUE(o.attempts.at(0).conePreimages.has_value()) << o.id;
     }
-    EXPECT_EQ(trace.countContaining("\"cone_preimages\""), 3u);
+    // The composed twins take the global check.  The composition stutters
+    // by construction, so neither pays a fair-region preimage, and the
+    // warm one runs on the kept composed checker.
+    const AttemptRecord& composedFresh = report.obligations[3].attempts.at(0);
+    const AttemptRecord& composedWarm = report.obligations[4].attempts.at(0);
+    EXPECT_FALSE(composedFresh.warm);
+    EXPECT_TRUE(composedWarm.warm);
+    EXPECT_GT(*composedFresh.preimages, 0u);
+    EXPECT_EQ(*composedWarm.preimages, *composedFresh.preimages);
+    EXPECT_EQ(trace.countContaining("\"cone_preimages\""), 6u);
   }
 }
 

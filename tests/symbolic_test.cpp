@@ -1023,14 +1023,15 @@ bdd::Bdd randomTarget(Context& ctx, const SymbolicSystem& sys,
 }
 
 /// preE on `target` under a partitioned and a monolithic checker must be
-/// andExists(T, target', next) computed directly.  Returns whether the
-/// target's cone left some group out.
+/// andExists(T, target', next) computed directly, where only the
+/// alphabet's bits are primed: a variable outside it keeps its value.
+/// Returns whether the target's cone left some group out.
 bool expectConeExact(Context& ctx, const SymbolicSystem& sys, Checker& part,
                      Checker& mono, const bdd::Bdd& target) {
   bdd::Manager& mgr = ctx.mgr();
-  const bdd::Bdd expected =
-      mgr.andExists(sys.transBdd(), mgr.permute(target, ctx.swapPermutation()),
-                    ctx.nextCube(sys.vars));
+  const bdd::Bdd expected = mgr.andExists(
+      sys.transBdd(), mgr.permute(target, ctx.swapPermutation(sys.vars)),
+      ctx.nextCube(sys.vars));
   const std::uint64_t cone0 = part.conePreimageCount();
   const std::uint64_t monoCone0 = mono.conePreimageCount();
   EXPECT_EQ(part.preE(target), expected) << sys.name;
@@ -1131,14 +1132,17 @@ TEST(ConePreimage, TargetsOfOneGroupFoldOnlyThatGroup) {
   EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, is("x", "a")));
   EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, y & !is("x", "c")));
   EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, is("z", "r")));
-  // None: the projection alone.
+  // None: the projection alone.  `w` is foreign to `tied`, so it is held
+  // at its current value, not primed.
   EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, ctx.mgr().bddTrue()));
   EXPECT_TRUE(expectConeExact(ctx, tied, part, mono, ctx.atomBdd("w")));
+  EXPECT_EQ(part.preE(ctx.atomBdd("w")),
+            ctx.atomBdd("w") & part.preE(ctx.mgr().bddTrue()));
   // Both groups: every conjunct folds, on either engine.
   EXPECT_FALSE(expectConeExact(ctx, tied, part, mono,
                                is("x", "b") | is("z", "q")));
-  EXPECT_EQ(part.preimageCount(), 6u);
-  EXPECT_EQ(part.conePreimageCount(), 5u);
+  EXPECT_EQ(part.preimageCount(), 8u);
+  EXPECT_EQ(part.conePreimageCount(), 7u);
   EXPECT_EQ(mono.conePreimageCount(), 5u);
 }
 
