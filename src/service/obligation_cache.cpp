@@ -443,37 +443,52 @@ std::string obligationFingerprint(const std::vector<std::string>& moduleCanon,
                                   std::size_t moduleIndex, bool composed,
                                   const ctl::Spec& spec,
                                   const JobOptions& options) {
-  StableHash128 h;
-  h.update(kCacheVersion).sep();
+  StableHash128 prefix = fingerprintPrefix(composed);
   if (composed) {
     // The composed verdict depends on every component (and on their
     // interleaving order, which fixes the composition's variable set).
-    h.update("composed").sep();
-    for (const std::string& canon : moduleCanon) {
-      h.update(canon).sep();
-    }
+    for (const std::string& canon : moduleCanon) addCanon(prefix, canon);
   } else {
-    h.update("component").sep();
-    h.update(moduleCanon.at(moduleIndex)).sep();
+    addCanon(prefix, moduleCanon.at(moduleIndex));
   }
+  addRestriction(prefix, spec.r.toString());
+  return finishFingerprint(prefix, ctl::toString(spec.f), options);
+}
+
+StableHash128 fingerprintPrefix(bool composed) {
+  StableHash128 h;
+  h.update(kCacheVersion).sep();
+  h.update(composed ? "composed" : "component").sep();
+  return h;
+}
+
+void addCanon(StableHash128& prefix, std::string_view canon) {
+  prefix.update(canon).sep();
+}
+
+void addRestriction(StableHash128& prefix, std::string_view restriction) {
   // The restriction index r = (I, F): ⊨_r verdicts are not transferable
   // across restrictions, so r must be part of the address (THEORY.md).
-  h.update(spec.r.toString()).sep();
-  h.update(ctl::toString(spec.f)).sep();
+  prefix.update(restriction).sep();
+}
+
+std::string finishFingerprint(StableHash128 prefix, std::string_view formula,
+                              const JobOptions& options) {
+  prefix.update(formula).sep();
   // Verdict-relevant options.  Engine and clustering do not change Holds /
   // Fails (results are BDD-identical), but keeping them in the key makes
   // every cached verdict attributable to one exact configuration — and a
   // future engine whose semantics drift cannot alias an old entry.
   // EngineMode::Partitioned hashes to "partitioned", so entries written by
   // older builds (which hashed the boolean engine flag) stay addressable.
-  h.update(symbolic::toString(options.engine)).sep();
-  h.update(std::to_string(options.clusterThreshold)).sep();
-  h.update(options.reorderBeforeCheck ? "reorder" : "noreorder").sep();
+  prefix.update(symbolic::toString(options.engine)).sep();
+  prefix.update(std::to_string(options.clusterThreshold)).sep();
+  prefix.update(options.reorderBeforeCheck ? "reorder" : "noreorder").sep();
   // The v2 key ends in an assumption-provenance field, empty for every
   // job; hashing the bare tag keeps the entries older builds wrote
   // addressable.
-  h.update("assume:").sep();
-  return h.hex();
+  prefix.update("assume:").sep();
+  return prefix.hex();
 }
 
 }  // namespace cmc::service

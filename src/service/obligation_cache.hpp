@@ -7,16 +7,24 @@
 // per component and consulted by every containing system.
 //
 // Key
-//   fingerprint = StableHash128 over
+//   fingerprint = StableHash128 over, in order, each field followed by a
+//   separator:
 //     cache-format version salt
-//   + canonical serialization of every module in the job
-//     (smv::canonicalModule: vars, init formula, fairness, transition
-//      conjuncts as labeled BDD DAGs)
-//   + the obligation target (component index, or "composed")
-//   + the spec formula text and the restriction index r = (I, F)
-//   + the verdict-relevant JobOptions (engine, cluster threshold,
-//     reorder flag)
-//   The restriction r MUST be part of the key: ⊨_r verdicts are not
+//   + the target tag ("component", or "composed")
+//   + the target module's canonical serialization (smv::canonicalModule:
+//     vars, init formula, fairness, transition conjuncts as labeled BDD
+//     DAGs); a composed obligation hashes every module's, in module order
+//   + the restriction index r = (I, F), rendered
+//   + the spec formula, rendered
+//   + the verdict-relevant JobOptions: engine, cluster threshold, reorder
+//     flag
+//   + an empty assumption tag ("assume:")
+//   The first three fields are the target part: the snapshot keeps the
+//   hash state after them (fingerprintPrefix + addCanon), one per module
+//   and one for the composition.  Enumeration extends a copy by each run
+//   of shared restrictions (addRestriction) and finishes every
+//   obligation's key from a copy of that (finishFingerprint).  The
+//   restriction r MUST be part of the key: ⊨_r verdicts are not
 //   transferable across restrictions (docs/THEORY.md, "Obligation cache
 //   soundness").
 //
@@ -41,11 +49,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "ctl/formula.hpp"
 #include "service/job.hpp"
+#include "util/hash.hpp"
 
 namespace cmc::service {
 
@@ -147,13 +157,27 @@ struct CompactionResult {
 bool compactObligationStore(const std::string& dir, CompactionResult* result,
                             std::string* error);
 
-/// The fingerprint of one obligation (see the key layout above).
-/// `moduleCanon` holds smv::canonicalModule for every module of the job in
-/// declaration order; a component obligation hashes only its own module, a
-/// composed obligation hashes all of them.
+/// The fingerprint of one obligation (see the key layout above): the steps
+/// below composed in one call, and the reference the snapshot's prefixes
+/// are tested against.  `moduleCanon` holds smv::canonicalModule for every
+/// module of the job in declaration order; a component obligation hashes
+/// only its own module, a composed obligation hashes all of them.
 std::string obligationFingerprint(const std::vector<std::string>& moduleCanon,
                                   std::size_t moduleIndex, bool composed,
                                   const ctl::Spec& spec,
                                   const JobOptions& options);
+
+/// The key in steps, each a prefix of the next, so a state shared by many
+/// obligations is hashed once and copied.  fingerprintPrefix starts the
+/// target part (version salt, target tag); addCanon appends the target's
+/// canonical serialization (each module's in turn for a composed
+/// obligation); addRestriction appends the rendered restriction
+/// (ctl::Restriction::toString); finishFingerprint hashes the rendered
+/// formula (ctl::toString) and the verdict-relevant options onto a copy.
+StableHash128 fingerprintPrefix(bool composed);
+void addCanon(StableHash128& prefix, std::string_view canon);
+void addRestriction(StableHash128& prefix, std::string_view restriction);
+std::string finishFingerprint(StableHash128 prefix, std::string_view formula,
+                              const JobOptions& options);
 
 }  // namespace cmc::service

@@ -1002,19 +1002,23 @@ std::vector<JobReport> VerificationService::runBatch(
   // Jobs that share a snapshot and the verdict-relevant options (repeated
   // batch entries — the warm server path, the AFS bench) produce identical
   // obligation lists up to the owning job: enumerate once per
-  // (snapshot, options) and copy, instead of re-rendering every spec and
-  // re-hashing every fingerprint per job.
+  // (snapshot, options) and copy, instead of rendering every spec and
+  // finishing every fingerprint again per job.
   std::map<std::pair<const void*, std::uint64_t>,
            std::vector<ObligationDesc>> descMemo;
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     const VerificationJob& job = jobs[k];
     JobState& state = states[k];
     const SnapshotResult sr = state.snapFuture.get();
+    // Time spent enumerating this job's obligations, memo hit or not;
+    // unset when the job has no snapshot.
+    std::optional<double> enumerateSeconds;
     if (sr.snapshot == nullptr) {
       state.scoutError = sr.error;
     } else {
       state.snapshot = sr.snapshot;
       const ElaborationSnapshot& snap = *sr.snapshot;
+      WallTimer enumerateTimer;
       // Everything obligationFingerprint hashes beyond the snapshot
       // (engine is part of the snapshot memo key already).
       const std::uint64_t optBits =
@@ -1035,6 +1039,7 @@ std::vector<JobReport> VerificationService::runBatch(
       // coordinator): the memo keeps the unfiltered list, `only` prunes
       // this job's private copy.
       state.scoutError = keepOnly(job, &state.descs);
+      enumerateSeconds = enumerateTimer.seconds();
       // Text jobs run obligations warm on kept contexts; a reorder job
       // sifts each manager, so its contexts are never handed on.
       if (!job.factory && !job.options.reorderBeforeCheck) {
@@ -1057,9 +1062,11 @@ std::vector<JobReport> VerificationService::runBatch(
         if (snap.parseSeconds) {
           event.putDouble("parse_ms", *snap.parseSeconds * 1000.0);
         }
-        event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0)
-            .putDouble("canon_ms", snap.canonSeconds * 1000.0);
-        // Left out when nothing was probed or composed.
+        event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0);
+        // Left out when nothing was serialized, probed or composed.
+        if (snap.canonSeconds) {
+          event.putDouble("canon_ms", *snap.canonSeconds * 1000.0);
+        }
         if (snap.probeSeconds) {
           event.putDouble("probe_ms", *snap.probeSeconds * 1000.0);
         }
@@ -1074,15 +1081,19 @@ std::vector<JobReport> VerificationService::runBatch(
       }
     }
     if (tr.enabled()) {
-      tr.emit(JsonObject()
-                  .put("event", "job_start")
-                  .putDouble("t", tr.elapsedSeconds())
-                  .put("job", job.name)
-                  .put("cmc_version", util::versionString())
-                  .put("source", job.sourcePath)
-                  .putUint("obligations",
-                           static_cast<std::uint64_t>(state.descs.size()))
-                  .putUint("workers", threads()));
+      JsonObject event;
+      event.put("event", "job_start")
+          .putDouble("t", tr.elapsedSeconds())
+          .put("job", job.name)
+          .put("cmc_version", util::versionString())
+          .put("source", job.sourcePath)
+          .putUint("obligations",
+                   static_cast<std::uint64_t>(state.descs.size()))
+          .putUint("workers", threads());
+      if (enumerateSeconds) {
+        event.putDouble("enumerate_ms", *enumerateSeconds * 1000.0);
+      }
+      tr.emit(event);
     }
     if (!state.descs.empty()) {
       state.remaining =

@@ -36,8 +36,9 @@
 //  - Degradation policy: a budget-exhausted attempt under the partitioned
 //    engine is retried once under the monolithic engine (and vice versa);
 //    only when both exhaust their budget is the obligation Inconclusive.
-//  - Caching: the scout phase fingerprints every obligation
-//    (smv::canonicalModule + spec + restriction + options); a worker first
+//  - Caching: the scout phase fingerprints every obligation from its
+//    snapshot's key prefix (smv::canonicalModule, hashed once per module)
+//    + restriction + spec + options; a worker first
 //    consults the service's ObligationCache and serves a hit without any
 //    checker attempt (verdict_source "cache" in trace and report).  Only
 //    decided verdicts (Holds/Fails) are inserted.

@@ -15,40 +15,58 @@ namespace cmc::service {
 
 std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
                                                 const JobOptions& options) {
-  const auto fingerprintFor = [&](std::size_t i, std::size_t j,
-                                  bool composed) -> std::string {
-    if (snap.canon.empty()) return "";
-    return obligationFingerprint(snap.canon, i, composed,
-                                 snap.modules[i].specs[j], options);
-  };
+  // Every fingerprint is finished from a copy of a key state hashed once:
+  // the target part by the snapshot, a restriction once per run of specs
+  // that share it (every elaborated module's specs do; a factory's need
+  // not).  Each spec's formula is rendered once for its component and
+  // composed refs.
+  const bool keyed = !snap.modulePrefix.empty();
   std::vector<ObligationRef> refs;
+  std::vector<StableHash128> composedKeys;  // per component ref
   for (std::size_t i = 0; i < snap.modules.size(); ++i) {
+    const ctl::Restriction* hashed = nullptr;
+    StableHash128 moduleKey;
+    StableHash128 composedKey;
     for (std::size_t j = 0; j < snap.modules[i].specs.size(); ++j) {
+      const ctl::Spec& spec = snap.modules[i].specs[j];
+      if (keyed && (hashed == nullptr || hashed->init != spec.r.init ||
+                    hashed->fairness != spec.r.fairness)) {
+        const std::string restriction = spec.r.toString();
+        moduleKey = snap.modulePrefix[i];
+        addRestriction(moduleKey, restriction);
+        if (snap.composedPrefix) {
+          composedKey = *snap.composedPrefix;
+          addRestriction(composedKey, restriction);
+        }
+        hashed = &spec.r;
+      }
       ObligationRef r;
       r.moduleIndex = i;
       r.specIndex = j;
       r.target = snap.modules[i].sys.name;
-      r.specName = snap.modules[i].specs[j].name;
-      r.specText = ctl::toString(snap.modules[i].specs[j].f);
+      r.specName = spec.name;
+      r.specText = ctl::toString(spec.f);
       r.id = r.target + "/" + r.specName;
-      r.fingerprint = fingerprintFor(i, j, /*composed=*/false);
+      if (keyed) {
+        r.fingerprint = finishFingerprint(moduleKey, r.specText, options);
+      }
+      composedKeys.push_back(composedKey);
       refs.push_back(std::move(r));
     }
   }
   if (options.compose && snap.modules.size() > 1) {
-    for (std::size_t i = 0; i < snap.modules.size(); ++i) {
-      for (std::size_t j = 0; j < snap.modules[i].specs.size(); ++j) {
-        ObligationRef r;
-        r.composed = true;
-        r.moduleIndex = i;
-        r.specIndex = j;
-        r.target = "composed";
-        r.specName = snap.modules[i].specs[j].name;
-        r.specText = ctl::toString(snap.modules[i].specs[j].f);
-        r.id = r.target + "/" + r.specName;
-        r.fingerprint = fingerprintFor(i, j, /*composed=*/true);
-        refs.push_back(std::move(r));
-      }
+    const std::size_t components = refs.size();
+    refs.reserve(2 * components);
+    for (std::size_t k = 0; k < components; ++k) {
+      ObligationRef r = refs[k];
+      r.composed = true;
+      r.target = "composed";
+      r.id = r.target + "/" + r.specName;
+      r.fingerprint =
+          snap.composedPrefix
+              ? finishFingerprint(composedKeys[k], r.specText, options)
+              : "";
+      refs.push_back(std::move(r));
     }
   }
   return refs;
@@ -87,17 +105,25 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
       throw ModelError("job '" + job.name + "' has no modules");
     }
 
-    // Canonical serializations are best-effort: a failure leaves the job
-    // uncached (replay then falls back to the identity key).
+    const bool composedObligations =
+        job.options.compose && snap->modules.size() > 1;
+    // Each canonical serialization is hashed into the key prefixes once and
+    // dropped.  Best-effort: a failure leaves the job uncached (replay then
+    // falls back to the identity key).
     if (wantCanon) {
       WallTimer canonTimer;
       try {
-        snap->canon.reserve(snap->modules.size());
+        snap->modulePrefix.reserve(snap->modules.size());
+        if (composedObligations) snap->composedPrefix = fingerprintPrefix(true);
         for (const smv::ElaboratedModule& mod : snap->modules) {
-          snap->canon.push_back(smv::canonicalModule(ctx, mod));
+          const std::string canon = smv::canonicalModule(ctx, mod);
+          addCanon(snap->modulePrefix.emplace_back(fingerprintPrefix(false)),
+                   canon);
+          if (snap->composedPrefix) addCanon(*snap->composedPrefix, canon);
         }
       } catch (const std::exception&) {
-        snap->canon.clear();
+        snap->modulePrefix.clear();
+        snap->composedPrefix.reset();
       }
       snap->canonSeconds = canonTimer.seconds();
     }
@@ -105,8 +131,6 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     // The composition exactly as composed obligations check it:
     // reflexive-closed components folded with ∘.  Built before the module
     // probes cache their products, which addReflexive would then widen.
-    const bool composedObligations =
-        job.options.compose && snap->modules.size() > 1;
     if (composedObligations && composes(snap->modules)) {
       WallTimer composeTimer;
       std::vector<symbolic::SymbolicSystem> parts;

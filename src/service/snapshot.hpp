@@ -7,13 +7,13 @@
 // *lose* to the serial loop.  A snapshot kills both copies of that work:
 //
 //  - buildSnapshot elaborates a job ONCE into a dedicated Context and
-//    freezes the result (modules, canonical serializations for the cache,
-//    for a compose job with a composed spec outside Rules 1-3 the
-//    composition of the reflexive-closed modules, and — under
-//    EngineMode::Auto — the per-module and composed engine choices).  Only
-//    the systems whose checker reads a product are probed, here where
-//    mutation is still allowed: that composition and a module that covers
-//    the context.  A module whose checker takes the cone
+//    freezes the result (modules, the obligation keys' target parts hashed
+//    from the canonical serializations, for a compose job with a composed
+//    spec outside Rules 1-3 the composition of the reflexive-closed
+//    modules, and — under EngineMode::Auto — the per-module and composed
+//    engine choices).  Only the systems whose checker reads a product are
+//    probed, here where mutation is still allowed: that composition and a
+//    module that covers the context.  A module whose checker takes the cone
 //    (symbolic::takesCone) gets an unprobed choice and no product, and so
 //    does a compose job whose composed specs Rules 1-3 all decide: their
 //    premises run on the components.
@@ -55,6 +55,7 @@
 #include "bdd/io.hpp"
 #include "service/job.hpp"
 #include "symbolic/engine_choice.hpp"
+#include "util/hash.hpp"
 
 namespace cmc::service {
 
@@ -63,10 +64,14 @@ struct ElaborationSnapshot {
   /// is movable; never null after a successful build.
   std::unique_ptr<symbolic::Context> ctx;
   std::vector<smv::ElaboratedModule> modules;
-  /// Canonical serializations for the obligation cache / journal replay
-  /// key, one per module; empty when fingerprinting failed or was not
-  /// requested.
-  std::vector<std::string> canon;
+  /// The target part of every obligation key (obligation_cache.hpp): the
+  /// hash state after each module's canonical serialization, and for a
+  /// compose job with more than one module the state after all of them.
+  /// enumerateObligations finishes each fingerprint from a copy; the
+  /// serializations themselves are dropped once hashed.  Empty (unset)
+  /// when fingerprinting failed or was not requested.
+  std::vector<StableHash128> modulePrefix;
+  std::optional<StableHash128> composedPrefix;
   /// Per-module engine decision (EngineMode::Auto only; defaulted
   /// otherwise).  A module whose checker takes the cone is not probed: its
   /// choice is partitioned, unprobed, and carries no product size.
@@ -97,8 +102,9 @@ struct ElaborationSnapshot {
   /// Wall time of elaboration, parse excluded (the cost the snapshot
   /// amortizes, with the parse).
   double elaborateSeconds = 0.0;
-  /// Wall time of the canonical serializations (0 when not requested).
-  double canonSeconds = 0.0;
+  /// Wall time of rendering the canonical serializations and hashing the
+  /// key prefixes; unset when none were requested.
+  std::optional<double> canonSeconds;
   /// Wall time of the engine probes, modules and composition; unset when
   /// nothing was probed (a mode other than Auto, or only cone modules).
   std::optional<double> probeSeconds;
@@ -128,8 +134,8 @@ struct ObligationRef {
   std::string target;    ///< module name, or "composed"
   std::string specName;
   std::string specText;
-  /// Obligation-cache address; empty when the snapshot carries no
-  /// canonical serializations.
+  /// Obligation-cache address; empty when the snapshot carries no key
+  /// prefix for the target (canon not requested, or fingerprinting failed).
   std::string fingerprint;
 };
 
@@ -165,10 +171,11 @@ std::string keepOnly(const VerificationJob& job, std::vector<Ref>* refs) {
 bool composes(const std::vector<smv::ElaboratedModule>& modules);
 
 /// Elaborate `job` once into a fresh context (never throws — errors land in
-/// SnapshotResult::error).  `wantCanon` additionally computes the canonical
-/// module serializations (best-effort).  Engine probes run only when the
-/// job's engine mode is Auto.  Thread-safe for concurrent jobs: each call
-/// owns its context, so runBatch fans snapshot builds onto the pool.
+/// SnapshotResult::error).  `wantCanon` additionally hashes the canonical
+/// module serializations into the key prefixes (best-effort).  Engine
+/// probes run only when the job's engine mode is Auto.  Thread-safe for
+/// concurrent jobs: each call owns its context, so runBatch fans snapshot
+/// builds onto the pool.
 SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon);
 
 /// Copy one elaborated module out of a snapshot into a worker context

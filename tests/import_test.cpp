@@ -745,7 +745,7 @@ TEST(Snapshot, BuildOnceImportPerWorker) {
   ASSERT_NE(r.snapshot, nullptr);
   const service::ElaborationSnapshot& snap = *r.snapshot;
   ASSERT_EQ(snap.modules.size(), 2u);
-  EXPECT_EQ(snap.canon.size(), 2u);
+  EXPECT_EQ(snap.modulePrefix.size(), 2u);
   EXPECT_GT(snap.liveNodes, 0u);
 
   // A worker-style consumer: adopted layout, pre-sized context, imported
@@ -816,16 +816,18 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
   // both modules take the cone and the job does not compose, so nothing
   // was probed or composed.
   const auto expectSnapshotFields = [](const service::RunTrace& t,
-                                       bool probed, bool composed) {
+                                       bool probed, bool composed,
+                                       bool canon = true) {
     std::size_t events = 0;
     for (const std::string& line : t.lines()) {
       if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
       ++events;
       for (const char* field : {"\"parse_ms\"", "\"elaborate_ms\"",
-                                "\"canon_ms\"", "\"nodes_allocated\"",
-                                "\"gc_runs\""}) {
+                                "\"nodes_allocated\"", "\"gc_runs\""}) {
         EXPECT_NE(line.find(field), std::string::npos) << field;
       }
+      EXPECT_EQ(line.find("\"canon_ms\"") != std::string::npos, canon)
+          << line;
       EXPECT_EQ(line.find("\"probe_ms\"") != std::string::npos, probed)
           << line;
       EXPECT_EQ(line.find("\"compose_ms\"") != std::string::npos, composed)
@@ -834,6 +836,16 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
     EXPECT_EQ(events, 1u);
   };
   expectSnapshotFields(trace, /*probed=*/false, /*composed=*/false);
+
+  // Without a cache or journal nothing is serialized or fingerprinted, so
+  // canon_ms is left out rather than read as 0.
+  service::ServiceOptions uncachedOpts = sopts;
+  uncachedOpts.cacheEnabled = false;
+  service::VerificationService uncached(uncachedOpts);
+  service::RunTrace uncachedTrace;
+  uncached.run(job, &uncachedTrace);
+  expectSnapshotFields(uncachedTrace, /*probed=*/false, /*composed=*/false,
+                       /*canon=*/false);
 
   // A compose job whose composed specs take the global check composes and
   // probes the composition, and says how long each took.

@@ -1,6 +1,7 @@
 // Tests for the content-addressed obligation cache: fingerprint
 // sensitivity (the restriction index r and the verdict-relevant options
-// MUST be part of the key), LRU/tier mechanics, corruption-tolerant disk
+// MUST be part of the key), the snapshot's key prefixes against the
+// one-shot reference, LRU/tier mechanics, corruption-tolerant disk
 // loading, and the service-level plumbing (hits served without checker
 // attempts, only decided verdicts inserted, disk round-trips across
 // service instances, shared cache under a concurrent batch, replayed Fails
@@ -14,10 +15,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "gen/modelgen.hpp"
 #include "service/obligation_cache.hpp"
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
@@ -127,6 +130,143 @@ TEST(ObligationFingerprint, RestrictionAndOptionsArePartOfTheKey) {
   // A composed obligation never aliases a component one.
   EXPECT_NE(obligationFingerprint(canon, 0, /*composed=*/true, spec, opts),
             base);
+}
+
+/// Every fingerprint enumerateObligations finishes from `snap`'s prefixes
+/// must be the reference: obligationFingerprint over the modules' canonical
+/// texts.  Returns how many composed fingerprints it compared.
+std::size_t expectReferenceFingerprints(const ElaborationSnapshot& snap,
+                                        const JobOptions& options) {
+  std::vector<std::string> canon;
+  for (const smv::ElaboratedModule& mod : snap.modules) {
+    canon.push_back(smv::canonicalModule(*snap.ctx, mod));
+  }
+  std::size_t composed = 0;
+  for (const ObligationRef& ref : enumerateObligations(snap, options)) {
+    const ctl::Spec& spec = snap.modules.at(ref.moduleIndex).specs.at(
+        ref.specIndex);
+    EXPECT_FALSE(ref.fingerprint.empty()) << ref.id;
+    EXPECT_EQ(ref.fingerprint,
+              obligationFingerprint(canon, ref.moduleIndex, ref.composed,
+                                    spec, options))
+        << ref.id;
+    if (ref.composed) ++composed;
+  }
+  return composed;
+}
+
+TEST(ObligationFingerprint, SnapshotPrefixesReproduceTheReference) {
+  std::vector<std::pair<std::string, std::string>> programs;
+  for (const fs::path& dir :
+       {fs::path(CMC_MODELS_DIR), fs::path(CMC_MODELS_DIR) / "gen"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ".smv") continue;
+      std::ifstream in(entry.path());
+      std::stringstream text;
+      text << in.rdbuf();
+      programs.emplace_back(entry.path().filename().string(), text.str());
+    }
+  }
+  ASSERT_GE(programs.size(), 15u);
+  programs.emplace_back("genmodel afs2 8", gen::afs2Model(8));
+  programs.emplace_back("genmodel ring 8", gen::ringModel(8));
+
+  std::size_t composed = 0;
+  for (const auto& [name, text] : programs) {
+    for (const symbolic::EngineMode engine :
+         {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
+          symbolic::EngineMode::Monolithic}) {
+      for (const bool compose : {false, true}) {
+        SCOPED_TRACE(name + " " + symbolic::toString(engine) +
+                     (compose ? " --compose" : ""));
+        VerificationJob job;
+        job.name = name;
+        job.smvText = text;
+        job.options.engine = engine;
+        job.options.compose = compose;
+        const SnapshotResult built = buildSnapshot(job, /*wantCanon=*/true);
+        ASSERT_NE(built.snapshot, nullptr) << built.error;
+        const ElaborationSnapshot& snap = *built.snapshot;
+        EXPECT_EQ(snap.modulePrefix.size(), snap.modules.size());
+        EXPECT_EQ(snap.composedPrefix.has_value(),
+                  compose && snap.modules.size() > 1);
+        // The options past the snapshot enter only the finishing half.
+        JobOptions threshold = job.options;
+        threshold.clusterThreshold = 7;
+        JobOptions reorder = job.options;
+        reorder.reorderBeforeCheck = true;
+        for (const JobOptions& options : {job.options, threshold, reorder}) {
+          composed += expectReferenceFingerprints(snap, options);
+        }
+      }
+    }
+  }
+  EXPECT_GT(composed, 0u);
+}
+
+TEST(ObligationFingerprint, SpecsWithTheirOwnRestrictionsKeepTheirOwnKeys) {
+  // A factory may give each spec its own restriction.  Specs that share
+  // one share its rendering; the spec between them, under another, must
+  // not be keyed by its neighbours' restriction.
+  VerificationJob job;
+  job.name = "restrictions";
+  job.options.compose = true;
+  job.factory = [](symbolic::Context& ctx) {
+    std::vector<smv::ElaboratedModule> mods = smv::elaborateProgram(ctx, R"(
+MODULE left
+VAR x : {on, off};
+ASSIGN next(x) := case x = on : off; 1 : on; esac;
+SPEC AG (x = on | x = off)
+SPEC AG (x = on | x = off)
+SPEC AG (x = on | x = off)
+MODULE right
+VAR y : {p, q};
+ASSIGN next(y) := y;
+SPEC AG (y = p | y = q)
+)");
+    mods.front().specs[1].r = mods.front().specs[1].r.withInit(
+        ctl::eq("x", "on"));
+    return mods;
+  };
+  const SnapshotResult built = buildSnapshot(job, /*wantCanon=*/true);
+  ASSERT_NE(built.snapshot, nullptr) << built.error;
+  const ElaborationSnapshot& snap = *built.snapshot;
+  EXPECT_EQ(expectReferenceFingerprints(snap, job.options), 4u);
+
+  std::map<std::string, std::string> byId;
+  for (const ObligationRef& ref : enumerateObligations(snap, job.options)) {
+    byId[ref.id] = ref.fingerprint;
+  }
+  for (const char* target : {"left/", "composed/"}) {
+    const std::string t = target;
+    EXPECT_NE(byId.at(t + "left.SPEC1"), byId.at(t + "left.SPEC2")) << t;
+    EXPECT_NE(byId.at(t + "left.SPEC2"), byId.at(t + "left.SPEC3")) << t;
+    // Same formula, same restriction: the same obligation.
+    EXPECT_EQ(byId.at(t + "left.SPEC1"), byId.at(t + "left.SPEC3")) << t;
+  }
+}
+
+TEST(ObligationFingerprint, ASnapshotWithoutCanonFingerprintsNothing) {
+  VerificationJob job;
+  job.name = "uncached";
+  job.smvText = std::string(kChainSmv) + R"(
+MODULE other
+VAR t : {u, v};
+ASSIGN next(t) := t;
+SPEC AG (t = u | t = v)
+)";
+  job.options.compose = true;
+  const SnapshotResult built = buildSnapshot(job, /*wantCanon=*/false);
+  ASSERT_NE(built.snapshot, nullptr) << built.error;
+  EXPECT_TRUE(built.snapshot->modulePrefix.empty());
+  EXPECT_FALSE(built.snapshot->composedPrefix.has_value());
+  EXPECT_FALSE(built.snapshot->canonSeconds.has_value());
+  const std::vector<ObligationRef> refs =
+      enumerateObligations(*built.snapshot, job.options);
+  ASSERT_EQ(refs.size(), 4u);
+  for (const ObligationRef& ref : refs) {
+    EXPECT_TRUE(ref.fingerprint.empty()) << ref.id;
+  }
 }
 
 // ---------------------------------------------------------------------------

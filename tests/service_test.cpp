@@ -382,6 +382,7 @@ TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
   ASSERT_NE(plain.snapshot, nullptr) << plain.error;
   EXPECT_FALSE(plain.snapshot->composed.has_value());
   EXPECT_FALSE(plain.snapshot->composeSeconds.has_value());
+  EXPECT_FALSE(plain.snapshot->canonSeconds.has_value());
 
   job.options.compose = true;
   const SnapshotResult composed = buildSnapshot(job, /*wantCanon=*/true);
@@ -391,7 +392,8 @@ TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
   EXPECT_TRUE(snap.composeSeconds.has_value());
   EXPECT_EQ(snap.composed->vars.size(), snap.ctx->varCount());
   EXPECT_TRUE(snap.composed->stuttersByConstruction());
-  EXPECT_GT(snap.canonSeconds, 0.0);
+  ASSERT_TRUE(snap.canonSeconds.has_value());
+  EXPECT_GT(*snap.canonSeconds, 0.0);
 
   // Rules 1-3 decide every composed spec: nothing composed, the
   // composition unprobed (mB, which covers the context, still is), and the
