@@ -1,14 +1,14 @@
 // Throughput of the verification service layer: an N-job batch of AFS-1
 // component models (5 server + 5 client specs each) checked through
-// service::VerificationService (obligations fanned onto the thread pool,
-// one fresh context per obligation) versus the serial baseline (one
-// context per job, specs checked in a plain loop — the old cmc_check
-// driver path).
+// service::VerificationService (one elaboration snapshot per distinct
+// model, obligations fanned onto the thread pool and imported into, or
+// run warm on, each worker's context) versus the serial baseline (one
+// context per job, specs checked in a plain loop).
 //
-// The service pays a per-obligation re-elaboration tax in exchange for
+// The service pays for snapshots, imports and scheduling in exchange for
 // obligation-level parallelism, budget enforcement, and tracing; this
 // bench quantifies that trade on a machine-readable scale so the
-// trajectory is diffable across PRs (BENCH_service.json).
+// trajectory is diffable across changes (BENCH_service.json).
 #include "afs/smv_sources.hpp"
 #include "bench_common.hpp"
 #include "service/scheduler.hpp"
@@ -33,7 +33,7 @@ std::vector<service::VerificationJob> makeBatch(int copies) {
   return jobs;
 }
 
-/// The pre-service driver path: one context per job, straight spec loop.
+/// The serial baseline: one context per job, straight spec loop.
 bool runSerial(const std::vector<service::VerificationJob>& jobs) {
   bool all = true;
   for (const service::VerificationJob& job : jobs) {

@@ -23,9 +23,9 @@
 // The verifier discharges its obligations one after another in the
 // caller's Context.  Independent obligations fan out across cores as jobs
 // of service::VerificationService, whose workers each own a BDD manager
-// (managers are single-threaded); bench_scaling runs the per-component
-// checks of §4.3.4 that way for the §5 claim of linear cost in the number
-// of components.
+// (managers are single-threaded); `cmc check --compose` runs the
+// per-component checks of §4.3.4 that way for the §5 claim of linear cost
+// in the number of components.
 //
 // A verifier is meant to be kept: the service's worker keeps one per
 // composed target and runs every composed obligation of its job on it, so

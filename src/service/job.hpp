@@ -1,14 +1,14 @@
 // The batch verification service's job model (service layer, layer 1/3).
 //
-// A VerificationJob is a batch of models plus their specs: either an SMV
-// program text (possibly multi-module, as accepted by smv::elaborateProgram)
-// or an in-memory ModelFactory.  The service expands a job into independent
-// *obligations* — one per (module, spec), plus one per spec on the composed
-// system when `compose` is set — and fans them onto a thread pool.  Every
-// attempt runs in a symbolic::Context of its own worker thread, because BDD
-// managers are single-threaded: imported from the job's elaboration
-// snapshot, rebuilt from scratch, or kept from the worker's previous
-// decided obligation of the same target and engine.
+// A VerificationJob is a batch of models plus their specs: an SMV program
+// text (possibly multi-module, as accepted by smv::elaborateProgram).  The
+// service expands a job into independent *obligations* — one per (module,
+// spec), plus one per spec on the composed system when `compose` is set —
+// and fans them onto a thread pool.  Every attempt runs in a
+// symbolic::Context of its own worker thread, because BDD managers are
+// single-threaded: imported from the job's elaboration snapshot, kept from
+// the worker's previous decided obligation of the same target and engine,
+// or, for a quarantine retry, rebuilt from the program text.
 //
 // Verdicts extend the paper's two-valued M ⊨_r f with the resource-governed
 // outcomes a production service needs (docs/THEORY.md maps them back to
@@ -25,12 +25,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "smv/elaborate.hpp"
 #include "symbolic/engine_choice.hpp"
 
 namespace cmc::util {
@@ -90,7 +88,7 @@ struct JobOptions {
   /// CheckerOptions::clusterThreshold for the partitioned engine.
   std::uint64_t clusterThreshold = 1024;
   /// Sift variables (Manager::reorderSift) after elaboration, before
-  /// checking — the service counterpart of `cmc_check --reorder`.
+  /// checking (`cmc check --reorder`).
   bool reorderBeforeCheck = false;
   /// A cache/journal-replayed Fails may carry no counterexample (trace
   /// search is best-effort and older entries may predate it).  By default
@@ -101,19 +99,11 @@ struct JobOptions {
   bool traceForce = false;
 };
 
-/// Builds a job's modules inside a fresh per-obligation context.  Used for
-/// in-memory systems; called concurrently from worker threads (once per
-/// obligation attempt), so it must be thread-safe and deterministic.
-using ModelFactory =
-    std::function<std::vector<smv::ElaboratedModule>(symbolic::Context&)>;
-
 struct VerificationJob {
   /// Job name, used in trace events and report paths.
   std::string name;
-  /// SMV program text; ignored when `factory` is set.
+  /// SMV program text.
   std::string smvText;
-  /// In-memory model builder (takes precedence over smvText).
-  ModelFactory factory;
   /// Provenance recorded in the report (e.g. the .smv path); may be empty.
   std::string sourcePath;
   /// When non-empty, check only the obligation with this id

@@ -104,8 +104,8 @@ struct ObligationInstruments {
 /// `ctx` is declared first, so every handle below it dies before the
 /// manager that owns it.
 struct WorkerContext {
-  WorkerContext(std::size_t arenaCapacity, std::size_t cacheCapacity)
-      : ctx(arenaCapacity, cacheCapacity) {}
+  WorkerContext(std::size_t arenaCapacity, std::size_t opCacheCapacity)
+      : ctx(arenaCapacity, opCacheCapacity) {}
 
   symbolic::Context ctx;
   std::vector<smv::ElaboratedModule> modules;
@@ -216,28 +216,17 @@ class WarmContexts : public std::enable_shared_from_this<WarmContexts> {
 struct ObligationDesc : ObligationRef {
   const VerificationJob* job = nullptr;
   std::string jobName;
-  /// The job's elaboration snapshot: its engine choices, and for a text
-  /// job the BDDs its attempts import.  A factory job's attempts rebuild
-  /// from its builder, the model's source of truth.
+  /// The job's elaboration snapshot: its engine choices and the BDDs its
+  /// attempts import.
   std::shared_ptr<const ElaborationSnapshot> snapshot;
   /// The job's kept worker contexts; null when no attempt of the job may
-  /// run warm (factory jobs, reorder jobs).
+  /// run warm (reorder jobs).
   std::shared_ptr<WarmContexts> warm;
 
   /// This obligation's WarmContexts target: 0 for the composition,
   /// 1 + the module index for a component.
   std::size_t warmTarget() const { return composed ? 0 : moduleIndex + 1; }
 };
-
-std::vector<smv::ElaboratedModule> materialize(const VerificationJob& job,
-                                               symbolic::Context& ctx) {
-  std::vector<smv::ElaboratedModule> modules =
-      job.factory ? job.factory(ctx) : smv::elaborateProgram(ctx, job.smvText);
-  if (modules.empty()) {
-    throw ModelError("job '" + job.name + "' has no modules");
-  }
-  return modules;
-}
 
 /// The concrete engine an attempt runs with: partitioned or monolithic.
 /// EngineMode::Auto is a *policy* that resolves to one of the two.
@@ -292,16 +281,16 @@ struct AttemptOutput {
 
 /// One engine attempt on the engine `partitioned` names: the caller has
 /// resolved Auto from the snapshot's choice before the first attempt.
-/// With a text job's snapshot (and `useSnapshot`), the worker runs warm on
-/// the context it kept from its previous decided obligation of the same
-/// target and engine (WarmContexts), or else adopts the snapshot's
-/// variable layout into a context pre-sized from the nodes it imports
-/// (contextNodes) and imports the BDDs it needs — a linear DAG copy in DFS
-/// order, no rehashing mid-import; a composed obligation also imports the
-/// snapshot's composition when the snapshot built one (some composed spec
-/// is outside Rules 1-3).  Otherwise (factory jobs, quarantine retries) it
-/// rebuilds from scratch.  A composed attempt's verifier composes on first
-/// use only, for a global check or a counterexample.  A warm attempt also
+/// With `useSnapshot`, the worker runs warm on the context it kept from its
+/// previous decided obligation of the same target and engine
+/// (WarmContexts), or else adopts the snapshot's variable layout into a
+/// context pre-sized from the nodes it imports (contextNodes) and imports
+/// the BDDs it needs — a linear DAG copy in DFS order, no rehashing
+/// mid-import; a composed obligation also imports the snapshot's
+/// composition when the snapshot built one (some composed spec is outside
+/// Rules 1-3).  Otherwise (a quarantine retry) it rebuilds from the
+/// program text.  A composed attempt's verifier composes on first use
+/// only, for a global check or a counterexample.  A warm attempt also
 /// keeps the context's component checker or composed verifier, so it
 /// builds no closure, composition or checker; only the cancel hook is its
 /// own.
@@ -309,8 +298,7 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
                          bool useSnapshot, const CancelFlags& cancel) {
   AttemptOutput out;
   const JobOptions& jopts = d.job->options;
-  const ElaborationSnapshot* snap =
-      useSnapshot && !d.job->factory ? d.snapshot.get() : nullptr;
+  const ElaborationSnapshot* snap = useSnapshot ? d.snapshot.get() : nullptr;
   out.partitioned = partitioned;
   out.record.engine = engineName(partitioned);
   // Only snapshot-backed attempts hand contexts on.
@@ -367,7 +355,7 @@ AttemptOutput runAttempt(const ObligationDesc& d, bool partitioned,
       wc = std::make_unique<WorkerContext>(std::size_t{1} << 14,
                                            std::size_t{1} << 14);
       WallTimer elaborateTimer;
-      wc->modules = materialize(*d.job, wc->ctx);
+      wc->modules = smv::elaborateProgram(wc->ctx, d.job->smvText);
       out.record.elaborateMs = elaborateTimer.seconds() * 1000.0;
     }
     symbolic::Context& ctx = wc->ctx;
@@ -785,7 +773,6 @@ ObligationOutcome runObligation(const ObligationDesc& d, RunTrace& trace,
                    .put("target", d.target)
                    .put("spec", d.specName)
                    .put("engine", symbolic::toString(d.job->options.engine))
-                   .putBool("snapshot", !d.job->factory)
                    .putUint("queue_depth", pool.pendingTasks()));
   }
 
@@ -898,56 +885,48 @@ JobReport VerificationService::run(const VerificationJob& job,
 }
 
 std::shared_future<SnapshotResult> VerificationService::snapshotFor(
-    const VerificationJob& job, bool wantCanon) {
-  // Factory jobs are not memoizable (the builder must run per call — and
-  // tests rely on its call count); their snapshot is only used for
-  // obligation enumeration and engine choices, never imported by workers.
-  if (!job.factory && snapshotCapacity_ > 0) {
-    // The snapshot's content depends on the engine mode (Auto probes and
-    // records choices), compose (composed probe), and whether canonical
-    // serializations were requested — all of it goes into the key.
-    const std::string key = std::string(symbolic::toString(job.options.engine))
-                                .append(job.options.compose ? "|C|" : "|D|")
-                                .append(wantCanon ? "F|" : "N|")
-                                .append(job.smvText);
-    std::lock_guard<std::mutex> lock(snapshotMutex_);
-    auto it = snapshotCache_.find(key);
-    if (it != snapshotCache_.end()) {
-      // A memoized *failure* is not served: erase it so a resubmission
-      // gets a fresh build (the failure may have been transient).
-      const std::shared_future<SnapshotResult>& fut = it->second.future;
-      const bool failed =
-          fut.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready &&
-          fut.get().snapshot == nullptr;
-      if (!failed) {
-        snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
-                            it->second.lruIt);
-        if (metrics_ != nullptr) metrics_->counter("snapshot_reuses").inc();
-        return fut;
-      }
-      snapshotLru_.erase(it->second.lruIt);
-      snapshotCache_.erase(it);
+    const VerificationJob& job, bool wantCanon, bool* reused) {
+  // The snapshot's content depends on the engine mode (Auto probes and
+  // records choices), compose (composed probe), and whether canonical
+  // serializations were requested — all of it goes into the key.
+  const std::string key = std::string(symbolic::toString(job.options.engine))
+                              .append(job.options.compose ? "|C|" : "|D|")
+                              .append(wantCanon ? "F|" : "N|")
+                              .append(job.smvText);
+  std::lock_guard<std::mutex> lock(snapshotMutex_);
+  auto it = snapshotCache_.find(key);
+  if (it != snapshotCache_.end()) {
+    // A memoized *failure* is not served: erase it so a resubmission gets
+    // a fresh build (the failure may have been transient).
+    const std::shared_future<SnapshotResult>& fut = it->second.future;
+    const bool failed =
+        fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready &&
+        fut.get().snapshot == nullptr;
+    if (!failed) {
+      snapshotLru_.splice(snapshotLru_.begin(), snapshotLru_,
+                          it->second.lruIt);
+      if (metrics_ != nullptr) metrics_->counter("snapshot_reuses").inc();
+      *reused = true;
+      return fut;
     }
-    if (metrics_ != nullptr) metrics_->counter("snapshot_builds").inc();
-    std::shared_future<SnapshotResult> fut =
-        pool_.submit([job, wantCanon] { return buildSnapshot(job, wantCanon); })
-            .share();
-    snapshotLru_.push_front(key);
-    SnapshotSlot slot;
-    slot.future = fut;
-    slot.lruIt = snapshotLru_.begin();
-    snapshotCache_.emplace(key, std::move(slot));
-    while (snapshotCache_.size() > snapshotCapacity_) {
-      snapshotCache_.erase(snapshotLru_.back());
-      snapshotLru_.pop_back();
-    }
-    return fut;
+    snapshotLru_.erase(it->second.lruIt);
+    snapshotCache_.erase(it);
   }
   if (metrics_ != nullptr) metrics_->counter("snapshot_builds").inc();
-  return pool_
-      .submit([job, wantCanon] { return buildSnapshot(job, wantCanon); })
-      .share();
+  *reused = false;
+  std::shared_future<SnapshotResult> fut =
+      pool_.submit([job, wantCanon] { return buildSnapshot(job, wantCanon); })
+          .share();
+  snapshotLru_.push_front(key);
+  SnapshotSlot slot;
+  slot.future = fut;
+  slot.lruIt = snapshotLru_.begin();
+  snapshotCache_.emplace(key, std::move(slot));
+  while (snapshotCache_.size() > kSnapshotMemo) {
+    snapshotCache_.erase(snapshotLru_.back());
+    snapshotLru_.pop_back();
+  }
+  return fut;
 }
 
 std::vector<JobReport> VerificationService::runBatch(
@@ -971,6 +950,7 @@ std::vector<JobReport> VerificationService::runBatch(
   struct JobState {
     WallTimer timer;
     std::shared_future<SnapshotResult> snapFuture;
+    bool snapshotReused = false;  ///< served by the snapshot memo
     std::shared_ptr<const ElaborationSnapshot> snapshot;
     std::string scoutError;
     std::vector<ObligationDesc> descs;
@@ -990,7 +970,8 @@ std::vector<JobReport> VerificationService::runBatch(
   // Scout phase, now parallel: every job's elaboration snapshot is a pool
   // task (or a memo hit from a previous batch — the server's warm path).
   for (std::size_t k = 0; k < jobs.size(); ++k) {
-    states[k].snapFuture = snapshotFor(jobs[k], wantCanon);
+    states[k].snapFuture =
+        snapshotFor(jobs[k], wantCanon, &states[k].snapshotReused);
   }
 
   // Enumerate and submit per job as its snapshot lands.  Obligations are
@@ -1040,9 +1021,9 @@ std::vector<JobReport> VerificationService::runBatch(
       // this job's private copy.
       state.scoutError = keepOnly(job, &state.descs);
       enumerateSeconds = enumerateTimer.seconds();
-      // Text jobs run obligations warm on kept contexts; a reorder job
-      // sifts each manager, so its contexts are never handed on.
-      if (!job.factory && !job.options.reorderBeforeCheck) {
+      // Obligations run warm on kept contexts; a reorder job sifts each
+      // manager, so its contexts are never handed on.
+      if (!job.options.reorderBeforeCheck) {
         std::vector<std::size_t> perTarget(snap.modules.size() + 1, 0);
         for (const ObligationDesc& d : state.descs) ++perTarget[d.warmTarget()];
         state.warm = std::make_shared<WarmContexts>(std::move(perTarget));
@@ -1058,24 +1039,25 @@ std::vector<JobReport> VerificationService::runBatch(
         event.put("event", "snapshot")
             .putDouble("t", tr.elapsedSeconds())
             .put("job", job.name)
-            .putBool("shared", !job.factory);
-        if (snap.parseSeconds) {
-          event.putDouble("parse_ms", *snap.parseSeconds * 1000.0);
-        }
-        event.putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0);
-        // Left out when nothing was serialized, probed or composed.
-        if (snap.canonSeconds) {
-          event.putDouble("canon_ms", *snap.canonSeconds * 1000.0);
-        }
-        if (snap.probeSeconds) {
-          event.putDouble("probe_ms", *snap.probeSeconds * 1000.0);
-        }
-        if (snap.composeSeconds) {
-          event.putDouble("compose_ms", *snap.composeSeconds * 1000.0);
+            .putBool("reused", state.snapshotReused);
+        // A reused snapshot ran no phase for this job: only its size.
+        if (!state.snapshotReused) {
+          event.putDouble("parse_ms", snap.parseSeconds * 1000.0)
+              .putDouble("elaborate_ms", snap.elaborateSeconds * 1000.0);
+          // Left out when nothing was serialized, probed or composed.
+          if (snap.canonSeconds) {
+            event.putDouble("canon_ms", *snap.canonSeconds * 1000.0);
+          }
+          if (snap.probeSeconds) {
+            event.putDouble("probe_ms", *snap.probeSeconds * 1000.0);
+          }
+          if (snap.composeSeconds) {
+            event.putDouble("compose_ms", *snap.composeSeconds * 1000.0);
+          }
+          event.putUint("nodes_allocated", snap.nodesAllocated)
+              .putUint("gc_runs", snap.gcRuns);
         }
         tr.emit(event.putUint("live_nodes", snap.liveNodes)
-                    .putUint("nodes_allocated", snap.nodesAllocated)
-                    .putUint("gc_runs", snap.gcRuns)
                     .putUint("modules",
                              static_cast<std::uint64_t>(snap.modules.size())));
       }

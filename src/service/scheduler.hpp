@@ -13,11 +13,11 @@
 //    through the compositional rules with a ProofTree certificate — and,
 //    under EngineMode::Auto, resolves the engine choice per target.
 //  - Obligations are independent: each attempt runs in a symbolic::Context
-//    owned by its worker thread (BDD managers are single-threaded).  Text
-//    jobs *import* their BDDs from the snapshot through bdd::Importer — a
-//    linear copy of the reachable DAG into a pre-sized arena — instead of
-//    re-parsing and re-elaborating; factory jobs and quarantine retries
-//    rebuild from scratch, on the engine the snapshot chose.
+//    owned by its worker thread (BDD managers are single-threaded).
+//    Attempts *import* their BDDs from the snapshot through bdd::Importer —
+//    a linear copy of the reachable DAG into a pre-sized arena — instead of
+//    re-parsing and re-elaborating; only quarantine retries rebuild from
+//    the program text, on the engine the snapshot chose.
 //  - Warm contexts: a worker that decided an obligation (Holds/Fails)
 //    keeps its imported context and runs its next obligation of the same
 //    target and engine on it (trace and report: "context": "warm"), so a
@@ -82,8 +82,6 @@ struct ServiceOptions {
   /// (module, spec, restriction, options) obligations are verified once
   /// per service and served from memory afterwards.
   bool cacheEnabled = true;
-  /// In-memory cache capacity (entries across shards).
-  std::size_t cacheCapacity = 1 << 16;
   /// Directory of the persistent JSONL verdict store (cmc --cache-dir);
   /// empty = in-memory only.
   std::string cacheDir;
@@ -92,12 +90,6 @@ struct ServiceOptions {
   /// without running them.  The flag is owned by the embedder — cmc points
   /// it at the flag its SIGINT/SIGTERM handler sets.
   const std::atomic<bool>* cancelFlag = nullptr;
-  /// Elaboration snapshots of text jobs are memoized per service, keyed by
-  /// (engine mode, compose, program text), so a warm server request —
-  /// resubmitting a model it has seen — skips parse + elaboration entirely
-  /// and goes straight to obligation dispatch.  0 disables the memo (every
-  /// job builds its own snapshot; sharing within the job still applies).
-  std::size_t snapshotCacheCapacity = 16;
   /// Scheduler observability: when non-null, obligation dispatch and
   /// verdicts are counted (obligations_dispatched, obligations_completed,
   /// per-source obligations_{checked,cache,journal}, per-verdict
@@ -111,13 +103,9 @@ struct ServiceOptions {
 class VerificationService {
  public:
   explicit VerificationService(ServiceOptions opts = {})
-      : pool_(opts.threads),
-        cancel_(opts.cancelFlag),
-        metrics_(opts.metrics),
-        snapshotCapacity_(opts.snapshotCacheCapacity) {
+      : pool_(opts.threads), cancel_(opts.cancelFlag), metrics_(opts.metrics) {
     if (opts.cacheEnabled) {
       ObligationCache::Options copts;
-      copts.capacity = opts.cacheCapacity;
       copts.dir = opts.cacheDir;
       cache_ = std::make_unique<ObligationCache>(std::move(copts));
     }
@@ -162,20 +150,24 @@ class VerificationService {
   }
 
  private:
-  /// Resolve a job's elaboration snapshot: text jobs are served from the
-  /// LRU memo when possible (snapshot_reuses metric); misses and factory
-  /// jobs submit a buildSnapshot task to the pool.  The returned future is
-  /// resolved by the runBatch caller *before* any obligation is submitted,
-  /// so pool workers never block on it.
+  /// Resolve a job's elaboration snapshot from the LRU memo, keyed by
+  /// (engine mode, compose, canon, program text), so a warm server request
+  /// — resubmitting a model it has seen — skips parse and elaboration
+  /// entirely.  A miss submits a buildSnapshot task to the pool.  `reused`
+  /// says whether the memo served it (snapshot_reuses metric), also when a
+  /// job earlier in the same batch started the build.  The returned future
+  /// is resolved by the runBatch caller *before* any obligation is
+  /// submitted, so pool workers never block on it.
   std::shared_future<SnapshotResult> snapshotFor(const VerificationJob& job,
-                                                 bool wantCanon);
+                                                 bool wantCanon, bool* reused);
 
   ThreadPool pool_;
   const std::atomic<bool>* cancel_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<ObligationCache> cache_;
 
-  std::size_t snapshotCapacity_ = 16;
+  /// Snapshots the memo keeps.
+  static constexpr std::size_t kSnapshotMemo = 16;
   std::mutex snapshotMutex_;
   /// LRU order, most recent first; values are keys of snapshotCache_.
   std::list<std::string> snapshotLru_;

@@ -17,9 +17,10 @@ std::vector<ObligationRef> enumerateObligations(const ElaborationSnapshot& snap,
                                                 const JobOptions& options) {
   // Every fingerprint is finished from a copy of a key state hashed once:
   // the target part by the snapshot, a restriction once per run of specs
-  // that share it (every elaborated module's specs do; a factory's need
-  // not).  Each spec's formula is rendered once for its component and
-  // composed refs.
+  // that share it.  An elaborated module's specs all share one; checking
+  // each run keeps every key sound whatever restrictions the specs carry.
+  // Each spec's formula is rendered once for its component and composed
+  // refs.
   const bool keyed = !snap.modulePrefix.empty();
   std::vector<ObligationRef> refs;
   std::vector<StableHash128> composedKeys;  // per component ref
@@ -92,14 +93,10 @@ SnapshotResult buildSnapshot(const VerificationJob& job, bool wantCanon) {
     symbolic::Context& ctx = *snap->ctx;
 
     WallTimer timer;
-    if (job.factory) {
-      snap->modules = job.factory(ctx);
-    } else {
-      const std::vector<smv::Module> parsed = smv::parseProgram(job.smvText);
-      snap->parseSeconds = timer.seconds();
-      timer.reset();
-      snap->modules = smv::elaborateProgram(ctx, parsed);
-    }
+    const std::vector<smv::Module> parsed = smv::parseProgram(job.smvText);
+    snap->parseSeconds = timer.seconds();
+    timer.reset();
+    snap->modules = smv::elaborateProgram(ctx, parsed);
     snap->elaborateSeconds = timer.seconds();
     if (snap->modules.empty()) {
       throw ModelError("job '" + job.name + "' has no modules");

@@ -54,6 +54,7 @@
 
 #include "bdd/io.hpp"
 #include "service/job.hpp"
+#include "smv/elaborate.hpp"
 #include "symbolic/engine_choice.hpp"
 #include "util/hash.hpp"
 
@@ -96,9 +97,8 @@ struct ElaborationSnapshot {
   /// obligation's fresh context is sized from its module's count (see
   /// contextNodes()).
   std::vector<std::uint64_t> moduleNodes;
-  /// Wall time of parsing the job's text; unset for a factory job, which
-  /// parses nothing.
-  std::optional<double> parseSeconds;
+  /// Wall time of parsing the job's text.
+  double parseSeconds = 0.0;
   /// Wall time of elaboration, parse excluded (the cost the snapshot
   /// amortizes, with the parse).
   double elaborateSeconds = 0.0;

@@ -22,6 +22,7 @@
 #include "symbolic/composition.hpp"
 #include "symbolic/engine_choice.hpp"
 #include "symbolic/system.hpp"
+#include "test_util.hpp"
 
 namespace cmc {
 namespace {
@@ -764,6 +765,35 @@ TEST(Snapshot, BuildOnceImportPerWorker) {
             service::workerArenaCapacity(snap.liveNodes));
 }
 
+/// The "snapshot" events of `trace`, parsed.
+std::vector<util::JsonValue> snapshotEvents(const service::RunTrace& trace) {
+  std::vector<util::JsonValue> events;
+  for (const std::string& line : trace.lines()) {
+    if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
+    events.push_back(test::parsedJson(line));
+  }
+  return events;
+}
+
+/// A snapshot event says whether the memo served it.  A built snapshot
+/// carries its phases and its manager's counters; a reused one ran none of
+/// them for this job, so it carries only its size.
+void expectSnapshotEvent(const util::JsonValue& event, bool reused) {
+  bool wasReused = !reused;
+  EXPECT_TRUE(event.req("reused", &wasReused));
+  EXPECT_EQ(wasReused, reused);
+  for (const char* field : {"live_nodes", "modules"}) {
+    EXPECT_NE(event.find(field), nullptr) << field;
+  }
+  for (const char* field : {"parse_ms", "elaborate_ms", "canon_ms",
+                            "nodes_allocated", "gc_runs"}) {
+    EXPECT_EQ(event.find(field) != nullptr, !reused) << field;
+  }
+  for (const char* field : {"probe_ms", "compose_ms"}) {
+    EXPECT_EQ(event.find(field), nullptr) << field;
+  }
+}
+
 TEST(Snapshot, ServiceMemoizesSnapshotsAcrossRuns) {
   service::MetricsRegistry metrics;
   service::ServiceOptions sopts;
@@ -774,15 +804,42 @@ TEST(Snapshot, ServiceMemoizesSnapshotsAcrossRuns) {
   service::VerificationJob job;
   job.name = "memo";
   job.smvText = kTwoModuleSmv;
-  const service::JobReport first = svc.run(job);
+  service::RunTrace firstTrace;
+  const service::JobReport first = svc.run(job, &firstTrace);
   EXPECT_EQ(first.verdict, service::Verdict::Holds);
   EXPECT_EQ(metrics.counterValue("snapshot_builds"), 1u);
+  std::vector<util::JsonValue> events = snapshotEvents(firstTrace);
+  ASSERT_EQ(events.size(), 1u);
+  expectSnapshotEvent(events[0], /*reused=*/false);
 
-  // A warm resubmission of the same text reuses the memoized snapshot.
-  const service::JobReport second = svc.run(job);
+  // A warm resubmission of the same text reuses the memoized snapshot, and
+  // its trace repeats none of the build's phases.
+  service::RunTrace secondTrace;
+  const service::JobReport second = svc.run(job, &secondTrace);
   EXPECT_EQ(second.verdict, service::Verdict::Holds);
   EXPECT_EQ(metrics.counterValue("snapshot_builds"), 1u);
-  EXPECT_GE(metrics.counterValue("snapshot_reuses"), 1u);
+  EXPECT_EQ(metrics.counterValue("snapshot_reuses"), 1u);
+  events = snapshotEvents(secondTrace);
+  ASSERT_EQ(events.size(), 1u);
+  expectSnapshotEvent(events[0], /*reused=*/true);
+
+  // In one batch on a fresh service, the first job builds and a later job
+  // with the same memo key reuses that build.
+  service::VerificationService fresh(sopts);
+  service::VerificationJob again = job;
+  again.name = "memo-again";
+  service::RunTrace batchTrace;
+  const std::vector<service::JobReport> reports =
+      fresh.runBatch({job, again}, &batchTrace);
+  for (const service::JobReport& r : reports) {
+    EXPECT_EQ(r.verdict, service::Verdict::Holds) << r.job;
+  }
+  EXPECT_EQ(metrics.counterValue("snapshot_builds"), 2u);
+  EXPECT_EQ(metrics.counterValue("snapshot_reuses"), 2u);
+  events = snapshotEvents(batchTrace);
+  ASSERT_EQ(events.size(), 2u);
+  expectSnapshotEvent(events[0], /*reused=*/false);
+  expectSnapshotEvent(events[1], /*reused=*/true);
 }
 
 TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
@@ -863,31 +920,23 @@ TEST(Snapshot, PhaseTimersLandInReportAndTrace) {
   expectSnapshotFields(fixedTrace, /*probed=*/false, /*composed=*/true);
 }
 
-TEST(Snapshot, FactoryJobsParseNothing) {
-  // A text job's snapshot times its parse apart from its elaboration; a
-  // factory job parses nothing, so its snapshot and its trace event leave
-  // parse_ms out.  Both count what the snapshot manager allocated and
-  // collected, the final sweep included.
+TEST(Snapshot, TextJobsTimeTheirParseAndCountTheirNodes) {
+  // Every snapshot times its parse apart from its elaboration, and counts
+  // what its manager allocated and collected, the final sweep included.
   service::VerificationJob text;
   text.name = "text";
   text.smvText = kTwoModuleSmv;
   text.options.engine = symbolic::EngineMode::Auto;
-  service::VerificationJob factory = text;
-  factory.name = "factory";
-  factory.smvText.clear();
-  factory.factory = [](symbolic::Context& ctx) {
-    return smv::elaborateProgram(ctx, kTwoModuleSmv);
-  };
   service::VerificationJob probing = text;
   probing.name = "probing";
   probing.options.compose = true;
-  for (const service::VerificationJob* job : {&text, &factory, &probing}) {
+  for (const service::VerificationJob* job : {&text, &probing}) {
     SCOPED_TRACE(job->name);
     const service::SnapshotResult built =
         service::buildSnapshot(*job, /*wantCanon=*/false);
     ASSERT_NE(built.snapshot, nullptr) << built.error;
     const service::ElaborationSnapshot& snap = *built.snapshot;
-    EXPECT_EQ(snap.parseSeconds.has_value(), job != &factory);
+    EXPECT_GT(snap.parseSeconds, 0.0);
     EXPECT_GE(snap.nodesAllocated, snap.liveNodes);
     // Both modules take the cone, so a component-only job probes nothing
     // and collects once, at freeze; the compose job probes the
@@ -902,10 +951,10 @@ TEST(Snapshot, FactoryJobsParseNothing) {
     ASSERT_EQ(trace.countContaining("\"event\": \"snapshot\""), 1u);
     for (const std::string& line : trace.lines()) {
       if (line.find("\"event\": \"snapshot\"") == std::string::npos) continue;
-      EXPECT_EQ(line.find("\"parse_ms\"") != std::string::npos,
-                job != &factory);
-      EXPECT_NE(line.find("\"nodes_allocated\""), std::string::npos);
-      EXPECT_NE(line.find("\"gc_runs\""), std::string::npos);
+      for (const char* field :
+           {"\"parse_ms\"", "\"nodes_allocated\"", "\"gc_runs\""}) {
+        EXPECT_NE(line.find(field), std::string::npos) << field;
+      }
     }
   }
 }

@@ -205,14 +205,14 @@ TEST(ObligationFingerprint, SnapshotPrefixesReproduceTheReference) {
 }
 
 TEST(ObligationFingerprint, SpecsWithTheirOwnRestrictionsKeepTheirOwnKeys) {
-  // A factory may give each spec its own restriction.  Specs that share
+  // Enumeration renders a restriction once per run of specs that share
+  // it, and a snapshot's specs may each carry their own.  Specs that share
   // one share its rendering; the spec between them, under another, must
   // not be keyed by its neighbours' restriction.
   VerificationJob job;
   job.name = "restrictions";
   job.options.compose = true;
-  job.factory = [](symbolic::Context& ctx) {
-    std::vector<smv::ElaboratedModule> mods = smv::elaborateProgram(ctx, R"(
+  job.smvText = R"(
 MODULE left
 VAR x : {on, off};
 ASSIGN next(x) := case x = on : off; 1 : on; esac;
@@ -223,14 +223,15 @@ MODULE right
 VAR y : {p, q};
 ASSIGN next(y) := y;
 SPEC AG (y = p | y = q)
-)");
-    mods.front().specs[1].r = mods.front().specs[1].r.withInit(
-        ctl::eq("x", "on"));
-    return mods;
-  };
+)";
   const SnapshotResult built = buildSnapshot(job, /*wantCanon=*/true);
   ASSERT_NE(built.snapshot, nullptr) << built.error;
-  const ElaborationSnapshot& snap = *built.snapshot;
+  // The snapshot was built mutable and published const; nothing else has
+  // read it yet.
+  ElaborationSnapshot& snap =
+      const_cast<ElaborationSnapshot&>(*built.snapshot);
+  ctl::Spec& middle = snap.modules.front().specs[1];
+  middle.r = middle.r.withInit(ctl::eq("x", "on"));
   EXPECT_EQ(expectReferenceFingerprints(snap, job.options), 4u);
 
   std::map<std::string, std::string> byId;
@@ -486,13 +487,7 @@ TEST(ObligationCacheService, RestrictionIndexIsPartOfTheKey) {
   const auto jobWithInit = [](const std::string& value) {
     VerificationJob job;
     job.name = "chain-init-" + value;
-    job.factory = [value](symbolic::Context& ctx) {
-      smv::ElaboratedModule mod = smv::elaborateText(ctx, kChainSmv);
-      for (ctl::Spec& spec : mod.specs) {
-        spec.r.init = ctl::eq("s", value);
-      }
-      return std::vector<smv::ElaboratedModule>{std::move(mod)};
-    };
+    job.smvText = std::string(kChainSmv) + "INIT s = " + value + "\n";
     return job;
   };
   const JobReport first = svc.run(jobWithInit("a"));

@@ -10,15 +10,15 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <memory>
 #include <sstream>
-#include <stdexcept>
 
 #include "gen/modelgen.hpp"
 #include "service/budget.hpp"
 #include "service/scheduler.hpp"
 #include "service/snapshot.hpp"
 #include "smv/elaborate.hpp"
+#include "symbolic/checker.hpp"
+#include "symbolic/composition.hpp"
 #include "test_util.hpp"
 #include "util/failpoint.hpp"
 
@@ -218,10 +218,7 @@ TEST(Service, TinyNodeBudgetOnAfs2YieldsMemoryOutNotAHang) {
   // event in the trace — never a crash or hang.
   VerificationJob job;
   job.name = "afs2";
-  job.factory = [](symbolic::Context& ctx) {
-    return std::vector<smv::ElaboratedModule>{
-        smv::elaborateText(ctx, gen::afs2Model(2))};  // the server
-  };
+  job.smvText = gen::afs2Model(2);
   job.options.limits.nodeBudget = 1;
 
   VerificationService svc(withThreads(2));
@@ -318,9 +315,12 @@ std::string readModel(const std::filesystem::path& path) {
 }
 
 TEST(ServiceSnapshot, SharedCompositionDecidesLikeAPerAttemptComposition) {
-  // A text job's composed attempts import the snapshot's composition; a
-  // factory job's compose their own.  Four workers import the shared
-  // composition concurrently (the TSan job covers the sharing).
+  // Every multi-module model with a spec outside Rules 1-3 appended, so its
+  // snapshot composes, and every composed attempt imports that shared
+  // composition.  Each composed verdict must match a direct Checker over
+  // composeAll of the reflexive closures, composed apart from the service.
+  // Four workers import the shared composition concurrently (the TSan job
+  // covers the sharing).
   namespace fs = std::filesystem;
   const fs::path models(CMC_MODELS_DIR);
   std::vector<fs::path> paths{models / "gen" / "afs2_3.smv",
@@ -329,43 +329,54 @@ TEST(ServiceSnapshot, SharedCompositionDecidesLikeAPerAttemptComposition) {
     if (entry.path().extension() == ".smv") paths.push_back(entry.path());
   }
   std::size_t composedChecked = 0;
-  VerificationService svc(withThreads(4));
+  ServiceOptions opts = withThreads(4);
+  opts.cacheEnabled = false;
+  VerificationService svc(opts);
   for (const fs::path& path : paths) {
-    const std::string text = readModel(path);
+    const std::string text = readModel(path) + "\nSPEC AG TRUE\n";
+    symbolic::Context ctx(1 << 14);
+    const std::vector<smv::ElaboratedModule> modules =
+        smv::elaborateProgram(ctx, text);
+    if (modules.size() < 2) continue;
+    std::vector<symbolic::SymbolicSystem> parts;
+    std::map<std::string, const ctl::Spec*> specs;
+    for (const smv::ElaboratedModule& mod : modules) {
+      symbolic::SymbolicSystem sys = mod.sys;
+      symbolic::addReflexive(sys);
+      parts.push_back(std::move(sys));
+      for (const ctl::Spec& spec : mod.specs) {
+        specs["composed/" + spec.name] = &spec;
+      }
+    }
+    const symbolic::SymbolicSystem composed = symbolic::composeAll(parts);
+    symbolic::Checker direct(composed);
+    std::map<std::string, bool> holds;
+    for (const auto& [id, spec] : specs) holds[id] = direct.holds(*spec);
     for (symbolic::EngineMode engine :
          {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
           symbolic::EngineMode::Monolithic}) {
       SCOPED_TRACE(path.filename().string() + " " + symbolic::toString(engine));
-      VerificationJob shared;
-      shared.name = path.stem().string();
-      shared.smvText = text;
-      shared.options.compose = true;
-      shared.options.engine = engine;
-      VerificationJob rebuilt = shared;
-      rebuilt.smvText.clear();
-      rebuilt.factory = [text](symbolic::Context& ctx) {
-        return smv::elaborateProgram(ctx, text);
-      };
-
-      const std::vector<JobReport> reports = svc.runBatch({shared, rebuilt});
-      ASSERT_EQ(reports.size(), 2u);
-      const std::vector<ObligationOutcome>& a = reports[0].obligations;
-      const std::vector<ObligationOutcome>& b = reports[1].obligations;
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id);
-        EXPECT_EQ(a[i].verdict, b[i].verdict) << a[i].id;
-        EXPECT_EQ(a[i].rule, b[i].rule) << a[i].id;
-        EXPECT_TRUE(a[i].verdict == Verdict::Holds ||
-                    a[i].verdict == Verdict::Fails)
-            << a[i].id;
-        if (a[i].target == "composed") ++composedChecked;
+      VerificationJob job;
+      job.name = path.stem().string();
+      job.smvText = text;
+      job.options.compose = true;
+      job.options.engine = engine;
+      RunTrace trace;
+      const JobReport report = svc.run(job, &trace);
+      EXPECT_EQ(trace.countContaining("\"compose_ms\""), 1u);
+      for (const ObligationOutcome& o : report.obligations) {
+        if (o.target != "composed") continue;
+        ASSERT_EQ(holds.count(o.id), 1u) << o.id;
+        EXPECT_EQ(o.verdict, holds[o.id] ? Verdict::Holds : Verdict::Fails)
+            << o.id << " (" << o.rule << ")";
+        ++composedChecked;
       }
     }
   }
-  // afs1_composed (3), afs2_composed (6), afs2_3 (9), ring_3 (3) — per
-  // engine.
-  EXPECT_EQ(composedChecked, 3u * 21u);
+  // afs1_composed (3), afs2_composed (6), afs2_3 (9) and ring_3 (3), each
+  // with the appended spec, and alternating_bit and token_ring_3 with that
+  // spec alone — per engine.
+  EXPECT_EQ(composedChecked, 3u * 27u);
 }
 
 TEST(ServiceSnapshot, OnlyComposeJobsCarryAComposition) {
@@ -501,67 +512,48 @@ TEST(Service, JsonEscapingHandlesControlCharacters) {
 // Worker quarantine
 // ---------------------------------------------------------------------------
 
-/// A job whose factory throws a foreign exception on selected calls.  The
-/// scout phase makes the first call; each worker attempt makes one more.
-VerificationJob flakyJob(std::shared_ptr<std::atomic<int>> calls,
-                         int failFrom, int failTo) {
+/// A chain whose one spec names a variable the model never declares.  The
+/// scout never evaluates a spec, so the job enumerates; every attempt
+/// throws in its worker once the checker looks the variable up, the
+/// quarantine retry's rebuild from the text included.
+VerificationJob unknownVariableJob() {
   VerificationJob job;
-  job.name = "flaky";
-  job.factory = [calls, failFrom, failTo](symbolic::Context& ctx) {
-    const int n = calls->fetch_add(1) + 1;
-    if (n >= failFrom && n <= failTo) {
-      throw std::runtime_error("simulated transient fault (call " +
-                               std::to_string(n) + ")");
-    }
-    return smv::elaborateProgram(ctx, R"(
+  job.name = "unknown";
+  job.smvText = R"(
 MODULE chain
 VAR s : {a, b, c};
 ASSIGN next(s) := case s = a : b; s = b : c; 1 : s; esac;
-SPEC AG (s = a | s = b | s = c)
-)");
-  };
+SPEC AG (s = a | t = b)
+)";
   return job;
 }
 
-TEST(ServiceQuarantine, TransientThrowIsRetriedOnAFreshContext) {
-  // Call 1 = scout, call 2 = first attempt (throws), call 3 = quarantine
-  // retry (succeeds): the obligation must come back Holds.
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  VerificationService svc(withThreads(1));
-  RunTrace trace;
-  const JobReport report = svc.run(flakyJob(calls, 2, 2), &trace);
-
-  ASSERT_EQ(report.obligations.size(), 1u);
-  const ObligationOutcome& o = report.obligations.front();
-  EXPECT_EQ(o.verdict, Verdict::Holds);
-  ASSERT_EQ(o.attempts.size(), 2u);
-  EXPECT_EQ(o.attempts[0].verdict, Verdict::Error);
-  EXPECT_EQ(o.attempts[1].verdict, Verdict::Holds);
-  EXPECT_EQ(trace.countContaining("\"event\": \"quarantine\""), 1u);
-  EXPECT_EQ(trace.countContaining("simulated transient fault"), 1u);
-}
-
 TEST(ServiceQuarantine, AnErrorAttemptRecordsOnlyWhatItMeasured) {
-  // The first attempt throws inside the factory, before any phase ends:
-  // its record and "attempt" event carry no peak, phase or count.  The
-  // retry measured all of them.
-  auto calls = std::make_shared<std::atomic<int>>(0);
+  // Both attempts throw in their checks.  The first imported its module
+  // and the quarantine retry elaborated the text: each record and
+  // "attempt" event carries that one phase, and no setup, fixpoint, peak
+  // or count, which neither attempt got to.
   VerificationService svc(withThreads(1));
   RunTrace trace;
-  const JobReport report = svc.run(flakyJob(calls, 2, 2), &trace);
+  const JobReport report = svc.run(unknownVariableJob(), &trace);
   ASSERT_EQ(report.obligations.size(), 1u);
   const std::vector<AttemptRecord>& attempts =
       report.obligations.front().attempts;
   ASSERT_EQ(attempts.size(), 2u);
-  const AttemptRecord& error = attempts[0];
-  EXPECT_EQ(error.verdict, Verdict::Error);
-  EXPECT_FALSE(error.peakLiveNodes || error.cacheHitRate ||
-               error.elaborateMs || error.importMs || error.setupMs ||
-               error.fixpointMs || error.preimages || error.conePreimages);
-  const AttemptRecord& retry = attempts[1];
-  EXPECT_TRUE(retry.peakLiveNodes && retry.elaborateMs && retry.importMs &&
-              retry.setupMs && retry.fixpointMs && retry.preimages);
-  const std::vector<const char*> fields{
+  for (const AttemptRecord& a : attempts) {
+    EXPECT_EQ(a.verdict, Verdict::Error);
+    EXPECT_FALSE(a.warm);
+    EXPECT_FALSE(a.peakLiveNodes || a.cacheHitRate || a.setupMs ||
+                 a.fixpointMs || a.preimages || a.conePreimages);
+  }
+  EXPECT_TRUE(attempts[0].importMs && !attempts[0].elaborateMs);
+  EXPECT_TRUE(attempts[1].elaborateMs && !attempts[1].importMs);
+  // The elaborating retry's phases sum to no more than the attempt.
+  EXPECT_LE(attempts[1].elaborateMs.value_or(0.0) / 1000.0,
+            attempts[1].seconds * (1 + 1e-9));
+  // The one phase each attempt measured, in order.
+  const std::vector<std::string> measured{"import_ms", "elaborate_ms"};
+  const std::vector<std::string> fields{
       "peak_live_nodes", "elaborate_ms", "import_ms", "setup_ms",
       "fixpoint_ms",     "preimages"};
   std::size_t events = 0;
@@ -569,43 +561,42 @@ TEST(ServiceQuarantine, AnErrorAttemptRecordsOnlyWhatItMeasured) {
     const util::JsonValue event = test::parsedJson(line);
     std::string kind;
     if (!event.req("event", &kind) || kind != "attempt") continue;
-    for (const char* field : fields) {
-      EXPECT_EQ(event.find(field) != nullptr, events > 0)
+    ASSERT_LT(events, measured.size()) << line;
+    for (const std::string& field : fields) {
+      EXPECT_EQ(event.find(field) != nullptr, field == measured[events])
           << field << " in " << line;
     }
     ++events;
   }
   EXPECT_EQ(events, 2u);
-  // The report prints each field once: for the retry.
+  // The report prints each phase once, for the attempt that measured it.
   const std::string json = report.toJson();
-  for (const char* field : fields) {
-    const std::string key = std::string("\"").append(field).append("\"");
+  for (const std::string& field : fields) {
+    const std::string key = "\"" + field + "\"";
+    const bool once = std::count(measured.begin(), measured.end(), field) > 0;
     const std::size_t at = json.find(key);
-    EXPECT_NE(at, std::string::npos) << field;
-    EXPECT_EQ(json.find(key, at + 1), std::string::npos) << field;
+    EXPECT_EQ(at != std::string::npos, once) << field;
+    if (once) {
+      EXPECT_EQ(json.find(key, at + 1), std::string::npos) << field;
+    }
   }
 }
 
 TEST(ServiceQuarantine, PersistentThrowBecomesErrorWithoutLosingSiblings) {
-  // One poisoned obligation (factory throws on every worker call) next to
-  // a healthy job in the same batch: the healthy job must be unaffected
-  // and the poisoned one must surface as Error with the exception text.
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  // Both jobs check the same module and spec, so they share a fingerprint:
-  // with the obligation cache on, the poisoned obligation is served the
-  // healthy one's Holds whenever that one finishes first.
-  ServiceOptions opts = withThreads(2);
-  opts.cacheEnabled = false;
-  VerificationService svc(opts);
+  // One poisoned obligation (it throws on every worker attempt) next to a
+  // healthy job in the same batch: the healthy job must be unaffected and
+  // the poisoned one must surface as Error with the exception text.
+  VerificationService svc(withThreads(2));
   RunTrace trace;
   const std::vector<JobReport> reports =
-      svc.runBatch({flakyJob(calls, 2, 1000), chainJob()}, &trace);
+      svc.runBatch({unknownVariableJob(), chainJob()}, &trace);
 
   ASSERT_EQ(reports.size(), 2u);
   ASSERT_EQ(reports[0].obligations.size(), 1u);
   const ObligationOutcome& bad = reports[0].obligations.front();
   EXPECT_EQ(bad.verdict, Verdict::Error);
-  EXPECT_NE(bad.error.find("simulated transient fault"), std::string::npos);
+  EXPECT_NE(bad.error.find("unknown variable: t"), std::string::npos)
+      << bad.error;
   // One original attempt plus exactly one quarantine retry — no loops.
   EXPECT_EQ(bad.attempts.size(), 2u);
   EXPECT_EQ(reports[0].verdict, Verdict::Error);
@@ -862,9 +853,10 @@ std::map<std::string, std::vector<std::string>> attemptContexts(
 using Contexts = std::vector<std::string>;
 
 TEST(Service, WarmAttemptsDecideLikeFreshOnes) {
-  // The text job imports from its snapshot and runs most obligations warm;
-  // the factory job rebuilds for every attempt.  Both must say the same
-  // thing about every obligation.
+  // The whole job imports from its snapshot and runs most obligations
+  // warm; the same job split into single-obligation jobs (`only` = each
+  // id) never does, since each has nothing left to run on a kept context.
+  // Both must say the same thing about every obligation.
   for (const unsigned threads : {1u, 4u}) {
     for (const symbolic::EngineMode engine :
          {symbolic::EngineMode::Auto, symbolic::EngineMode::Partitioned,
@@ -876,22 +868,24 @@ TEST(Service, WarmAttemptsDecideLikeFreshOnes) {
         VerificationJob warm = relayJob();
         warm.options.engine = engine;
         warm.options.compose = compose;
-        VerificationJob fresh = warm;
-        fresh.name = "relay-rebuilt";
-        fresh.smvText.clear();
-        fresh.factory = [](symbolic::Context& ctx) {
-          return smv::elaborateProgram(ctx, kRelaySmv);
-        };
 
         VerificationService svc(uncachedThreads(threads));
         RunTrace trace;
-        const std::vector<JobReport> reports =
-            svc.runBatch({warm, fresh}, &trace);
-        ASSERT_EQ(reports.size(), 2u);
-        const std::vector<ObligationOutcome>& a = reports[0].obligations;
-        const std::vector<ObligationOutcome>& b = reports[1].obligations;
+        const std::vector<ObligationOutcome> a =
+            svc.run(warm, &trace).obligations;
         ASSERT_EQ(a.size(), compose ? 22u : 11u);
-        ASSERT_EQ(a.size(), b.size());
+        std::vector<VerificationJob> singles;
+        for (const ObligationOutcome& o : a) {
+          VerificationJob single = warm;
+          single.name = "relay-" + o.id;
+          single.only = o.id;
+          singles.push_back(std::move(single));
+        }
+        std::vector<ObligationOutcome> b;
+        for (const JobReport& r : svc.runBatch(singles)) {
+          ASSERT_EQ(r.obligations.size(), 1u) << r.job;
+          b.push_back(r.obligations.front());
+        }
         std::size_t warmAttempts = 0;
         std::size_t fails = 0;
         for (std::size_t i = 0; i < a.size(); ++i) {
@@ -1221,50 +1215,86 @@ TEST(Service, InjectedTimeoutAndErrorStartTheNextObligationFresh) {
   }
 }
 
+TEST(ServiceQuarantine, TransientThrowIsRetriedOnAFreshContext) {
+  // The quarantine retry rebuilds from the job's program text, not from
+  // the snapshot.  The text is repaired once the first attempt is
+  // recorded, on the one worker, which reads it again only to rebuild:
+  // the first attempt, on the snapshot of the text whose spec names an
+  // undeclared variable, throws in its check after its import; the retry
+  // elaborates the repaired text on a fresh context and decides.
+  std::vector<VerificationJob> jobs{unknownVariableJob()};
+  const std::string id = "chain/chain.SPEC1";
+  std::vector<std::string> lines;
+  LineHook hook([&jobs, &id, &lines](const std::string& line) {
+    lines.push_back(line);
+    if (isEvent(line, "attempt", id)) jobs.front().smvText = kChainSmv;
+  });
+  std::ostream sink(&hook);
+  VerificationService svc(withThreads(1));
+  RunTrace trace(&sink);
+  const std::vector<JobReport> reports = svc.runBatch(jobs, &trace);
+
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_EQ(reports.front().obligations.size(), 1u);
+  const ObligationOutcome& o = reports.front().obligations.front();
+  EXPECT_EQ(o.verdict, Verdict::Holds);
+  ASSERT_EQ(o.attempts.size(), 2u);
+  const AttemptRecord& error = o.attempts[0];
+  EXPECT_EQ(error.verdict, Verdict::Error);
+  EXPECT_TRUE(error.importMs && !error.elaborateMs);
+  const AttemptRecord& retry = o.attempts[1];
+  EXPECT_EQ(retry.verdict, Verdict::Holds);
+  EXPECT_FALSE(retry.warm);
+  ASSERT_TRUE(retry.peakLiveNodes && retry.elaborateMs && retry.importMs &&
+              retry.setupMs && retry.fixpointMs && retry.preimages);
+  EXPECT_GT(*retry.elaborateMs, 0.0);
+  EXPECT_EQ(*retry.importMs, 0.0);
+  EXPECT_LE((*retry.elaborateMs + *retry.importMs + *retry.setupMs +
+             *retry.fixpointMs) / 1000.0,
+            retry.seconds * (1 + 1e-9));
+  const auto count = [&lines](const std::string& needle) {
+    return std::count_if(lines.begin(), lines.end(), [&](const auto& line) {
+      return line.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_EQ(count("\"event\": \"quarantine\""), 1);
+  EXPECT_EQ(count("unknown variable: t"), 1);
+}
+
 TEST(Service, AttemptPhasesNeverExceedTheAttempt) {
-  // Text jobs import (fresh) or run warm; the factory job elaborates.
+  // Attempts import (fresh) or run warm.
   for (const bool compose : {false, true}) {
     SCOPED_TRACE(compose ? "compose" : "components");
-    VerificationJob text = relayJob();
-    text.options.compose = compose;
-    VerificationJob rebuilt = text;
-    rebuilt.name = "relay-rebuilt";
-    rebuilt.smvText.clear();
-    rebuilt.factory = [](symbolic::Context& ctx) {
-      return smv::elaborateProgram(ctx, kRelaySmv);
-    };
+    VerificationJob job = relayJob();
+    job.options.compose = compose;
     VerificationService svc(uncachedThreads(2));
     RunTrace trace;
-    const std::vector<JobReport> reports =
-        svc.runBatch({text, rebuilt}, &trace);
+    const JobReport report = svc.run(job, &trace);
     std::size_t keptCheckerChecks = 0;
     std::size_t keptVerifierChecks = 0;
-    for (const JobReport& report : reports) {
-      EXPECT_NE(report.toJson().find("\"setup_ms\""), std::string::npos);
-      for (const ObligationOutcome& o : report.obligations) {
-        for (const AttemptRecord& a : o.attempts) {
-          ASSERT_TRUE(a.elaborateMs && a.importMs && a.setupMs &&
-                      a.fixpointMs)
-              << o.id;
-          EXPECT_GE(*a.fixpointMs, 0.0) << o.id;
-          EXPECT_LE(
-              (*a.elaborateMs + *a.importMs + *a.setupMs + *a.fixpointMs) /
-                  1000.0,
-              a.seconds * (1 + 1e-9))
-              << o.id;
-          if (!a.warm) {
-            EXPECT_GT(a.setupMs, 0.0) << o.id;  // a checker at least
-          } else if (o.target != "composed") {
-            // Checked on the module's kept checker: nothing was built.
-            EXPECT_EQ(a.setupMs, 0.0) << o.id;
-            ++keptCheckerChecks;
-          } else if (o.rule == "global fallback" &&
-                     o.verdict == Verdict::Holds) {
-            // Decided on the kept checker, with no counterexample to
-            // search: nothing was built.
-            EXPECT_EQ(a.setupMs, 0.0) << o.id;
-            ++keptVerifierChecks;
-          }
+    EXPECT_NE(report.toJson().find("\"setup_ms\""), std::string::npos);
+    for (const ObligationOutcome& o : report.obligations) {
+      for (const AttemptRecord& a : o.attempts) {
+        ASSERT_TRUE(a.elaborateMs && a.importMs && a.setupMs && a.fixpointMs)
+            << o.id;
+        EXPECT_GE(*a.fixpointMs, 0.0) << o.id;
+        EXPECT_LE(
+            (*a.elaborateMs + *a.importMs + *a.setupMs + *a.fixpointMs) /
+                1000.0,
+            a.seconds * (1 + 1e-9))
+            << o.id;
+        if (!a.warm) {
+          EXPECT_GT(a.setupMs, 0.0) << o.id;  // a checker at least
+        } else if (o.target != "composed") {
+          // Checked on the module's kept checker: nothing was built.
+          EXPECT_EQ(a.setupMs, 0.0) << o.id;
+          ++keptCheckerChecks;
+        } else if (o.rule == "global fallback" &&
+                   o.verdict == Verdict::Holds) {
+          // Decided on the kept checker, with no counterexample to
+          // search: nothing was built.
+          EXPECT_EQ(a.setupMs, 0.0) << o.id;
+          ++keptVerifierChecks;
         }
       }
     }
